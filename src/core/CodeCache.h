@@ -23,12 +23,18 @@
 ///    entry only removes it from the table; its code region returns to the
 ///    cache's free pool when the last Handle drops, so a classifier still
 ///    executing on some simulator thread is never freed under it.
-///  - Tiered promotion. Entries carry per-execution counters
-///    (Handle::noteExecution) and promote(key) regenerates an entry —
+///  - Tiered promotion. Entries count their dispatches
+///    (Handle::dispatch) and promote(key) regenerates an entry —
 ///    typically at Tier-1 — and atomically swaps the refcounted code
 ///    version under concurrent dispatchers: exactly one promoter runs,
 ///    pinned dispatchers finish on the old version, and the old region
 ///    is recycled only when its last pin drops.
+///  - Final versions. A promoted entry never changes again, and every
+///    Handle owns the entry that owns that version, so its code outlives
+///    any Handle a dispatcher holds. Handle::dispatch runs a final
+///    version straight through Handle::finalVersion() — no lock, no pin,
+///    no count — and keeps the pinned, counted path for entries that may
+///    still be swapped.
 ///  - Counters. Hits / misses / generations / evictions / reclaimed
 ///    regions are exact (sharded relaxed atomics, summed by stats()), so
 ///    tests can assert "one generation per distinct key" instead of
@@ -55,6 +61,7 @@
 #include "sim/Memory.h"
 #include "support/Telemetry.h"
 #include <atomic>
+#include <cassert>
 #include <condition_variable>
 #include <map>
 #include <memory>
@@ -138,8 +145,12 @@ private:
     /// Current code version; set once when St becomes Ready, then only
     /// replaced (never cleared) by promote() under M.
     std::shared_ptr<const Version> Cur;
+    /// Cur.get() once promote() has swapped it in (set under M; null
+    /// before). Cur is never replaced again after that, so this pointer
+    /// stays valid for the entry's lifetime.
+    std::atomic<const Version *> Final{nullptr};
     std::atomic<uint64_t> LastUse{0};
-    std::atomic<uint64_t> ExecCount{0}; ///< dispatches via Handle
+    std::atomic<uint64_t> ExecCount{0}; ///< pinned dispatches via Handle
     std::atomic<bool> Promoting{false}; ///< exactly-once promote gate
   };
 
@@ -171,24 +182,33 @@ public:
       std::lock_guard<std::mutex> Lock(E->M);
       return E->Cur;
     }
-    /// Counts one execution of this entry's code; returns the new total.
-    /// Engines call this per dispatch so the cache owner can promote hot
-    /// entries (the unique threshold-crossing value picks one promoter).
-    uint64_t noteExecution() {
-      return E ? E->ExecCount.fetch_add(1, std::memory_order_relaxed) + 1
-               : 0;
+    /// The promoted code version once promote() has swapped this entry,
+    /// null before. The version lives as long as the entry, which this
+    /// Handle owns, so it may be executed without a pin.
+    const Version *finalVersion() const {
+      return E ? E->Final.load(std::memory_order_acquire) : nullptr;
     }
-    /// Counts \p N executions at once; returns the new total. Dispatchers
-    /// whose whole call is tens of nanoseconds batch their counts locally
-    /// and fold them in on a coarse cadence instead of paying one atomic
-    /// per dispatch.
-    uint64_t noteExecutions(uint64_t N) {
-      return E ? E->ExecCount.fetch_add(N, std::memory_order_relaxed) + N
-               : 0;
-    }
-    /// Executions recorded so far.
-    uint64_t execCount() const {
-      return E ? E->ExecCount.load(std::memory_order_relaxed) : 0;
+    /// One dispatch of this entry's code: returns \p Call(const Version &).
+    /// A final version runs directly. Otherwise the current version is
+    /// pinned for the call and the execution counted; the dispatcher whose
+    /// count reaches \p HotThreshold (0: never) on a Tier-0 version runs
+    /// \p Promote() — typically a wrapper around CodeCache::promote — and,
+    /// when that swapped, calls the promoted version instead. The Handle
+    /// must be valid().
+    template <typename PromoteFn, typename CallFn>
+    decltype(auto) dispatch(uint64_t HotThreshold, PromoteFn &&Promote,
+                            CallFn &&Call) {
+      if (const Version *F = finalVersion())
+        return Call(*F);
+      std::shared_ptr<const Version> Ver = pin();
+      // The unique threshold-crossing count picks one promoter.
+      uint64_t N = E->ExecCount.fetch_add(1, std::memory_order_relaxed) + 1;
+      if (HotThreshold && N == HotThreshold && Ver->GenTier == Tier::Tier0 &&
+          Promote()) {
+        if (auto NewVer = pin())
+          Ver = std::move(NewVer);
+      }
+      return Call(*Ver);
     }
     /// Tier of the current code version.
     Tier tier() const {
@@ -319,8 +339,9 @@ public:
   /// concurrent dispatchers keep executing the old one through their
   /// pins. Exactly one caller per entry ever runs the generator (an
   /// atomic gate that stays closed after success and reopens on
-  /// failure); everyone else returns false immediately. Returns true
-  /// when this call performed the swap.
+  /// failure); everyone else returns false immediately. A successful swap
+  /// makes the entry final (Handle::finalVersion()); a final entry is
+  /// never promoted again. Returns true when this call performed the swap.
   template <typename GenFn>
   bool promote(const std::string &Key, GenFn Gen) {
     Shard &S = shardFor(Key);
@@ -338,7 +359,7 @@ public:
         return false;
     }
     if (E->Promoting.exchange(true, std::memory_order_acq_rel))
-      return false; // someone else is (or already has) promoted
+      return false; // someone else is promoting, or the entry is final
     RegionAlloc RA(*this);
     VCODE_TM_TICK(TmPromoteStart);
     GenerateResult R = Gen(RA);
@@ -353,8 +374,11 @@ public:
     std::shared_ptr<const Version> Old;
     {
       std::lock_guard<std::mutex> Lock(E->M);
+      assert(!E->Final.load(std::memory_order_relaxed) &&
+             "promote() swapped an entry that was already final");
       Old = std::move(E->Cur);
       E->Cur = makeVersion(R, RA, E->Key);
+      E->Final.store(E->Cur.get(), std::memory_order_release);
     }
     // Old's region is reclaimed when the last pinned dispatcher drops it
     // (possibly right here, when nobody was mid-call).

@@ -26,28 +26,6 @@ MipsTranslatingCpu::MipsTranslatingCpu(sim::Memory &M,
   DefCC = &Interp.defaultConv();
 }
 
-MipsTranslatingCpu::~MipsTranslatingCpu() { flushTelemetry(); }
-
-void MipsTranslatingCpu::flushExecCounts() {
-  for (auto &KV : Local) {
-    if (KV.second.PendingExecs) {
-      KV.second.H.noteExecutions(KV.second.PendingExecs);
-      KV.second.PendingExecs = 0;
-    }
-  }
-}
-
-void MipsTranslatingCpu::flushTelemetry() {
-  flushExecCounts();
-  if (!PendCalls && !PendDispatches)
-    return;
-  VCODE_TM_COUNT("dbt.calls", PendCalls);
-  VCODE_TM_COUNT("dbt.dispatches", PendDispatches);
-  VCODE_TM_COUNT("sim.calls", PendCalls);
-  VCODE_TM_COUNT("sim.instrs", PendInstrs);
-  PendCalls = PendDispatches = PendInstrs = 0;
-}
-
 const CallConv &MipsTranslatingCpu::defaultConv() const {
   return *DefCC; // cached: resolved once at construction
 }
@@ -164,7 +142,6 @@ TypedValue MipsTranslatingCpu::callWithConvSpan(const CallConv &CC,
   if (Gen != LocalGen) {
     if (!Local.empty()) {
       VCODE_TM_COUNT("dbt.invalidations", 1);
-      flushExecCounts();
       Local.clear();
     }
     for (TableEnt &T : Dispatch)
@@ -173,7 +150,7 @@ TypedValue MipsTranslatingCpu::callWithConvSpan(const CallConv &CC,
   }
 
   const SimAddr Stop = sim::MipsSim::stopAddr();
-  uint64_t PC = Entry;
+  uint64_t PC = Entry, Dispatches = 0;
   while (PC != Stop) {
     if (PC & DbtInterpTag) {
       PC = interpUnit(SimAddr(PC & DbtPcMask));
@@ -186,8 +163,8 @@ TypedValue MipsTranslatingCpu::callWithConvSpan(const CallConv &CC,
     } else {
       auto It = Local.find(PC);
       if (It == Local.end()) {
-        CodeCache::Handle H = Engine->translate(PC, Gen);
-        std::shared_ptr<const CodeCache::Version> Pin = H.pin();
+        std::shared_ptr<const CodeCache::Version> Pin =
+            Engine->translate(PC, Gen).pin();
         if (!Pin || !Pin->Code.isValid()) {
           VCODE_TM_COUNT("dbt.translate_failures", 1);
           PC = interpUnit(PC);
@@ -195,7 +172,6 @@ TypedValue MipsTranslatingCpu::callWithConvSpan(const CallConv &CC,
         }
         CachedFn NF;
         NF.Fn = reinterpret_cast<TranslatedFn>(uintptr_t(Pin->Code.Entry));
-        NF.H = H;
         NF.Pin = std::move(Pin);
         It = Local.emplace(PC, std::move(NF)).first;
       }
@@ -203,8 +179,7 @@ TypedValue MipsTranslatingCpu::callWithConvSpan(const CallConv &CC,
       T.PC = PC;
       T.CF = CF;
     }
-    ++PendDispatches;
-    ++CF->PendingExecs;
+    ++Dispatches;
     VCODE_PF_SAMPLE_VPC(++PfClock, PC);
     PC = CF->Fn(&GS, HostBase);
   }
@@ -222,14 +197,14 @@ TypedValue MipsTranslatingCpu::callWithConvSpan(const CallConv &CC,
     Res.Bits = GS.R[CC.IntRet.Num];
 
   // Architectural results are exact; the timing model is not run, so a
-  // translated call bills retired instructions only. Registry telemetry
-  // is batched (see flushTelemetry); per-call cumulative stats stay exact.
+  // translated call bills retired instructions only, through batched
+  // counters (a registry atomic per call would dominate the dispatch).
   Stats = RunStats();
   Stats.Instrs = GS.Instrs;
   accumulateStats(Stats);
-  ++PendCalls;
-  PendInstrs += GS.Instrs;
-  if (PendCalls >= TelemetryFlushPeriod)
-    flushTelemetry();
+  VCODE_TM_COUNT_BATCHED("dbt.calls", 1);
+  VCODE_TM_COUNT_BATCHED("dbt.dispatches", Dispatches);
+  VCODE_TM_COUNT_BATCHED("sim.calls", 1);
+  VCODE_TM_COUNT_BATCHED("sim.instrs", GS.Instrs);
   return Res;
 }

@@ -43,7 +43,6 @@ public:
   /// cache — the multi-threaded dispatch configuration).
   MipsTranslatingCpu(sim::Memory &M, std::shared_ptr<TranslationEngine> Eng,
                      sim::MachineConfig Cfg = sim::dec5000Config());
-  ~MipsTranslatingCpu();
 
   sim::TypedValue callWithConv(const CallConv &CC, SimAddr Entry,
                                const std::vector<sim::TypedValue> &Args,
@@ -92,11 +91,7 @@ private:
   /// guest publishes new code (generation bump).
   struct CachedFn {
     TranslatedFn Fn;
-    CodeCache::Handle H; ///< execution counting
     std::shared_ptr<const CodeCache::Version> Pin;
-    /// Executions not yet folded into the cache entry's shared counter
-    /// (one plain increment per dispatch; see flushExecCounts).
-    uint64_t PendingExecs = 0;
   };
   std::unordered_map<SimAddr, CachedFn> Local;
   uint64_t LocalGen = ~uint64_t(0);
@@ -116,19 +111,7 @@ private:
   bool Avail = false;          ///< Engine->available(), fixed at construction
   const CallConv *DefCC = nullptr; ///< cached MIPS default convention
 
-  /// Per-call registry atomics would dominate a nanosecond-scale dispatch
-  /// loop, so per-call telemetry (dbt.calls / dbt.dispatches / sim.calls /
-  /// sim.instrs) accumulates in these plain counters and is flushed to the
-  /// process-wide registry every TelemetryFlushPeriod calls and at
-  /// destruction — before the at-exit report runs, so reports stay exact.
-  uint64_t PendCalls = 0, PendDispatches = 0, PendInstrs = 0;
-  static constexpr uint64_t TelemetryFlushPeriod = 4096;
   uint64_t PfClock = 0; ///< cumulative dispatch clock for the sampler
-
-  /// Folds every CachedFn's PendingExecs into its cache entry.
-  void flushExecCounts();
-  /// Flushes pending execution counts and per-call counters.
-  void flushTelemetry();
 };
 
 } // namespace dbt

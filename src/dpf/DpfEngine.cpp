@@ -412,24 +412,18 @@ bool DpfEngine::promoteShared() {
 }
 
 int DpfEngine::classify(sim::Cpu &Cpu, SimAddr Msg) {
-  // Shared classifiers dispatch through a pinned code version so a
-  // concurrent promotion can never reclaim the region mid-call.
+  // Shared classifiers dispatch through the cache handle: a promoted
+  // (final) version runs unpinned; before that, a pinned version keeps
+  // its region alive across a concurrent promotion's swap.
   if (SharedCache && CacheHandle.valid()) {
-    auto Ver = CacheHandle.pin();
-    if (Ver) {
-      uint64_t N = CacheHandle.noteExecution();
-      // Exactly one dispatcher observes the threshold-crossing count;
-      // it performs (or delegates to promote()'s gate) the regeneration.
-      if (HotThreshold && N == HotThreshold &&
-          Ver->GenTier == Tier::Tier0 && promoteShared()) {
-        if (auto NewVer = CacheHandle.pin())
-          Ver = std::move(NewVer);
-      }
-      countDispatch();
-      return Cpu.call(Ver->Code.Entry, {sim::TypedValue::fromPtr(Msg)},
-                      Type::I)
-          .asInt32();
-    }
+    countDispatch();
+    return CacheHandle.dispatch(
+        HotThreshold, [&] { return promoteShared(); },
+        [&](const CodeCache::Version &V) {
+          return Cpu.call(V.Code.Entry, {sim::TypedValue::fromPtr(Msg)},
+                          Type::I)
+              .asInt32();
+        });
   }
   return Engine::classify(Cpu, Msg);
 }

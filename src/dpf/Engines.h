@@ -38,7 +38,6 @@
 #include "sim/Cpu.h"
 #include "sim/Memory.h"
 #include "support/Telemetry.h"
-#include <atomic>
 #include <string>
 
 namespace vcode {
@@ -78,21 +77,11 @@ protected:
   Engine(Target &T, sim::Memory &M, size_t CodeBytes)
       : Tgt(T), Mem(M), InitialCodeBytes(CodeBytes) {}
 
-  /// Bills one classify to the dpf.dispatches registry counter, batched:
-  /// the registry's sharded counter (thread-slot lookup + atomic) per
-  /// message is a measurable tax once the substrate dispatches in tens
-  /// of nanoseconds (binary translation, native). Relaxed atomics keep
-  /// concurrent shared-cache dispatchers exact; flushed every ~1024
-  /// messages and at destruction — before the at-exit telemetry report,
-  /// so totals stay exact.
-  void countDispatch() {
-    if (PendingDispatches.fetch_add(1, std::memory_order_relaxed) + 1 >=
-        1024)
-      flushDispatches();
-  }
-  void flushDispatches() {
-    if (uint64_t N = PendingDispatches.exchange(0, std::memory_order_relaxed))
-      VCODE_TM_COUNT("dpf.dispatches", N);
+  /// Bills one classify to the dpf.dispatches counter through this
+  /// thread's batch cell: a registry atomic per message is a measurable
+  /// tax once the substrate dispatches in tens of nanoseconds.
+  static void countDispatch() {
+    VCODE_TM_COUNT_BATCHED("dpf.dispatches", 1);
   }
 
   /// Shared install driver: runs \p Emit under generateWithRetry, growing
@@ -132,7 +121,6 @@ protected:
   size_t InitialCodeBytes;
   unsigned Attempts = 0;
   size_t RegionBytes = 0;
-  std::atomic<uint64_t> PendingDispatches{0}; ///< see countDispatch()
 };
 
 /// MPF-style linear interpreter.

@@ -23,9 +23,8 @@
 using namespace vcode;
 using namespace vcode::dpf;
 
-// Virtual anchor; flushes the batched dispatch count so the at-exit
-// telemetry report sees the exact total.
-Engine::~Engine() { flushDispatches(); }
+// Virtual anchor.
+Engine::~Engine() = default;
 
 void MpfEngine::install(const std::vector<Filter> &Filters) {
   unsigned WB = Tgt.info().WordBytes;

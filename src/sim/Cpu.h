@@ -213,9 +213,8 @@ protected:
 
   /// Folds one run into the cumulative totals without touching the
   /// process-wide telemetry registry. Substrates whose entire call is
-  /// tens of nanoseconds (binary translation, native dispatch) batch
-  /// their registry traffic and flush it on a coarse cadence; the six
-  /// per-call counter adds finishRun issues would dominate them.
+  /// tens of nanoseconds (binary translation, native dispatch) bill only
+  /// the counters that apply to them: no timing model runs there.
   void accumulateStats(const RunStats &S) { CumStats.accumulate(S); }
 
 private:

@@ -20,12 +20,12 @@ Cpu::~Cpu() = default;
 
 void Cpu::finishRun(const RunStats &S) {
   accumulateStats(S);
-  VCODE_TM_COUNT("sim.calls", 1);
-  VCODE_TM_COUNT("sim.instrs", S.Instrs);
-  VCODE_TM_COUNT("sim.cycles", S.Cycles);
-  VCODE_TM_COUNT("sim.icache_misses", S.ICacheMisses);
-  VCODE_TM_COUNT("sim.dcache_misses", S.DCacheMisses);
-  VCODE_TM_COUNT("sim.load_stalls", S.LoadStalls);
+  VCODE_TM_COUNT_BATCHED("sim.calls", 1);
+  VCODE_TM_COUNT_BATCHED("sim.instrs", S.Instrs);
+  VCODE_TM_COUNT_BATCHED("sim.cycles", S.Cycles);
+  VCODE_TM_COUNT_BATCHED("sim.icache_misses", S.ICacheMisses);
+  VCODE_TM_COUNT_BATCHED("sim.dcache_misses", S.DCacheMisses);
+  VCODE_TM_COUNT_BATCHED("sim.load_stalls", S.LoadStalls);
 }
 
 MipsSim::MipsSim(Memory &M, MachineConfig C) : Mem(M), Cfg(C) {

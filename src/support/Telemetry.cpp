@@ -85,6 +85,18 @@ struct Registry::Impl {
   std::map<std::string, uint64_t> Retired;
   std::map<std::string, std::vector<Histogram *>> AttachedHists;
   std::map<std::string, Histogram::Snapshot> RetiredHists;
+  std::vector<BatchedCount *> Batches; ///< live threads' batch cells
+
+  /// \p C's value plus its live batch cells' unflushed counts.
+  uint64_t withPending(const Counter &C) const {
+    uint64_t V = C.value();
+#if VCODE_TELEMETRY_ENABLED
+    for (const BatchedCount *B : Batches)
+      if (&B->target() == &C)
+        V += B->pending();
+#endif
+    return V;
+  }
 
   // Event ring: single atomic cursor, slots overwritten on wrap. Writes to
   // a slot are unsynchronized by design (tracing is an opt-in debugging
@@ -117,6 +129,17 @@ Counter::~Counter() {
   if (AttachedName)
     registry().detach(AttachedName, this);
 }
+
+#if VCODE_TELEMETRY_ENABLED
+BatchedCount::BatchedCount(Counter &Target) : Target(Target) {
+  registry().attach(this);
+}
+
+BatchedCount::~BatchedCount() {
+  flush();
+  registry().detach(this);
+}
+#endif
 
 Histogram::Histogram(const char *Name) : AttachedName(Name) {
   registry().attach(Name, this);
@@ -205,7 +228,7 @@ uint64_t Registry::counterValue(std::string_view Name) const {
   std::string Key(Name);
   uint64_t V = 0;
   if (auto It = I->Counters.find(Key); It != I->Counters.end())
-    V += It->second.value();
+    V += I->withPending(It->second);
   if (auto It = I->Attached.find(Key); It != I->Attached.end())
     for (const Counter *C : It->second)
       V += C->value();
@@ -228,6 +251,19 @@ void Registry::detach(const char *Name, Counter *C) {
   V.erase(std::remove(V.begin(), V.end(), C), V.end());
   I->Retired[Name] += C->value();
 }
+
+#if VCODE_TELEMETRY_ENABLED
+void Registry::attach(BatchedCount *B) {
+  std::lock_guard<std::mutex> L(I->M);
+  I->Batches.push_back(B);
+}
+
+void Registry::detach(BatchedCount *B) {
+  std::lock_guard<std::mutex> L(I->M);
+  I->Batches.erase(std::remove(I->Batches.begin(), I->Batches.end(), B),
+                   I->Batches.end());
+}
+#endif
 
 void Registry::attach(const char *Name, Histogram *H) {
   std::lock_guard<std::mutex> L(I->M);
@@ -267,6 +303,10 @@ void Registry::reset() {
   std::lock_guard<std::mutex> L(I->M);
   for (auto &[Name, C] : I->Counters)
     C.reset();
+#if VCODE_TELEMETRY_ENABLED
+  for (BatchedCount *B : I->Batches)
+    B->clear();
+#endif
   for (auto &[Name, T] : I->Timers)
     T.reset();
   for (auto &[Name, V] : I->Attached)
@@ -319,7 +359,7 @@ void Registry::report(std::ostream &OS) const {
   {
     std::lock_guard<std::mutex> L(I->M);
     for (const auto &[Name, C] : I->Counters)
-      Merged[Name] += C.value();
+      Merged[Name] += I->withPending(C);
     for (const auto &[Name, V] : I->Attached)
       for (const Counter *C : V)
         Merged[Name] += C->value();

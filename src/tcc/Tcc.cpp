@@ -714,21 +714,24 @@ CodePtr Tcc::compile(const std::string &Source) {
   return R.Code;
 }
 
+std::string Tcc::sharedCacheKey(const std::string &Source) const {
+  // Deliberately tier-independent (the |opt|/|raw| marker tracks only the
+  // caller's explicit setOptimize choice): promotion swaps code versions
+  // under this same key rather than caching tiers side by side.
+  std::string Key = "tcc|";
+  Key += Tgt.info().Name;
+  Key += Optimize ? "|opt|" : "|raw|";
+  Key += Source;
+  return Key;
+}
+
 CodePtr Tcc::compileShared(CodeCache &Cache, const std::string &Source) {
   // Parse unconditionally: cheap next to code generation, and a cache hit
   // still needs the name/arity to register the function locally.
   Parser P(Source);
   FunctionAst F = P.parseFunction();
 
-  // The key is deliberately tier-independent (the |opt|/|raw| marker
-  // tracks only the caller's explicit setOptimize choice): promotion
-  // swaps code versions under this same key rather than caching tiers
-  // side by side.
-  std::string Key = "tcc|";
-  Key += Tgt.info().Name;
-  Key += Optimize ? "|opt|" : "|raw|";
-  Key += Source;
-
+  std::string Key = sharedCacheKey(Source);
   unsigned MyAttempts = 0;
   size_t MyRegionBytes = 0;
   bool Generated = false;
@@ -833,22 +836,16 @@ int32_t Tcc::run(sim::Cpu &Cpu, const std::string &Name,
   std::vector<sim::TypedValue> TV;
   for (int32_t A : Args)
     TV.push_back(sim::TypedValue::fromInt(A));
-  // Shared functions dispatch through a pinned code version: the pin
-  // keeps the region alive across a concurrent promotion's swap, and
-  // execution counts feed the hot-function threshold.
+  // Shared functions dispatch through the cache handle: a pinned version
+  // until promotion (the pin keeps the region alive across a concurrent
+  // swap; execution counts feed the hot-function threshold), the final
+  // version unpinned after it.
   auto It = Shared.find(Name);
-  if (It != Shared.end() && It->second.H.valid()) {
-    auto Ver = It->second.H.pin();
-    if (Ver) {
-      uint64_t N = It->second.H.noteExecution();
-      if (HotThreshold && N == HotThreshold &&
-          Ver->GenTier == Tier::Tier0 &&
-          promoteShared(Name, It->second)) {
-        if (auto NewVer = It->second.H.pin())
-          Ver = std::move(NewVer);
-      }
-      return Cpu.call(Ver->Code.Entry, TV, Type::I).asInt32();
-    }
-  }
+  if (It != Shared.end() && It->second.H.valid())
+    return It->second.H.dispatch(
+        HotThreshold, [&] { return promoteShared(Name, It->second); },
+        [&](const CodeCache::Version &V) {
+          return Cpu.call(V.Code.Entry, TV, Type::I).asInt32();
+        });
   return Cpu.call(lookup(Name), TV, Type::I).asInt32();
 }

@@ -103,6 +103,10 @@ public:
   /// Tcc's sim::Memory. Returns the code handle.
   CodePtr compileShared(CodeCache &Cache, const std::string &Source);
 
+  /// The CodeCache key compileShared() files \p Source under with this
+  /// instance's target and optimize setting (observers: tests, reports).
+  std::string sharedCacheKey(const std::string &Source) const;
+
   /// Entry address of a compiled function; fatal if unknown.
   SimAddr lookup(const std::string &Name) const;
 

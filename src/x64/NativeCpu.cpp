@@ -65,6 +65,27 @@ int intSlotOf(Reg R) {
 
 } // namespace
 
+void NativeCpu::checkExecutable(SimAddr Entry) {
+  // Sample the epoch before the lookup: a mutation racing with it leaves
+  // the cache stamped stale, so the next call looks up again.
+  uint64_t Epoch = Mem.execEpoch();
+  if (Epoch != ExecStamp) {
+    for (ExecRange &R : ExecCache)
+      R = ExecRange();
+    ExecStamp = Epoch;
+  }
+  uint64_t Page = Entry >> 12;
+  ExecRange &R =
+      ExecCache[(Page * 0x9e3779b97f4a7c15ull) >> (64 - ExecCacheBits)];
+  if (Entry >= R.Lo && Entry < R.Hi)
+    return;
+  if (!Mem.executableRange(Entry, R.Lo, R.Hi))
+    fatalKind(CgErrKind::SimFault,
+              "native: entry 0x%llx is not published executable code "
+              "(v_end publishes; did generation fail?)",
+              (unsigned long long)Entry);
+}
+
 TypedValue NativeCpu::callWithConvSpan(const CallConv &CC, SimAddr Entry,
                                        const TypedValue *Args, size_t NumArgs,
                                        Type RetTy) {
@@ -77,18 +98,7 @@ TypedValue NativeCpu::callWithConvSpan(const CallConv &CC, SimAddr Entry,
   fatalKind(CgErrKind::ApiMisuse,
             "native: direct execution requires an x86-64 host");
 #else
-  // Execute-before-publish gate, with the positive answer cached against
-  // the memory's protection epoch so steady-state dispatch pays one atomic
-  // load instead of a mutex acquisition.
-  uint64_t Epoch = Mem.execEpoch();
-  if (Epoch != ExecStamp || Entry < ExecLo || Entry >= ExecHi) {
-    if (!Mem.executableRange(Entry, ExecLo, ExecHi))
-      fatalKind(CgErrKind::SimFault,
-                "native: entry 0x%llx is not published executable code "
-                "(v_end publishes; did generation fail?)",
-                (unsigned long long)Entry);
-    ExecStamp = Epoch;
-  }
+  checkExecutable(Entry);
 
   // Assign locations exactly as computeArgLocs does (next free int/fp
   // register per argument, left to right; then naturally-aligned 8-byte
@@ -186,9 +196,9 @@ TypedValue NativeCpu::callWithConvSpan(const CallConv &CC, SimAddr Entry,
   }
   // Native runs have no simulated statistics to fold in: lastStats() and
   // cumulativeStats() stay zero, and the call is billed to one dedicated
-  // counter instead of the six per-call sim.* telemetry adds.
+  // batched counter instead of the six per-call sim.* telemetry adds.
   Last = sim::RunStats();
-  VCODE_TM_COUNT("native.calls", 1);
+  VCODE_TM_COUNT_BATCHED("native.calls", 1);
   return R;
 #endif
 }

@@ -97,9 +97,11 @@ TEST(TrafficTest, PacketsMatchExpectedVerdict) {
     // actually returns for the packet bytes it wrote.
     ASSERT_EQ(Tries[P.Set].classify(Mem, P.Addr), P.ExpectId) << "pkt " << I;
     // And no other set accepts it (per-set destination IPs disjoint).
-    for (unsigned S = 0; S < Sets; ++S)
-      if (S != P.Set)
+    for (unsigned S = 0; S < Sets; ++S) {
+      if (S != P.Set) {
         ASSERT_EQ(Tries[S].classify(Mem, P.Addr), -1);
+      }
+    }
     SawMiss |= P.ExpectId < 0;
     SawHit |= P.ExpectId >= 0;
   }

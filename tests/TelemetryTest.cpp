@@ -4,25 +4,34 @@
 //
 // Covers the support/Telemetry.h contract: counter and timer registration
 // and aggregation across threads, instance-counter attach/retire folding,
+// thread-local batched counters (exact totals, exact at-exit report),
 // Chrome trace-JSON well-formedness (parseable structure, monotonically
 // ordered ts per tid), and — in VCODE_TELEMETRY=OFF builds — that the
 // hot-path macros compile to constexpr-empty statements and the emission
-// core registers nothing.
+// core and dispatch paths register nothing.
 //
 //===----------------------------------------------------------------------===//
 
 #include "support/Telemetry.h"
 
 #include "core/VCode.h"
+#include "dpf/Engines.h"
 #include "mips/MipsTarget.h"
 #include "sim/Memory.h"
+#include "sim/MipsSim.h"
+#ifdef __x86_64__
+#include "x64/NativeCpu.h"
+#include "x64/X64Target.h"
+#endif
 
 #include <gtest/gtest.h>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 using namespace vcode;
@@ -340,7 +349,94 @@ TEST(Telemetry, HistogramConcurrentRecord) {
 // Build-config-specific behavior
 //===----------------------------------------------------------------------===//
 
+/// Classifies \p PerThread messages on each of \p Threads threads plus
+/// \p OnMain on the calling thread, through one DPF engine on \p Cpu's
+/// substrate (one Cpu per thread, built by \p MakeCpu). Returns the number
+/// of classifications made.
+template <typename MakeCpuFn>
+uint64_t classifyOnThreads(Target &Tgt, sim::Memory &Mem, MakeCpuFn MakeCpu,
+                           unsigned Threads, unsigned PerThread,
+                           unsigned OnMain) {
+  dpf::DpfEngine E(Tgt, Mem);
+  E.install(dpf::makeTcpIpFilters(4, 1024));
+  SimAddr Pkt = Mem.alloc(dpf::pkt::HeaderBytes, 8);
+  dpf::writeTcpPacket(Mem, Pkt, 1025);
+  auto Run = [&](unsigned N) {
+    auto Cpu = MakeCpu();
+    for (unsigned I = 0; I < N; ++I)
+      if (E.classify(*Cpu, Pkt) != 1)
+        std::abort();
+  };
+  std::vector<std::thread> Ts;
+  for (unsigned T = 0; T < Threads; ++T)
+    Ts.emplace_back(Run, PerThread);
+  for (std::thread &T : Ts)
+    T.join();
+  Run(OnMain);
+  return uint64_t(Threads) * PerThread + OnMain;
+}
+
 #if VCODE_TELEMETRY_ENABLED
+
+void bumpBatched(uint64_t N) { VCODE_TM_COUNT_BATCHED("test.batched", N); }
+
+// Per-thread cells flush every kFlushEvery adds and at thread exit, and
+// the registry reads a live thread's unflushed cell, so totals are exact
+// both after the workers join and for the still-running caller.
+TEST(Telemetry, BatchedCountExactAfterJoin) {
+  vt::resetAll();
+  constexpr unsigned kThreads = 8;
+  const uint64_t kAdds = 2 * vt::BatchedCount::kFlushEvery + 123;
+  std::vector<std::thread> Ts;
+  for (unsigned T = 0; T < kThreads; ++T)
+    Ts.emplace_back([&] {
+      for (uint64_t I = 0; I < kAdds; ++I)
+        bumpBatched(1);
+      bumpBatched(1000); // amounts, not just adds, are batched
+    });
+  for (std::thread &T : Ts)
+    T.join();
+  const uint64_t Joined = kThreads * (kAdds + 1000);
+  EXPECT_EQ(vt::registry().counterValue("test.batched"), Joined);
+
+  bumpBatched(5); // stays in this thread's cell
+  EXPECT_EQ(vt::registry().counterValue("test.batched"), Joined + 5);
+  std::ostringstream OS;
+  vt::report(OS);
+  EXPECT_NE(OS.str().find("test.batched"), std::string::npos);
+  EXPECT_NE(OS.str().find(std::to_string(Joined + 5)), std::string::npos);
+
+  vt::resetAll(); // clears the live cell too
+  EXPECT_EQ(vt::registry().counterValue("test.batched"), 0u);
+  bumpBatched(2);
+  EXPECT_EQ(vt::registry().counterValue("test.batched"), 2u);
+  vt::resetAll();
+}
+
+#ifdef __x86_64__
+/// Death-test child: turns the at-exit report on, classifies 15777
+/// messages natively on three workers and the main thread, and exits.
+void classifyNativeAndExit() {
+  char Arg0[] = "telemetry", Arg1[] = "--telemetry-report";
+  char *Argv[] = {Arg0, Arg1, nullptr};
+  vt::handleArgs(2, Argv);
+  vt::resetAll();
+  sim::Memory Mem(sim::Memory::Native);
+  x64::X64Target Tgt;
+  uint64_t N = classifyOnThreads(
+      Tgt, Mem, [&] { return std::make_unique<x64::NativeCpu>(Mem); }, 3,
+      5000, 777);
+  std::exit(N == 15777 ? 0 : 1);
+}
+
+// The --telemetry-report printed at exit bills every native DPF dispatch
+// exactly once, counted on three workers and on the main thread (whose
+// cells are still live when exit() starts).
+TEST(TelemetryDeathTest, ReportTotalsMatchNativeDispatches) {
+  EXPECT_EXIT(classifyNativeAndExit(), ::testing::ExitedWithCode(0),
+              "dpf\\.dispatches +15777\n.*native\\.calls +15777\n");
+}
+#endif
 
 TEST(Telemetry, EmissionCoreCounters) {
   vt::resetAll();
@@ -378,6 +474,7 @@ TEST(Telemetry, EmissionPhaseTimersWhenTimingOn) {
 // and the static_assert below would fail to compile.
 constexpr int compiledOutProbe() {
   VCODE_TM_COUNT("off.counter", 1);
+  VCODE_TM_COUNT_BATCHED("off.batched", 1);
   VCODE_TM_HIST("off.hist_ns", 1);
   VCODE_TM_TICK(T0);
   VCODE_TM_SPAN("off.span", T0);
@@ -389,6 +486,15 @@ constexpr int compiledOutProbe() {
 static_assert(compiledOutProbe() == 7,
               "VCODE_TM_* macros must compile to nothing when telemetry "
               "is off");
+
+// The batched counter is not even declared complete in an OFF build: no
+// cell, flush or registration code can be compiled in.
+template <typename T, typename = void>
+struct IsComplete : std::false_type {};
+template <typename T>
+struct IsComplete<T, std::void_t<decltype(sizeof(T))>> : std::true_type {};
+static_assert(!IsComplete<vt::BatchedCount>::value,
+              "telemetry::BatchedCount must not exist when telemetry is off");
 
 TEST(Telemetry, HotPathCompiledOut) {
   vt::resetAll();
@@ -403,6 +509,33 @@ TEST(Telemetry, HotPathCompiledOut) {
   vt::report(OS);
   EXPECT_NE(OS.str().find("compiled out"), std::string::npos);
   vt::resetAll();
+}
+
+// The dispatch paths' batched counters leave nothing behind either.
+TEST(Telemetry, BatchedCountersCompiledOut) {
+  vt::resetAll();
+  sim::Memory Mem;
+  mips::MipsTarget Tgt;
+  classifyOnThreads(
+      Tgt, Mem,
+      [&] {
+        auto Cpu = std::make_unique<sim::MipsSim>(Mem);
+        Cpu->setStackTop(Mem.allocStack());
+        return Cpu;
+      },
+      2, 100, 10);
+  EXPECT_EQ(vt::registry().counterValue("dpf.dispatches"), 0u);
+  EXPECT_EQ(vt::registry().counterValue("sim.calls"), 0u);
+  EXPECT_EQ(vt::registry().counterValue("sim.instrs"), 0u);
+#ifdef __x86_64__
+  sim::Memory NMem(sim::Memory::Native);
+  x64::X64Target XTgt;
+  classifyOnThreads(
+      XTgt, NMem, [&] { return std::make_unique<x64::NativeCpu>(NMem); }, 2,
+      100, 10);
+  EXPECT_EQ(vt::registry().counterValue("native.calls"), 0u);
+  EXPECT_EQ(vt::registry().counterValue("dpf.dispatches"), 0u);
+#endif
 }
 
 #endif // VCODE_TELEMETRY_ENABLED

@@ -36,6 +36,7 @@
 #include "sim/MipsSim.h"
 #include "sim/SparcSim.h"
 #include "support/Rng.h"
+#include "tcc/Tcc.h"
 #include <atomic>
 #include <cstring>
 #include <gtest/gtest.h>
@@ -365,6 +366,134 @@ TEST_P(TierTest, PromotionExactlyOnceConcurrent) {
   EXPECT_EQ(S.Promotions, 1u);
   EXPECT_EQ(S.PromoteFailures, 0u);
   EXPECT_EQ(S.Generations, 1u); // the install itself was exactly-once too
+}
+
+/// Drives the steady-state dispatch contract across the Tier-0 -> Tier-1
+/// swap: eight threads run \p Dispatch(Thread, Iter) — which returns
+/// whether the call's result was exact — through one shared cache entry
+/// \p H whose hot threshold (300) is crossed mid-run. Checks that exactly one
+/// promotion happens, every result is exact, finalVersion() is null
+/// before the swap and, once a thread has seen it, never changes, and the
+/// Tier-0 region returns to the pool only when its last pin drops.
+template <typename DispatchFn>
+void checkSwapUnderDispatch(CodeCache &Cache, CodeCache::Handle H,
+                            DispatchFn Dispatch) {
+  constexpr unsigned kThreads = 8, kIters = 200;
+  ASSERT_TRUE(H.valid());
+  EXPECT_EQ(H.finalVersion(), nullptr);
+  EXPECT_EQ(H.tier(), Tier::Tier0);
+  // Hold a pin on the Tier-0 version across the swap.
+  std::shared_ptr<const CodeCache::Version> Tier0 = H.pin();
+  ASSERT_EQ(Cache.stats().PooledBytes, 0u);
+
+  std::atomic<unsigned> Wrong{0}, Unstable{0};
+  std::atomic<bool> Go{false};
+  std::vector<const CodeCache::Version *> Seen(kThreads, nullptr);
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < kThreads; ++T)
+    Threads.emplace_back([&, T] {
+      while (!Go.load(std::memory_order_acquire))
+        std::this_thread::yield();
+      for (unsigned I = 0; I < kIters; ++I) {
+        if (!Dispatch(T, I))
+          Wrong.fetch_add(1, std::memory_order_relaxed);
+        const CodeCache::Version *F = H.finalVersion();
+        if (Seen[T] && F != Seen[T])
+          Unstable.fetch_add(1, std::memory_order_relaxed);
+        if (F)
+          Seen[T] = F;
+      }
+    });
+  Go.store(true, std::memory_order_release);
+  for (std::thread &Th : Threads)
+    Th.join();
+
+  EXPECT_EQ(Wrong.load(), 0u);
+  EXPECT_EQ(Unstable.load(), 0u) << "finalVersion() changed or went null";
+  CodeCache::Stats S = Cache.stats();
+  EXPECT_EQ(S.Promotions, 1u);
+  EXPECT_EQ(S.PromoteFailures, 0u);
+  EXPECT_EQ(S.Generations, 1u);
+
+  const CodeCache::Version *Final = H.finalVersion();
+  ASSERT_NE(Final, nullptr);
+  EXPECT_EQ(Final->GenTier, Tier::Tier1);
+  EXPECT_NE(Final, Tier0.get());
+  for (const CodeCache::Version *F : Seen) {
+    if (F) {
+      EXPECT_EQ(F, Final);
+    }
+  }
+
+  // The swapped-out Tier-0 region is still pinned here: not pooled yet.
+  EXPECT_EQ(Cache.stats().PooledBytes, 0u);
+  size_t Tier0Bytes = Tier0->RegionBytes;
+  Tier0.reset();
+  EXPECT_EQ(Cache.stats().PooledBytes, Tier0Bytes);
+}
+
+// One DpfEngine shared by eight dispatchers across the swap: the pinned
+// path before promotion, the unpinned final version after it.
+TEST_P(TierTest, SharedEngineSteadyStateAcrossSwap) {
+  sim::Memory &Mem = *B.Mem;
+  CodeCache Cache(Mem);
+  std::vector<dpf::Filter> Filters = dpf::makeTcpIpFilters(4, 1024);
+  // Ports 1024..1027 are accepted by filters 0..3; port 80 is a miss.
+  const uint16_t Ports[] = {1024, 1025, 1026, 1027, 80};
+  const int Expect[] = {0, 1, 2, 3, -1};
+  SimAddr Pkts[5];
+  for (unsigned P = 0; P < 5; ++P) {
+    Pkts[P] = Mem.alloc(dpf::pkt::HeaderBytes, 8);
+    dpf::writeTcpPacket(Mem, Pkts[P], Ports[P]);
+  }
+
+  dpf::DpfEngine E(*B.Tgt, Mem);
+  E.setTier(Tier::Tier0);
+  E.setHotThreshold(300); // crossed mid-run, all threads dispatching
+  E.installShared(Cache, Filters);
+  std::vector<std::unique_ptr<sim::Cpu>> Cpus;
+  for (unsigned T = 0; T < 8; ++T) {
+    Cpus.push_back(makeCpu(GetParam(), Mem));
+    Cpus.back()->setStackTop(Mem.allocStack());
+  }
+  checkSwapUnderDispatch(
+      Cache, Cache.lookup(E.sharedCacheKey(Filters)),
+      [&](unsigned T, unsigned I) {
+        unsigned P = (T + I) % 5;
+        return E.classify(*Cpus[T], Pkts[P]) == Expect[P];
+      });
+  // A final entry is never promoted again.
+  EXPECT_FALSE(E.promoteShared());
+  EXPECT_EQ(Cache.stats().Promotions, 1u);
+}
+
+// The same contract for tcc: eight Tcc instances (a Tcc's function table
+// is per instance) run one shared compiled function across the swap.
+TEST_P(TierTest, SharedTccFunctionSteadyStateAcrossSwap) {
+  sim::Memory &Mem = *B.Mem;
+  CodeCache Cache(Mem);
+  const char *Src = R"(
+    poly(x) {
+      var a = x * 2 + 3;
+      var b = a * 4 - x;
+      return b + a;
+    })";
+  std::vector<std::unique_ptr<tcc::Tcc>> Tccs;
+  std::vector<std::unique_ptr<sim::Cpu>> Cpus;
+  for (unsigned T = 0; T < 8; ++T) {
+    Tccs.push_back(std::make_unique<tcc::Tcc>(*B.Tgt, Mem));
+    Tccs.back()->setTier(Tier::Tier0);
+    Tccs.back()->setHotThreshold(300);
+    Tccs.back()->compileShared(Cache, Src);
+    Cpus.push_back(makeCpu(GetParam(), Mem));
+    Cpus.back()->setStackTop(Mem.allocStack());
+  }
+  checkSwapUnderDispatch(
+      Cache, Cache.lookup(Tccs[0]->sharedCacheKey(Src)),
+      [&](unsigned T, unsigned I) {
+        int32_t X = int32_t(I * 7) - int32_t(T * 100);
+        return Tccs[T]->run(*Cpus[T], "poly", {X}) == 9 * X + 15;
+      });
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTargets, TierTest,
