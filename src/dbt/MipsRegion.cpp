@@ -10,85 +10,42 @@
 using namespace vcode;
 using namespace vcode::dbt;
 
-bool vcode::dbt::isMipsCti(uint32_t I) {
-  MipsFields F{I};
-  switch (F.op()) {
-  case 0x00: // SPECIAL: jr / jalr
-    return F.fn() == 0x08 || F.fn() == 0x09;
-  case 0x01: // REGIMM: bltz / bgez
-  case 0x02: // j
-  case 0x03: // jal
-  case 0x04: // beq
-  case 0x05: // bne
-  case 0x06: // blez
-  case 0x07: // bgtz
-    return true;
-  case 0x11: // COP1: bc1f / bc1t
-    return F.rs() == 8;
-  default:
+bool vcode::dbt::isMipsTranslatable(const mips::Insn &D) {
+  using mips::Opc;
+  // Double operands read FPR[f] and FPR[f+1], so f == 31 goes to the
+  // interpreter (whose own bounds behavior applies).
+  bool Dbl = mips::isDouble(D);
+  auto BadD = [&](unsigned R) { return Dbl && R == 31; };
+  unsigned Ft = D.Rt, Fs = D.Rd, Fd = D.Sh;
+  switch (D.Op) {
+  case Opc::Invalid: // the interpreter faults: route through it
     return false;
-  }
-}
-
-bool vcode::dbt::isMipsTranslatable(uint32_t I) {
-  MipsFields F{I};
-  switch (F.op()) {
-  case 0x00: // SPECIAL
-    switch (F.fn()) {
-    case 0x00: case 0x02: case 0x03: // sll / srl / sra
-    case 0x04: case 0x06: case 0x07: // sllv / srlv / srav
-    case 0x08: case 0x09:            // jr / jalr
-    case 0x10: case 0x11: case 0x12: case 0x13: // mfhi/mthi/mflo/mtlo
-    case 0x18: case 0x19: case 0x1a: case 0x1b: // mult/multu/div/divu
-    case 0x20: case 0x21: case 0x22: case 0x23: // add/addu/sub/subu
-    case 0x24: case 0x25: case 0x26: case 0x27: // and/or/xor/nor
-    case 0x2a: case 0x2b:            // slt / sltu
-      return true;
-    default:
-      return false; // interpreter fatals: route through it
-    }
-  case 0x01: // REGIMM (any rt: rt==0 is bltz, everything else bgez)
-  case 0x02: case 0x03: // j / jal
-  case 0x04: case 0x05: case 0x06: case 0x07: // beq/bne/blez/bgtz
-  case 0x08: case 0x09: // addi / addiu
-  case 0x0a: case 0x0b: // slti / sltiu
-  case 0x0c: case 0x0d: case 0x0e: // andi / ori / xori
-  case 0x0f:            // lui
-  case 0x20: case 0x21: case 0x23: case 0x24: case 0x25: // loads
-  case 0x28: case 0x29: case 0x2b: // sb / sh / sw
-  case 0x31: case 0x39: // lwc1 / swc1
-    return true;
-  case 0x35: case 0x3d: // ldc1 / sdc1: FPR[rt+1] must exist
-    return F.rt() != 31;
-  case 0x11: { // COP1
-    unsigned Sub = F.rs();
-    if (Sub == 0 || Sub == 4 || Sub == 8) // mfc1 / mtc1 / bc1
-      return true;
-    // Arithmetic: the interpreter treats fmt==17 as double and anything
-    // else as single. Double operands read FPR[f] and FPR[f+1], so f==31
-    // goes to the interpreter (whose own bounds behavior applies).
-    bool Dbl = Sub == 17;
-    unsigned Ft = F.rt(), Fs = F.rd(), Fd = F.sh();
-    auto BadD = [&](unsigned R) { return Dbl && R == 31; };
-    switch (F.fn()) {
-    case 0x00: case 0x01: case 0x02: case 0x03: // add/sub/mul/div.fmt
-      return !BadD(Ft) && !BadD(Fs) && !BadD(Fd);
-    case 0x04: case 0x05: case 0x06: case 0x07: // sqrt/abs/mov/neg.fmt
-      return !BadD(Fs) && !BadD(Fd);
-    case 0x0d: case 0x24: // trunc.w.fmt / cvt.w.fmt (result is one word)
-      return !BadD(Fs);
-    case 0x20: // cvt.s.fmt: from double (17) or word (20) only
-      return (Sub == 17 && Fs != 31) || Sub == 20;
-    case 0x21: // cvt.d.fmt: from single (16) or word (20) only
-      return (Sub == 16 || Sub == 20) && Fd != 31;
-    case 0x32: case 0x3c: case 0x3e: // c.eq / c.lt / c.le
-      return !BadD(Fs) && !BadD(Ft);
-    default:
-      return false;
-    }
-  }
+  case Opc::Ldc1:
+  case Opc::Sdc1:
+    return D.Rt != 31;
+  case Opc::AddF:
+  case Opc::SubF:
+  case Opc::MulF:
+  case Opc::DivF:
+    return !BadD(Ft) && !BadD(Fs) && !BadD(Fd);
+  case Opc::SqrtF:
+  case Opc::AbsF:
+  case Opc::MovF:
+  case Opc::NegF:
+    return !BadD(Fs) && !BadD(Fd);
+  case Opc::TruncW: // the result is one word
+  case Opc::CvtW:
+    return !BadD(Fs);
+  case Opc::CvtS: // from double (17) or word (20) only
+    return (D.Rs == 17 && Fs != 31) || D.Rs == 20;
+  case Opc::CvtD: // from single (16) or word (20) only
+    return (D.Rs == 16 || D.Rs == 20) && Fd != 31;
+  case Opc::CEq:
+  case Opc::CLt:
+  case Opc::CLe:
+    return !BadD(Fs) && !BadD(Ft);
   default:
-    return false;
+    return true;
   }
 }
 
@@ -96,19 +53,18 @@ namespace {
 
 /// Static successors of a CTI at \p PC (fall-through and/or taken target).
 /// Indirect transfers contribute none.
-void staticSuccessors(SimAddr PC, uint32_t I, std::deque<SimAddr> &Out) {
-  MipsFields F{I};
-  switch (F.op()) {
-  case 0x00: // jr / jalr: indirect
+void staticSuccessors(SimAddr PC, const mips::Insn &D,
+                      std::deque<SimAddr> &Out) {
+  switch (D.Op) {
+  case mips::Opc::Jr: // indirect
+  case mips::Opc::Jalr:
     return;
-  case 0x02: // j
-    Out.push_back((PC & ~SimAddr(0x0fffffff)) | SimAddr(F.jindex() << 2));
-    return;
-  case 0x03: // jal: static target; the return lands wherever $ra points
-    Out.push_back((PC & ~SimAddr(0x0fffffff)) | SimAddr(F.jindex() << 2));
+  case mips::Opc::J:
+  case mips::Opc::Jal: // static target; the return lands wherever $ra points
+    Out.push_back(mips::jumpTarget(PC, D));
     return;
   default: // conditional branches: taken target + fall-through
-    Out.push_back(PC + 4 + (SimAddr(int64_t(F.imm())) << 2));
+    Out.push_back(mips::branchTarget(PC, D));
     Out.push_back(PC + 8);
     return;
   }
@@ -155,13 +111,13 @@ MipsRegion vcode::dbt::discoverRegion(const sim::Memory &GuestMem,
         B.ExitPC = PC;
         break;
       }
-      uint32_t I = GuestMem.read<uint32_t>(PC);
+      mips::Insn I = mips::decode(GuestMem.read<uint32_t>(PC));
       if (!isMipsTranslatable(I)) {
         B.Term = TermKind::InterpExit;
         B.ExitPC = PC;
         break;
       }
-      if (isMipsCti(I)) {
+      if (mips::info(I.Op).IsCti) {
         // The unit needs its delay slot. A missing, untranslatable, or
         // CTI delay word sends the whole unit to the interpreter, which
         // owns every delay-slot edge case (chained CTIs included).
@@ -170,8 +126,8 @@ MipsRegion vcode::dbt::discoverRegion(const sim::Memory &GuestMem,
           B.ExitPC = PC;
           break;
         }
-        uint32_t D = GuestMem.read<uint32_t>(PC + 4);
-        if (isMipsCti(D) || !isMipsTranslatable(D)) {
+        mips::Insn D = mips::decode(GuestMem.read<uint32_t>(PC + 4));
+        if (mips::info(D.Op).IsCti || !isMipsTranslatable(D)) {
           B.Term = TermKind::InterpExit;
           B.ExitPC = PC;
           break;

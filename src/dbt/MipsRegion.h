@@ -5,18 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Decode and basic-block discovery over simulated MIPS code. A Region is
-/// the unit of translation: the set of basic blocks reachable from one
-/// entry PC through *static* control transfers (conditional branches, j,
-/// jal), bounded by discovery caps. Indirect transfers (jr, jalr) and
-/// anything the translator cannot handle end a block; the translated code
-/// returns the next guest PC (possibly tagged "run one unit through the
-/// interpreter") and the dispatcher takes it from there.
-///
-/// The decode mirrors sim::MipsSim exactly: an instruction is classified
-/// translatable if and only if the interpreter executes it without a
-/// fatal; everything else becomes an interpreter-exit unit, so unknown
-/// encodings produce the interpreter's own diagnostics, not new ones.
+/// Basic-block discovery over simulated MIPS code, read through
+/// mips::decode. A Region is the unit of translation: the set of basic
+/// blocks reachable from one entry PC through *static* control transfers
+/// (conditional branches, j, jal), bounded by discovery caps. Indirect
+/// transfers (jr, jalr) and anything the translator cannot handle end a
+/// block; the translated code returns the next guest PC (possibly tagged
+/// "run one unit through the interpreter") and the dispatcher takes it
+/// from there.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +20,7 @@
 #define VCODE_DBT_MIPSREGION_H
 
 #include "core/CodeBuffer.h"
+#include "mips/MipsDecode.h"
 #include "sim/Memory.h"
 #include <cstdint>
 #include <unordered_map>
@@ -32,29 +29,13 @@
 namespace vcode {
 namespace dbt {
 
-/// Field accessors for a MIPS instruction word (interpreter layout).
-struct MipsFields {
-  uint32_t I;
-  unsigned op() const { return I >> 26; }
-  unsigned rs() const { return (I >> 21) & 31; }
-  unsigned rt() const { return (I >> 16) & 31; }
-  unsigned rd() const { return (I >> 11) & 31; }
-  unsigned sh() const { return (I >> 6) & 31; }
-  unsigned fn() const { return I & 63; }
-  int32_t imm() const { return int32_t(int16_t(I & 0xffff)); }
-  uint32_t uimm() const { return I & 0xffff; }
-  uint32_t jindex() const { return I & 0x03ffffff; }
-};
-
-/// True for instructions that architecturally start a delay-slot chain:
-/// jr/jalr, REGIMM branches, j/jal, beq/bne/blez/bgtz, and bc1f/bc1t.
-bool isMipsCti(uint32_t I);
-
-/// True when the translator emits native code for this instruction. A
-/// false return is not an error: the unit is routed to the interpreter,
-/// which either executes it (semantics we chose not to translate) or
-/// reports its own unknown-instruction fatal.
-bool isMipsTranslatable(uint32_t I);
+/// True when the translator emits native code for this instruction: every
+/// word the interpreter executes (mips::decode gives no Opc::Invalid)
+/// except double-precision operand pairs at FPR 31 and cvt.s/cvt.d from a
+/// format the interpreter rejects. A false return is not an error: the
+/// unit is routed to the interpreter, which either executes it or reports
+/// its own fault.
+bool isMipsTranslatable(const mips::Insn &D);
 
 /// How one translation unit ends.
 enum class UnitKind : uint8_t {
@@ -66,8 +47,8 @@ enum class UnitKind : uint8_t {
 /// is a control transfer.
 struct MipsUnit {
   SimAddr PC = 0;
-  uint32_t Insn = 0;
-  uint32_t Delay = 0; ///< delay-slot word (Cti units only)
+  mips::Insn Insn;
+  mips::Insn Delay; ///< delay-slot instruction (Cti units only)
   UnitKind Kind = UnitKind::Plain;
   /// Guest instructions this unit retires when executed natively.
   unsigned instrs() const { return Kind == UnitKind::Cti ? 2 : 1; }

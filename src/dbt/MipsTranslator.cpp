@@ -230,7 +230,8 @@ private:
   // -- control transfers -------------------------------------------------
 
   void emitCti(const MipsUnit &U, unsigned InstrIdx) {
-    MipsFields F{U.Insn};
+    using mips::Opc;
+    const mips::Insn &I = U.Insn;
     SimAddr PC = U.PC;
     bool TakenIfZero = false; // bc1f: taken when Cap == 0
     bool IsIndirect = false;  // jr / jalr: Cap holds the target PC
@@ -238,47 +239,49 @@ private:
 
     // Phase 1: capture everything the transfer needs *before* the delay
     // slot runs (the delay instruction may overwrite sources).
-    switch (F.op()) {
-    case 0x00:
-      if (F.fn() == 0x08) { // jr
-        loadG(Cap, F.rs());
-      } else { // jalr: link first, then read rs (rd==rs jumps to pc+8,
-               // exactly like the interpreter's W-then-read order)
-        V.setInt(Type::U, A, uint32_t(PC + 8));
-        storeG(A, F.rd());
-        loadG(Cap, F.rs());
-      }
+    switch (I.Op) {
+    case Opc::Jr:
+      loadG(Cap, I.Rs);
       IsIndirect = true;
       break;
-    case 0x01: // REGIMM: rt==0 is bltz, anything else bgez
-      loadG(A, F.rs());
-      cmpRI(A, 0);
-      setCond(F.rt() == 0 ? x64::CC_L : x64::CC_GE, Cap);
+    case Opc::Jalr: // link first, then read rs (rd==rs jumps to pc+8,
+                    // exactly like the interpreter's W-then-read order)
+      V.setInt(Type::U, A, uint32_t(PC + 8));
+      storeG(A, I.Rd);
+      loadG(Cap, I.Rs);
+      IsIndirect = true;
       break;
-    case 0x02: // j
+    case Opc::Bltz:
+    case Opc::Bgez:
+      loadG(A, I.Rs);
+      cmpRI(A, 0);
+      setCond(I.Op == Opc::Bltz ? x64::CC_L : x64::CC_GE, Cap);
+      break;
+    case Opc::J:
       IsStatic = true;
       break;
-    case 0x03: // jal
+    case Opc::Jal:
       V.setInt(Type::U, A, uint32_t(PC + 8));
       V.storeImm(Type::U, A, State, gsRegOff(31));
       IsStatic = true;
       break;
-    case 0x04: // beq
-    case 0x05: // bne
-      loadG(A, F.rs());
-      loadG(B, F.rt());
+    case Opc::Beq:
+    case Opc::Bne:
+      loadG(A, I.Rs);
+      loadG(B, I.Rt);
       cmpRR(A, B);
-      setCond(F.op() == 0x04 ? x64::CC_E : x64::CC_NE, Cap);
+      setCond(I.Op == Opc::Beq ? x64::CC_E : x64::CC_NE, Cap);
       break;
-    case 0x06: // blez
-    case 0x07: // bgtz
-      loadG(A, F.rs());
+    case Opc::Blez:
+    case Opc::Bgtz:
+      loadG(A, I.Rs);
       cmpRI(A, 0);
-      setCond(F.op() == 0x06 ? x64::CC_LE : x64::CC_G, Cap);
+      setCond(I.Op == Opc::Blez ? x64::CC_LE : x64::CC_G, Cap);
       break;
-    case 0x11: // bc1f / bc1t
+    case Opc::Bc1f:
+    case Opc::Bc1t:
       V.loadImm(Type::U, Cap, State, GsFpCondOff);
-      TakenIfZero = (F.rt() & 1) == 0;
+      TakenIfZero = I.Op == Opc::Bc1f;
       break;
     default:
       fatalKind(CgErrKind::Internal, "dbt: non-CTI in CTI unit");
@@ -296,11 +299,9 @@ private:
       return;
     }
     if (IsStatic) {
-      SimAddr T = (PC & ~SimAddr(0x0fffffff)) | SimAddr(F.jindex() << 2);
-      exitTo(T);
+      exitTo(mips::jumpTarget(PC, I));
       return;
     }
-    SimAddr Taken = PC + 4 + (SimAddr(int64_t(F.imm())) << 2);
     Label Tk = V.genLabel();
     if (TakenIfZero)
       V.branchImm(Cond::Eq, Type::U, Cap, 0, Tk);
@@ -308,7 +309,7 @@ private:
       V.branchImm(Cond::Ne, Type::U, Cap, 0, Tk);
     exitTo(PC + 8);
     V.label(Tk);
-    exitTo(Taken);
+    exitTo(mips::branchTarget(PC, I));
   }
 
   // -- straight-line instructions ----------------------------------------
@@ -316,107 +317,53 @@ private:
   /// Emits one non-CTI instruction. \p FaultPC / \p InstrIdx parameterize
   /// the fault stubs: for a delay-slot instruction they name the CTI unit,
   /// not the slot itself.
-  void emitPlain(uint32_t I, SimAddr FaultPC, unsigned InstrIdx) {
-    MipsFields F{I};
-    switch (F.op()) {
-    case 0x00:
-      emitSpecial(F);
-      return;
-    case 0x08: // addi (the interpreter ignores the overflow trap)
-    case 0x09: // addiu
-      loadG(A, F.rs());
-      V.binopImm(BinOp::Add, Type::U, A, A, F.imm());
-      storeG(A, F.rt());
-      return;
-    case 0x0a: // slti
-    case 0x0b: // sltiu
-      loadG(A, F.rs());
-      cmpRI(A, uint32_t(F.imm())); // full 32-bit immediate compare
-      setCond(F.op() == 0x0a ? x64::CC_L : x64::CC_B, A);
-      storeG(A, F.rt());
-      return;
-    case 0x0c: // andi
-    case 0x0d: // ori
-    case 0x0e: // xori
-      loadG(A, F.rs());
-      V.binopImm(F.op() == 0x0c   ? BinOp::And
-                 : F.op() == 0x0d ? BinOp::Or
-                                  : BinOp::Xor,
-                 Type::U, A, A, int64_t(F.uimm()));
-      storeG(A, F.rt());
-      return;
-    case 0x0f: // lui
-      V.setInt(Type::U, A, F.uimm() << 16);
-      storeG(A, F.rt());
-      return;
-    case 0x11:
-      emitCop1(F);
-      return;
-    case 0x20: // lb
-    case 0x21: // lh
-    case 0x23: // lw
-    case 0x24: // lbu
-    case 0x25: // lhu
-    case 0x28: // sb
-    case 0x29: // sh
-    case 0x2b: // sw
-    case 0x31: // lwc1
-    case 0x39: // swc1
-    case 0x35: // ldc1
-    case 0x3d: // sdc1
-      emitMem(F, FaultPC, InstrIdx);
-      return;
-    default:
-      fatalKind(CgErrKind::Internal, "dbt: untranslatable opcode 0x%x",
-                F.op());
-    }
-  }
-
-  void emitSpecial(MipsFields F) {
-    unsigned Rs = F.rs(), Rt = F.rt(), Rd = F.rd(), Sh = F.sh();
-    switch (F.fn()) {
-    case 0x00: // sll
-    case 0x02: // srl
-    case 0x03: // sra
+  void emitPlain(const mips::Insn &I, SimAddr FaultPC, unsigned InstrIdx) {
+    using mips::Opc;
+    unsigned Rs = I.Rs, Rt = I.Rt, Rd = I.Rd, Sh = I.Sh;
+    int32_t Imm = I.Imm;
+    // COP1 arithmetic: fmt 17 is double, every other fmt single.
+    bool Dbl = mips::isDouble(I);
+    unsigned Ft = Rt, Fs = Rd, Fd = Sh;
+    switch (I.Op) {
+    case Opc::Sll:
+    case Opc::Srl:
+    case Opc::Sra:
       loadG(A, Rt);
       if (Sh != 0)
-        V.binopImm(F.fn() == 0x00 ? BinOp::Lsh : BinOp::Rsh,
-                   F.fn() == 0x03 ? Type::I : Type::U, A, A, Sh);
+        V.binopImm(I.Op == Opc::Sll ? BinOp::Lsh : BinOp::Rsh,
+                   I.Op == Opc::Sra ? Type::I : Type::U, A, A, Sh);
       storeG(A, Rd);
       return;
-    case 0x04: // sllv
-    case 0x06: // srlv
-    case 0x07: // srav (the host masks the count to 5 bits, like &31)
+    case Opc::Sllv:
+    case Opc::Srlv:
+    case Opc::Srav: // the host masks the count to 5 bits, like &31
       loadG(A, Rt);
       loadG(B, Rs);
-      V.binop(F.fn() == 0x04 ? BinOp::Lsh : BinOp::Rsh,
-              F.fn() == 0x07 ? Type::I : Type::U, A, A, B);
+      V.binop(I.Op == Opc::Sllv ? BinOp::Lsh : BinOp::Rsh,
+              I.Op == Opc::Srav ? Type::I : Type::U, A, A, B);
       storeG(A, Rd);
       return;
-    case 0x08: // jr
-    case 0x09: // jalr — CTIs; never reach emitSpecial
-      fatalKind(CgErrKind::Internal, "dbt: CTI in plain unit");
-    case 0x10: // mfhi
+    case Opc::Mfhi:
       V.loadImm(Type::U, A, State, GsHiOff);
       storeG(A, Rd);
       return;
-    case 0x11: // mthi
+    case Opc::Mthi:
       loadG(A, Rs);
       V.storeImm(Type::U, A, State, GsHiOff);
       return;
-    case 0x12: // mflo
+    case Opc::Mflo:
       V.loadImm(Type::U, A, State, GsLoOff);
       storeG(A, Rd);
       return;
-    case 0x13: // mtlo
+    case Opc::Mtlo:
       loadG(A, Rs);
       V.storeImm(Type::U, A, State, GsLoOff);
       return;
-    case 0x18: // mult
-    case 0x19: // multu
+    case Opc::Mult:
+    case Opc::Multu:
       loadG(A, Rs);
       loadG(B, Rt);
-      if (F.fn() == 0x18) { // widen signed: (int64)int32 * (int64)int32
+      if (I.Op == Opc::Mult) { // widen signed: (int64)int32 * (int64)int32
         V.cvt(Type::I, Type::L, A, A);
         V.cvt(Type::I, Type::L, B, B);
       }
@@ -425,10 +372,9 @@ private:
       V.binopImm(BinOp::Rsh, Type::UL, A, A, 32);
       V.storeImm(Type::U, A, State, GsHiOff);
       return;
-    case 0x1a: // div
-    case 0x1b: // divu
-    {
-      bool Signed = F.fn() == 0x1a;
+    case Opc::Div:
+    case Opc::Divu: {
+      bool Signed = I.Op == Opc::Div;
       loadG(A, Rs);
       loadG(B, Rt);
       Label Ok = V.genLabel(), End = V.genLabel();
@@ -447,91 +393,94 @@ private:
       V.label(End);
       return;
     }
-    case 0x20: // add (no trap in the interpreter)
-    case 0x21: // addu
+    case Opc::Add: // no trap in the interpreter
+    case Opc::Addu:
+    case Opc::Sub:
+    case Opc::Subu:
+    case Opc::And:
+    case Opc::Or:
+    case Opc::Xor:
       loadG(A, Rs);
       loadG(B, Rt);
-      V.binop(BinOp::Add, Type::U, A, A, B);
-      storeG(A, Rd);
-      return;
-    case 0x22: // sub
-    case 0x23: // subu
-      loadG(A, Rs);
-      loadG(B, Rt);
-      V.binop(BinOp::Sub, Type::U, A, A, B);
-      storeG(A, Rd);
-      return;
-    case 0x24: // and
-    case 0x25: // or
-    case 0x26: // xor
-      loadG(A, Rs);
-      loadG(B, Rt);
-      V.binop(F.fn() == 0x24   ? BinOp::And
-              : F.fn() == 0x25 ? BinOp::Or
-                               : BinOp::Xor,
+      V.binop(I.Op == Opc::Add || I.Op == Opc::Addu   ? BinOp::Add
+              : I.Op == Opc::Sub || I.Op == Opc::Subu ? BinOp::Sub
+              : I.Op == Opc::And                      ? BinOp::And
+              : I.Op == Opc::Or                       ? BinOp::Or
+                                                      : BinOp::Xor,
               Type::U, A, A, B);
       storeG(A, Rd);
       return;
-    case 0x27: // nor
+    case Opc::Nor:
       loadG(A, Rs);
       loadG(B, Rt);
       V.binop(BinOp::Or, Type::U, A, A, B);
       V.unop(UnOp::Com, Type::U, A, A);
       storeG(A, Rd);
       return;
-    case 0x2a: // slt
-    case 0x2b: // sltu
+    case Opc::Slt:
+    case Opc::Sltu:
       loadG(A, Rs);
       loadG(B, Rt);
       cmpRR(A, B);
-      setCond(F.fn() == 0x2a ? x64::CC_L : x64::CC_B, A);
+      setCond(I.Op == Opc::Slt ? x64::CC_L : x64::CC_B, A);
       storeG(A, Rd);
       return;
-    default:
-      fatalKind(CgErrKind::Internal, "dbt: untranslatable SPECIAL 0x%x",
-                F.fn());
-    }
-  }
-
-  void emitCop1(MipsFields F) {
-    unsigned Sub = F.rs();
-    if (Sub == 0) { // mfc1: W(rt, FPR[rd])
-      V.loadImm(Type::U, A, State, gsFprOff(F.rd()));
-      storeG(A, F.rt());
+    case Opc::Addi: // the interpreter ignores the overflow trap
+    case Opc::Addiu:
+      loadG(A, Rs);
+      V.binopImm(BinOp::Add, Type::U, A, A, Imm);
+      storeG(A, Rt);
       return;
-    }
-    if (Sub == 4) { // mtc1: FPR[rd] = R[rt] (unguarded FPR write)
-      loadG(A, F.rt());
-      V.storeImm(Type::U, A, State, gsFprOff(F.rd()));
+    case Opc::Slti:
+    case Opc::Sltiu:
+      loadG(A, Rs);
+      cmpRI(A, uint32_t(Imm)); // full 32-bit immediate compare
+      setCond(I.Op == Opc::Slti ? x64::CC_L : x64::CC_B, A);
+      storeG(A, Rt);
       return;
-    }
-    // Arithmetic. The interpreter: fmt==17 is double, everything else
-    // single (bc1 was classified as a CTI and cannot reach here).
-    bool Dbl = Sub == 17;
-    unsigned Ft = F.rt(), Fs = F.rd(), Fd = F.sh();
-    Type Ty = Dbl ? Type::D : Type::F;
-    switch (F.fn()) {
-    case 0x00: // add.fmt
-    case 0x01: // sub.fmt
-    case 0x02: // mul.fmt
-    case 0x03: // div.fmt
+    case Opc::Andi:
+    case Opc::Ori:
+    case Opc::Xori:
+      loadG(A, Rs);
+      V.binopImm(I.Op == Opc::Andi  ? BinOp::And
+                 : I.Op == Opc::Ori ? BinOp::Or
+                                    : BinOp::Xor,
+                 Type::U, A, A, int64_t(I.UImm));
+      storeG(A, Rt);
+      return;
+    case Opc::Lui:
+      V.setInt(Type::U, A, I.UImm << 16);
+      storeG(A, Rt);
+      return;
+    case Opc::Mfc1: // W(rt, FPR[rd])
+      V.loadImm(Type::U, A, State, gsFprOff(Rd));
+      storeG(A, Rt);
+      return;
+    case Opc::Mtc1: // FPR[rd] = R[rt] (unguarded FPR write)
+      loadG(A, Rt);
+      V.storeImm(Type::U, A, State, gsFprOff(Rd));
+      return;
+    case Opc::AddF:
+    case Opc::SubF:
+    case Opc::MulF:
+    case Opc::DivF:
       loadF(F0, Fs, Dbl);
       loadF(F1, Ft, Dbl);
-      V.binop(F.fn() == 0x00   ? BinOp::Add
-              : F.fn() == 0x01 ? BinOp::Sub
-              : F.fn() == 0x02 ? BinOp::Mul
-                               : BinOp::Div,
-              Ty, F0, F0, F1);
+      V.binop(I.Op == Opc::AddF   ? BinOp::Add
+              : I.Op == Opc::SubF ? BinOp::Sub
+              : I.Op == Opc::MulF ? BinOp::Mul
+                                  : BinOp::Div,
+              Dbl ? Type::D : Type::F, F0, F0, F1);
       storeF(F0, Fd, Dbl);
       return;
-    case 0x04: { // sqrt.fmt
+    case Opc::SqrtF: {
       loadF(F0, Fs, Dbl);
       x64::Asm As(V.buf());
       As.sse(Dbl ? 0xF2 : 0xF3, false, 0x51, F0.Num, F0.Num);
       storeF(F0, Fd, Dbl);
       return;
     }
-    case 0x05: // abs.fmt: clear the sign bit (bitwise, NaN-preserving)
+    case Opc::AbsF: // clear the sign bit (bitwise, NaN-preserving)
       if (Dbl) {
         V.loadImm(Type::UL, A, State, gsFprOff(Fs));
         V.binopImm(BinOp::And, Type::UL, A, A, 0x7fffffffffffffffLL);
@@ -542,7 +491,7 @@ private:
         V.storeImm(Type::U, A, State, gsFprOff(Fd));
       }
       return;
-    case 0x06: // mov.fmt: raw bit copy
+    case Opc::MovF: // raw bit copy
       if (Dbl) {
         V.loadImm(Type::UL, A, State, gsFprOff(Fs));
         V.storeImm(Type::UL, A, State, gsFprOff(Fd));
@@ -551,7 +500,7 @@ private:
         V.storeImm(Type::U, A, State, gsFprOff(Fd));
       }
       return;
-    case 0x07: // neg.fmt: flip the sign bit
+    case Opc::NegF: // flip the sign bit
       if (Dbl) {
         V.loadImm(Type::UL, A, State, gsFprOff(Fs));
         V.binopImm(BinOp::Xor, Type::UL, A, A, INT64_MIN);
@@ -562,8 +511,8 @@ private:
         V.storeImm(Type::U, A, State, gsFprOff(Fd));
       }
       return;
-    case 0x0d: // trunc.w.fmt
-    case 0x24: // cvt.w.fmt (the interpreter truncates for both)
+    case Opc::TruncW:
+    case Opc::CvtW: // the interpreter truncates for both
     {
       loadF(F0, Fs, Dbl);
       // 32-bit cvttss2si / cvttsd2si: the interpreter computes an int32_t
@@ -574,8 +523,8 @@ private:
       V.storeImm(Type::U, A, State, gsFprOff(Fd));
       return;
     }
-    case 0x20: // cvt.s.fmt: from double or from word
-      if (Sub == 20) { // cvt.s.w
+    case Opc::CvtS: // from double or from word
+      if (I.Rs == 20) { // cvt.s.w
         V.loadImm(Type::U, A, State, gsFprOff(Fs));
         V.cvt(Type::I, Type::F, F0, A);
       } else { // cvt.s.d
@@ -584,8 +533,8 @@ private:
       }
       storeF(F0, Fd, false);
       return;
-    case 0x21: // cvt.d.fmt: from single or from word
-      if (Sub == 20) { // cvt.d.w
+    case Opc::CvtD: // from single or from word
+      if (I.Rs == 20) { // cvt.d.w
         V.loadImm(Type::U, A, State, gsFprOff(Fs));
         V.cvt(Type::I, Type::D, F0, A);
       } else { // cvt.d.s
@@ -594,7 +543,7 @@ private:
       }
       storeF(F0, Fd, true);
       return;
-    case 0x32: // c.eq.fmt: true iff ZF && !PF (NaN compares false)
+    case Opc::CEq: // true iff ZF && !PF (NaN compares false)
       loadF(F0, Fs, Dbl);
       loadF(F1, Ft, Dbl);
       ucomis(Dbl, F0, F1);
@@ -606,74 +555,68 @@ private:
       }
       V.storeImm(Type::U, A, State, GsFpCondOff);
       return;
-    case 0x3c: // c.lt.fmt: a < b  ==  ucomis(b, a) above (NaN -> false)
-    case 0x3e: // c.le.fmt
+    case Opc::CLt: // a < b  ==  ucomis(b, a) above (NaN -> false)
+    case Opc::CLe:
       loadF(F0, Fs, Dbl);
       loadF(F1, Ft, Dbl);
       ucomis(Dbl, F1, F0);
-      setCond(F.fn() == 0x3c ? x64::CC_A : x64::CC_AE, A);
+      setCond(I.Op == Opc::CLt ? x64::CC_A : x64::CC_AE, A);
       V.storeImm(Type::U, A, State, GsFpCondOff);
       return;
-    default:
-      fatalKind(CgErrKind::Internal, "dbt: untranslatable COP1 0x%x", F.fn());
-    }
-  }
-
-  void emitMem(MipsFields F, SimAddr FaultPC, unsigned InstrIdx) {
-    unsigned Rs = F.rs(), Rt = F.rt();
-    int32_t Imm = F.imm();
-    switch (F.op()) {
-    case 0x20: // lb
-    case 0x21: // lh
-    case 0x23: // lw
-    case 0x24: // lbu
-    case 0x25: // lhu
-    {
-      Type Ty = F.op() == 0x20   ? Type::C
-                : F.op() == 0x21 ? Type::S
-                : F.op() == 0x23 ? Type::U
-                : F.op() == 0x24 ? Type::UC
-                                 : Type::US;
-      unsigned Bytes = F.op() == 0x23 ? 4 : (F.op() == 0x21 || F.op() == 0x25) ? 2 : 1;
+    case Opc::Lb:
+    case Opc::Lh:
+    case Opc::Lw:
+    case Opc::Lbu:
+    case Opc::Lhu: {
+      Type Ty = I.Op == Opc::Lb    ? Type::C
+                : I.Op == Opc::Lh  ? Type::S
+                : I.Op == Opc::Lw  ? Type::U
+                : I.Op == Opc::Lbu ? Type::UC
+                                   : Type::US;
+      unsigned Bytes = I.Op == Opc::Lw                         ? 4
+                       : (I.Op == Opc::Lh || I.Op == Opc::Lhu) ? 2
+                                                               : 1;
       emitAccessCheck(Rs, Imm, Bytes, Bytes, FaultPC, InstrIdx);
       V.load(Ty, A, Base, D); // sub-word loads extend into a 32-bit value
       storeG(A, Rt);
       return;
     }
-    case 0x28: // sb
-    case 0x29: // sh
-    case 0x2b: // sw
-    {
-      Type Ty = F.op() == 0x28 ? Type::UC : F.op() == 0x29 ? Type::US : Type::U;
-      unsigned Bytes = F.op() == 0x2b ? 4 : F.op() == 0x29 ? 2 : 1;
+    case Opc::Sb:
+    case Opc::Sh:
+    case Opc::Sw: {
+      Type Ty = I.Op == Opc::Sb   ? Type::UC
+                : I.Op == Opc::Sh ? Type::US
+                                  : Type::U;
+      unsigned Bytes = I.Op == Opc::Sw ? 4 : I.Op == Opc::Sh ? 2 : 1;
       emitAccessCheck(Rs, Imm, Bytes, Bytes, FaultPC, InstrIdx);
       loadG(A, Rt);
       V.store(Ty, A, Base, D);
       return;
     }
-    case 0x31: // lwc1
+    case Opc::Lwc1:
       emitAccessCheck(Rs, Imm, 4, 4, FaultPC, InstrIdx);
       V.load(Type::U, A, Base, D);
       V.storeImm(Type::U, A, State, gsFprOff(Rt));
       return;
-    case 0x39: // swc1
+    case Opc::Swc1:
       emitAccessCheck(Rs, Imm, 4, 4, FaultPC, InstrIdx);
       V.loadImm(Type::U, A, State, gsFprOff(Rt));
       V.store(Type::U, A, Base, D);
       return;
-    case 0x35: // ldc1: two interpreter word accesses, so alignment is 4;
-               // both words checked before either moves (8-byte bounds)
+    case Opc::Ldc1: // two interpreter word accesses, so alignment is 4;
+                    // both words checked before either moves (8-byte bounds)
       emitAccessCheck(Rs, Imm, 8, 4, FaultPC, InstrIdx);
       V.load(Type::UL, A, Base, D); // little-endian == FPR[rt] | FPR[rt+1]<<32
       V.storeImm(Type::UL, A, State, gsFprOff(Rt));
       return;
-    case 0x3d: // sdc1
+    case Opc::Sdc1:
       emitAccessCheck(Rs, Imm, 8, 4, FaultPC, InstrIdx);
       V.loadImm(Type::UL, A, State, gsFprOff(Rt));
       V.store(Type::UL, A, Base, D);
       return;
     default:
-      fatalKind(CgErrKind::Internal, "dbt: bad memory opcode 0x%x", F.op());
+      fatalKind(CgErrKind::Internal, "dbt: untranslatable %s",
+                mips::info(I.Op).Mnemonic);
     }
   }
 };

@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "mips/MipsDisasm.h"
-#include "support/BitUtils.h"
+#include "mips/MipsDecode.h"
+#include "support/Error.h"
 #include <cstdarg>
 #include <cstdio>
 
@@ -29,231 +30,68 @@ std::string fmt(const char *Format, ...) {
 
 std::string fpName(unsigned F) { return fmt("f%u", F); }
 
-std::string branchTarget(SimAddr Pc, uint32_t Word) {
-  int32_t Disp = signExtend32<16>(Word & 0xffff);
-  return fmt("0x%llx", (unsigned long long)(Pc + 4 + (int64_t(Disp) << 2)));
-}
-
 } // namespace
 
 std::string vcode::mips::disassemble(uint32_t I, SimAddr Pc) {
-  unsigned Op = I >> 26;
-  unsigned Rs = (I >> 21) & 31, Rt = (I >> 16) & 31, Rd = (I >> 11) & 31;
-  unsigned Sh = (I >> 6) & 31, Fn = I & 63;
-  int32_t Imm = signExtend32<16>(I & 0xffff);
-  uint32_t UImm = I & 0xffff;
-
   if (I == 0)
     return "nop";
 
-  switch (Op) {
-  case 0x00: { // SPECIAL
-    const char *N3 = nullptr;
-    switch (Fn) {
-    case 0x21:
-      N3 = "addu";
-      break;
-    case 0x23:
-      N3 = "subu";
-      break;
-    case 0x24:
-      N3 = "and";
-      break;
-    case 0x25:
-      N3 = "or";
-      break;
-    case 0x26:
-      N3 = "xor";
-      break;
-    case 0x27:
-      N3 = "nor";
-      break;
-    case 0x2a:
-      N3 = "slt";
-      break;
-    case 0x2b:
-      N3 = "sltu";
-      break;
-    default:
-      break;
-    }
-    if (N3)
-      return fmt("%-7s %s, %s, %s", N3, GprName[Rd], GprName[Rs],
-                 GprName[Rt]);
-    switch (Fn) {
-    case 0x00:
-      return fmt("%-7s %s, %s, %u", "sll", GprName[Rd], GprName[Rt], Sh);
-    case 0x02:
-      return fmt("%-7s %s, %s, %u", "srl", GprName[Rd], GprName[Rt], Sh);
-    case 0x03:
-      return fmt("%-7s %s, %s, %u", "sra", GprName[Rd], GprName[Rt], Sh);
-    case 0x04:
-      return fmt("%-7s %s, %s, %s", "sllv", GprName[Rd], GprName[Rt],
-                 GprName[Rs]);
-    case 0x06:
-      return fmt("%-7s %s, %s, %s", "srlv", GprName[Rd], GprName[Rt],
-                 GprName[Rs]);
-    case 0x07:
-      return fmt("%-7s %s, %s, %s", "srav", GprName[Rd], GprName[Rt],
-                 GprName[Rs]);
-    case 0x08:
-      return fmt("%-7s %s", "jr", GprName[Rs]);
-    case 0x09:
-      return fmt("%-7s %s, %s", "jalr", GprName[Rd], GprName[Rs]);
-    case 0x10:
-      return fmt("%-7s %s", "mfhi", GprName[Rd]);
-    case 0x12:
-      return fmt("%-7s %s", "mflo", GprName[Rd]);
-    case 0x18:
-      return fmt("%-7s %s, %s", "mult", GprName[Rs], GprName[Rt]);
-    case 0x19:
-      return fmt("%-7s %s, %s", "multu", GprName[Rs], GprName[Rt]);
-    case 0x1a:
-      return fmt("%-7s %s, %s", "div", GprName[Rs], GprName[Rt]);
-    case 0x1b:
-      return fmt("%-7s %s, %s", "divu", GprName[Rs], GprName[Rt]);
-    }
-    break;
+  const Insn D = decode(I);
+  const char *N = info(D.Op).Mnemonic;
+  const char *Rs = GprName[D.Rs], *Rt = GprName[D.Rt], *Rd = GprName[D.Rd];
+  // COP1 arithmetic: ft/fs/fd live in rt/rd/sh, the format in rs.
+  std::string Ft = fpName(D.Rt), Fs = fpName(D.Rd), Fd = fpName(D.Sh);
+  const char *Fmt = D.Rs == 16 ? "s" : (D.Rs == 17 ? "d" : "w");
+  auto Off = [&] {
+    return fmt("0x%llx", (unsigned long long)branchTarget(Pc, D));
+  };
+
+  switch (info(D.Op).Operands) {
+  case Form::None:
+    return fmt(".word   0x%08x", I);
+  case Form::RdRsRt:
+    return fmt("%-7s %s, %s, %s", N, Rd, Rs, Rt);
+  case Form::RdRtSa:
+    return fmt("%-7s %s, %s, %u", N, Rd, Rt, unsigned(D.Sh));
+  case Form::RdRtRs:
+    return fmt("%-7s %s, %s, %s", N, Rd, Rt, Rs);
+  case Form::Rs:
+    return fmt("%-7s %s", N, Rs);
+  case Form::RdRs:
+    return fmt("%-7s %s, %s", N, Rd, Rs);
+  case Form::Rd:
+    return fmt("%-7s %s", N, Rd);
+  case Form::RsRt:
+    return fmt("%-7s %s, %s", N, Rs, Rt);
+  case Form::RsOff:
+    return fmt("%-7s %s, %s", N, Rs, Off().c_str());
+  case Form::RsRtOff:
+    return fmt("%-7s %s, %s, %s", N, Rs, Rt, Off().c_str());
+  case Form::Off:
+    return fmt("%-7s %s", N, Off().c_str());
+  case Form::Target:
+    return fmt("%-7s 0x%llx", N, (unsigned long long)jumpTarget(Pc, D));
+  case Form::RtRsImm:
+    return fmt("%-7s %s, %s, %d", N, Rt, Rs, D.Imm);
+  case Form::RtRsUImm:
+    return fmt("%-7s %s, %s, 0x%x", N, Rt, Rs, D.UImm);
+  case Form::RtUImm:
+    return fmt("%-7s %s, 0x%x", N, Rt, D.UImm);
+  case Form::RtFs:
+    return fmt("%-7s %s, %s", N, Rt, Fs.c_str());
+  case Form::FdFsFt:
+    return fmt("%s.%-3s %s, %s, %s", N, Fmt, Fd.c_str(), Fs.c_str(),
+               Ft.c_str());
+  case Form::FdFs:
+    return fmt("%s.%-3s %s, %s", N, Fmt, Fd.c_str(), Fs.c_str());
+  case Form::FsFt:
+    return fmt("%s.%s %s, %s", N, Fmt, Fs.c_str(), Ft.c_str());
+  case Form::RtMem:
+    return fmt("%-7s %s, %d(%s)", N, Rt, D.Imm, Rs);
+  case Form::FtMem:
+    return fmt("%-7s %s, %d(%s)", N, Ft.c_str(), D.Imm, Rs);
   }
-  case 0x01:
-    return fmt("%-7s %s, %s", Rt == 0 ? "bltz" : "bgez", GprName[Rs],
-               branchTarget(Pc, I).c_str());
-  case 0x02:
-    return fmt("%-7s 0x%llx", "j",
-               (unsigned long long)((Pc & ~SimAddr(0x0fffffff)) |
-                                    ((I & 0x03ffffff) << 2)));
-  case 0x03:
-    return fmt("%-7s 0x%llx", "jal",
-               (unsigned long long)((Pc & ~SimAddr(0x0fffffff)) |
-                                    ((I & 0x03ffffff) << 2)));
-  case 0x04:
-    return fmt("%-7s %s, %s, %s", "beq", GprName[Rs], GprName[Rt],
-               branchTarget(Pc, I).c_str());
-  case 0x05:
-    return fmt("%-7s %s, %s, %s", "bne", GprName[Rs], GprName[Rt],
-               branchTarget(Pc, I).c_str());
-  case 0x09:
-    return fmt("%-7s %s, %s, %d", "addiu", GprName[Rt], GprName[Rs], Imm);
-  case 0x0a:
-    return fmt("%-7s %s, %s, %d", "slti", GprName[Rt], GprName[Rs], Imm);
-  case 0x0b:
-    return fmt("%-7s %s, %s, %d", "sltiu", GprName[Rt], GprName[Rs], Imm);
-  case 0x0c:
-    return fmt("%-7s %s, %s, 0x%x", "andi", GprName[Rt], GprName[Rs], UImm);
-  case 0x0d:
-    return fmt("%-7s %s, %s, 0x%x", "ori", GprName[Rt], GprName[Rs], UImm);
-  case 0x0e:
-    return fmt("%-7s %s, %s, 0x%x", "xori", GprName[Rt], GprName[Rs], UImm);
-  case 0x0f:
-    return fmt("%-7s %s, 0x%x", "lui", GprName[Rt], UImm);
-  case 0x11: { // COP1
-    unsigned Sub = Rs;
-    if (Sub == 0)
-      return fmt("%-7s %s, %s", "mfc1", GprName[Rt], fpName(Rd).c_str());
-    if (Sub == 4)
-      return fmt("%-7s %s, %s", "mtc1", GprName[Rt], fpName(Rd).c_str());
-    if (Sub == 8)
-      return fmt("%-7s %s", (Rt & 1) ? "bc1t" : "bc1f",
-                 branchTarget(Pc, I).c_str());
-    const char *Suffix = Sub == 16 ? "s" : (Sub == 17 ? "d" : "w");
-    unsigned Ft = Rt, Fs = Rd, Fd = Sh;
-    const char *N = nullptr;
-    bool Two = false;
-    switch (Fn) {
-    case 0x00:
-      N = "add";
-      break;
-    case 0x01:
-      N = "sub";
-      break;
-    case 0x02:
-      N = "mul";
-      break;
-    case 0x03:
-      N = "div";
-      break;
-    case 0x04:
-      N = "sqrt";
-      Two = true;
-      break;
-    case 0x05:
-      N = "abs";
-      Two = true;
-      break;
-    case 0x06:
-      N = "mov";
-      Two = true;
-      break;
-    case 0x07:
-      N = "neg";
-      Two = true;
-      break;
-    case 0x0d:
-      N = "trunc.w";
-      Two = true;
-      break;
-    case 0x20:
-      N = "cvt.s";
-      Two = true;
-      break;
-    case 0x21:
-      N = "cvt.d";
-      Two = true;
-      break;
-    case 0x24:
-      N = "cvt.w";
-      Two = true;
-      break;
-    case 0x32:
-      return fmt("c.eq.%s %s, %s", Suffix, fpName(Fs).c_str(),
-                 fpName(Ft).c_str());
-    case 0x3c:
-      return fmt("c.lt.%s %s, %s", Suffix, fpName(Fs).c_str(),
-                 fpName(Ft).c_str());
-    case 0x3e:
-      return fmt("c.le.%s %s, %s", Suffix, fpName(Fs).c_str(),
-                 fpName(Ft).c_str());
-    default:
-      break;
-    }
-    if (N && Two)
-      return fmt("%s.%-3s %s, %s", N, Suffix, fpName(Fd).c_str(),
-                 fpName(Fs).c_str());
-    if (N)
-      return fmt("%s.%-3s %s, %s, %s", N, Suffix, fpName(Fd).c_str(),
-                 fpName(Fs).c_str(), fpName(Ft).c_str());
-    break;
-  }
-  case 0x20:
-    return fmt("%-7s %s, %d(%s)", "lb", GprName[Rt], Imm, GprName[Rs]);
-  case 0x21:
-    return fmt("%-7s %s, %d(%s)", "lh", GprName[Rt], Imm, GprName[Rs]);
-  case 0x23:
-    return fmt("%-7s %s, %d(%s)", "lw", GprName[Rt], Imm, GprName[Rs]);
-  case 0x24:
-    return fmt("%-7s %s, %d(%s)", "lbu", GprName[Rt], Imm, GprName[Rs]);
-  case 0x25:
-    return fmt("%-7s %s, %d(%s)", "lhu", GprName[Rt], Imm, GprName[Rs]);
-  case 0x28:
-    return fmt("%-7s %s, %d(%s)", "sb", GprName[Rt], Imm, GprName[Rs]);
-  case 0x29:
-    return fmt("%-7s %s, %d(%s)", "sh", GprName[Rt], Imm, GprName[Rs]);
-  case 0x2b:
-    return fmt("%-7s %s, %d(%s)", "sw", GprName[Rt], Imm, GprName[Rs]);
-  case 0x31:
-    return fmt("%-7s %s, %d(%s)", "lwc1", fpName(Rt).c_str(), Imm,
-               GprName[Rs]);
-  case 0x35:
-    return fmt("%-7s %s, %d(%s)", "ldc1", fpName(Rt).c_str(), Imm,
-               GprName[Rs]);
-  case 0x39:
-    return fmt("%-7s %s, %d(%s)", "swc1", fpName(Rt).c_str(), Imm,
-               GprName[Rs]);
-  case 0x3d:
-    return fmt("%-7s %s, %d(%s)", "sdc1", fpName(Rt).c_str(), Imm,
-               GprName[Rs]);
-  }
-  return fmt(".word   0x%08x", I);
+  unreachable("bad MIPS operand form");
 }
 
 // --- profile/Disasm registration --------------------------------------------

@@ -61,8 +61,9 @@ struct CodeMap::Impl {
   std::map<uint64_t, std::shared_ptr<CodeEntry>> Live;
   /// Published read view; replaced wholesale, never mutated in place.
   std::atomic<std::shared_ptr<const Snap>> Reader;
-  /// Mutations since the last snapshot rebuild (relaxed; readers use it
-  /// only to decide whether the slow path could help).
+  /// Mutations since the last snapshot rebuild. A rebuild stores 0 with
+  /// release after publishing Reader; readers load it with acquire before
+  /// Reader, so a zero read guarantees a snapshot at least that new.
   std::atomic<uint64_t> Dirty{0};
   std::atomic<uint64_t> GenSeq{0};
 
@@ -87,7 +88,7 @@ struct CodeMap::Impl {
               });
     Reader.store(std::shared_ptr<const Snap>(std::move(S)),
                  std::memory_order_release);
-    Dirty.store(0, std::memory_order_relaxed);
+    Dirty.store(0, std::memory_order_release);
   }
 
   /// Counts a mutation and rebuilds the snapshot on the amortization
@@ -248,13 +249,12 @@ void CodeMap::remove(uint64_t Addr) {
 }
 
 std::shared_ptr<const CodeEntry> CodeMap::lookup(uint64_t Pc) const {
-  {
-    auto S = I->Reader.load(std::memory_order_acquire);
-    // The snapshot answers only when it is current: a stale *hit* would
-    // attribute to an entry already removed or renamed, not just miss.
-    if (!I->Dirty.load(std::memory_order_relaxed))
-      return Impl::searchAddr(*S, Pc);
-  }
+  // The snapshot answers only when it is current: a stale *hit* would
+  // attribute to an entry already removed or renamed, not just miss.
+  // Dirty is read first: a zero read acquires the rebuild that stored it,
+  // so the snapshot loaded next holds every entry published before that.
+  if (!I->Dirty.load(std::memory_order_acquire))
+    return Impl::searchAddr(*I->Reader.load(std::memory_order_acquire), Pc);
   // Answer from the truth map without rebuilding: this is the virtual
   // sampler's path, and continuous churn keeps the snapshot perpetually
   // dirty — an O(n) rebuild per sample inside the lock would convoy the
@@ -270,11 +270,8 @@ std::shared_ptr<const CodeEntry> CodeMap::lookup(uint64_t Pc) const {
 }
 
 std::shared_ptr<const CodeEntry> CodeMap::lookupHost(uintptr_t Pc) const {
-  {
-    auto S = I->Reader.load(std::memory_order_acquire);
-    if (!I->Dirty.load(std::memory_order_relaxed))
-      return Impl::searchHost(*S, Pc);
-  }
+  if (!I->Dirty.load(std::memory_order_acquire))
+    return Impl::searchHost(*I->Reader.load(std::memory_order_acquire), Pc);
   // Host lookups come from the native ring drain (stop/report time), not
   // a hot loop, and Live is not indexed by host address — rebuilding here
   // restores the indexed fast path for the rest of the batch.

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "sim/MipsSim.h"
+#include "mips/MipsDecode.h"
 #include "mips/MipsTarget.h"
 #include "profile/Profiler.h"
-#include "support/BitUtils.h"
 #include "support/Telemetry.h"
 #include <cmath>
 #include <cstring>
@@ -128,7 +128,10 @@ void MipsSim::setD(unsigned F, double V) {
 }
 
 /// Conservative approximation of "instruction reads register N" for the
-/// load-use interlock cost model.
+/// load-use interlock cost model. It reads the raw word rather than the
+/// decoded Opc on purpose: its exact answers, the conservative ones for
+/// lwc1/ldc1 and undecodable words included, fix the simulated cycle
+/// counts of Tables 3 and 4.
 static bool readsReg(uint32_t I, unsigned N) {
   if (N == 0)
     return false;
@@ -153,6 +156,7 @@ void MipsSim::chargeLoadUse(uint32_t Instr) {
 }
 
 void MipsSim::step() {
+  using mips::Opc;
   SimAddr InstrPC = PC;
   uint32_t I = fetch(InstrPC);
   PC = NPC;
@@ -161,316 +165,301 @@ void MipsSim::step() {
   ++Stats.Cycles;
   chargeLoadUse(I);
 
-  unsigned Op = I >> 26;
-  unsigned Rs = (I >> 21) & 31;
-  unsigned Rt = (I >> 16) & 31;
-  unsigned Rd = (I >> 11) & 31;
-  unsigned Sh = (I >> 6) & 31;
-  unsigned Fn = I & 63;
-  int32_t Imm = signExtend32<16>(I & 0xffff);
-  uint32_t UImm = I & 0xffff;
+  const mips::Insn D = mips::decode(I);
+  unsigned Rs = D.Rs, Rt = D.Rt, Rd = D.Rd, Sh = D.Sh;
+  int32_t Imm = D.Imm;
+  uint32_t UImm = D.UImm;
   auto W = [this](unsigned N, uint32_t V) {
     if (N)
       R[N] = V;
   };
+  auto Branch = [&](bool Taken) {
+    if (Taken)
+      NPC = mips::branchTarget(InstrPC, D);
+  };
+  // COP1 arithmetic: fmt 17 is double, any other fmt single.
+  unsigned Ft = Rt, Fs = Rd, Fd = Sh;
+  bool Dbl = mips::isDouble(D);
 
-  switch (Op) {
-  case 0x00: // SPECIAL
-    switch (Fn) {
-    case 0x00:
-      W(Rd, R[Rt] << Sh);
-      return;
-    case 0x02:
-      W(Rd, R[Rt] >> Sh);
-      return;
-    case 0x03:
-      W(Rd, uint32_t(int32_t(R[Rt]) >> Sh));
-      return;
-    case 0x04:
-      W(Rd, R[Rt] << (R[Rs] & 31));
-      return;
-    case 0x06:
-      W(Rd, R[Rt] >> (R[Rs] & 31));
-      return;
-    case 0x07:
-      W(Rd, uint32_t(int32_t(R[Rt]) >> (R[Rs] & 31)));
-      return;
-    case 0x08: // jr
-      NPC = R[Rs];
-      return;
-    case 0x09: // jalr
-      W(Rd, uint32_t(InstrPC + 8));
-      NPC = R[Rs];
-      return;
-    case 0x10:
-      W(Rd, HI);
-      return;
-    case 0x12:
-      W(Rd, LO);
-      return;
-    case 0x11:
+  switch (D.Op) {
+  case Opc::Sll:
+    W(Rd, R[Rt] << Sh);
+    return;
+  case Opc::Srl:
+    W(Rd, R[Rt] >> Sh);
+    return;
+  case Opc::Sra:
+    W(Rd, uint32_t(int32_t(R[Rt]) >> Sh));
+    return;
+  case Opc::Sllv:
+    W(Rd, R[Rt] << (R[Rs] & 31));
+    return;
+  case Opc::Srlv:
+    W(Rd, R[Rt] >> (R[Rs] & 31));
+    return;
+  case Opc::Srav:
+    W(Rd, uint32_t(int32_t(R[Rt]) >> (R[Rs] & 31)));
+    return;
+  case Opc::Jr:
+    NPC = R[Rs];
+    return;
+  case Opc::Jalr:
+    W(Rd, uint32_t(InstrPC + 8));
+    NPC = R[Rs];
+    return;
+  case Opc::Mfhi:
+    W(Rd, HI);
+    return;
+  case Opc::Mflo:
+    W(Rd, LO);
+    return;
+  case Opc::Mthi:
+    HI = R[Rs];
+    return;
+  case Opc::Mtlo:
+    LO = R[Rs];
+    return;
+  case Opc::Mult: {
+    int64_t P = int64_t(int32_t(R[Rs])) * int64_t(int32_t(R[Rt]));
+    LO = uint32_t(P);
+    HI = uint32_t(uint64_t(P) >> 32);
+    Stats.Cycles += Cfg.MulCycles;
+    return;
+  }
+  case Opc::Multu: {
+    uint64_t P = uint64_t(R[Rs]) * uint64_t(R[Rt]);
+    LO = uint32_t(P);
+    HI = uint32_t(P >> 32);
+    Stats.Cycles += Cfg.MulCycles;
+    return;
+  }
+  case Opc::Div:
+    if (R[Rt] == 0) {
+      LO = 0;
       HI = R[Rs];
-      return;
-    case 0x13:
+    } else if (int32_t(R[Rs]) == INT32_MIN && int32_t(R[Rt]) == -1) {
       LO = R[Rs];
-      return;
-    case 0x18: { // mult
-      int64_t P = int64_t(int32_t(R[Rs])) * int64_t(int32_t(R[Rt]));
-      LO = uint32_t(P);
-      HI = uint32_t(uint64_t(P) >> 32);
-      Stats.Cycles += Cfg.MulCycles;
-      return;
+      HI = 0;
+    } else {
+      LO = uint32_t(int32_t(R[Rs]) / int32_t(R[Rt]));
+      HI = uint32_t(int32_t(R[Rs]) % int32_t(R[Rt]));
     }
-    case 0x19: { // multu
-      uint64_t P = uint64_t(R[Rs]) * uint64_t(R[Rt]);
-      LO = uint32_t(P);
-      HI = uint32_t(P >> 32);
-      Stats.Cycles += Cfg.MulCycles;
-      return;
-    }
-    case 0x1a: // div
-      if (R[Rt] == 0) {
-        LO = 0;
-        HI = R[Rs];
-      } else if (int32_t(R[Rs]) == INT32_MIN && int32_t(R[Rt]) == -1) {
-        LO = R[Rs];
-        HI = 0;
-      } else {
-        LO = uint32_t(int32_t(R[Rs]) / int32_t(R[Rt]));
-        HI = uint32_t(int32_t(R[Rs]) % int32_t(R[Rt]));
-      }
-      Stats.Cycles += Cfg.DivCycles;
-      return;
-    case 0x1b: // divu
-      if (R[Rt] == 0) {
-        LO = 0;
-        HI = R[Rs];
-      } else {
-        LO = R[Rs] / R[Rt];
-        HI = R[Rs] % R[Rt];
-      }
-      Stats.Cycles += Cfg.DivCycles;
-      return;
-    case 0x20: // add (no overflow traps modeled)
-    case 0x21:
-      W(Rd, R[Rs] + R[Rt]);
-      return;
-    case 0x22:
-    case 0x23:
-      W(Rd, R[Rs] - R[Rt]);
-      return;
-    case 0x24:
-      W(Rd, R[Rs] & R[Rt]);
-      return;
-    case 0x25:
-      W(Rd, R[Rs] | R[Rt]);
-      return;
-    case 0x26:
-      W(Rd, R[Rs] ^ R[Rt]);
-      return;
-    case 0x27:
-      W(Rd, ~(R[Rs] | R[Rt]));
-      return;
-    case 0x2a:
-      W(Rd, int32_t(R[Rs]) < int32_t(R[Rt]) ? 1 : 0);
-      return;
-    case 0x2b:
-      W(Rd, R[Rs] < R[Rt] ? 1 : 0);
-      return;
-    }
-    fatalKind(CgErrKind::SimFault,
-        "mips sim: unknown SPECIAL funct 0x%x at 0x%llx", Fn,
-          (unsigned long long)InstrPC);
-  case 0x01: // REGIMM: bltz/bgez
-    if (Rt == 0 ? int32_t(R[Rs]) < 0 : int32_t(R[Rs]) >= 0)
-      NPC = InstrPC + 4 + (SimAddr(int64_t(Imm)) << 2);
+    Stats.Cycles += Cfg.DivCycles;
     return;
-  case 0x02: // j
-    NPC = (InstrPC & ~SimAddr(0x0fffffff)) | SimAddr((I & 0x03ffffff) << 2);
+  case Opc::Divu:
+    if (R[Rt] == 0) {
+      LO = 0;
+      HI = R[Rs];
+    } else {
+      LO = R[Rs] / R[Rt];
+      HI = R[Rs] % R[Rt];
+    }
+    Stats.Cycles += Cfg.DivCycles;
     return;
-  case 0x03: // jal
+  case Opc::Add: // no overflow traps modeled
+  case Opc::Addu:
+    W(Rd, R[Rs] + R[Rt]);
+    return;
+  case Opc::Sub:
+  case Opc::Subu:
+    W(Rd, R[Rs] - R[Rt]);
+    return;
+  case Opc::And:
+    W(Rd, R[Rs] & R[Rt]);
+    return;
+  case Opc::Or:
+    W(Rd, R[Rs] | R[Rt]);
+    return;
+  case Opc::Xor:
+    W(Rd, R[Rs] ^ R[Rt]);
+    return;
+  case Opc::Nor:
+    W(Rd, ~(R[Rs] | R[Rt]));
+    return;
+  case Opc::Slt:
+    W(Rd, int32_t(R[Rs]) < int32_t(R[Rt]) ? 1 : 0);
+    return;
+  case Opc::Sltu:
+    W(Rd, R[Rs] < R[Rt] ? 1 : 0);
+    return;
+
+  case Opc::Bltz:
+    Branch(int32_t(R[Rs]) < 0);
+    return;
+  case Opc::Bgez:
+    Branch(int32_t(R[Rs]) >= 0);
+    return;
+  case Opc::Jal:
     R[31] = uint32_t(InstrPC + 8);
-    NPC = (InstrPC & ~SimAddr(0x0fffffff)) | SimAddr((I & 0x03ffffff) << 2);
+    [[fallthrough]];
+  case Opc::J:
+    NPC = mips::jumpTarget(InstrPC, D);
     return;
-  case 0x04: // beq
-    if (R[Rs] == R[Rt])
-      NPC = InstrPC + 4 + (SimAddr(int64_t(Imm)) << 2);
+  case Opc::Beq:
+    Branch(R[Rs] == R[Rt]);
     return;
-  case 0x05: // bne
-    if (R[Rs] != R[Rt])
-      NPC = InstrPC + 4 + (SimAddr(int64_t(Imm)) << 2);
+  case Opc::Bne:
+    Branch(R[Rs] != R[Rt]);
     return;
-  case 0x06: // blez
-    if (int32_t(R[Rs]) <= 0)
-      NPC = InstrPC + 4 + (SimAddr(int64_t(Imm)) << 2);
+  case Opc::Blez:
+    Branch(int32_t(R[Rs]) <= 0);
     return;
-  case 0x07: // bgtz
-    if (int32_t(R[Rs]) > 0)
-      NPC = InstrPC + 4 + (SimAddr(int64_t(Imm)) << 2);
+  case Opc::Bgtz:
+    Branch(int32_t(R[Rs]) > 0);
     return;
-  case 0x08: // addi (overflow traps not modeled)
-  case 0x09:
+  case Opc::Addi: // overflow traps not modeled
+  case Opc::Addiu:
     W(Rt, R[Rs] + uint32_t(Imm));
     return;
-  case 0x0a:
+  case Opc::Slti:
     W(Rt, int32_t(R[Rs]) < Imm ? 1 : 0);
     return;
-  case 0x0b:
+  case Opc::Sltiu:
     W(Rt, R[Rs] < uint32_t(Imm) ? 1 : 0);
     return;
-  case 0x0c:
+  case Opc::Andi:
     W(Rt, R[Rs] & UImm);
     return;
-  case 0x0d:
+  case Opc::Ori:
     W(Rt, R[Rs] | UImm);
     return;
-  case 0x0e:
+  case Opc::Xori:
     W(Rt, R[Rs] ^ UImm);
     return;
-  case 0x0f:
+  case Opc::Lui:
     W(Rt, UImm << 16);
     return;
 
-  case 0x11: { // COP1
-    unsigned Sub = Rs;
-    if (Sub == 0) { // mfc1
-      W(Rt, FPR[Rd]);
-      return;
-    }
-    if (Sub == 4) { // mtc1
-      FPR[Rd] = R[Rt];
-      return;
-    }
-    if (Sub == 8) { // bc1f/bc1t
-      bool WantTrue = (Rt & 1) != 0;
-      if (FpCond == WantTrue)
-        NPC = InstrPC + 4 + (SimAddr(int64_t(Imm)) << 2);
-      return;
-    }
-    unsigned Fmt = Sub, Ft = Rt, Fs = Rd, Fd = Sh;
-    bool Dbl = Fmt == 17;
-    switch (Fn) {
-    case 0x00:
-      Dbl ? setD(Fd, getD(Fs) + getD(Ft)) : setS(Fd, getS(Fs) + getS(Ft));
-      Stats.Cycles += Cfg.FpAddCycles - 1;
-      return;
-    case 0x01:
-      Dbl ? setD(Fd, getD(Fs) - getD(Ft)) : setS(Fd, getS(Fs) - getS(Ft));
-      Stats.Cycles += Cfg.FpAddCycles - 1;
-      return;
-    case 0x02:
-      Dbl ? setD(Fd, getD(Fs) * getD(Ft)) : setS(Fd, getS(Fs) * getS(Ft));
-      Stats.Cycles += Cfg.FpMulCycles - 1;
-      return;
-    case 0x03:
-      Dbl ? setD(Fd, getD(Fs) / getD(Ft)) : setS(Fd, getS(Fs) / getS(Ft));
-      Stats.Cycles += Cfg.FpDivCycles - 1;
-      return;
-    case 0x04:
-      Dbl ? setD(Fd, std::sqrt(getD(Fs))) : setS(Fd, std::sqrt(getS(Fs)));
-      Stats.Cycles += Cfg.FpDivCycles - 1;
-      return;
-    case 0x05:
-      Dbl ? setD(Fd, std::fabs(getD(Fs))) : setS(Fd, std::fabs(getS(Fs)));
-      return;
-    case 0x06:
-      Dbl ? setD(Fd, getD(Fs)) : setS(Fd, getS(Fs));
-      return;
-    case 0x07:
-      Dbl ? setD(Fd, -getD(Fs)) : setS(Fd, -getS(Fs));
-      return;
-    case 0x0d: { // trunc.w.fmt
-      double V = Dbl ? getD(Fs) : double(getS(Fs));
-      FPR[Fd] = uint32_t(int32_t(V));
-      return;
-    }
-    case 0x20: // cvt.s.fmt
-      if (Fmt == 17)
-        setS(Fd, float(getD(Fs)));
-      else if (Fmt == 20)
-        setS(Fd, float(int32_t(FPR[Fs])));
-      else
-        fatalKind(CgErrKind::SimFault,
-            "mips sim: cvt.s from fmt %u", Fmt);
-      return;
-    case 0x21: // cvt.d.fmt
-      if (Fmt == 16)
-        setD(Fd, double(getS(Fs)));
-      else if (Fmt == 20)
-        setD(Fd, double(int32_t(FPR[Fs])));
-      else
-        fatalKind(CgErrKind::SimFault,
-            "mips sim: cvt.d from fmt %u", Fmt);
-      return;
-    case 0x24: // cvt.w.fmt (round-to-nearest not modeled; truncates)
-      FPR[Fd] = uint32_t(int32_t(Dbl ? getD(Fs) : double(getS(Fs))));
-      return;
-    case 0x32:
-      FpCond = Dbl ? getD(Fs) == getD(Ft) : getS(Fs) == getS(Ft);
-      return;
-    case 0x3c:
-      FpCond = Dbl ? getD(Fs) < getD(Ft) : getS(Fs) < getS(Ft);
-      return;
-    case 0x3e:
-      FpCond = Dbl ? getD(Fs) <= getD(Ft) : getS(Fs) <= getS(Ft);
-      return;
-    }
-    fatalKind(CgErrKind::SimFault,
-        "mips sim: unknown COP1 funct 0x%x at 0x%llx", Fn,
-          (unsigned long long)InstrPC);
+  case Opc::Mfc1:
+    W(Rt, FPR[Rd]);
+    return;
+  case Opc::Mtc1:
+    FPR[Rd] = R[Rt];
+    return;
+  case Opc::Bc1f:
+    Branch(!FpCond);
+    return;
+  case Opc::Bc1t:
+    Branch(FpCond);
+    return;
+  case Opc::AddF:
+    Dbl ? setD(Fd, getD(Fs) + getD(Ft)) : setS(Fd, getS(Fs) + getS(Ft));
+    Stats.Cycles += Cfg.FpAddCycles - 1;
+    return;
+  case Opc::SubF:
+    Dbl ? setD(Fd, getD(Fs) - getD(Ft)) : setS(Fd, getS(Fs) - getS(Ft));
+    Stats.Cycles += Cfg.FpAddCycles - 1;
+    return;
+  case Opc::MulF:
+    Dbl ? setD(Fd, getD(Fs) * getD(Ft)) : setS(Fd, getS(Fs) * getS(Ft));
+    Stats.Cycles += Cfg.FpMulCycles - 1;
+    return;
+  case Opc::DivF:
+    Dbl ? setD(Fd, getD(Fs) / getD(Ft)) : setS(Fd, getS(Fs) / getS(Ft));
+    Stats.Cycles += Cfg.FpDivCycles - 1;
+    return;
+  case Opc::SqrtF:
+    Dbl ? setD(Fd, std::sqrt(getD(Fs))) : setS(Fd, std::sqrt(getS(Fs)));
+    Stats.Cycles += Cfg.FpDivCycles - 1;
+    return;
+  case Opc::AbsF:
+    Dbl ? setD(Fd, std::fabs(getD(Fs))) : setS(Fd, std::fabs(getS(Fs)));
+    return;
+  case Opc::MovF:
+    Dbl ? setD(Fd, getD(Fs)) : setS(Fd, getS(Fs));
+    return;
+  case Opc::NegF:
+    Dbl ? setD(Fd, -getD(Fs)) : setS(Fd, -getS(Fs));
+    return;
+  case Opc::TruncW: {
+    double V = Dbl ? getD(Fs) : double(getS(Fs));
+    FPR[Fd] = uint32_t(int32_t(V));
+    return;
   }
+  case Opc::CvtS: // from double (fmt 17) or word (fmt 20)
+    if (Rs == 17)
+      setS(Fd, float(getD(Fs)));
+    else if (Rs == 20)
+      setS(Fd, float(int32_t(FPR[Fs])));
+    else
+      fatalKind(CgErrKind::SimFault,
+          "mips sim: cvt.s from fmt %u", Rs);
+    return;
+  case Opc::CvtD: // from single (fmt 16) or word (fmt 20)
+    if (Rs == 16)
+      setD(Fd, double(getS(Fs)));
+    else if (Rs == 20)
+      setD(Fd, double(int32_t(FPR[Fs])));
+    else
+      fatalKind(CgErrKind::SimFault,
+          "mips sim: cvt.d from fmt %u", Rs);
+    return;
+  case Opc::CvtW: // round-to-nearest not modeled; truncates
+    FPR[Fd] = uint32_t(int32_t(Dbl ? getD(Fs) : double(getS(Fs))));
+    return;
+  case Opc::CEq:
+    FpCond = Dbl ? getD(Fs) == getD(Ft) : getS(Fs) == getS(Ft);
+    return;
+  case Opc::CLt:
+    FpCond = Dbl ? getD(Fs) < getD(Ft) : getS(Fs) < getS(Ft);
+    return;
+  case Opc::CLe:
+    FpCond = Dbl ? getD(Fs) <= getD(Ft) : getS(Fs) <= getS(Ft);
+    return;
 
-  case 0x20: // lb
+  case Opc::Lb:
     W(Rt, loadMem(R[Rs] + uint32_t(Imm), 1, true));
     LastLoadReg = int(Rt);
     return;
-  case 0x21: // lh
+  case Opc::Lh:
     W(Rt, loadMem(R[Rs] + uint32_t(Imm), 2, true));
     LastLoadReg = int(Rt);
     return;
-  case 0x23: // lw
+  case Opc::Lw:
     W(Rt, loadMem(R[Rs] + uint32_t(Imm), 4, false));
     LastLoadReg = int(Rt);
     return;
-  case 0x24: // lbu
+  case Opc::Lbu:
     W(Rt, loadMem(R[Rs] + uint32_t(Imm), 1, false));
     LastLoadReg = int(Rt);
     return;
-  case 0x25: // lhu
+  case Opc::Lhu:
     W(Rt, loadMem(R[Rs] + uint32_t(Imm), 2, false));
     LastLoadReg = int(Rt);
     return;
-  case 0x28: // sb
+  case Opc::Sb:
     storeMem(R[Rs] + uint32_t(Imm), 1, R[Rt]);
     return;
-  case 0x29: // sh
+  case Opc::Sh:
     storeMem(R[Rs] + uint32_t(Imm), 2, R[Rt]);
     return;
-  case 0x2b: // sw
+  case Opc::Sw:
     storeMem(R[Rs] + uint32_t(Imm), 4, R[Rt]);
     return;
-  case 0x31: // lwc1
+  case Opc::Lwc1:
     FPR[Rt] = loadMem(R[Rs] + uint32_t(Imm), 4, false);
     return;
-  case 0x35: { // ldc1
+  case Opc::Ldc1: {
     SimAddr A = R[Rs] + uint32_t(Imm);
     FPR[Rt] = loadMem(A, 4, false);
     FPR[Rt + 1] = loadMem(A + 4, 4, false);
     return;
   }
-  case 0x39: // swc1
+  case Opc::Swc1:
     storeMem(R[Rs] + uint32_t(Imm), 4, FPR[Rt]);
     return;
-  case 0x3d: { // sdc1
+  case Opc::Sdc1: {
     SimAddr A = R[Rs] + uint32_t(Imm);
     storeMem(A, 4, FPR[Rt]);
     storeMem(A + 4, 4, FPR[Rt + 1]);
     return;
   }
+  case Opc::Invalid:
+    break;
   }
-  fatalKind(CgErrKind::SimFault,
-      "mips sim: unknown opcode 0x%x at 0x%llx", Op,
-        (unsigned long long)InstrPC);
+  mips::InvalidField Bad = mips::invalidField(I);
+  fatalKind(CgErrKind::SimFault, "mips sim: unknown %s 0x%x at 0x%llx",
+            Bad.What, Bad.Value, (unsigned long long)InstrPC);
 }
 
 void MipsSim::exportState(ArchState &S) const {

@@ -24,11 +24,14 @@
 #include "StreamGen.h"
 #include "TestUtil.h"
 #include "ash/Ash.h"
+#include "dbt/MipsRegion.h"
 #include "dbt/MipsTranslatingCpu.h"
 #include "dpf/Engines.h"
+#include "mips/MipsDecode.h"
 #include "mips/MipsTarget.h"
 #include "support/Rng.h"
 #include <atomic>
+#include <cstdio>
 #include <gtest/gtest.h>
 #include <thread>
 
@@ -300,6 +303,130 @@ TEST(DbtTest, GuestRegenerationInvalidatesTranslations) {
   ASSERT_TRUE(G.isValid());
   EXPECT_EQ(Dbt.call(G.Entry, {}, Type::I).asInt32(), 333);
   EXPECT_EQ(Dbt.call(F2.Entry, {}, Type::I).asInt32(), 222);
+}
+
+/// Unwinds every fatal as a CgAbort so a test can read the diagnostic.
+struct ThrowingHandler : ErrorHandler {
+  [[noreturn]] void handle(const CgError &E) override { throw CgAbort(E); }
+};
+
+/// mips::decode is the interpreter's own dispatch, and block discovery and
+/// the translator trust it. This pins the contract down against the
+/// interpreter itself: a word decodes to Opc::Invalid exactly when the
+/// interpreter rejects it as an unknown instruction, and every word
+/// isMipsTranslatable accepts executes without a fault. The sweep covers
+/// every primary opcode, SPECIAL funct, REGIMM rt, and COP1 sub x funct,
+/// each once with ordinary register fields (base registers point at
+/// 8-byte-aligned data, the immediate is 8) and once with 31 in rt, rd
+/// and sa -- the double-precision FPR-pair edge. The interpreter's
+/// unknown-instruction diagnostics keep their exact text.
+TEST(MipsDecodeTest, InvalidExactlyWhenInterpreterRejects) {
+  using mips::Opc;
+  sim::Memory Mem(4 << 20);
+  sim::MipsSim Sim(Mem);
+  SimAddr Code = Mem.alloc(8, 8);
+  SimAddr Data = Mem.alloc(256, 8) + 64;
+  Mem.write<uint32_t>(Code + 4, 0); // delay slot: nop
+  ThrowingHandler H;
+  ErrorHandlerScope Scope(H);
+
+  unsigned Executed = 0, Rejected = 0;
+  auto Check = [&](uint32_t Op, uint32_t Rs, uint32_t Low21, bool Edge) {
+    uint32_t W = (Op << 26) | (Rs << 21) |
+                 (Edge ? (31u << 16) | (31u << 11) | (31u << 6) | (Low21 & 63)
+                       : Low21);
+    SCOPED_TRACE(::testing::Message() << "word 0x" << std::hex << W);
+    mips::Insn D = mips::decode(W);
+    bool Xlat = dbt::isMipsTranslatable(D);
+    // A double-precision operand at f31 makes the interpreter index its
+    // register file one past the end (FPR[32]): the DBT must decline
+    // these words, and they are not executed here.
+    bool PairAt31 =
+        Edge && ((mips::isDouble(D) &&
+                  mips::info(D.Op).Where == mips::Group::Cop1Fn) ||
+                 D.Op == Opc::Ldc1 || D.Op == Opc::Sdc1 ||
+                 D.Op == Opc::CvtD);
+    if (PairAt31) {
+      EXPECT_FALSE(Xlat) << mips::info(D.Op).Mnemonic;
+      return;
+    }
+    sim::MipsSim::ArchState S = {};
+    for (unsigned I = 1; I < 32; ++I)
+      S.R[I] = uint32_t(Data);
+    for (unsigned I = 0; I < 32; ++I)
+      S.FPR[I] = 0x3f800000u + (I << 16); // small positive floats
+    Sim.importState(S);
+    Sim.seedRun(0);
+    Mem.write<uint32_t>(Code, W);
+    std::string Fault;
+    try {
+      Sim.stepUnit(Code);
+    } catch (const CgAbort &E) {
+      Fault = E.error().Detail;
+    }
+    ++Executed;
+    bool Unknown = Fault.rfind("mips sim: unknown ", 0) == 0;
+    Rejected += Unknown;
+    EXPECT_EQ(D.Op == Opc::Invalid, Unknown) << Fault;
+    if (Xlat) {
+      EXPECT_EQ(Fault, "") << mips::info(D.Op).Mnemonic;
+    }
+    // The only valid words the DBT declines without an f31 operand:
+    // cvt.s/cvt.d from a format the interpreter rejects.
+    if (!Xlat && D.Op != Opc::Invalid) {
+      EXPECT_TRUE((D.Op == Opc::CvtS || D.Op == Opc::CvtD) &&
+                  Fault.find(" from fmt ") != std::string::npos)
+          << mips::info(D.Op).Mnemonic << ": " << Fault;
+    }
+  };
+
+  for (bool Edge : {false, true}) {
+    const uint32_t Imm = 8, Rs = 9, Fields = (10u << 16) | (12u << 11) |
+                                           (4u << 6);
+    for (uint32_t Op = 0; Op < 64; ++Op)
+      if (Op != 0x00 && Op != 0x01 && Op != 0x11)
+        Check(Op, Rs, (10u << 16) | Imm, Edge);
+    for (uint32_t Fn = 0; Fn < 64; ++Fn)
+      Check(0x00, Rs, Fields | Fn, Edge);
+    for (uint32_t Rt = 0; Rt < 32; ++Rt)
+      Check(0x01, Rs, (Rt << 16) | Imm, false);
+    for (uint32_t Sub = 0; Sub < 32; ++Sub)
+      for (uint32_t Fn = 0; Fn < 64; ++Fn)
+        Check(0x11, Sub, Fields | Fn, Edge);
+  }
+  EXPECT_GT(Executed, 4000u);
+  EXPECT_GT(Rejected, 1000u);
+
+  // The three unknown-instruction diagnostics, verbatim.
+  auto FaultOf = [&](uint32_t W) {
+    Mem.write<uint32_t>(Code, W);
+    try {
+      Sim.stepUnit(Code);
+    } catch (const CgAbort &E) {
+      return std::string(E.error().Detail);
+    }
+    return std::string();
+  };
+  auto Diag = [&](const char *What, unsigned V) {
+    char Buf[96];
+    std::snprintf(Buf, sizeof(Buf), "mips sim: unknown %s 0x%x at 0x%llx",
+                  What, V, (unsigned long long)Code);
+    return std::string(Buf);
+  };
+  EXPECT_EQ(FaultOf(0x00000001u), Diag("SPECIAL funct", 0x1));
+  EXPECT_EQ(FaultOf(0x4600003fu), Diag("COP1 funct", 0x3f));
+  EXPECT_EQ(FaultOf(0xfc000000u), Diag("opcode", 0x3f));
+}
+
+/// Every Opc is reachable: the word built from its table row's group and
+/// selector decodes back to it (no two rows claim one encoding).
+TEST(MipsDecodeTest, RepresentativeWordsRoundTrip) {
+  for (unsigned I = 0; I < mips::NumOpcs; ++I) {
+    mips::Opc Op = mips::Opc(I);
+    uint32_t W = mipsRepresentativeWord(Op);
+    EXPECT_EQ(mips::decode(W).Op, Op)
+        << mips::info(Op).Mnemonic << " 0x" << std::hex << W;
+  }
 }
 
 TEST(DbtTest, ConcurrentTranslationSharedEngine) {

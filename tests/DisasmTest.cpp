@@ -4,7 +4,8 @@
 //
 // The §6.2 debugger support: every word a backend emits must disassemble
 // to something symbolic (no .word fallbacks) for representative functions,
-// and known instructions must print their documented mnemonics.
+// and known instructions must print their documented mnemonics. The MIPS
+// decode table is also checked against llvm-mc, an independent decoder.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,8 @@
 #include "core/Debug.h"
 #include "mips/MipsEncoding.h"
 #include "sparc/SparcEncoding.h"
+#include <cstdio>
+#include <cstdlib>
 #include <gtest/gtest.h>
 
 using namespace vcode;
@@ -42,6 +45,101 @@ TEST(DisasmKnownWords, Mips) {
   // Branch targets print absolute: beq at pc 0x1000 with disp +3 words.
   EXPECT_EQ(T.disassemble(mips::beq(mips::T0, mips::T1, 3), 0x1000),
             "beq     t0, t1, 0x1010");
+  // Words the interpreter executes but the backend never emits.
+  EXPECT_EQ(T.disassemble(mips::blez(mips::T0, -1), 0x1000),
+            "blez    t0, 0x1000");
+  EXPECT_EQ(T.disassemble(mips::bgtz(mips::A0, 2), 0x1000),
+            "bgtz    a0, 0x100c");
+  EXPECT_EQ(T.disassemble(mips::iType(0x08, mips::A0, mips::V0, -5), 0),
+            "addi    v0, a0, -5");
+  EXPECT_EQ(T.disassemble(mips::rType(0x20, mips::A0, mips::A1, mips::V0), 0),
+            "add     v0, a0, a1");
+  EXPECT_EQ(T.disassemble(mips::rType(0x22, mips::A0, mips::A1, mips::V0), 0),
+            "sub     v0, a0, a1");
+  EXPECT_EQ(T.disassemble(mips::rType(0x11, mips::T2, 0, 0), 0),
+            "mthi    t2");
+  EXPECT_EQ(T.disassemble(mips::rType(0x13, mips::T3, 0, 0), 0),
+            "mtlo    t3");
+  // Only words the interpreter rejects print as data.
+  EXPECT_EQ(T.disassemble(0xfc000000u, 0), ".word   0xfc000000");
+}
+
+/// Every instruction the decoder knows -- which is every instruction the
+/// interpreter executes -- disassembles symbolically.
+TEST(DisasmKnownWords, MipsEveryOpcIsSymbolic) {
+  mips::MipsTarget T;
+  for (unsigned I = 1; I < mips::NumOpcs; ++I) {
+    uint32_t W = mipsRepresentativeWord(mips::Opc(I));
+    std::string Text = T.disassemble(W, 0x1000);
+    EXPECT_EQ(Text.find(".word"), std::string::npos)
+        << mips::info(mips::Opc(I)).Mnemonic << ": " << Text;
+  }
+}
+
+/// First whitespace-delimited token of \p S ("" when none).
+std::string firstToken(const std::string &S) {
+  size_t B = S.find_first_not_of(" \t");
+  if (B == std::string::npos)
+    return "";
+  return S.substr(B, S.find_first_of(" \t\n", B) - B);
+}
+
+/// Mnemonic llvm-mc prints for little-endian MIPS word \p W at ISA level
+/// \p Cpu, or "" when it rejects the encoding.
+std::string llvmMcMnemonic(uint32_t W, const char *Cpu) {
+  char Cmd[192];
+  std::snprintf(Cmd, sizeof(Cmd),
+                "echo '0x%02x 0x%02x 0x%02x 0x%02x' | llvm-mc --disassemble "
+                "-triple=mipsel -mcpu=%s 2>/dev/null",
+                W & 0xff, (W >> 8) & 0xff, (W >> 16) & 0xff, W >> 24, Cpu);
+  FILE *P = popen(Cmd, "r");
+  if (!P)
+    return "";
+  std::string Mn;
+  char Line[256];
+  while (std::fgets(Line, sizeof(Line), P)) {
+    std::string Tok = firstToken(Line);
+    if (!Tok.empty() && Tok[0] != '.') // skip ".text"
+      Mn = Tok;
+  }
+  pclose(P);
+  return Mn;
+}
+
+/// An independent oracle for the decode table: llvm-mc's MIPS disassembler
+/// must name the same instruction (first token; operand syntax differs)
+/// for the representative word of every Opc. Skips when llvm-mc is not
+/// installed.
+TEST(DisasmOracle, MipsMnemonicsMatchLlvmMc) {
+  if (std::system("command -v llvm-mc >/dev/null 2>&1") != 0)
+    GTEST_SKIP() << "llvm-mc not installed";
+  mips::MipsTarget T;
+  // MIPS II instructions the backend emits: llvm-mc rejects them under
+  // -mcpu=mips1, so they are checked at mips2.
+  auto IsMips2 = [](mips::Opc Op) {
+    return Op == mips::Opc::SqrtF || Op == mips::Opc::TruncW ||
+           Op == mips::Opc::Ldc1 || Op == mips::Opc::Sdc1;
+  };
+  for (unsigned I = 1; I < mips::NumOpcs; ++I) {
+    mips::Opc Op = mips::Opc(I);
+    uint32_t W = mipsRepresentativeWord(Op);
+    EXPECT_EQ(firstToken(T.disassemble(W, 0x1000)),
+              llvmMcMnemonic(W, IsMips2(Op) ? "mips2" : "mips1"))
+        << "0x" << std::hex << W;
+  }
+  // Documented aliases: the all-zero word (sll zero, zero, 0) is nop in
+  // both.
+  EXPECT_EQ(firstToken(T.disassemble(0, 0)), "nop");
+  EXPECT_EQ(llvmMcMnemonic(0, "mips1"), "nop");
+  // Interpreter quirk: every REGIMM rt other than 0 executes (and prints)
+  // as bgez. The architecture defines rt = 16/17 as bltzal/bgezal, which
+  // the backend never emits, and leaves the rest unassigned.
+  uint32_t Bltzal = mips::bgez(mips::A0, 2) ^ (1u << 16) ^ (16u << 16);
+  EXPECT_EQ(firstToken(T.disassemble(Bltzal, 0)), "bgez");
+  EXPECT_EQ(llvmMcMnemonic(Bltzal, "mips1"), "bltzal");
+  uint32_t Rt2 = mips::bgez(mips::A0, 2) ^ (1u << 16) ^ (2u << 16);
+  EXPECT_EQ(firstToken(T.disassemble(Rt2, 0)), "bgez");
+  EXPECT_EQ(llvmMcMnemonic(Rt2, "mips1"), "");
 }
 
 TEST(DisasmKnownWords, Sparc) {

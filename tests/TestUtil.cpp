@@ -393,3 +393,40 @@ std::vector<uint64_t> vcode::test::operandValues(Type Ty, unsigned WordBytes,
     Out.push_back(canonicalize(Ty, R.next(), WordBytes));
   return Out;
 }
+
+uint32_t vcode::test::mipsRepresentativeWord(mips::Opc Op) {
+  using mips::Group;
+  const mips::OpcInfo &I = mips::info(Op);
+  const uint32_t Cop1 = 0x11u << 26, Rs = 4u << 21, Rt = 2u << 16,
+                 Imm = 8;
+  if (Op == mips::Opc::Invalid)
+    return 0x3fu << 26;
+  switch (I.Where) {
+  case Group::Primary:
+    return (uint32_t(I.Selector) << 26) |
+           (I.Operands == mips::Form::RtUImm ? 0 : Rs) |
+           (I.Operands == mips::Form::RsOff ? 0 : Rt) | Imm;
+  case Group::Special: { // rd = a1, shift amount 3; unused fields zero
+    using mips::Form;
+    Form F = I.Operands;
+    bool UsesRt = F == Form::RdRsRt || F == Form::RdRtSa ||
+                  F == Form::RdRtRs || F == Form::RsRt;
+    bool UsesRs = F != Form::RdRtSa && F != Form::Rd;
+    bool UsesRd = F != Form::Rs && F != Form::RsRt;
+    return (UsesRs ? Rs : 0) | (UsesRt ? Rt : 0) | (UsesRd ? 5u << 11 : 0) |
+           (F == Form::RdRtSa ? 3u << 6 : 0) | I.Selector;
+  }
+  case Group::Regimm:
+    return (1u << 26) | Rs | (uint32_t(I.Selector) << 16) | Imm;
+  case Group::Cop1Sub: // mfc1/mtc1 v0, f4
+    return Cop1 | (uint32_t(I.Selector) << 21) | Rt | (4u << 11);
+  case Group::Bc1:
+    return Cop1 | (8u << 21) | (uint32_t(I.Selector) << 16) | Imm;
+  case Group::Cop1Fn: { // fmt, ft = f4 (0 for one-source ops), fs = f2
+    uint32_t Fmt = Op == mips::Opc::CvtS ? 17 : 16;
+    uint32_t Ft = I.Operands == mips::Form::FdFs ? 0 : 4u << 16;
+    return Cop1 | (Fmt << 21) | Ft | (2u << 11) | I.Selector;
+  }
+  }
+  return 0;
+}

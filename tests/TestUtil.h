@@ -18,6 +18,7 @@
 #define VCODE_TESTS_TESTUTIL_H
 
 #include "core/VCode.h"
+#include "mips/MipsDecode.h"
 #include "sim/Cpu.h"
 #include "sim/Memory.h"
 #include <gtest/gtest.h>
@@ -97,6 +98,14 @@ uint64_t refCvt(Type From, Type To, uint64_t A, unsigned WordBytes);
 /// pseudo-random ones up to \p Total.
 std::vector<uint64_t> operandValues(Type Ty, unsigned WordBytes,
                                     unsigned Total, uint64_t Seed);
+
+/// One MIPS word per mips::Opc, built from its decode-table group and
+/// selector with fixed fields: rs = a0, rt = v0, rd = a1, shift 3,
+/// immediate 8, and zero in the fields the instruction does not use; COP1 arithmetic has ft/fs/fd = f4/f2/f0 (ft = f0 for
+/// one-source operations) in single precision (double for cvt.s, which
+/// rejects single). Opc::Invalid
+/// yields the unassigned primary opcode 0x3f.
+uint32_t mipsRepresentativeWord(mips::Opc Op);
 
 } // namespace test
 } // namespace vcode
