@@ -4,9 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "alpha/AlphaDisasm.h"
-#include "alpha/AlphaEncoding.h"
-#include "support/BitUtils.h"
+#include "alpha/AlphaDecode.h"
+#include "profile/Disasm.h"
+#include "support/Error.h"
 #include <cstdarg>
 #include <cstdio>
 
@@ -30,213 +30,45 @@ std::string fmt(const char *Format, ...) {
   return Buf;
 }
 
-std::string operandB(uint32_t I) {
-  if (I & (1u << 12))
-    return fmt("#%u", (I >> 13) & 0xff);
-  return RegName[(I >> 16) & 31];
-}
-
 } // namespace
 
 std::string vcode::alpha::disassemble(uint32_t I, SimAddr Pc) {
-  unsigned Op = I >> 26;
-  unsigned Ra = (I >> 21) & 31, Rb = (I >> 16) & 31;
-  int32_t D16 = signExtend32<16>(I & 0xffff);
-  int32_t D21 = signExtend32<21>(I & 0x1fffff);
-
   if (I == nop())
     return "nop";
 
-  auto MemI = [&](const char *N) {
-    return fmt("%-7s %s, %d(%s)", N, RegName[Ra], D16, RegName[Rb]);
-  };
-  auto MemF = [&](const char *N) {
-    return fmt("%-7s f%u, %d(%s)", N, Ra, D16, RegName[Rb]);
-  };
-  auto Br = [&](const char *N) {
-    return fmt("%-7s %s, 0x%llx", N, RegName[Ra],
-               (unsigned long long)(Pc + 4 + (int64_t(D21) << 2)));
-  };
-  auto FBr = [&](const char *N) {
-    return fmt("%-7s f%u, 0x%llx", N, Ra,
-               (unsigned long long)(Pc + 4 + (int64_t(D21) << 2)));
+  const Insn D = decode(I);
+  const char *N = info(D.Op).Mnemonic;
+  const char *Ra = RegName[D.Ra], *Rb = RegName[D.Rb];
+  auto Target = [&] {
+    return (unsigned long long)branchTarget(Pc, D);
   };
 
-  switch (Op) {
-  case 0x08:
-    return MemI("lda");
-  case 0x09:
-    return MemI("ldah");
-  case 0x0b:
-    return MemI("ldq_u");
-  case 0x0f:
-    return MemI("stq_u");
-  case 0x28:
-    return MemI("ldl");
-  case 0x29:
-    return MemI("ldq");
-  case 0x2c:
-    return MemI("stl");
-  case 0x2d:
-    return MemI("stq");
-  case 0x22:
-    return MemF("lds");
-  case 0x23:
-    return MemF("ldt");
-  case 0x26:
-    return MemF("sts");
-  case 0x27:
-    return MemF("stt");
-  case 0x30:
-    return Br("br");
-  case 0x34:
-    return Br("bsr");
-  case 0x39:
-    return Br("beq");
-  case 0x3d:
-    return Br("bne");
-  case 0x3a:
-    return Br("blt");
-  case 0x3b:
-    return Br("ble");
-  case 0x3f:
-    return Br("bgt");
-  case 0x3e:
-    return Br("bge");
-  case 0x31:
-    return FBr("fbeq");
-  case 0x35:
-    return FBr("fbne");
-  case 0x1a: {
-    unsigned Hint = (I >> 14) & 3;
-    const char *N = Hint == 0 ? "jmp" : (Hint == 1 ? "jsr" : "ret");
-    return fmt("%-7s %s, (%s)", N, RegName[Ra], RegName[Rb]);
+  switch (info(D.Op).Operands) {
+  case Form::None:
+    return fmt(".word   0x%08x", I);
+  case Form::MemI:
+    return fmt("%-7s %s, %d(%s)", N, Ra, D.Disp16, Rb);
+  case Form::MemF:
+    return fmt("%-7s f%u, %d(%s)", N, unsigned(D.Ra), D.Disp16, Rb);
+  case Form::Br:
+    return fmt("%-7s %s, 0x%llx", N, Ra, Target());
+  case Form::FBr:
+    return fmt("%-7s f%u, 0x%llx", N, unsigned(D.Ra), Target());
+  case Form::Jump:
+    return fmt("%-7s %s, (%s)", N, Ra, Rb);
+  case Form::Operate: {
+    std::string B = D.UseLit ? fmt("#%u", unsigned(D.Lit)) : Rb;
+    return fmt("%-7s %s, %s, %s", N, Ra, B.c_str(), RegName[D.Rc]);
   }
-  case 0x10:
-  case 0x11:
-  case 0x12:
-  case 0x13: {
-    unsigned Fn = (I >> 5) & 0x7f;
-    unsigned Rc = I & 31;
-    const char *N = nullptr;
-    if (Op == 0x10) {
-      switch (Fn) {
-      case 0x00: N = "addl"; break;
-      case 0x09: N = "subl"; break;
-      case 0x20: N = "addq"; break;
-      case 0x29: N = "subq"; break;
-      case 0x2d: N = "cmpeq"; break;
-      case 0x4d: N = "cmplt"; break;
-      case 0x6d: N = "cmple"; break;
-      case 0x1d: N = "cmpult"; break;
-      case 0x3d: N = "cmpule"; break;
-      }
-    } else if (Op == 0x11) {
-      switch (Fn) {
-      case 0x00: N = "and"; break;
-      case 0x20: N = "bis"; break;
-      case 0x40: N = "xor"; break;
-      case 0x28: N = "ornot"; break;
-      case 0x08: N = "bic"; break;
-      }
-    } else if (Op == 0x12) {
-      switch (Fn) {
-      case 0x39: N = "sll"; break;
-      case 0x34: N = "srl"; break;
-      case 0x3c: N = "sra"; break;
-      case 0x06: N = "extbl"; break;
-      case 0x16: N = "extwl"; break;
-      case 0x0b: N = "insbl"; break;
-      case 0x1b: N = "inswl"; break;
-      case 0x02: N = "mskbl"; break;
-      case 0x12: N = "mskwl"; break;
-      case 0x31: N = "zapnot"; break;
-      case 0x30: N = "zap"; break;
-      }
-    } else {
-      switch (Fn) {
-      case 0x00: N = "mull"; break;
-      case 0x20: N = "mulq"; break;
-      case 0x30: N = "umulh"; break;
-      }
-    }
-    if (!N)
-      break;
-    return fmt("%-7s %s, %s, %s", N, RegName[Ra], operandB(I).c_str(),
-               RegName[Rc]);
+  case Form::Fp2:
+    return fmt("%-7s f%u, f%u", N, unsigned(D.Rb), unsigned(D.Rc));
+  case Form::Fp3:
+    return fmt("%-7s f%u, f%u, f%u", N, unsigned(D.Ra), unsigned(D.Rb),
+               unsigned(D.Rc));
   }
-  case 0x14: {
-    unsigned Fn = (I >> 5) & 0x7ff;
-    unsigned Fc = I & 31;
-    if (Fn == 0x08b)
-      return fmt("%-7s f%u, f%u", "sqrts", Rb, Fc);
-    if (Fn == 0x0ab)
-      return fmt("%-7s f%u, f%u", "sqrtt", Rb, Fc);
-    break;
-  }
-  case 0x16: {
-    unsigned Fn = (I >> 5) & 0x7ff;
-    unsigned Fc = I & 31;
-    const char *N = nullptr;
-    bool Two = false;
-    switch (Fn) {
-    case ADDS: N = "adds"; break;
-    case ADDT: N = "addt"; break;
-    case SUBS: N = "subs"; break;
-    case SUBT: N = "subt"; break;
-    case MULS: N = "muls"; break;
-    case MULT: N = "mult"; break;
-    case DIVS: N = "divs"; break;
-    case DIVT: N = "divt"; break;
-    case CMPTEQ: N = "cmpteq"; break;
-    case CMPTLT: N = "cmptlt"; break;
-    case CMPTLE: N = "cmptle"; break;
-    case CVTQS: N = "cvtqs"; Two = true; break;
-    case CVTQT: N = "cvtqt"; Two = true; break;
-    case CVTTQC: N = "cvttq/c"; Two = true; break;
-    case CVTTS: N = "cvtts"; Two = true; break;
-    }
-    if (!N)
-      break;
-    if (Two)
-      return fmt("%-7s f%u, f%u", N, Rb, Fc);
-    return fmt("%-7s f%u, f%u, f%u", N, Ra, Rb, Fc);
-  }
-  case 0x17: {
-    unsigned Fn = (I >> 5) & 0x7ff;
-    unsigned Fc = I & 31;
-    if (Fn == 0x020)
-      return fmt("%-7s f%u, f%u, f%u", "cpys", Ra, Rb, Fc);
-    if (Fn == 0x021)
-      return fmt("%-7s f%u, f%u, f%u", "cpysn", Ra, Rb, Fc);
-    break;
-  }
-  }
-  return fmt(".word   0x%08x", I);
+  unreachable("bad Alpha operand form");
 }
 
-// --- profile/Disasm registration --------------------------------------------
-// A static registrar publishes this disassembler under the target's name so
-// --dump-code resolves it whenever the backend is linked in. Code words are
-// stored little-endian in the code buffer's host memory.
-
-#include "profile/Disasm.h"
-
-namespace {
-
-size_t decodeAlphaWord(const uint8_t *P, size_t Avail, uint64_t Pc,
-                       std::string &Out) {
-  if (Avail < 4)
-    return 0;
-  uint32_t W = uint32_t(P[0]) | (uint32_t(P[1]) << 8) |
-               (uint32_t(P[2]) << 16) | (uint32_t(P[3]) << 24);
-  Out += alpha::disassemble(W, SimAddr(Pc));
-  return 4;
-}
-
-const bool RegisteredAlphaDisasm = [] {
-  profile::registerDisassembler("alpha", &decodeAlphaWord);
-  return true;
-}();
-
-} // namespace
+// --dump-code finds this disassembler whenever the backend is linked in.
+[[maybe_unused]] static const bool Registered = profile::registerDisassembler(
+    "alpha", &profile::decodeWord32<alpha::disassemble>);

@@ -10,7 +10,7 @@
 
 #include "alpha/AlphaTarget.h"
 #include "support/Telemetry.h"
-#include "alpha/AlphaDisasm.h"
+#include "alpha/AlphaDecode.h"
 
 using namespace vcode;
 using namespace vcode::alpha;

@@ -25,6 +25,7 @@
 #include "core/CodeBuffer.h"
 #include <array>
 #include <cstdint>
+#include <string>
 
 namespace vcode {
 namespace mips {
@@ -262,6 +263,12 @@ inline InvalidField invalidField(uint32_t W) {
     return {"opcode", W >> 26};
   }
 }
+
+/// Disassembles one instruction word fetched from address \p Pc: the
+/// paper's §6.2 symbolic-debugger support, a lookup in the table above plus
+/// one operand formatter per Form. Pc-relative targets print absolute, and
+/// only Invalid words print as .word.
+std::string disassemble(uint32_t Word, SimAddr Pc);
 
 } // namespace mips
 } // namespace vcode

@@ -4,8 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "mips/MipsDisasm.h"
 #include "mips/MipsDecode.h"
+#include "profile/Disasm.h"
 #include "support/Error.h"
 #include <cstdarg>
 #include <cstdio>
@@ -94,28 +94,6 @@ std::string vcode::mips::disassemble(uint32_t I, SimAddr Pc) {
   unreachable("bad MIPS operand form");
 }
 
-// --- profile/Disasm registration --------------------------------------------
-// A static registrar publishes this disassembler under the target's name so
-// --dump-code resolves it whenever the backend is linked in. Code words are
-// stored little-endian in the code buffer's host memory.
-
-#include "profile/Disasm.h"
-
-namespace {
-
-size_t decodeMipsWord(const uint8_t *P, size_t Avail, uint64_t Pc,
-                      std::string &Out) {
-  if (Avail < 4)
-    return 0;
-  uint32_t W = uint32_t(P[0]) | (uint32_t(P[1]) << 8) |
-               (uint32_t(P[2]) << 16) | (uint32_t(P[3]) << 24);
-  Out += mips::disassemble(W, SimAddr(Pc));
-  return 4;
-}
-
-const bool RegisteredMipsDisasm = [] {
-  profile::registerDisassembler("mips", &decodeMipsWord);
-  return true;
-}();
-
-} // namespace
+// --dump-code finds this disassembler whenever the backend is linked in.
+[[maybe_unused]] static const bool Registered = profile::registerDisassembler(
+    "mips", &profile::decodeWord32<mips::disassemble>);

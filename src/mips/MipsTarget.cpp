@@ -10,7 +10,7 @@
 
 #include "mips/MipsTarget.h"
 #include "support/Telemetry.h"
-#include "mips/MipsDisasm.h"
+#include "mips/MipsDecode.h"
 
 using namespace vcode;
 using namespace vcode::mips;

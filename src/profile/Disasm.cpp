@@ -34,15 +34,16 @@ bool undecodableText(const char *Text) {
 
 } // namespace
 
-void registerDisassembler(const char *Target, DisasmFn Fn) {
+bool registerDisassembler(const char *Target, DisasmFn Fn) {
   Registry &R = Registry::get();
   std::lock_guard<std::mutex> L(R.M);
   for (auto &KV : R.Fns)
     if (std::strcmp(KV.first, Target) == 0) {
       KV.second = Fn;
-      return;
+      return true;
     }
   R.Fns.emplace_back(Target, Fn);
+  return true;
 }
 
 DisasmFn findDisassembler(const char *Target) {

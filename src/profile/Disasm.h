@@ -8,9 +8,10 @@
 /// --dump-code needs to disassemble whatever target a CodeEntry was
 /// generated for, but profile/ sits below the backends in the link
 /// order. Each backend therefore registers a byte-level disassembler
-/// here from a static initializer (word targets wrap their existing
-/// MipsDisasm/SparcDisasm/AlphaDisasm; x64 registers X64Disasm), and
-/// dumpEntry() resolves by the entry's Target name at dump time.
+/// here from a static initializer (word targets register their
+/// MipsDisasm/SparcDisasm/AlphaDisasm through decodeWord32; x64 registers
+/// X64Disasm), and dumpEntry() resolves by the entry's Target name at
+/// dump time.
 ///
 /// The registry itself is available in all builds (a disassembler is
 /// not profiler code), but dumpEntry only has bytes to chew on when the
@@ -39,9 +40,24 @@ namespace profile {
 using DisasmFn = size_t (*)(const uint8_t *P, size_t Avail, uint64_t Pc,
                             std::string &Out);
 
+/// DisasmFn for a fixed-width target: reads one 32-bit word, stored
+/// little-endian like every word in a code buffer, and appends
+/// \p Disassemble's text for it.
+template <std::string (*Disassemble)(uint32_t Word, uint64_t Pc)>
+size_t decodeWord32(const uint8_t *P, size_t Avail, uint64_t Pc,
+                    std::string &Out) {
+  if (Avail < 4)
+    return 0;
+  Out += Disassemble(uint32_t(P[0]) | (uint32_t(P[1]) << 8) |
+                         (uint32_t(P[2]) << 16) | (uint32_t(P[3]) << 24),
+                     Pc);
+  return 4;
+}
+
 /// Registers the decoder for \p Target (a TargetInfo::Name string).
-/// Last registration wins; safe to call from static initializers.
-void registerDisassembler(const char *Target, DisasmFn Fn);
+/// Last registration wins. Always returns true, so a backend can register
+/// from the initializer of a static variable.
+bool registerDisassembler(const char *Target, DisasmFn Fn);
 
 /// Decoder for \p Target, or nullptr if that backend is not linked in.
 DisasmFn findDisassembler(const char *Target);

@@ -5,10 +5,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "sim/AlphaSim.h"
-#include "alpha/AlphaEncoding.h"
+#include "alpha/AlphaDecode.h"
 #include "alpha/AlphaTarget.h"
 #include "profile/Profiler.h"
-#include "support/BitUtils.h"
 #include <cmath>
 #include <cstring>
 
@@ -83,348 +82,288 @@ void AlphaSim::setT(unsigned N, double V) {
 
 void AlphaSim::step() {
   SimAddr InstrPC = PC;
-  uint32_t I = fetch(InstrPC);
+  const uint32_t I = fetch(InstrPC);
+  const Insn D = decode(I);
   PC += 4;
   ++Stats.Instrs;
   ++Stats.Cycles;
 
-  unsigned Op = I >> 26;
-  unsigned Ra = (I >> 21) & 31;
-  unsigned Rb = (I >> 16) & 31;
-  int32_t Disp16 = signExtend32<16>(I & 0xffff);
+  const unsigned Ra = D.Ra, Rb = D.Rb, Rc = D.Rc;
   auto W = [this](unsigned N, uint64_t V) {
     if (N != 31)
       R[N] = V;
   };
-  auto BranchTo = [&](int32_t Disp21) {
-    PC = InstrPC + 4 + (SimAddr(int64_t(Disp21)) << 2);
-  };
-  int32_t Disp21 = signExtend32<21>(I & 0x1fffff);
+  auto BranchTo = [&] { PC = branchTarget(InstrPC, D); };
+  // Operands, read only by the instructions that use them: reading them
+  // before the switch slows the interpreter (EXPERIMENTS E20).
+  auto Addr = [&] { return R[Rb] + uint64_t(int64_t(D.Disp16)); };
+  // Operate format: Ra op (literal or Rb) -> Rc.
+  auto A = [&] { return R[Ra]; };
+  auto B = [&] { return D.UseLit ? uint64_t(D.Lit) : R[Rb]; };
+  auto Sh = [&] { return unsigned(B() & 63); };
+  auto ByteIdx = [&] { return unsigned(B() & 7); };
 
-  switch (Op) {
-  case 0x08: // lda
-    W(Ra, R[Rb] + uint64_t(int64_t(Disp16)));
+  switch (D.Op) {
+  case Opc::Invalid:
+    fatalKind(CgErrKind::SimFault,
+              "alpha sim: unknown instruction 0x%08x at 0x%llx", I,
+              (unsigned long long)InstrPC);
+  case Opc::Lda:
+    W(Ra, Addr());
     return;
-  case 0x09: // ldah
-    W(Ra, R[Rb] + (uint64_t(int64_t(Disp16)) << 16));
+  case Opc::Ldah:
+    W(Ra, R[Rb] + (uint64_t(int64_t(D.Disp16)) << 16));
     return;
-  case 0x0b: // ldq_u
-    W(Ra, loadMem((R[Rb] + uint64_t(int64_t(Disp16))) & ~SimAddr(7), 8));
+  case Opc::LdqU:
+    W(Ra, loadMem(Addr() & ~SimAddr(7), 8));
     return;
-  case 0x0f: // stq_u
-    storeMem((R[Rb] + uint64_t(int64_t(Disp16))) & ~SimAddr(7), 8, R[Ra]);
+  case Opc::StqU:
+    storeMem(Addr() & ~SimAddr(7), 8, R[Ra]);
     return;
-  case 0x28: // ldl
-    W(Ra, uint64_t(int64_t(int32_t(
-              loadMem(R[Rb] + uint64_t(int64_t(Disp16)), 4)))));
+  case Opc::Ldl:
+    W(Ra, uint64_t(int64_t(int32_t(loadMem(Addr(), 4)))));
     return;
-  case 0x29: // ldq
-    W(Ra, loadMem(R[Rb] + uint64_t(int64_t(Disp16)), 8));
+  case Opc::Ldq:
+    W(Ra, loadMem(Addr(), 8));
     return;
-  case 0x2c: // stl
-    storeMem(R[Rb] + uint64_t(int64_t(Disp16)), 4, R[Ra]);
+  case Opc::Stl:
+    storeMem(Addr(), 4, R[Ra]);
     return;
-  case 0x2d: // stq
-    storeMem(R[Rb] + uint64_t(int64_t(Disp16)), 8, R[Ra]);
+  case Opc::Stq:
+    storeMem(Addr(), 8, R[Ra]);
     return;
-  case 0x22: { // lds: S-format memory -> T-format register
-    uint32_t Bits = uint32_t(loadMem(R[Rb] + uint64_t(int64_t(Disp16)), 4));
+  case Opc::Lds: { // S-format memory -> T-format register
+    uint32_t Bits = uint32_t(loadMem(Addr(), 4));
     float Fv;
     std::memcpy(&Fv, &Bits, 4);
     setT(Ra, double(Fv));
     return;
   }
-  case 0x26: { // sts
+  case Opc::Sts: {
     float Fv = float(getT(Ra));
     uint32_t Bits;
     std::memcpy(&Bits, &Fv, 4);
-    storeMem(R[Rb] + uint64_t(int64_t(Disp16)), 4, Bits);
+    storeMem(Addr(), 4, Bits);
     return;
   }
-  case 0x23: // ldt
+  case Opc::Ldt:
     if (Ra != 31)
-      F[Ra] = loadMem(R[Rb] + uint64_t(int64_t(Disp16)), 8);
+      F[Ra] = loadMem(Addr(), 8);
     return;
-  case 0x27: // stt
-    storeMem(R[Rb] + uint64_t(int64_t(Disp16)), 8, F[Ra]);
+  case Opc::Stt:
+    storeMem(Addr(), 8, F[Ra]);
     return;
 
-  case 0x30: // br
-  case 0x34: // bsr
+  case Opc::Br:
+  case Opc::Bsr:
     W(Ra, InstrPC + 4);
-    BranchTo(Disp21);
+    BranchTo();
     return;
-  case 0x39:
+  case Opc::Beq:
     if (R[Ra] == 0)
-      BranchTo(Disp21);
+      BranchTo();
     return;
-  case 0x3d:
+  case Opc::Bne:
     if (R[Ra] != 0)
-      BranchTo(Disp21);
+      BranchTo();
     return;
-  case 0x3a:
+  case Opc::Blt:
     if (int64_t(R[Ra]) < 0)
-      BranchTo(Disp21);
+      BranchTo();
     return;
-  case 0x3b:
+  case Opc::Ble:
     if (int64_t(R[Ra]) <= 0)
-      BranchTo(Disp21);
+      BranchTo();
     return;
-  case 0x3f:
+  case Opc::Bgt:
     if (int64_t(R[Ra]) > 0)
-      BranchTo(Disp21);
+      BranchTo();
     return;
-  case 0x3e:
+  case Opc::Bge:
     if (int64_t(R[Ra]) >= 0)
-      BranchTo(Disp21);
+      BranchTo();
     return;
-  case 0x31: // fbeq (true for +0.0/-0.0)
+  case Opc::Fbeq: // true for +0.0/-0.0
     if ((F[Ra] << 1) == 0)
-      BranchTo(Disp21);
+      BranchTo();
     return;
-  case 0x35: // fbne
+  case Opc::Fbne:
     if ((F[Ra] << 1) != 0)
-      BranchTo(Disp21);
+      BranchTo();
     return;
 
-  case 0x1a: { // jmp/jsr/ret (read the target before linking: Ra may == Rb)
+  case Opc::Jmp:
+  case Opc::Jsr:
+  case Opc::Ret: { // read the target before linking: Ra may == Rb
     SimAddr Target = R[Rb] & ~SimAddr(3);
     W(Ra, InstrPC + 4);
     PC = Target;
     return;
   }
 
-  case 0x10:
-  case 0x11:
-  case 0x12:
-  case 0x13: {
-    unsigned Fn = (I >> 5) & 0x7f;
-    unsigned Rc = I & 31;
-    uint64_t A = R[Ra];
-    uint64_t B = (I & (1u << 12)) ? uint64_t((I >> 13) & 0xff) : R[Rb];
-    if (Op == 0x10) {
-      switch (Fn) {
-      case 0x00:
-        W(Rc, uint64_t(int64_t(int32_t(uint32_t(A) + uint32_t(B)))));
-        return;
-      case 0x09:
-        W(Rc, uint64_t(int64_t(int32_t(uint32_t(A) - uint32_t(B)))));
-        return;
-      case 0x20:
-        W(Rc, A + B);
-        return;
-      case 0x29:
-        W(Rc, A - B);
-        return;
-      case 0x2d:
-        W(Rc, A == B ? 1 : 0);
-        return;
-      case 0x4d:
-        W(Rc, int64_t(A) < int64_t(B) ? 1 : 0);
-        return;
-      case 0x6d:
-        W(Rc, int64_t(A) <= int64_t(B) ? 1 : 0);
-        return;
-      case 0x1d:
-        W(Rc, A < B ? 1 : 0);
-        return;
-      case 0x3d:
-        W(Rc, A <= B ? 1 : 0);
-        return;
-      }
-    } else if (Op == 0x11) {
-      switch (Fn) {
-      case 0x00:
-        W(Rc, A & B);
-        return;
-      case 0x20:
-        W(Rc, A | B);
-        return;
-      case 0x40:
-        W(Rc, A ^ B);
-        return;
-      case 0x28:
-        W(Rc, A | ~B);
-        return;
-      case 0x08: // bic
-        W(Rc, A & ~B);
-        return;
-      }
-    } else if (Op == 0x12) {
-      unsigned Sh = unsigned(B & 63);
-      unsigned ByteIdx = unsigned(B & 7);
-      switch (Fn) {
-      case 0x39:
-        W(Rc, A << Sh);
-        return;
-      case 0x34:
-        W(Rc, A >> Sh);
-        return;
-      case 0x3c:
-        W(Rc, uint64_t(int64_t(A) >> Sh));
-        return;
-      case 0x06: // extbl
-        W(Rc, (A >> (8 * ByteIdx)) & 0xff);
-        return;
-      case 0x16: // extwl
-        W(Rc, (A >> (8 * ByteIdx)) & 0xffff);
-        return;
-      case 0x0b: // insbl
-        W(Rc, (A & 0xff) << (8 * ByteIdx));
-        return;
-      case 0x1b: // inswl
-        W(Rc, (A & 0xffff) << (8 * ByteIdx));
-        return;
-      case 0x02: // mskbl
-        W(Rc, A & ~(uint64_t(0xff) << (8 * ByteIdx)));
-        return;
-      case 0x12: // mskwl
-        W(Rc, A & ~(uint64_t(0xffff) << (8 * ByteIdx)));
-        return;
-      case 0x31: { // zapnot
-        uint64_t Keep = 0;
-        for (unsigned K = 0; K < 8; ++K)
-          if (B & (1u << K))
-            Keep |= uint64_t(0xff) << (8 * K);
-        W(Rc, A & Keep);
-        return;
-      }
-      case 0x30: { // zap
-        uint64_t Kill = 0;
-        for (unsigned K = 0; K < 8; ++K)
-          if (B & (1u << K))
-            Kill |= uint64_t(0xff) << (8 * K);
-        W(Rc, A & ~Kill);
-        return;
-      }
-      }
-    } else { // 0x13
-      switch (Fn) {
-      case 0x00:
-        W(Rc, uint64_t(int64_t(int32_t(uint32_t(A) * uint32_t(B)))));
-        Stats.Cycles += Cfg.MulCycles;
-        return;
-      case 0x20:
-        W(Rc, A * B);
-        Stats.Cycles += Cfg.MulCycles;
-        return;
-      case 0x30: { // umulh
-        __uint128_t P = __uint128_t(A) * __uint128_t(B);
-        W(Rc, uint64_t(P >> 64));
-        Stats.Cycles += Cfg.MulCycles;
-        return;
-      }
-      }
-    }
-    fatalKind(CgErrKind::SimFault,
-        "alpha sim: unknown operate op=0x%x fn=0x%x at 0x%llx", Op, Fn,
-          (unsigned long long)InstrPC);
+  case Opc::Addl:
+    W(Rc, uint64_t(int64_t(int32_t(uint32_t(A()) + uint32_t(B())))));
+    return;
+  case Opc::Subl:
+    W(Rc, uint64_t(int64_t(int32_t(uint32_t(A()) - uint32_t(B())))));
+    return;
+  case Opc::Addq:
+    W(Rc, A() + B());
+    return;
+  case Opc::Subq:
+    W(Rc, A() - B());
+    return;
+  case Opc::Cmpeq:
+    W(Rc, A() == B() ? 1 : 0);
+    return;
+  case Opc::Cmplt:
+    W(Rc, int64_t(A()) < int64_t(B()) ? 1 : 0);
+    return;
+  case Opc::Cmple:
+    W(Rc, int64_t(A()) <= int64_t(B()) ? 1 : 0);
+    return;
+  case Opc::Cmpult:
+    W(Rc, A() < B() ? 1 : 0);
+    return;
+  case Opc::Cmpule:
+    W(Rc, A() <= B() ? 1 : 0);
+    return;
+  case Opc::And:
+    W(Rc, A() & B());
+    return;
+  case Opc::Bis:
+    W(Rc, A() | B());
+    return;
+  case Opc::Xor:
+    W(Rc, A() ^ B());
+    return;
+  case Opc::Ornot:
+    W(Rc, A() | ~B());
+    return;
+  case Opc::Bic:
+    W(Rc, A() & ~B());
+    return;
+  case Opc::Sll:
+    W(Rc, A() << Sh());
+    return;
+  case Opc::Srl:
+    W(Rc, A() >> Sh());
+    return;
+  case Opc::Sra:
+    W(Rc, uint64_t(int64_t(A()) >> Sh()));
+    return;
+  case Opc::Extbl:
+    W(Rc, (A() >> (8 * ByteIdx())) & 0xff);
+    return;
+  case Opc::Extwl:
+    W(Rc, (A() >> (8 * ByteIdx())) & 0xffff);
+    return;
+  case Opc::Insbl:
+    W(Rc, (A() & 0xff) << (8 * ByteIdx()));
+    return;
+  case Opc::Inswl:
+    W(Rc, (A() & 0xffff) << (8 * ByteIdx()));
+    return;
+  case Opc::Mskbl:
+    W(Rc, A() & ~(uint64_t(0xff) << (8 * ByteIdx())));
+    return;
+  case Opc::Mskwl:
+    W(Rc, A() & ~(uint64_t(0xffff) << (8 * ByteIdx())));
+    return;
+  case Opc::Zapnot:
+  case Opc::Zap: {
+    uint64_t Mask = 0;
+    for (unsigned K = 0; K < 8; ++K)
+      if (B() & (1u << K))
+        Mask |= uint64_t(0xff) << (8 * K);
+    W(Rc, D.Op == Opc::Zapnot ? A() & Mask : A() & ~Mask);
+    return;
   }
+  case Opc::Mull:
+    W(Rc, uint64_t(int64_t(int32_t(uint32_t(A()) * uint32_t(B())))));
+    Stats.Cycles += Cfg.MulCycles;
+    return;
+  case Opc::Mulq:
+    W(Rc, A() * B());
+    Stats.Cycles += Cfg.MulCycles;
+    return;
+  case Opc::Umulh:
+    W(Rc, uint64_t((__uint128_t(A()) * __uint128_t(B())) >> 64));
+    Stats.Cycles += Cfg.MulCycles;
+    return;
 
-  case 0x14: { // sqrts/sqrtt
-    unsigned Fn = (I >> 5) & 0x7ff;
-    unsigned Fc = I & 31;
-    if (Fn == 0x08b) {
-      setT(Fc, double(float(std::sqrt(getT(Rb)))));
-      Stats.Cycles += Cfg.FpDivCycles - 1;
-      return;
-    }
-    if (Fn == 0x0ab) {
-      setT(Fc, std::sqrt(getT(Rb)));
-      Stats.Cycles += Cfg.FpDivCycles - 1;
-      return;
-    }
-    fatalKind(CgErrKind::SimFault,
-        "alpha sim: unknown 0x14 fn 0x%x", Fn);
-  }
-
-  case 0x16: { // IEEE FP operate
-    unsigned Fn = (I >> 5) & 0x7ff;
-    unsigned Fc = I & 31;
-    double A = getT(Ra), B = getT(Rb);
-    switch (Fn) {
-    case ADDS:
-      setT(Fc, double(float(A) + float(B)));
-      Stats.Cycles += Cfg.FpAddCycles - 1;
-      return;
-    case ADDT:
-      setT(Fc, A + B);
-      Stats.Cycles += Cfg.FpAddCycles - 1;
-      return;
-    case SUBS:
-      setT(Fc, double(float(A) - float(B)));
-      Stats.Cycles += Cfg.FpAddCycles - 1;
-      return;
-    case SUBT:
-      setT(Fc, A - B);
-      Stats.Cycles += Cfg.FpAddCycles - 1;
-      return;
-    case MULS:
-      setT(Fc, double(float(A) * float(B)));
-      Stats.Cycles += Cfg.FpMulCycles - 1;
-      return;
-    case MULT:
-      setT(Fc, A * B);
-      Stats.Cycles += Cfg.FpMulCycles - 1;
-      return;
-    case DIVS:
-      setT(Fc, double(float(A) / float(B)));
-      Stats.Cycles += Cfg.FpDivCycles - 1;
-      return;
-    case DIVT:
-      setT(Fc, A / B);
-      Stats.Cycles += Cfg.FpDivCycles - 1;
-      return;
-    case CMPTEQ:
-      setT(Fc, A == B ? 2.0 : 0.0);
-      return;
-    case CMPTLT:
-      setT(Fc, A < B ? 2.0 : 0.0);
-      return;
-    case CMPTLE:
-      setT(Fc, A <= B ? 2.0 : 0.0);
-      return;
-    case CVTQS:
-      setT(Fc, double(float(int64_t(F[Rb]))));
-      return;
-    case CVTQT:
-      setT(Fc, double(int64_t(F[Rb])));
-      return;
-    case CVTTQC:
-      if (Fc != 31)
-        F[Fc] = uint64_t(int64_t(B));
-      return;
-    case CVTTS:
-      setT(Fc, double(float(B)));
-      return;
-    }
-    fatalKind(CgErrKind::SimFault,
-        "alpha sim: unknown FP fn 0x%x at 0x%llx", Fn,
-          (unsigned long long)InstrPC);
-  }
-
-  case 0x17: { // cpys/cpysn
-    unsigned Fn = (I >> 5) & 0x7ff;
-    unsigned Fc = I & 31;
+  case Opc::Sqrts:
+    setT(Rc, double(float(std::sqrt(getT(Rb)))));
+    Stats.Cycles += Cfg.FpDivCycles - 1;
+    return;
+  case Opc::Sqrtt:
+    setT(Rc, std::sqrt(getT(Rb)));
+    Stats.Cycles += Cfg.FpDivCycles - 1;
+    return;
+  case Opc::Adds:
+    setT(Rc, double(float(getT(Ra)) + float(getT(Rb))));
+    Stats.Cycles += Cfg.FpAddCycles - 1;
+    return;
+  case Opc::Addt:
+    setT(Rc, getT(Ra) + getT(Rb));
+    Stats.Cycles += Cfg.FpAddCycles - 1;
+    return;
+  case Opc::Subs:
+    setT(Rc, double(float(getT(Ra)) - float(getT(Rb))));
+    Stats.Cycles += Cfg.FpAddCycles - 1;
+    return;
+  case Opc::Subt:
+    setT(Rc, getT(Ra) - getT(Rb));
+    Stats.Cycles += Cfg.FpAddCycles - 1;
+    return;
+  case Opc::Muls:
+    setT(Rc, double(float(getT(Ra)) * float(getT(Rb))));
+    Stats.Cycles += Cfg.FpMulCycles - 1;
+    return;
+  case Opc::Mult:
+    setT(Rc, getT(Ra) * getT(Rb));
+    Stats.Cycles += Cfg.FpMulCycles - 1;
+    return;
+  case Opc::Divs:
+    setT(Rc, double(float(getT(Ra)) / float(getT(Rb))));
+    Stats.Cycles += Cfg.FpDivCycles - 1;
+    return;
+  case Opc::Divt:
+    setT(Rc, getT(Ra) / getT(Rb));
+    Stats.Cycles += Cfg.FpDivCycles - 1;
+    return;
+  case Opc::Cmpteq:
+    setT(Rc, getT(Ra) == getT(Rb) ? 2.0 : 0.0);
+    return;
+  case Opc::Cmptlt:
+    setT(Rc, getT(Ra) < getT(Rb) ? 2.0 : 0.0);
+    return;
+  case Opc::Cmptle:
+    setT(Rc, getT(Ra) <= getT(Rb) ? 2.0 : 0.0);
+    return;
+  case Opc::Cvtqs:
+    setT(Rc, double(float(int64_t(F[Rb]))));
+    return;
+  case Opc::Cvtqt:
+    setT(Rc, double(int64_t(F[Rb])));
+    return;
+  case Opc::Cvttqc:
+    if (Rc != 31)
+      F[Rc] = uint64_t(int64_t(getT(Rb)));
+    return;
+  case Opc::Cvtts:
+    setT(Rc, double(float(getT(Rb))));
+    return;
+  case Opc::Cpys:
+  case Opc::Cpysn: {
     constexpr uint64_t SignBit = uint64_t(1) << 63;
-    uint64_t SignA = F[Ra] & SignBit;
-    if (Fn == 0x020) {
-      if (Fc != 31)
-        F[Fc] = SignA | (F[Rb] & ~SignBit);
-      return;
-    }
-    if (Fn == 0x021) {
-      if (Fc != 31)
-        F[Fc] = (SignA ^ SignBit) | (F[Rb] & ~SignBit);
-      return;
-    }
-    fatalKind(CgErrKind::SimFault,
-        "alpha sim: unknown 0x17 fn 0x%x", Fn);
+    uint64_t Sign = (F[Ra] & SignBit) ^ (D.Op == Opc::Cpysn ? SignBit : 0);
+    if (Rc != 31)
+      F[Rc] = Sign | (F[Rb] & ~SignBit);
+    return;
   }
   }
-  fatalKind(CgErrKind::SimFault,
-      "alpha sim: unknown opcode 0x%x at 0x%llx", Op,
-        (unsigned long long)InstrPC);
+  unreachable("bad Alpha opcode");
 }
 
 TypedValue AlphaSim::callWithConv(const CallConv &CC, SimAddr Entry,

@@ -6,9 +6,8 @@
 
 #include "sim/SparcSim.h"
 #include "profile/Profiler.h"
-#include "sparc/SparcEncoding.h"
+#include "sparc/SparcDecode.h"
 #include "sparc/SparcTarget.h"
-#include "support/BitUtils.h"
 #include <cmath>
 #include <cstring>
 
@@ -198,276 +197,243 @@ void SparcSim::setD(unsigned F, double V) {
 
 void SparcSim::step() {
   SimAddr InstrPC = PC;
-  uint32_t I = fetch(InstrPC);
+  const uint32_t I = fetch(InstrPC);
+  const Insn D = decode(I);
   PC = NPC;
   NPC += 4;
   ++Stats.Instrs;
   ++Stats.Cycles;
 
-  unsigned Op = I >> 30;
-  unsigned Rd = (I >> 25) & 31;
+  const unsigned Rd = D.rd(), Fs1 = D.rs1(), Fs2 = D.rs2();
   auto W = [this](unsigned N, uint32_t V) {
     if (N)
       R[N] = V;
   };
+  // Format-3 operands, read only by the instructions that use them:
+  // reading them before the switch slows the interpreter (EXPERIMENTS E20).
+  auto A = [&] { return R[D.rs1()]; };
+  auto B = [&] { return D.useImm() ? uint32_t(D.simm13()) : R[D.rs2()]; };
+  auto Addr = [&] { return SimAddr(A() + B()); };
 
-  if (Op == 1) { // call
-    int32_t Disp = signExtend32<30>(I & 0x3fffffff);
+  switch (D.Op) {
+  case Opc::Invalid:
+    fatalKind(CgErrKind::SimFault,
+              "sparc sim: unknown instruction 0x%08x at 0x%llx", I,
+              (unsigned long long)InstrPC);
+  case Opc::Call:
     R[O7] = uint32_t(InstrPC);
-    NPC = InstrPC + (SimAddr(int64_t(Disp)) << 2);
+    NPC = branchTarget(InstrPC, D);
+    return;
+  case Opc::Sethi:
+    W(Rd, D.imm22() << 10);
+    return;
+  case Opc::Bicc:
+    if (iccHolds(D.cond()))
+      NPC = branchTarget(InstrPC, D);
+    return;
+  case Opc::FBfcc:
+    if (fccHolds(D.cond()))
+      NPC = branchTarget(InstrPC, D);
+    return;
+
+  case Opc::Add:
+    W(Rd, A() + B());
+    return;
+  case Opc::Sub:
+    W(Rd, A() - B());
+    return;
+  case Opc::Subcc:
+    setIccSub(A(), B());
+    W(Rd, A() - B());
+    return;
+  case Opc::And:
+    W(Rd, A() & B());
+    return;
+  case Opc::Or:
+    W(Rd, A() | B());
+    return;
+  case Opc::Xor:
+    W(Rd, A() ^ B());
+    return;
+  case Opc::Xnor:
+    W(Rd, ~(A() ^ B()));
+    return;
+  case Opc::Addx:
+    W(Rd, A() + B() + (IccC ? 1 : 0));
+    return;
+  case Opc::Umul: {
+    uint64_t P = uint64_t(A()) * uint64_t(B());
+    W(Rd, uint32_t(P));
+    Y = uint32_t(P >> 32);
+    Stats.Cycles += Cfg.MulCycles;
+    return;
+  }
+  case Opc::Smul: {
+    int64_t P = int64_t(int32_t(A())) * int64_t(int32_t(B()));
+    W(Rd, uint32_t(P));
+    Y = uint32_t(uint64_t(P) >> 32);
+    Stats.Cycles += Cfg.MulCycles;
+    return;
+  }
+  case Opc::Udiv: {
+    uint64_t Dividend = (uint64_t(Y) << 32) | A();
+    uint32_t Q = B() == 0 ? 0 : uint32_t(Dividend / B());
+    W(Rd, Q);
+    Stats.Cycles += Cfg.DivCycles;
+    return;
+  }
+  case Opc::Sdiv: {
+    int64_t Dividend = int64_t((uint64_t(Y) << 32) | A());
+    int32_t Divisor = int32_t(B());
+    uint32_t Q;
+    if (Divisor == 0)
+      Q = 0;
+    else if (Dividend == INT64_MIN && Divisor == -1)
+      Q = uint32_t(Dividend);
+    else
+      Q = uint32_t(int32_t(Dividend / Divisor));
+    W(Rd, Q);
+    Stats.Cycles += Cfg.DivCycles;
+    return;
+  }
+  case Opc::Sll:
+    W(Rd, A() << (B() & 31));
+    return;
+  case Opc::Srl:
+    W(Rd, A() >> (B() & 31));
+    return;
+  case Opc::Sra:
+    W(Rd, uint32_t(int32_t(A()) >> (B() & 31)));
+    return;
+  case Opc::RdY:
+    W(Rd, Y);
+    return;
+  case Opc::WrY:
+    Y = A() ^ B(); // wry: rs1 xor operand2 per the V8 spec
+    return;
+  case Opc::Jmpl: // the target first: rd may be rs1 or rs2
+    NPC = (A() + B()) & ~SimAddr(3);
+    W(Rd, uint32_t(InstrPC));
+    return;
+
+  case Opc::Fmovs:
+    FPR[Rd] = FPR[Fs2];
+    return;
+  case Opc::Fnegs:
+    FPR[Rd] = FPR[Fs2] ^ 0x80000000u;
+    return;
+  case Opc::Fabss:
+    FPR[Rd] = FPR[Fs2] & 0x7fffffffu;
+    return;
+  case Opc::Fsqrts:
+    setS(Rd, std::sqrt(getS(Fs2)));
+    Stats.Cycles += Cfg.FpDivCycles - 1;
+    return;
+  case Opc::Fsqrtd:
+    setD(Rd, std::sqrt(getD(Fs2)));
+    Stats.Cycles += Cfg.FpDivCycles - 1;
+    return;
+  case Opc::Fadds:
+    setS(Rd, getS(Fs1) + getS(Fs2));
+    Stats.Cycles += Cfg.FpAddCycles - 1;
+    return;
+  case Opc::Faddd:
+    setD(Rd, getD(Fs1) + getD(Fs2));
+    Stats.Cycles += Cfg.FpAddCycles - 1;
+    return;
+  case Opc::Fsubs:
+    setS(Rd, getS(Fs1) - getS(Fs2));
+    Stats.Cycles += Cfg.FpAddCycles - 1;
+    return;
+  case Opc::Fsubd:
+    setD(Rd, getD(Fs1) - getD(Fs2));
+    Stats.Cycles += Cfg.FpAddCycles - 1;
+    return;
+  case Opc::Fmuls:
+    setS(Rd, getS(Fs1) * getS(Fs2));
+    Stats.Cycles += Cfg.FpMulCycles - 1;
+    return;
+  case Opc::Fmuld:
+    setD(Rd, getD(Fs1) * getD(Fs2));
+    Stats.Cycles += Cfg.FpMulCycles - 1;
+    return;
+  case Opc::Fdivs:
+    setS(Rd, getS(Fs1) / getS(Fs2));
+    Stats.Cycles += Cfg.FpDivCycles - 1;
+    return;
+  case Opc::Fdivd:
+    setD(Rd, getD(Fs1) / getD(Fs2));
+    Stats.Cycles += Cfg.FpDivCycles - 1;
+    return;
+  case Opc::Fitos:
+    setS(Rd, float(int32_t(FPR[Fs2])));
+    return;
+  case Opc::Fitod:
+    setD(Rd, double(int32_t(FPR[Fs2])));
+    return;
+  case Opc::Fstod:
+    setD(Rd, double(getS(Fs2)));
+    return;
+  case Opc::Fdtos:
+    setS(Rd, float(getD(Fs2)));
+    return;
+  case Opc::Fstoi:
+    FPR[Rd] = uint32_t(int32_t(getS(Fs2)));
+    return;
+  case Opc::Fdtoi:
+    FPR[Rd] = uint32_t(int32_t(getD(Fs2)));
+    return;
+  case Opc::Fcmps: {
+    float X = getS(Fs1), Z = getS(Fs2);
+    Fcc = X == Z ? 0 : (X < Z ? 1 : (X > Z ? 2 : 3));
+    return;
+  }
+  case Opc::Fcmpd: {
+    double X = getD(Fs1), Z = getD(Fs2);
+    Fcc = X == Z ? 0 : (X < Z ? 1 : (X > Z ? 2 : 3));
     return;
   }
 
-  if (Op == 0) { // sethi / branches
-    unsigned Op2 = (I >> 22) & 7;
-    if (Op2 == 4) { // sethi
-      W(Rd, (I & 0x3fffff) << 10);
-      return;
-    }
-    if (Op2 == 2 || Op2 == 6) { // Bicc / FBfcc
-      if (I & (1u << 29))
-        fatalKind(CgErrKind::SimFault,
-            "sparc sim: annulled branches are not emitted by this port");
-      unsigned Cond = (I >> 25) & 15;
-      bool Taken = Op2 == 2 ? iccHolds(Cond) : fccHolds(Cond);
-      if (Taken) {
-        int32_t Disp = signExtend32<22>(I & 0x3fffff);
-        NPC = InstrPC + (SimAddr(int64_t(Disp)) << 2);
-      }
-      return;
-    }
-    fatalKind(CgErrKind::SimFault,
-        "sparc sim: unknown format-2 op2 %u at 0x%llx", Op2,
-          (unsigned long long)InstrPC);
-  }
-
-  unsigned Op3 = (I >> 19) & 63;
-  unsigned Rs1 = (I >> 14) & 31;
-  bool ImmForm = (I >> 13) & 1;
-  uint32_t Operand2 = ImmForm ? uint32_t(signExtend32<13>(I & 0x1fff))
-                              : R[I & 31];
-
-  if (Op == 2) {
-    // FP operate.
-    if (Op3 == 0x34 || Op3 == 0x35) {
-      unsigned Opf = (I >> 5) & 0x1ff;
-      unsigned Fs1 = Rs1, Fs2 = I & 31, Fd = Rd;
-      switch (Opf) {
-      case FMOVS:
-        FPR[Fd] = FPR[Fs2];
-        return;
-      case FNEGS:
-        FPR[Fd] = FPR[Fs2] ^ 0x80000000u;
-        return;
-      case FABSS:
-        FPR[Fd] = FPR[Fs2] & 0x7fffffffu;
-        return;
-      case FSQRTS:
-        setS(Fd, std::sqrt(getS(Fs2)));
-        Stats.Cycles += Cfg.FpDivCycles - 1;
-        return;
-      case FSQRTD:
-        setD(Fd, std::sqrt(getD(Fs2)));
-        Stats.Cycles += Cfg.FpDivCycles - 1;
-        return;
-      case FADDS:
-        setS(Fd, getS(Fs1) + getS(Fs2));
-        Stats.Cycles += Cfg.FpAddCycles - 1;
-        return;
-      case FADDD:
-        setD(Fd, getD(Fs1) + getD(Fs2));
-        Stats.Cycles += Cfg.FpAddCycles - 1;
-        return;
-      case FSUBS:
-        setS(Fd, getS(Fs1) - getS(Fs2));
-        Stats.Cycles += Cfg.FpAddCycles - 1;
-        return;
-      case FSUBD:
-        setD(Fd, getD(Fs1) - getD(Fs2));
-        Stats.Cycles += Cfg.FpAddCycles - 1;
-        return;
-      case FMULS:
-        setS(Fd, getS(Fs1) * getS(Fs2));
-        Stats.Cycles += Cfg.FpMulCycles - 1;
-        return;
-      case FMULD:
-        setD(Fd, getD(Fs1) * getD(Fs2));
-        Stats.Cycles += Cfg.FpMulCycles - 1;
-        return;
-      case FDIVS:
-        setS(Fd, getS(Fs1) / getS(Fs2));
-        Stats.Cycles += Cfg.FpDivCycles - 1;
-        return;
-      case FDIVD:
-        setD(Fd, getD(Fs1) / getD(Fs2));
-        Stats.Cycles += Cfg.FpDivCycles - 1;
-        return;
-      case FITOS:
-        setS(Fd, float(int32_t(FPR[Fs2])));
-        return;
-      case FITOD:
-        setD(Fd, double(int32_t(FPR[Fs2])));
-        return;
-      case FSTOD:
-        setD(Fd, double(getS(Fs2)));
-        return;
-      case FDTOS:
-        setS(Fd, float(getD(Fs2)));
-        return;
-      case FSTOI:
-        FPR[Fd] = uint32_t(int32_t(getS(Fs2)));
-        return;
-      case FDTOI:
-        FPR[Fd] = uint32_t(int32_t(getD(Fs2)));
-        return;
-      case FCMPS: {
-        float A = getS(Fs1), B = getS(Fs2);
-        Fcc = A == B ? 0 : (A < B ? 1 : (A > B ? 2 : 3));
-        return;
-      }
-      case FCMPD: {
-        double A = getD(Fs1), B = getD(Fs2);
-        Fcc = A == B ? 0 : (A < B ? 1 : (A > B ? 2 : 3));
-        return;
-      }
-      }
-      fatalKind(CgErrKind::SimFault,
-          "sparc sim: unknown FP opf 0x%x at 0x%llx", Opf,
-            (unsigned long long)InstrPC);
-    }
-
-    uint32_t A = R[Rs1], B = Operand2;
-    switch (Op3) {
-    case 0x00:
-      W(Rd, A + B);
-      return;
-    case 0x04:
-      W(Rd, A - B);
-      return;
-    case 0x14: // subcc
-      setIccSub(A, B);
-      W(Rd, A - B);
-      return;
-    case 0x01:
-      W(Rd, A & B);
-      return;
-    case 0x02:
-      W(Rd, A | B);
-      return;
-    case 0x03:
-      W(Rd, A ^ B);
-      return;
-    case 0x07:
-      W(Rd, ~(A ^ B));
-      return;
-    case 0x08: // addx
-      W(Rd, A + B + (IccC ? 1 : 0));
-      return;
-    case 0x0a: { // umul
-      uint64_t P = uint64_t(A) * uint64_t(B);
-      W(Rd, uint32_t(P));
-      Y = uint32_t(P >> 32);
-      Stats.Cycles += Cfg.MulCycles;
-      return;
-    }
-    case 0x0b: { // smul
-      int64_t P = int64_t(int32_t(A)) * int64_t(int32_t(B));
-      W(Rd, uint32_t(P));
-      Y = uint32_t(uint64_t(P) >> 32);
-      Stats.Cycles += Cfg.MulCycles;
-      return;
-    }
-    case 0x0e: { // udiv
-      uint64_t Dividend = (uint64_t(Y) << 32) | A;
-      uint32_t Q = B == 0 ? 0 : uint32_t(Dividend / B);
-      W(Rd, Q);
-      Stats.Cycles += Cfg.DivCycles;
-      return;
-    }
-    case 0x0f: { // sdiv
-      int64_t Dividend = int64_t((uint64_t(Y) << 32) | A);
-      int32_t Divisor = int32_t(B);
-      uint32_t Q;
-      if (Divisor == 0)
-        Q = 0;
-      else if (Dividend == INT64_MIN && Divisor == -1)
-        Q = uint32_t(Dividend);
-      else
-        Q = uint32_t(int32_t(Dividend / Divisor));
-      W(Rd, Q);
-      Stats.Cycles += Cfg.DivCycles;
-      return;
-    }
-    case 0x25:
-      W(Rd, A << (B & 31));
-      return;
-    case 0x26:
-      W(Rd, A >> (B & 31));
-      return;
-    case 0x27:
-      W(Rd, uint32_t(int32_t(A) >> (B & 31)));
-      return;
-    case 0x28:
-      W(Rd, Y);
-      return;
-    case 0x30:
-      Y = A ^ B; // wry: rs1 xor operand2 per the V8 spec
-      return;
-    case 0x38: // jmpl
-      W(Rd, uint32_t(InstrPC));
-      NPC = (A + B) & ~SimAddr(3);
-      return;
-    }
-    fatalKind(CgErrKind::SimFault,
-        "sparc sim: unknown op3 0x%x at 0x%llx", Op3,
-          (unsigned long long)InstrPC);
-  }
-
-  // Op == 3: memory.
-  SimAddr Addr = SimAddr(R[Rs1] + Operand2);
-  switch (Op3) {
-  case LD:
-    W(Rd, loadMem(Addr, 4, false));
+  case Opc::Ld:
+    W(Rd, loadMem(Addr(), 4, false));
     return;
-  case LDUB:
-    W(Rd, loadMem(Addr, 1, false));
+  case Opc::Ldub:
+    W(Rd, loadMem(Addr(), 1, false));
     return;
-  case LDUH:
-    W(Rd, loadMem(Addr, 2, false));
+  case Opc::Lduh:
+    W(Rd, loadMem(Addr(), 2, false));
     return;
-  case LDSB:
-    W(Rd, loadMem(Addr, 1, true));
+  case Opc::Ldsb:
+    W(Rd, loadMem(Addr(), 1, true));
     return;
-  case LDSH:
-    W(Rd, loadMem(Addr, 2, true));
+  case Opc::Ldsh:
+    W(Rd, loadMem(Addr(), 2, true));
     return;
-  case ST:
-    storeMem(Addr, 4, R[Rd]);
+  case Opc::St:
+    storeMem(Addr(), 4, R[Rd]);
     return;
-  case STB:
-    storeMem(Addr, 1, R[Rd]);
+  case Opc::Stb:
+    storeMem(Addr(), 1, R[Rd]);
     return;
-  case STH:
-    storeMem(Addr, 2, R[Rd]);
+  case Opc::Sth:
+    storeMem(Addr(), 2, R[Rd]);
     return;
-  case LDF:
-    FPR[Rd] = loadMem(Addr, 4, false);
+  case Opc::Ldf:
+    FPR[Rd] = loadMem(Addr(), 4, false);
     return;
-  case LDDF:
-    FPR[Rd] = loadMem(Addr, 4, false);
-    FPR[Rd + 1] = loadMem(Addr + 4, 4, false);
+  case Opc::Lddf:
+    FPR[Rd] = loadMem(Addr(), 4, false);
+    FPR[Rd + 1] = loadMem(Addr() + 4, 4, false);
     return;
-  case STF:
-    storeMem(Addr, 4, FPR[Rd]);
+  case Opc::Stf:
+    storeMem(Addr(), 4, FPR[Rd]);
     return;
-  case STDF:
-    storeMem(Addr, 4, FPR[Rd]);
-    storeMem(Addr + 4, 4, FPR[Rd + 1]);
+  case Opc::Stdf:
+    storeMem(Addr(), 4, FPR[Rd]);
+    storeMem(Addr() + 4, 4, FPR[Rd + 1]);
     return;
   }
-  fatalKind(CgErrKind::SimFault,
-      "sparc sim: unknown memory op3 0x%x at 0x%llx", Op3,
-        (unsigned long long)InstrPC);
+  unreachable("bad SPARC opcode");
 }
 
 TypedValue SparcSim::callWithConv(const CallConv &CC, SimAddr Entry,

@@ -4,9 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "sparc/SparcDisasm.h"
-#include "sparc/SparcEncoding.h"
-#include "support/BitUtils.h"
+#include "sparc/SparcDecode.h"
+#include "profile/Disasm.h"
+#include "support/Error.h"
 #include <cstdarg>
 #include <cstdio>
 
@@ -33,12 +33,6 @@ std::string regName(unsigned R) {
   return fmt("%%%c%u", Banks[R >> 3], R & 7);
 }
 
-std::string operand2(uint32_t I) {
-  if (I & (1u << 13))
-    return fmt("%d", signExtend32<13>(I & 0x1fff));
-  return regName(I & 31);
-}
-
 const char *IccName[16] = {"n",  "e",  "le", "l",  "leu", "cs", "neg", "vs",
                            "a",  "ne", "g",  "ge", "gu",  "cc", "pos", "vc"};
 const char *FccName[16] = {"n",  "ne", "lg", "ul", "l",   "ug", "g",  "u",
@@ -47,259 +41,55 @@ const char *FccName[16] = {"n",  "ne", "lg", "ul", "l",   "ug", "g",  "u",
 } // namespace
 
 std::string vcode::sparc::disassemble(uint32_t I, SimAddr Pc) {
-  unsigned Op = I >> 30;
-  unsigned Rd = (I >> 25) & 31;
-
   if (I == nop())
     return "nop";
 
-  if (Op == 1) { // call
-    int32_t Disp = signExtend32<30>(I & 0x3fffffff);
-    return fmt("%-7s 0x%llx", "call",
-               (unsigned long long)(Pc + (int64_t(Disp) << 2)));
-  }
-  if (Op == 0) {
-    unsigned Op2 = (I >> 22) & 7;
-    if (Op2 == 4)
-      return fmt("%-7s %%hi(0x%x), %s", "sethi", (I & 0x3fffff) << 10,
-                 regName(Rd).c_str());
-    if (Op2 == 2 || Op2 == 6) {
-      unsigned Cond = (I >> 25) & 15;
-      int32_t Disp = signExtend32<22>(I & 0x3fffff);
-      return fmt("%s%-4s 0x%llx", Op2 == 2 ? "b" : "fb",
-                 (Op2 == 2 ? IccName : FccName)[Cond],
-                 (unsigned long long)(Pc + (int64_t(Disp) << 2)));
-    }
+  const Insn D = decode(I);
+  const char *N = info(D.Op).Mnemonic;
+  std::string Rd = regName(D.rd()), Rs1 = regName(D.rs1());
+  std::string Op2 = D.useImm() ? fmt("%d", D.simm13()) : regName(D.rs2());
+  auto Target = [&] {
+    return (unsigned long long)branchTarget(Pc, D);
+  };
+
+  switch (info(D.Op).Operands) {
+  case Form::None:
     return fmt(".word   0x%08x", I);
+  case Form::Call:
+    return fmt("%-7s 0x%llx", N, Target());
+  case Form::Sethi:
+    return fmt("%-7s %%hi(0x%x), %s", N, D.imm22() << 10, Rd.c_str());
+  case Form::Bicc:
+    return fmt("%s%-4s 0x%llx", N, IccName[D.cond()], Target());
+  case Form::FBfcc:
+    return fmt("%s%-4s 0x%llx", N, FccName[D.cond()], Target());
+  case Form::Alu:
+    return fmt("%-7s %s, %s, %s", N, Rs1.c_str(), Op2.c_str(), Rd.c_str());
+  case Form::RdY:
+    return fmt("%s %%y,  %s", N, Rd.c_str());
+  case Form::WrY:
+    return fmt("%-7s %s, %s, %%y", N, Rs1.c_str(), Op2.c_str());
+  case Form::Jmpl:
+    return fmt("%-7s %s + %s, %s", N, Rs1.c_str(), Op2.c_str(), Rd.c_str());
+  case Form::Fp2:
+    return fmt("%-7s %%f%u, %%f%u", N, D.rs2(), D.rd());
+  case Form::Fp3:
+    return fmt("%-7s %%f%u, %%f%u, %%f%u", N, D.rs1(), D.rs2(), D.rd());
+  case Form::FCmp:
+    return fmt("%-7s %%f%u, %%f%u", N, D.rs1(), D.rs2());
+  case Form::Load:
+    return fmt("%-7s [%s + %s], %s", N, Rs1.c_str(), Op2.c_str(), Rd.c_str());
+  case Form::Store:
+    return fmt("%-7s %s, [%s + %s]", N, Rd.c_str(), Rs1.c_str(), Op2.c_str());
+  case Form::LoadF:
+    return fmt("%-7s [%s + %s], %%f%u", N, Rs1.c_str(), Op2.c_str(), D.rd());
+  case Form::StoreF:
+    return fmt("%-7s %%f%u, [%s + %s]", N, D.rd(), Rs1.c_str(),
+               Op2.c_str());
   }
-
-  unsigned Op3 = (I >> 19) & 63;
-  unsigned Rs1 = (I >> 14) & 31;
-
-  if (Op == 2) {
-    if (Op3 == 0x34 || Op3 == 0x35) { // FP operate
-      unsigned Opf = (I >> 5) & 0x1ff;
-      unsigned Fs2 = I & 31;
-      const char *N = nullptr;
-      bool Two = true;
-      switch (Opf) {
-      case FMOVS:
-        N = "fmovs";
-        break;
-      case FNEGS:
-        N = "fnegs";
-        break;
-      case FABSS:
-        N = "fabss";
-        break;
-      case FSQRTS:
-        N = "fsqrts";
-        break;
-      case FSQRTD:
-        N = "fsqrtd";
-        break;
-      case FITOS:
-        N = "fitos";
-        break;
-      case FITOD:
-        N = "fitod";
-        break;
-      case FSTOD:
-        N = "fstod";
-        break;
-      case FDTOS:
-        N = "fdtos";
-        break;
-      case FSTOI:
-        N = "fstoi";
-        break;
-      case FDTOI:
-        N = "fdtoi";
-        break;
-      case FADDS:
-        N = "fadds";
-        Two = false;
-        break;
-      case FADDD:
-        N = "faddd";
-        Two = false;
-        break;
-      case FSUBS:
-        N = "fsubs";
-        Two = false;
-        break;
-      case FSUBD:
-        N = "fsubd";
-        Two = false;
-        break;
-      case FMULS:
-        N = "fmuls";
-        Two = false;
-        break;
-      case FMULD:
-        N = "fmuld";
-        Two = false;
-        break;
-      case FDIVS:
-        N = "fdivs";
-        Two = false;
-        break;
-      case FDIVD:
-        N = "fdivd";
-        Two = false;
-        break;
-      case FCMPS:
-        return fmt("%-7s %%f%u, %%f%u", "fcmps", Rs1, Fs2);
-      case FCMPD:
-        return fmt("%-7s %%f%u, %%f%u", "fcmpd", Rs1, Fs2);
-      default:
-        return fmt(".word   0x%08x", I);
-      }
-      if (Two)
-        return fmt("%-7s %%f%u, %%f%u", N, Fs2, Rd);
-      return fmt("%-7s %%f%u, %%f%u, %%f%u", N, Rs1, Fs2, Rd);
-    }
-
-    const char *N = nullptr;
-    switch (Op3) {
-    case 0x00:
-      N = "add";
-      break;
-    case 0x04:
-      N = "sub";
-      break;
-    case 0x14:
-      N = "subcc";
-      break;
-    case 0x01:
-      N = "and";
-      break;
-    case 0x02:
-      N = "or";
-      break;
-    case 0x03:
-      N = "xor";
-      break;
-    case 0x07:
-      N = "xnor";
-      break;
-    case 0x08:
-      N = "addx";
-      break;
-    case 0x0a:
-      N = "umul";
-      break;
-    case 0x0b:
-      N = "smul";
-      break;
-    case 0x0e:
-      N = "udiv";
-      break;
-    case 0x0f:
-      N = "sdiv";
-      break;
-    case 0x25:
-      N = "sll";
-      break;
-    case 0x26:
-      N = "srl";
-      break;
-    case 0x27:
-      N = "sra";
-      break;
-    case 0x28:
-      return fmt("%-7s %s", "rd %y,", regName(Rd).c_str());
-    case 0x30:
-      return fmt("%-7s %s, %%y", "wr", regName(Rs1).c_str());
-    case 0x38:
-      return fmt("%-7s %s + %s, %s", "jmpl", regName(Rs1).c_str(),
-                 operand2(I).c_str(), regName(Rd).c_str());
-    default:
-      return fmt(".word   0x%08x", I);
-    }
-    return fmt("%-7s %s, %s, %s", N, regName(Rs1).c_str(),
-               operand2(I).c_str(), regName(Rd).c_str());
-  }
-
-  // Op == 3: memory.
-  const char *N = nullptr;
-  bool Fp = false;
-  switch (Op3) {
-  case LD:
-    N = "ld";
-    break;
-  case LDUB:
-    N = "ldub";
-    break;
-  case LDUH:
-    N = "lduh";
-    break;
-  case LDSB:
-    N = "ldsb";
-    break;
-  case LDSH:
-    N = "ldsh";
-    break;
-  case ST:
-    N = "st";
-    break;
-  case STB:
-    N = "stb";
-    break;
-  case STH:
-    N = "sth";
-    break;
-  case LDF:
-    N = "ldf";
-    Fp = true;
-    break;
-  case LDDF:
-    N = "lddf";
-    Fp = true;
-    break;
-  case STF:
-    N = "stf";
-    Fp = true;
-    break;
-  case STDF:
-    N = "stdf";
-    Fp = true;
-    break;
-  default:
-    return fmt(".word   0x%08x", I);
-  }
-  std::string R = Fp ? fmt("%%f%u", Rd) : regName(Rd);
-  bool IsStore = Op3 == ST || Op3 == STB || Op3 == STH || Op3 == STF ||
-                 Op3 == STDF;
-  if (IsStore)
-    return fmt("%-7s %s, [%s + %s]", N, R.c_str(), regName(Rs1).c_str(),
-               operand2(I).c_str());
-  return fmt("%-7s [%s + %s], %s", N, regName(Rs1).c_str(),
-             operand2(I).c_str(), R.c_str());
+  unreachable("bad SPARC operand form");
 }
 
-// --- profile/Disasm registration --------------------------------------------
-// A static registrar publishes this disassembler under the target's name so
-// --dump-code resolves it whenever the backend is linked in. Code words are
-// stored little-endian in the code buffer's host memory.
-
-#include "profile/Disasm.h"
-
-namespace {
-
-size_t decodeSparcWord(const uint8_t *P, size_t Avail, uint64_t Pc,
-                       std::string &Out) {
-  if (Avail < 4)
-    return 0;
-  uint32_t W = uint32_t(P[0]) | (uint32_t(P[1]) << 8) |
-               (uint32_t(P[2]) << 16) | (uint32_t(P[3]) << 24);
-  Out += sparc::disassemble(W, SimAddr(Pc));
-  return 4;
-}
-
-const bool RegisteredSparcDisasm = [] {
-  profile::registerDisassembler("sparc", &decodeSparcWord);
-  return true;
-}();
-
-} // namespace
+// --dump-code finds this disassembler whenever the backend is linked in.
+[[maybe_unused]] static const bool Registered = profile::registerDisassembler(
+    "sparc", &profile::decodeWord32<sparc::disassemble>);

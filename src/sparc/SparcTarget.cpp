@@ -10,7 +10,7 @@
 
 #include "sparc/SparcTarget.h"
 #include "support/Telemetry.h"
-#include "sparc/SparcDisasm.h"
+#include "sparc/SparcDecode.h"
 
 using namespace vcode;
 using namespace vcode::sparc;

@@ -5,7 +5,8 @@
 // The §6.2 debugger support: every word a backend emits must disassemble
 // to something symbolic (no .word fallbacks) for representative functions,
 // and known instructions must print their documented mnemonics. The MIPS
-// decode table is also checked against llvm-mc, an independent decoder.
+// and SPARC decode tables are also checked against llvm-mc, an independent
+// decoder; Alpha has no LLVM target and is checked only against itself.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <gtest/gtest.h>
+#include <utility>
 
 using namespace vcode;
 using namespace vcode::test;
@@ -84,14 +86,19 @@ std::string firstToken(const std::string &S) {
   return S.substr(B, S.find_first_of(" \t\n", B) - B);
 }
 
-/// Mnemonic llvm-mc prints for little-endian MIPS word \p W at ISA level
-/// \p Cpu, or "" when it rejects the encoding.
-std::string llvmMcMnemonic(uint32_t W, const char *Cpu) {
+/// Mnemonic llvm-mc prints for word \p W under \p Flags (triple and CPU),
+/// fed in the target's byte order, or "" when it rejects the encoding.
+std::string llvmMcMnemonic(uint32_t W, const char *Flags, bool BigEndian) {
+  unsigned B[4] = {W & 0xff, (W >> 8) & 0xff, (W >> 16) & 0xff, W >> 24};
+  if (BigEndian) {
+    std::swap(B[0], B[3]);
+    std::swap(B[1], B[2]);
+  }
   char Cmd[192];
   std::snprintf(Cmd, sizeof(Cmd),
                 "echo '0x%02x 0x%02x 0x%02x 0x%02x' | llvm-mc --disassemble "
-                "-triple=mipsel -mcpu=%s 2>/dev/null",
-                W & 0xff, (W >> 8) & 0xff, (W >> 16) & 0xff, W >> 24, Cpu);
+                "%s 2>/dev/null",
+                B[0], B[1], B[2], B[3], Flags);
   FILE *P = popen(Cmd, "r");
   if (!P)
     return "";
@@ -106,12 +113,22 @@ std::string llvmMcMnemonic(uint32_t W, const char *Cpu) {
   return Mn;
 }
 
+/// llvm-mc's little-endian MIPS decoder at ISA level \p Cpu.
+std::string mipsLlvmMc(uint32_t W, const char *Cpu) {
+  std::string Flags = std::string("-triple=mipsel -mcpu=") + Cpu;
+  return llvmMcMnemonic(W, Flags.c_str(), /*BigEndian=*/false);
+}
+
+bool haveLlvmMc() {
+  return std::system("command -v llvm-mc >/dev/null 2>&1") == 0;
+}
+
 /// An independent oracle for the decode table: llvm-mc's MIPS disassembler
 /// must name the same instruction (first token; operand syntax differs)
 /// for the representative word of every Opc. Skips when llvm-mc is not
 /// installed.
 TEST(DisasmOracle, MipsMnemonicsMatchLlvmMc) {
-  if (std::system("command -v llvm-mc >/dev/null 2>&1") != 0)
+  if (!haveLlvmMc())
     GTEST_SKIP() << "llvm-mc not installed";
   mips::MipsTarget T;
   // MIPS II instructions the backend emits: llvm-mc rejects them under
@@ -124,22 +141,22 @@ TEST(DisasmOracle, MipsMnemonicsMatchLlvmMc) {
     mips::Opc Op = mips::Opc(I);
     uint32_t W = mipsRepresentativeWord(Op);
     EXPECT_EQ(firstToken(T.disassemble(W, 0x1000)),
-              llvmMcMnemonic(W, IsMips2(Op) ? "mips2" : "mips1"))
+              mipsLlvmMc(W, IsMips2(Op) ? "mips2" : "mips1"))
         << "0x" << std::hex << W;
   }
   // Documented aliases: the all-zero word (sll zero, zero, 0) is nop in
   // both.
   EXPECT_EQ(firstToken(T.disassemble(0, 0)), "nop");
-  EXPECT_EQ(llvmMcMnemonic(0, "mips1"), "nop");
+  EXPECT_EQ(mipsLlvmMc(0, "mips1"), "nop");
   // Interpreter quirk: every REGIMM rt other than 0 executes (and prints)
   // as bgez. The architecture defines rt = 16/17 as bltzal/bgezal, which
   // the backend never emits, and leaves the rest unassigned.
   uint32_t Bltzal = mips::bgez(mips::A0, 2) ^ (1u << 16) ^ (16u << 16);
   EXPECT_EQ(firstToken(T.disassemble(Bltzal, 0)), "bgez");
-  EXPECT_EQ(llvmMcMnemonic(Bltzal, "mips1"), "bltzal");
+  EXPECT_EQ(mipsLlvmMc(Bltzal, "mips1"), "bltzal");
   uint32_t Rt2 = mips::bgez(mips::A0, 2) ^ (1u << 16) ^ (2u << 16);
   EXPECT_EQ(firstToken(T.disassemble(Rt2, 0)), "bgez");
-  EXPECT_EQ(llvmMcMnemonic(Rt2, "mips1"), "");
+  EXPECT_EQ(mipsLlvmMc(Rt2, "mips1"), "");
 }
 
 TEST(DisasmKnownWords, Sparc) {
@@ -156,6 +173,72 @@ TEST(DisasmKnownWords, Sparc) {
   EXPECT_EQ(T.disassemble(sparc::memri(sparc::LD, sparc::L0, sparc::SP, 64),
                           0),
             "ld      [%sp + 64], %l0");
+  // wr prints both operands: the interpreter writes rs1 ^ operand 2 to %y.
+  EXPECT_EQ(T.disassemble(sparc::wry(sparc::G1), 0), "wr      %g1, %g0, %y");
+  EXPECT_EQ(T.disassemble(sparc::wryi(sparc::G1, -3), 0),
+            "wr      %g1, -3, %y");
+  // The interpreter rejects annulled branches, so they print as data.
+  EXPECT_EQ(T.disassemble(sparc::bicc(sparc::CondNE, 4, /*Annul=*/true),
+                          0x2000),
+            ".word   0x32800004");
+  EXPECT_EQ(T.disassemble(sparc::fbfcc(sparc::FCondE, 4) | (1u << 29), 0),
+            ".word   0x33800004");
+}
+
+/// Every instruction the SPARC decoder knows -- which is every instruction
+/// the interpreter executes -- disassembles symbolically.
+TEST(DisasmKnownWords, SparcEveryOpcIsSymbolic) {
+  sparc::SparcTarget T;
+  for (unsigned I = 1; I < sparc::NumOpcs; ++I) {
+    uint32_t W = sparcRepresentativeWord(sparc::Opc(I));
+    std::string Text = T.disassemble(W, 0x1000);
+    EXPECT_EQ(Text.find(".word"), std::string::npos)
+        << sparc::info(sparc::Opc(I)).Mnemonic << ": " << Text;
+  }
+}
+
+/// The SPARC decode table against llvm-mc's SPARC V8 decoder: the same
+/// instruction (first token) for the representative word of every Opc.
+/// Skips when llvm-mc is not installed.
+TEST(DisasmOracle, SparcMnemonicsMatchLlvmMc) {
+  if (!haveLlvmMc())
+    GTEST_SKIP() << "llvm-mc not installed";
+  sparc::SparcTarget T;
+  auto Llvm = [](uint32_t W) {
+    return llvmMcMnemonic(W, "-triple=sparc", /*BigEndian=*/true);
+  };
+  // Documented spellings: llvm-mc names FP loads and stores by the
+  // integer mnemonic and tells them apart by the register operand.
+  auto Expected = [](sparc::Opc Op, const std::string &Ours) {
+    switch (Op) {
+    case sparc::Opc::Ldf:
+      return std::string("ld");
+    case sparc::Opc::Lddf:
+      return std::string("ldd");
+    case sparc::Opc::Stf:
+      return std::string("st");
+    case sparc::Opc::Stdf:
+      return std::string("std");
+    default:
+      return Ours;
+    }
+  };
+  for (unsigned I = 1; I < sparc::NumOpcs; ++I) {
+    sparc::Opc Op = sparc::Opc(I);
+    uint32_t W = sparcRepresentativeWord(Op);
+    EXPECT_EQ(Expected(Op, firstToken(T.disassemble(W, 0x1000))), Llvm(W))
+        << sparc::info(Op).Mnemonic << " 0x" << std::hex << W;
+  }
+  // Both decoders read every Bicc/FBfcc condition the same way.
+  for (uint32_t Cond = 0; Cond < 16; ++Cond)
+    for (uint32_t W : {sparc::bicc(Cond, 2), sparc::fbfcc(Cond, 2)})
+      EXPECT_EQ(firstToken(T.disassemble(W, 0)), Llvm(W))
+          << "0x" << std::hex << W;
+  // Aliases: nop is sethi 0, %g0 in both, and llvm-mc spells the annulled
+  // branch our table rejects "bne,a".
+  EXPECT_EQ(firstToken(T.disassemble(sparc::nop(), 0)), "nop");
+  EXPECT_EQ(Llvm(sparc::nop()), "nop");
+  EXPECT_EQ(Llvm(sparc::bicc(sparc::CondNE, 2, /*Annul=*/true)), "bne,a");
 }
 
 TEST(DisasmKnownWords, Alpha) {
@@ -171,6 +254,19 @@ TEST(DisasmKnownWords, Alpha) {
   EXPECT_EQ(T.disassemble(alpha::nop(), 0), "nop");
   EXPECT_EQ(T.disassemble(alpha::beq(alpha::T0, 2), 0x4000),
             "beq     t0, 0x400c");
+}
+
+/// Every instruction the Alpha decoder knows -- which is every instruction
+/// the interpreter executes -- disassembles symbolically. There is no
+/// independent Alpha decoder to check the table against.
+TEST(DisasmKnownWords, AlphaEveryOpcIsSymbolic) {
+  alpha::AlphaTarget T;
+  for (unsigned I = 1; I < alpha::NumOpcs; ++I) {
+    uint32_t W = alphaRepresentativeWord(alpha::Opc(I));
+    std::string Text = T.disassemble(W, 0x1000);
+    EXPECT_EQ(Text.find(".word"), std::string::npos)
+        << alpha::info(alpha::Opc(I)).Mnemonic << ": " << Text;
+  }
 }
 
 /// Every word emitted for a representative kitchen-sink function must

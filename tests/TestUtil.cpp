@@ -430,3 +430,66 @@ uint32_t vcode::test::mipsRepresentativeWord(mips::Opc Op) {
   }
   return 0;
 }
+
+uint32_t vcode::test::sparcRepresentativeWord(sparc::Opc Op) {
+  using sparc::Form;
+  const sparc::OpcInfo &I = sparc::info(Op);
+  const uint32_t Rd = 10u << 25, Rs1 = 8u << 14, Rs2 = 12;
+  const uint32_t Op3 = uint32_t(I.Selector) << 19;
+  switch (I.Operands) {
+  case Form::None:
+    return sparc::bicc(sparc::CondNE, 2, /*Annul=*/true);
+  case Form::Call:
+    return sparc::call(2);
+  case Form::Sethi:
+    return sparc::sethi(10, 0x1234);
+  case Form::Bicc:
+  case Form::FBfcc:
+    return (9u << 25) | (uint32_t(I.Selector) << 22) | 2;
+  case Form::Alu:
+    return (2u << 30) | Rd | Op3 | Rs1 | Rs2;
+  case Form::RdY:
+    return (2u << 30) | Rd | Op3;
+  case Form::WrY:
+    return (2u << 30) | Op3 | Rs1 | Rs2;
+  case Form::Jmpl:
+    return sparc::jmpl(10, sparc::O7, 8);
+  case Form::Fp2:
+    return sparc::fpop1(10, 0, I.Selector, 12);
+  case Form::Fp3:
+    return sparc::fpop1(10, 8, I.Selector, 12);
+  case Form::FCmp:
+    return sparc::fpop2(0, 8, I.Selector, 12);
+  case Form::Load:
+  case Form::Store:
+  case Form::LoadF:
+  case Form::StoreF:
+    return (3u << 30) | Rd | Op3 | Rs1 | Rs2;
+  }
+  return 0;
+}
+
+uint32_t vcode::test::alphaRepresentativeWord(alpha::Opc Op) {
+  using alpha::Form;
+  const alpha::OpcInfo &I = alpha::info(Op);
+  const uint32_t Ra = 16, Rb = 17, Rc = 18;
+  switch (I.Operands) {
+  case Form::None:
+    return 0x01u << 26;
+  case Form::MemI:
+  case Form::MemF:
+    return alpha::mem(I.Opcode, Ra, Rb, 8);
+  case Form::Br:
+  case Form::FBr:
+    return alpha::brf(I.Opcode, Ra, 1);
+  case Form::Jump:
+    return alpha::jump(I.Function, Ra, alpha::RA);
+  case Form::Operate:
+    return alpha::oprr(I.Opcode, I.Function, Ra, Rb, Rc);
+  case Form::Fp2: // fa is unused: f31
+    return alpha::fpop(I.Opcode, I.Function, 31, Rb, Rc);
+  case Form::Fp3:
+    return alpha::fpop(I.Opcode, I.Function, Ra, Rb, Rc);
+  }
+  return 0;
+}

@@ -18,7 +18,9 @@
 #define VCODE_TESTS_TESTUTIL_H
 
 #include "core/VCode.h"
+#include "alpha/AlphaDecode.h"
 #include "mips/MipsDecode.h"
+#include "sparc/SparcDecode.h"
 #include "sim/Cpu.h"
 #include "sim/Memory.h"
 #include <gtest/gtest.h>
@@ -106,6 +108,24 @@ std::vector<uint64_t> operandValues(Type Ty, unsigned WordBytes,
 /// rejects single). Opc::Invalid
 /// yields the unassigned primary opcode 0x3f.
 uint32_t mipsRepresentativeWord(mips::Opc Op);
+
+/// One SPARC word per sparc::Opc, built from its operand form and
+/// selector with fixed fields: rd = %o2 (or %f10), rs1 = %o0 (%f8),
+/// rs2 = %o4 (%f12), register operand 2, and zero in the fields the
+/// instruction does not use (rd of wr and fcmp, rs1 of one-source FP
+/// operations). Calls and branches (condition 9) jump +2 words, sethi
+/// sets 0x1234, and jmpl is "jmpl %o7+8, %o2", which returns to the
+/// caller; none of these is a word llvm-mc prints as an alias (nop, mov,
+/// cmp, retl, ...). Opc::Invalid yields an annulled bne.
+uint32_t sparcRepresentativeWord(sparc::Opc Op);
+
+/// One Alpha word per alpha::Opc, built from its operand form, opcode and
+/// function with fixed fields: ra = a0 (f16), rb = a1 (f17), rc = a2
+/// (f18), register operand B, fa = f31 for one-source FP operations,
+/// memory displacement 8 and branch displacement +1 word. Jumps go
+/// through ra ("jmp a0, (ra)"), so they return to the caller.
+/// Opc::Invalid yields the unassigned opcode 0x01.
+uint32_t alphaRepresentativeWord(alpha::Opc Op);
 
 } // namespace test
 } // namespace vcode

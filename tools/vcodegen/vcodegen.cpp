@@ -183,13 +183,11 @@ void checkTargetEntries(const char *TargetName, const char *Pattern,
 }
 
 /// Emits the corpus on every backend, then decodes every published region
-/// back through the registered disassemblers. Returns the process exit
-/// code: 0 when every word/byte decoded, 1 otherwise.
-///
-/// Each target gets its own arena, and independent arenas reuse the same
-/// simulated address range — a later target's publish evicts the earlier
-/// target's overlapping CodeMap entries. So each target is emitted and
-/// checked before the next one is touched.
+/// back through the registered disassemblers, and checks that every
+/// target's corpus is still in the CodeMap for the at-exit listing. Each
+/// simulated target gets its own arena at its own base, so no target's
+/// regions overlap (and evict) another's. Returns the process exit code:
+/// 0 when every word/byte decoded and every corpus is listed, 1 otherwise.
 int runDumpCodeCheck(const char *Pattern) {
   if (!telemetry::compiledIn()) {
     std::printf("vcodegen --dump-code: built with -DVCODE_TELEMETRY=OFF; "
@@ -198,21 +196,23 @@ int runDumpCodeCheck(const char *Pattern) {
   }
   profile::CodeMap::instance().setCaptureBytes(true);
 
+  constexpr size_t ArenaBytes = 4 << 20;
+  std::vector<std::string> Targets = {"mips", "sparc", "alpha"};
   unsigned Checked = 0, Failed = 0;
   {
-    sim::Memory Mem;
+    sim::Memory Mem(ArenaBytes, 0x10000000);
     mips::MipsTarget Tgt;
     emitTargetCorpus(Tgt, Mem);
     checkTargetEntries("mips", Pattern, Checked, Failed);
   }
   {
-    sim::Memory Mem;
+    sim::Memory Mem(ArenaBytes, 0x20000000);
     sparc::SparcTarget Tgt;
     emitTargetCorpus(Tgt, Mem);
     checkTargetEntries("sparc", Pattern, Checked, Failed);
   }
   {
-    sim::Memory Mem;
+    sim::Memory Mem(ArenaBytes, 0x30000000);
     alpha::AlphaTarget Tgt;
     // The 21064 has no divide instruction; the corpus's div/mod emit
     // calls into these VCODE-generated helpers (themselves published
@@ -228,10 +228,20 @@ int runDumpCodeCheck(const char *Pattern) {
     emitTargetCorpus(Tgt, Mem);
     checkTargetEntries("x64", Pattern, Checked, Failed);
   }
+  Targets.push_back("x64");
 #else
   std::printf("vcodegen --dump-code: not an x86-64 host; skipping the x64 "
               "backend\n");
 #endif
+  for (const std::string &T : Targets)
+    for (const char *Kind : {"int", "fp", "mem"}) {
+      std::string Name = "corpus:" + T + ":" + Kind;
+      if (!profile::CodeMap::instance().findByName(Name)) {
+        std::fprintf(stderr, "FAIL %s: missing from the final CodeMap\n",
+                     Name.c_str());
+        ++Failed;
+      }
+    }
   if (!Checked) {
     std::fprintf(stderr, "FAIL: no published region matched '%s'\n", Pattern);
     return 1;
