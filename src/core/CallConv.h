@@ -56,36 +56,54 @@ struct CallConv {
   uint32_t MinOutArgBytes = 0;
 };
 
+/// The placement rule, one argument at a time and without allocation.
+/// Every consumer of a convention walks its arguments through this: the
+/// front end (computeArgLocs), the simulators' and the binary translator's
+/// call marshalling. \p WordBytes is the target word size (stack slots
+/// are word-granular; doubles take 8 bytes always).
+class ArgWalker {
+public:
+  ArgWalker(const CallConv &Conv, unsigned WordBytes)
+      : Conv(Conv), WordBytes(WordBytes) {}
+
+  /// The location of the next argument, of type \p T.
+  ArgLoc next(Type T) {
+    ArgLoc L;
+    L.Ty = T;
+    bool IsFp = isFpType(T);
+    const std::vector<Reg> &Regs = IsFp ? Conv.FpArgRegs : Conv.IntArgRegs;
+    size_t &Next = IsFp ? NextFp : NextInt;
+    if (Next < Regs.size()) {
+      L.R = Regs[Next++];
+      return L;
+    }
+    unsigned Size = typeSize(T, WordBytes);
+    if (Size < WordBytes)
+      Size = WordBytes; // promote sub-word arguments to a full slot
+    StackOff = uint32_t((StackOff + Size - 1) & ~uint32_t(Size - 1));
+    L.OnStack = true;
+    L.StackOff = int32_t(StackOff);
+    StackOff += Size;
+    return L;
+  }
+
+private:
+  const CallConv &Conv;
+  unsigned WordBytes;
+  size_t NextInt = 0, NextFp = 0;
+  uint32_t StackOff = 0;
+};
+
 /// Computes the location of every argument of a call with argument types
-/// \p ArgTypes under convention \p CC. \p WordBytes is the target word size
-/// (stack slots are word-granular; doubles take 8 bytes always).
+/// \p ArgTypes under convention \p CC.
 inline std::vector<ArgLoc> computeArgLocs(const CallConv &CC,
                                           const std::vector<Type> &ArgTypes,
                                           unsigned WordBytes) {
   std::vector<ArgLoc> Locs;
   Locs.reserve(ArgTypes.size());
-  size_t NextInt = 0, NextFp = 0;
-  uint32_t StackOff = 0;
-  for (Type T : ArgTypes) {
-    ArgLoc L;
-    L.Ty = T;
-    bool IsFp = isFpType(T);
-    const std::vector<Reg> &Regs = IsFp ? CC.FpArgRegs : CC.IntArgRegs;
-    size_t &Next = IsFp ? NextFp : NextInt;
-    if (Next < Regs.size()) {
-      L.OnStack = false;
-      L.R = Regs[Next++];
-    } else {
-      unsigned Size = typeSize(T, WordBytes);
-      if (Size < WordBytes)
-        Size = WordBytes; // promote sub-word arguments to a full slot
-      StackOff = uint32_t((StackOff + Size - 1) & ~uint32_t(Size - 1));
-      L.OnStack = true;
-      L.StackOff = int32_t(StackOff);
-      StackOff += Size;
-    }
-    Locs.push_back(L);
-  }
+  ArgWalker Walk(CC, WordBytes);
+  for (Type T : ArgTypes)
+    Locs.push_back(Walk.next(T));
   return Locs;
 }
 

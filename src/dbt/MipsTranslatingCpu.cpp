@@ -20,15 +20,8 @@ MipsTranslatingCpu::MipsTranslatingCpu(sim::Memory &M, sim::MachineConfig Cfg)
 MipsTranslatingCpu::MipsTranslatingCpu(sim::Memory &M,
                                        std::shared_ptr<TranslationEngine> Eng,
                                        sim::MachineConfig Cfg)
-    : Mem(M), Interp(M, Cfg), Engine(std::move(Eng)) {
-  Interp.setInstrLimit(InstrLimit);
-  Avail = Engine->available();
-  DefCC = &Interp.defaultConv();
-}
-
-const CallConv &MipsTranslatingCpu::defaultConv() const {
-  return *DefCC; // cached: resolved once at construction
-}
+    : Mem(M), Interp(M, Cfg), Engine(std::move(Eng)),
+      Avail(Engine->available()) {}
 
 SimAddr MipsTranslatingCpu::interpUnit(SimAddr At) {
   VCODE_TM_COUNT("dbt.fallback_units", 1);
@@ -69,63 +62,23 @@ TypedValue MipsTranslatingCpu::callWithConvSpan(const CallConv &CC,
     return Res;
   }
 
-  // Marshal exactly as MipsSim::callWithConv does. FPR persists across
-  // calls there too (only the integer file is cleared).
+  // Marshal as the interpreter does (MipsSim::resetForCall and the shared
+  // placement walker). FPR persists across calls there too (only the
+  // integer file is cleared).
   std::memset(GS.R, 0, sizeof(GS.R));
   GS.HI = GS.LO = 0;
   GS.FpCond = 0;
-  GS.R[29] = uint32_t(initialSp(Mem));
-  unsigned Link = CC.LinkReg.isValid() ? CC.LinkReg.Num : 31;
-  GS.R[Link] = uint32_t(sim::MipsSim::stopAddr());
-
-  // Register-only argument lists (every client in this repo) marshal
-  // inline with the same left-to-right next-free-register rule as
-  // computeArgLocs; the vector-building path only runs when some argument
-  // spills to the stack (its offset depends on the whole prefix).
-  size_t NextInt = 0, NextFp = 0, FirstSpill = NumArgs;
+  const SimAddr Sp = initialSp(Mem);
+  GS.R[29] = uint32_t(Sp);
+  GS.R[CC.LinkReg.isValid() ? CC.LinkReg.Num : 31] =
+      uint32_t(sim::MipsSim::StopAddr);
+  ArgWalker Walk(CC, sim::MipsSim::WordBytes);
   for (size_t I = 0; I < NumArgs; ++I) {
-    const TypedValue &A = Args[I];
-    if (isFpType(A.Ty)) {
-      if (NextFp >= CC.FpArgRegs.size()) {
-        FirstSpill = I;
-        break;
-      }
-      unsigned N = CC.FpArgRegs[NextFp++].Num;
-      GS.FPR[N] = uint32_t(A.Bits);
-      if (A.Ty == Type::D)
-        GS.FPR[N + 1] = uint32_t(A.Bits >> 32);
-    } else {
-      if (NextInt >= CC.IntArgRegs.size()) {
-        FirstSpill = I;
-        break;
-      }
-      GS.R[CC.IntArgRegs[NextInt++].Num] = uint32_t(A.Bits);
-    }
-  }
-  if (FirstSpill != NumArgs) {
-    std::vector<Type> Types;
-    Types.reserve(NumArgs);
-    for (size_t I = 0; I < NumArgs; ++I)
-      Types.push_back(Args[I].Ty);
-    std::vector<ArgLoc> Locs = computeArgLocs(CC, Types, 4);
-    for (size_t I = FirstSpill; I < NumArgs; ++I) {
-      const ArgLoc &L = Locs[I];
-      const TypedValue &A = Args[I];
-      if (!L.OnStack) {
-        if (L.R.isInt()) {
-          GS.R[L.R.Num] = uint32_t(A.Bits);
-        } else {
-          GS.FPR[L.R.Num] = uint32_t(A.Bits);
-          if (A.Ty == Type::D)
-            GS.FPR[L.R.Num + 1] = uint32_t(A.Bits >> 32);
-        }
-        continue;
-      }
-      SimAddr Slot = SimAddr(GS.R[29]) + uint32_t(L.StackOff);
-      Mem.write<uint32_t>(Slot, uint32_t(A.Bits));
-      if (A.Ty == Type::D)
-        Mem.write<uint32_t>(Slot + 4, uint32_t(A.Bits >> 32));
-    }
+    ArgLoc L = Walk.next(Args[I].Ty);
+    if (L.OnStack)
+      sim::Regs32::storeArg(Mem, Sp + uint32_t(L.StackOff), Args[I]);
+    else
+      sim::Regs32::setArg(GS.R, GS.FPR, L.R, Args[I]);
   }
 
   GS.Instrs = 0;
@@ -149,7 +102,7 @@ TypedValue MipsTranslatingCpu::callWithConvSpan(const CallConv &CC,
     LocalGen = Gen;
   }
 
-  const SimAddr Stop = sim::MipsSim::stopAddr();
+  const SimAddr Stop = sim::MipsSim::StopAddr;
   uint64_t PC = Entry, Dispatches = 0;
   while (PC != Stop) {
     if (PC & DbtInterpTag) {
@@ -184,17 +137,7 @@ TypedValue MipsTranslatingCpu::callWithConvSpan(const CallConv &CC,
     PC = CF->Fn(&GS, HostBase);
   }
 
-  TypedValue Res;
-  Res.Ty = RetTy;
-  if (RetTy == Type::D)
-    Res.Bits = uint64_t(GS.FPR[CC.FpRet.Num]) |
-               (uint64_t(GS.FPR[CC.FpRet.Num + 1]) << 32);
-  else if (RetTy == Type::F)
-    Res.Bits = GS.FPR[CC.FpRet.Num];
-  else if (isSignedType(RetTy))
-    Res.Bits = uint64_t(int64_t(int32_t(GS.R[CC.IntRet.Num])));
-  else
-    Res.Bits = GS.R[CC.IntRet.Num];
+  TypedValue Res{RetTy, sim::Regs32::resultBits(GS.R, GS.FPR, CC, RetTy)};
 
   // Architectural results are exact; the timing model is not run, so a
   // translated call bills retired instructions only, through batched

@@ -44,18 +44,16 @@ public:
   MipsTranslatingCpu(sim::Memory &M, std::shared_ptr<TranslationEngine> Eng,
                      sim::MachineConfig Cfg = sim::dec5000Config());
 
-  sim::TypedValue callWithConv(const CallConv &CC, SimAddr Entry,
-                               const std::vector<sim::TypedValue> &Args,
-                               Type RetTy) override {
-    return callWithConvSpan(CC, Entry, Args.data(), Args.size(), RetTy);
-  }
-  /// The hot path: register-only argument lists marshal straight into the
-  /// guest state block with no allocation (a million-call dispatch loop
-  /// lives or dies on this; see the Table 3 bench's --target=dbt section).
+  /// The hot path: arguments marshal straight into the guest state block
+  /// through the shared placement walker, with no allocation (a
+  /// million-call dispatch loop lives or dies on this; see the Table 3
+  /// bench's --target=dbt section).
   sim::TypedValue callWithConvSpan(const CallConv &CC, SimAddr Entry,
                                    const sim::TypedValue *Args,
                                    size_t NumArgs, Type RetTy) override;
-  const CallConv &defaultConv() const override;
+  const CallConv &defaultConv() const override {
+    return Interp.defaultConv();
+  }
   void flushCaches() override { Interp.flushCaches(); }
   void warmData(SimAddr A, size_t Len) override { Interp.warmData(A, Len); }
   const sim::RunStats &lastStats() const override { return Stats; }
@@ -84,7 +82,7 @@ private:
   std::shared_ptr<TranslationEngine> Engine;
   GuestState GS;
   sim::RunStats Stats;
-  uint64_t InstrLimit = 2'000'000'000;
+  uint64_t InstrLimit = sim::MipsSim::DefaultInstrLimit;
 
   /// Per-CPU dispatch index: guest PC -> pinned translation. Pins keep
   /// regions alive across cache eviction; the map is rebuilt whenever the
@@ -109,7 +107,6 @@ private:
   TableEnt Dispatch[DispatchSlots];
   uint8_t *HostBase = nullptr; ///< cached hostPtr(base, size); arena is fixed
   bool Avail = false;          ///< Engine->available(), fixed at construction
-  const CallConv *DefCC = nullptr; ///< cached MIPS default convention
 
   uint64_t PfClock = 0; ///< cumulative dispatch clock for the sampler
 };

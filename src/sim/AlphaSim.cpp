@@ -7,7 +7,6 @@
 #include "sim/AlphaSim.h"
 #include "alpha/AlphaDecode.h"
 #include "alpha/AlphaTarget.h"
-#include "profile/Profiler.h"
 #include <cmath>
 #include <cstring>
 
@@ -15,58 +14,8 @@ using namespace vcode;
 using namespace vcode::sim;
 using namespace vcode::alpha;
 
-AlphaSim::AlphaSim(Memory &M, MachineConfig C) : Mem(M), Cfg(C) {
-  ICache.configure(Cfg.ICacheBytes, Cfg.LineBytes);
-  DCache.configure(Cfg.DCacheBytes, Cfg.LineBytes);
-}
-
-const CallConv &AlphaSim::defaultConv() const {
-  return alphaTargetInfo().DefaultCC;
-}
-
-void AlphaSim::flushCaches() {
-  ICache.flush();
-  DCache.flush();
-}
-
-void AlphaSim::warmData(SimAddr A, size_t Len) { DCache.warm(A, Len); }
-
-uint32_t AlphaSim::fetch(SimAddr A) {
-  if (Cfg.ModelCaches && !ICache.access(A)) {
-    Stats.Cycles += Cfg.MissPenalty;
-    ++Stats.ICacheMisses;
-  }
-  return Mem.read<uint32_t>(A);
-}
-
-uint64_t AlphaSim::loadMem(SimAddr A, unsigned Bytes) {
-  if (Cfg.ModelCaches && !DCache.access(A)) {
-    Stats.Cycles += Cfg.MissPenalty;
-    ++Stats.DCacheMisses;
-  }
-  if (A & (Bytes - 1))
-    fatalKind(CgErrKind::SimFault,
-        "alpha sim: unaligned %u-byte load at 0x%llx", Bytes,
-          (unsigned long long)A);
-  if (Bytes == 4)
-    return Mem.read<uint32_t>(A);
-  return Mem.read<uint64_t>(A);
-}
-
-void AlphaSim::storeMem(SimAddr A, unsigned Bytes, uint64_t V) {
-  if (Cfg.ModelCaches && !DCache.access(A)) {
-    Stats.Cycles += Cfg.MissPenalty;
-    ++Stats.DCacheMisses;
-  }
-  if (A & (Bytes - 1))
-    fatalKind(CgErrKind::SimFault,
-        "alpha sim: unaligned %u-byte store at 0x%llx", Bytes,
-          (unsigned long long)A);
-  if (Bytes == 4)
-    Mem.write<uint32_t>(A, uint32_t(V));
-  else
-    Mem.write<uint64_t>(A, V);
-}
+AlphaSim::AlphaSim(Memory &M, MachineConfig C)
+    : Interp(M, C, alphaTargetInfo().DefaultCC) {}
 
 double AlphaSim::getT(unsigned N) const {
   double V;
@@ -115,25 +64,25 @@ void AlphaSim::step() {
     W(Ra, R[Rb] + (uint64_t(int64_t(D.Disp16)) << 16));
     return;
   case Opc::LdqU:
-    W(Ra, loadMem(Addr() & ~SimAddr(7), 8));
+    W(Ra, load<uint64_t>(Addr() & ~SimAddr(7)));
     return;
   case Opc::StqU:
-    storeMem(Addr() & ~SimAddr(7), 8, R[Ra]);
+    store(Addr() & ~SimAddr(7), R[Ra]);
     return;
   case Opc::Ldl:
-    W(Ra, uint64_t(int64_t(int32_t(loadMem(Addr(), 4)))));
+    W(Ra, uint64_t(load<int32_t>(Addr())));
     return;
   case Opc::Ldq:
-    W(Ra, loadMem(Addr(), 8));
+    W(Ra, load<uint64_t>(Addr()));
     return;
   case Opc::Stl:
-    storeMem(Addr(), 4, R[Ra]);
+    store(Addr(), uint32_t(R[Ra]));
     return;
   case Opc::Stq:
-    storeMem(Addr(), 8, R[Ra]);
+    store(Addr(), R[Ra]);
     return;
   case Opc::Lds: { // S-format memory -> T-format register
-    uint32_t Bits = uint32_t(loadMem(Addr(), 4));
+    uint32_t Bits = load<uint32_t>(Addr());
     float Fv;
     std::memcpy(&Fv, &Bits, 4);
     setT(Ra, double(Fv));
@@ -143,15 +92,15 @@ void AlphaSim::step() {
     float Fv = float(getT(Ra));
     uint32_t Bits;
     std::memcpy(&Bits, &Fv, 4);
-    storeMem(Addr(), 4, Bits);
+    store(Addr(), Bits);
     return;
   }
   case Opc::Ldt:
     if (Ra != 31)
-      F[Ra] = loadMem(Addr(), 8);
+      F[Ra] = load<uint64_t>(Addr());
     return;
   case Opc::Stt:
-    storeMem(Addr(), 8, F[Ra]);
+    store(Addr(), F[Ra]);
     return;
 
   case Opc::Br:
@@ -366,76 +315,50 @@ void AlphaSim::step() {
   unreachable("bad Alpha opcode");
 }
 
-TypedValue AlphaSim::callWithConv(const CallConv &CC, SimAddr Entry,
-                                  const std::vector<TypedValue> &Args,
-                                  Type RetTy) {
-  Stats = RunStats();
+void AlphaSim::resetForCall(const CallConv &CC, SimAddr, SimAddr Sp) {
   std::memset(R, 0, sizeof(R));
   std::memset(F, 0, sizeof(F));
+  R[SP] = Sp;
+  R[CC.LinkReg.isValid() ? unsigned(CC.LinkReg.Num) : unsigned(RA)] = StopAddr;
+}
 
-  R[SP] = initialSp(Mem);
-  unsigned Link = CC.LinkReg.isValid() ? unsigned(CC.LinkReg.Num) : unsigned(RA);
-  R[Link] = StopAddr;
-
-  std::vector<Type> Types;
-  Types.reserve(Args.size());
-  for (const TypedValue &A : Args)
-    Types.push_back(A.Ty);
-  std::vector<ArgLoc> Locs = computeArgLocs(CC, Types, 8);
-  for (size_t I = 0; I < Args.size(); ++I) {
-    const ArgLoc &L = Locs[I];
-    const TypedValue &A = Args[I];
-    uint64_t Bits = A.Bits;
+void AlphaSim::setArg(Reg Loc, const TypedValue &A) {
+  if (Loc.isInt()) {
     // Integer values travel in canonical (sign-extended) longword form.
-    if (A.Ty == Type::I || A.Ty == Type::U)
-      Bits = uint64_t(int64_t(int32_t(uint32_t(Bits))));
-    if (!L.OnStack) {
-      if (L.R.isInt()) {
-        R[L.R.Num] = Bits;
-      } else if (A.Ty == Type::F) {
-        // Register F values are held in T format.
-        float Fv = A.asFloat();
-        double Dv = double(Fv);
-        std::memcpy(&F[L.R.Num], &Dv, 8);
-      } else {
-        F[L.R.Num] = A.Bits;
-      }
-      continue;
-    }
-    SimAddr Slot = R[SP] + uint32_t(L.StackOff);
-    if (A.Ty == Type::F)
-      Mem.write<uint32_t>(Slot, uint32_t(A.Bits)); // read back with lds
-    else if (A.Ty == Type::I || A.Ty == Type::U)
-      Mem.write<uint32_t>(Slot, uint32_t(A.Bits)); // read back with ldl
-    else
-      Mem.write<uint64_t>(Slot, Bits);
+    bool Longword = A.Ty == Type::I || A.Ty == Type::U;
+    R[Loc.Num] = Longword ? uint64_t(int64_t(int32_t(uint32_t(A.Bits))))
+                          : A.Bits;
+  } else if (A.Ty == Type::F) {
+    // Register F values are held in T format.
+    double Dv = double(A.asFloat());
+    std::memcpy(&F[Loc.Num], &Dv, 8);
+  } else {
+    F[Loc.Num] = A.Bits;
   }
+}
 
-  PC = Entry;
-  while (PC != StopAddr) {
-    if (Stats.Instrs >= InstrLimit)
-      fatalKind(CgErrKind::SimFault,
-          "alpha sim: instruction limit exceeded; runaway code?");
-    VCODE_PF_SAMPLE_VPC(++PfClock, PC);
-    step();
-  }
+void AlphaSim::storeArg(Memory &M, SimAddr Slot, const TypedValue &A) {
+  // F slots are read back with lds, I and U slots with ldl.
+  if (A.Ty == Type::F || A.Ty == Type::I || A.Ty == Type::U)
+    M.write<uint32_t>(Slot, uint32_t(A.Bits));
+  else
+    M.write<uint64_t>(Slot, A.Bits);
+}
 
-  TypedValue Res;
-  Res.Ty = RetTy;
-  if (RetTy == Type::D) {
-    Res.Bits = F[CC.FpRet.Num];
-  } else if (RetTy == Type::F) {
+uint64_t AlphaSim::resultBits(const CallConv &CC, Type RetTy) const {
+  if (RetTy == Type::D)
+    return F[CC.FpRet.Num];
+  if (RetTy == Type::F) {
     float Fv = float(getT(CC.FpRet.Num));
     uint32_t B;
     std::memcpy(&B, &Fv, 4);
-    Res.Bits = B;
-  } else if (RetTy == Type::I || RetTy == Type::C || RetTy == Type::S) {
-    Res.Bits = uint64_t(int64_t(int32_t(uint32_t(R[CC.IntRet.Num]))));
-  } else if (RetTy == Type::U || RetTy == Type::UC || RetTy == Type::US) {
-    Res.Bits = uint32_t(R[CC.IntRet.Num]);
-  } else {
-    Res.Bits = R[CC.IntRet.Num];
+    return B;
   }
-  finishRun(Stats);
-  return Res;
+  if (RetTy == Type::I || RetTy == Type::C || RetTy == Type::S)
+    return uint64_t(int64_t(int32_t(uint32_t(R[CC.IntRet.Num]))));
+  if (RetTy == Type::U || RetTy == Type::UC || RetTy == Type::US)
+    return uint32_t(R[CC.IntRet.Num]);
+  return R[CC.IntRet.Num];
 }
+
+template class vcode::sim::Interp<AlphaSim>;

@@ -15,50 +15,36 @@
 #ifndef VCODE_SIM_ALPHASIM_H
 #define VCODE_SIM_ALPHASIM_H
 
-#include "sim/Cache.h"
-#include "sim/Cpu.h"
-#include "sim/Memory.h"
+#include "sim/Interp.h"
 
 namespace vcode {
 namespace sim {
 
 /// Alpha CPU simulator over a Memory arena.
-class AlphaSim : public Cpu {
+class AlphaSim final : public Interp<AlphaSim> {
 public:
+  static constexpr const char *IsaName = "alpha";
+  static constexpr unsigned WordBytes = 8;
+  static constexpr uint64_t DefaultInstrLimit = 4'000'000'000;
+
   explicit AlphaSim(Memory &M, MachineConfig Cfg = dec5000Config());
 
-  TypedValue callWithConv(const CallConv &CC, SimAddr Entry,
-                          const std::vector<TypedValue> &Args,
-                          Type RetTy) override;
-  const CallConv &defaultConv() const override;
-  void flushCaches() override;
-  void warmData(SimAddr A, size_t Len) override;
-  const RunStats &lastStats() const override { return Stats; }
-  const MachineConfig &config() const override { return Cfg; }
-
-  void setInstrLimit(uint64_t N) override { InstrLimit = N; }
-
 private:
+  friend class Interp<AlphaSim>;
+
   void step();
-  uint32_t fetch(SimAddr A);
-  uint64_t loadMem(SimAddr A, unsigned Bytes);
-  void storeMem(SimAddr A, unsigned Bytes, uint64_t V);
+  void resetForCall(const CallConv &CC, SimAddr Entry, SimAddr Sp);
+  void setArg(Reg Loc, const TypedValue &A);
+  static void storeArg(Memory &M, SimAddr Slot, const TypedValue &A);
+  uint64_t resultBits(const CallConv &CC, Type RetTy) const;
   double getT(unsigned F) const;
   void setT(unsigned F, double V);
 
-  Memory &Mem;
-  MachineConfig Cfg;
-  Cache ICache, DCache;
-  RunStats Stats;
-  uint64_t InstrLimit = 4'000'000'000;
-  uint64_t PfClock = 0; ///< cumulative instruction clock for the sampler
-
   uint64_t R[32] = {};
   uint64_t F[32] = {}; // raw T-format bits
-  SimAddr PC = 0;
-
-  static constexpr SimAddr StopAddr = 0xFFFF0000;
 };
+
+extern template class Interp<AlphaSim>;
 
 } // namespace sim
 } // namespace vcode

@@ -134,21 +134,19 @@ class Cpu {
 public:
   virtual ~Cpu();
 
-  /// Calls generated code at \p Entry with \p Args under convention \p CC,
-  /// runs to completion, and returns the result interpreted as \p RetTy.
-  virtual TypedValue callWithConv(const CallConv &CC, SimAddr Entry,
-                                  const std::vector<TypedValue> &Args,
-                                  Type RetTy) = 0;
-
-  /// Span form of callWithConv: the argument list lives in caller-owned
-  /// storage. The base implementation copies into a vector and delegates;
-  /// NativeCpu overrides it with an allocation-free marshalling path, which
-  /// matters when a dispatch loop makes millions of sub-microsecond calls.
+  /// Calls generated code at \p Entry with the \p NumArgs arguments at
+  /// \p Args under convention \p CC, runs to completion, and returns the
+  /// result interpreted as \p RetTy. The argument list lives in
+  /// caller-owned storage and no Cpu allocates per call, which matters
+  /// when a dispatch loop makes millions of sub-microsecond calls.
   virtual TypedValue callWithConvSpan(const CallConv &CC, SimAddr Entry,
                                       const TypedValue *Args, size_t NumArgs,
-                                      Type RetTy) {
-    return callWithConv(CC, Entry,
-                        std::vector<TypedValue>(Args, Args + NumArgs), RetTy);
+                                      Type RetTy) = 0;
+
+  /// callWithConvSpan over a vector of arguments.
+  TypedValue callWithConv(const CallConv &CC, SimAddr Entry,
+                          const std::vector<TypedValue> &Args, Type RetTy) {
+    return callWithConvSpan(CC, Entry, Args.data(), Args.size(), RetTy);
   }
 
   /// Calls under the target's default convention.
@@ -157,8 +155,7 @@ public:
     return callWithConv(defaultConv(), Entry, Args, RetTy);
   }
 
-  /// Braced argument lists take the span path: no heap allocation on Cpus
-  /// that override callWithConvSpan.
+  /// Braced argument lists take the span path: no heap allocation.
   TypedValue call(SimAddr Entry, std::initializer_list<TypedValue> Args,
                   Type RetTy = Type::I) {
     return callWithConvSpan(defaultConv(), Entry, Args.begin(), Args.size(),
@@ -205,7 +202,7 @@ protected:
                             : M.stackTop();
   }
 
-  /// Called by each simulator at the end of callWithConv with that run's
+  /// Called by each simulator at the end of a call with that run's
   /// stats: folds them into the cumulative totals and surfaces them in
   /// the process-wide telemetry registry, so generated-code cost (cycles,
   /// stalls, cache misses) and generation cost read off one report.

@@ -7,125 +7,14 @@
 #include "sim/MipsSim.h"
 #include "mips/MipsDecode.h"
 #include "mips/MipsTarget.h"
-#include "profile/Profiler.h"
-#include "support/Telemetry.h"
 #include <cmath>
 #include <cstring>
 
 using namespace vcode;
 using namespace vcode::sim;
 
-// Virtual method anchor.
-Cpu::~Cpu() = default;
-
-void Cpu::finishRun(const RunStats &S) {
-  accumulateStats(S);
-  VCODE_TM_COUNT_BATCHED("sim.calls", 1);
-  VCODE_TM_COUNT_BATCHED("sim.instrs", S.Instrs);
-  VCODE_TM_COUNT_BATCHED("sim.cycles", S.Cycles);
-  VCODE_TM_COUNT_BATCHED("sim.icache_misses", S.ICacheMisses);
-  VCODE_TM_COUNT_BATCHED("sim.dcache_misses", S.DCacheMisses);
-  VCODE_TM_COUNT_BATCHED("sim.load_stalls", S.LoadStalls);
-}
-
-MipsSim::MipsSim(Memory &M, MachineConfig C) : Mem(M), Cfg(C) {
-  ICache.configure(Cfg.ICacheBytes, Cfg.LineBytes);
-  DCache.configure(Cfg.DCacheBytes, Cfg.LineBytes);
-}
-
-const CallConv &MipsSim::defaultConv() const {
-  return mips::mipsTargetInfo().DefaultCC;
-}
-
-void MipsSim::flushCaches() {
-  ICache.flush();
-  DCache.flush();
-}
-
-void MipsSim::warmData(SimAddr A, size_t Len) { DCache.warm(A, Len); }
-
-uint32_t MipsSim::fetch(SimAddr A) {
-  if (Cfg.ModelCaches && !ICache.access(A)) {
-    Stats.Cycles += Cfg.MissPenalty;
-    ++Stats.ICacheMisses;
-  }
-  return Mem.read<uint32_t>(A);
-}
-
-uint32_t MipsSim::loadMem(SimAddr A, unsigned Bytes, bool SignExtend) {
-  if (Cfg.ModelCaches && !DCache.access(A)) {
-    Stats.Cycles += Cfg.MissPenalty;
-    ++Stats.DCacheMisses;
-  }
-  switch (Bytes) {
-  case 1: {
-    uint8_t V = Mem.read<uint8_t>(A);
-    return SignExtend ? uint32_t(int32_t(int8_t(V))) : V;
-  }
-  case 2: {
-    if (A & 1)
-      fatalKind(CgErrKind::SimFault,
-          "mips sim: unaligned halfword load at 0x%llx",
-            (unsigned long long)A);
-    uint16_t V = Mem.read<uint16_t>(A);
-    return SignExtend ? uint32_t(int32_t(int16_t(V))) : V;
-  }
-  case 4:
-    if (A & 3)
-      fatalKind(CgErrKind::SimFault,
-          "mips sim: unaligned word load at 0x%llx", (unsigned long long)A);
-    return Mem.read<uint32_t>(A);
-  }
-  unreachable("bad load size");
-}
-
-void MipsSim::storeMem(SimAddr A, unsigned Bytes, uint32_t V) {
-  if (Cfg.ModelCaches && !DCache.access(A)) {
-    Stats.Cycles += Cfg.MissPenalty;
-    ++Stats.DCacheMisses;
-  }
-  switch (Bytes) {
-  case 1:
-    Mem.write<uint8_t>(A, uint8_t(V));
-    return;
-  case 2:
-    if (A & 1)
-      fatalKind(CgErrKind::SimFault,
-          "mips sim: unaligned halfword store at 0x%llx",
-            (unsigned long long)A);
-    Mem.write<uint16_t>(A, uint16_t(V));
-    return;
-  case 4:
-    if (A & 3)
-      fatalKind(CgErrKind::SimFault,
-          "mips sim: unaligned word store at 0x%llx", (unsigned long long)A);
-    Mem.write<uint32_t>(A, V);
-    return;
-  }
-  unreachable("bad store size");
-}
-
-float MipsSim::getS(unsigned F) const {
-  float V;
-  std::memcpy(&V, &FPR[F], 4);
-  return V;
-}
-
-void MipsSim::setS(unsigned F, float V) { std::memcpy(&FPR[F], &V, 4); }
-
-double MipsSim::getD(unsigned F) const {
-  uint64_t Bits = uint64_t(FPR[F]) | (uint64_t(FPR[F + 1]) << 32);
-  double V;
-  std::memcpy(&V, &Bits, 8);
-  return V;
-}
-
-void MipsSim::setD(unsigned F, double V) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &V, 8);
-  FPR[F] = uint32_t(Bits);
-  FPR[F + 1] = uint32_t(Bits >> 32);
-}
+MipsSim::MipsSim(Memory &M, MachineConfig C)
+    : Interp(M, C, mips::mipsTargetInfo().DefaultCC) {}
 
 /// Conservative approximation of "instruction reads register N" for the
 /// load-use interlock cost model. It reads the raw word rather than the
@@ -408,50 +297,50 @@ void MipsSim::step() {
     return;
 
   case Opc::Lb:
-    W(Rt, loadMem(R[Rs] + uint32_t(Imm), 1, true));
+    W(Rt, uint32_t(load<int8_t>(R[Rs] + uint32_t(Imm))));
     LastLoadReg = int(Rt);
     return;
   case Opc::Lh:
-    W(Rt, loadMem(R[Rs] + uint32_t(Imm), 2, true));
+    W(Rt, uint32_t(load<int16_t>(R[Rs] + uint32_t(Imm))));
     LastLoadReg = int(Rt);
     return;
   case Opc::Lw:
-    W(Rt, loadMem(R[Rs] + uint32_t(Imm), 4, false));
+    W(Rt, load<uint32_t>(R[Rs] + uint32_t(Imm)));
     LastLoadReg = int(Rt);
     return;
   case Opc::Lbu:
-    W(Rt, loadMem(R[Rs] + uint32_t(Imm), 1, false));
+    W(Rt, load<uint8_t>(R[Rs] + uint32_t(Imm)));
     LastLoadReg = int(Rt);
     return;
   case Opc::Lhu:
-    W(Rt, loadMem(R[Rs] + uint32_t(Imm), 2, false));
+    W(Rt, load<uint16_t>(R[Rs] + uint32_t(Imm)));
     LastLoadReg = int(Rt);
     return;
   case Opc::Sb:
-    storeMem(R[Rs] + uint32_t(Imm), 1, R[Rt]);
+    store(R[Rs] + uint32_t(Imm), uint8_t(R[Rt]));
     return;
   case Opc::Sh:
-    storeMem(R[Rs] + uint32_t(Imm), 2, R[Rt]);
+    store(R[Rs] + uint32_t(Imm), uint16_t(R[Rt]));
     return;
   case Opc::Sw:
-    storeMem(R[Rs] + uint32_t(Imm), 4, R[Rt]);
+    store(R[Rs] + uint32_t(Imm), R[Rt]);
     return;
   case Opc::Lwc1:
-    FPR[Rt] = loadMem(R[Rs] + uint32_t(Imm), 4, false);
+    FPR[Rt] = load<uint32_t>(R[Rs] + uint32_t(Imm));
     return;
   case Opc::Ldc1: {
     SimAddr A = R[Rs] + uint32_t(Imm);
-    FPR[Rt] = loadMem(A, 4, false);
-    FPR[Rt + 1] = loadMem(A + 4, 4, false);
+    FPR[Rt] = load<uint32_t>(A);
+    FPR[Rt + 1] = load<uint32_t>(A + 4);
     return;
   }
   case Opc::Swc1:
-    storeMem(R[Rs] + uint32_t(Imm), 4, FPR[Rt]);
+    store(R[Rs] + uint32_t(Imm), FPR[Rt]);
     return;
   case Opc::Sdc1: {
     SimAddr A = R[Rs] + uint32_t(Imm);
-    storeMem(A, 4, FPR[Rt]);
-    storeMem(A + 4, 4, FPR[Rt + 1]);
+    store(A, FPR[Rt]);
+    store(A + 4, FPR[Rt + 1]);
     return;
   }
   case Opc::Invalid:
@@ -487,81 +376,20 @@ SimAddr MipsSim::stepUnit(SimAddr At) {
   // a CTI, extending the chain) must run before control is architecturally
   // at rest again.
   do {
-    if (Stats.Instrs >= InstrLimit)
-      fatalKind(CgErrKind::SimFault,
-          "mips sim: instruction limit (%llu) exceeded; runaway code?",
-            (unsigned long long)InstrLimit);
+    checkLimit();
     step();
   } while (PC != StopAddr && NPC != PC + 4);
   return PC;
 }
 
-TypedValue MipsSim::callWithConv(const CallConv &CC, SimAddr Entry,
-                                 const std::vector<TypedValue> &Args,
-                                 Type RetTy) {
-  Stats = RunStats();
+void MipsSim::resetForCall(const CallConv &CC, SimAddr Entry, SimAddr Sp) {
   std::memset(R, 0, sizeof(R));
   HI = LO = 0;
   FpCond = false;
   LastLoadReg = -1;
-
-  R[29] = uint32_t(initialSp(Mem)); // sp
-  unsigned Link = CC.LinkReg.isValid() ? CC.LinkReg.Num : 31;
-  R[Link] = uint32_t(StopAddr);
-
-  std::vector<Type> Types;
-  Types.reserve(Args.size());
-  for (const TypedValue &A : Args)
-    Types.push_back(A.Ty);
-  std::vector<ArgLoc> Locs = computeArgLocs(CC, Types, 4);
-  for (size_t I = 0; I < Args.size(); ++I) {
-    const ArgLoc &L = Locs[I];
-    const TypedValue &A = Args[I];
-    if (!L.OnStack) {
-      if (L.R.isInt()) {
-        R[L.R.Num] = uint32_t(A.Bits);
-      } else if (A.Ty == Type::D) {
-        FPR[L.R.Num] = uint32_t(A.Bits);
-        FPR[L.R.Num + 1] = uint32_t(A.Bits >> 32);
-      } else {
-        FPR[L.R.Num] = uint32_t(A.Bits);
-      }
-      continue;
-    }
-    SimAddr Slot = SimAddr(R[29]) + uint32_t(L.StackOff);
-    if (A.Ty == Type::D) {
-      Mem.write<uint32_t>(Slot, uint32_t(A.Bits));
-      Mem.write<uint32_t>(Slot + 4, uint32_t(A.Bits >> 32));
-    } else {
-      Mem.write<uint32_t>(Slot, uint32_t(A.Bits));
-    }
-  }
-
-  PC = Entry;
+  R[29] = uint32_t(Sp);
+  R[CC.LinkReg.isValid() ? CC.LinkReg.Num : 31] = uint32_t(StopAddr);
   NPC = Entry + 4;
-  uint64_t Limit = InstrLimit;
-  while (PC != StopAddr) {
-    if (Stats.Instrs >= Limit)
-      fatalKind(CgErrKind::SimFault,
-          "mips sim: instruction limit (%llu) exceeded; runaway code?",
-            (unsigned long long)Limit);
-    // Virtual-PC sampling (profile/Profiler.h): PfClock is cumulative
-    // across calls (Stats resets per call) so the sampling phase does
-    // not realign with every callWithConv.
-    VCODE_PF_SAMPLE_VPC(++PfClock, PC);
-    step();
-  }
-
-  TypedValue Res;
-  Res.Ty = RetTy;
-  if (RetTy == Type::D)
-    Res.Bits = uint64_t(FPR[CC.FpRet.Num]) | (uint64_t(FPR[CC.FpRet.Num + 1]) << 32);
-  else if (RetTy == Type::F)
-    Res.Bits = FPR[CC.FpRet.Num];
-  else if (isSignedType(RetTy))
-    Res.Bits = uint64_t(int64_t(int32_t(R[CC.IntRet.Num])));
-  else
-    Res.Bits = R[CC.IntRet.Num];
-  finishRun(Stats);
-  return Res;
 }
+
+template class vcode::sim::Interp<MipsSim>;

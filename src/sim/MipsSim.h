@@ -16,35 +16,19 @@
 #ifndef VCODE_SIM_MIPSSIM_H
 #define VCODE_SIM_MIPSSIM_H
 
-#include "sim/Cache.h"
-#include "sim/Cpu.h"
-#include "sim/Memory.h"
+#include "sim/Interp.h"
 
 namespace vcode {
 namespace sim {
 
 /// MIPS32 CPU simulator over a Memory arena.
-class MipsSim : public Cpu {
+class MipsSim final : public Interp<MipsSim>, private Regs32 {
 public:
+  static constexpr const char *IsaName = "mips";
+  static constexpr unsigned WordBytes = 4;
+  static constexpr uint64_t DefaultInstrLimit = 2'000'000'000;
+
   explicit MipsSim(Memory &M, MachineConfig Cfg = dec5000Config());
-
-  TypedValue callWithConv(const CallConv &CC, SimAddr Entry,
-                          const std::vector<TypedValue> &Args,
-                          Type RetTy) override;
-  const CallConv &defaultConv() const override;
-  void flushCaches() override;
-  void warmData(SimAddr A, size_t Len) override;
-  const RunStats &lastStats() const override { return Stats; }
-  const MachineConfig &config() const override { return Cfg; }
-
-  void setInstrLimit(uint64_t N) override { InstrLimit = N; }
-
-  /// Direct register access (tests).
-  uint32_t reg(unsigned N) const { return R[N]; }
-  void setReg(unsigned N, uint32_t V) {
-    if (N)
-      R[N] = V;
-  }
 
   // --- Binary-translator fallback interface (dbt::MipsTranslatingCpu) ----
 
@@ -74,43 +58,24 @@ public:
   /// Executes one instruction *unit* starting at \p At: the instruction
   /// itself plus, when it is a control-transfer, the delay-slot chain it
   /// starts — so the caller never observes the architecturally-invisible
-  /// mid-CTI state. Returns the PC where control lands (stopAddr() when
+  /// mid-CTI state. Returns the PC where control lands (StopAddr when
   /// the unit returned through the sentinel link register).
   SimAddr stepUnit(SimAddr At);
 
-  /// Sentinel return address terminating a call (link register seed).
-  static constexpr SimAddr stopAddr() { return StopAddr; }
-  /// Instruction budget for a call (see setInstrLimit).
-  uint64_t instrLimit() const { return InstrLimit; }
-
 private:
+  friend class Interp<MipsSim>;
+
   void step();
-  uint32_t fetch(SimAddr A);
-  uint32_t loadMem(SimAddr A, unsigned Bytes, bool SignExtend);
-  void storeMem(SimAddr A, unsigned Bytes, uint32_t V);
-  double getD(unsigned F) const;
-  void setD(unsigned F, double V);
-  float getS(unsigned F) const;
-  void setS(unsigned F, float V);
+  void resetForCall(const CallConv &CC, SimAddr Entry, SimAddr Sp);
   void chargeLoadUse(uint32_t Instr);
 
-  Memory &Mem;
-  MachineConfig Cfg;
-  Cache ICache, DCache;
-  RunStats Stats;
-  uint64_t InstrLimit = 2'000'000'000;
-  uint64_t PfClock = 0; ///< cumulative instruction clock for the sampler
-
-  uint32_t R[32] = {};
-  uint32_t FPR[32] = {};
   uint32_t HI = 0, LO = 0;
   bool FpCond = false;
-  SimAddr PC = 0, NPC = 0;
+  SimAddr NPC = 0;
   int LastLoadReg = -1; // for the load-use interlock model
-  bool Halted = false;
-
-  static constexpr SimAddr StopAddr = 0xFFFF0000;
 };
+
+extern template class Interp<MipsSim>;
 
 } // namespace sim
 } // namespace vcode

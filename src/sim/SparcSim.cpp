@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "sim/SparcSim.h"
-#include "profile/Profiler.h"
 #include "sparc/SparcDecode.h"
 #include "sparc/SparcTarget.h"
 #include <cmath>
@@ -15,80 +14,8 @@ using namespace vcode;
 using namespace vcode::sim;
 using namespace vcode::sparc;
 
-SparcSim::SparcSim(Memory &M, MachineConfig C) : Mem(M), Cfg(C) {
-  ICache.configure(Cfg.ICacheBytes, Cfg.LineBytes);
-  DCache.configure(Cfg.DCacheBytes, Cfg.LineBytes);
-}
-
-const CallConv &SparcSim::defaultConv() const {
-  return sparcTargetInfo().DefaultCC;
-}
-
-void SparcSim::flushCaches() {
-  ICache.flush();
-  DCache.flush();
-}
-
-void SparcSim::warmData(SimAddr A, size_t Len) { DCache.warm(A, Len); }
-
-uint32_t SparcSim::fetch(SimAddr A) {
-  if (Cfg.ModelCaches && !ICache.access(A)) {
-    Stats.Cycles += Cfg.MissPenalty;
-    ++Stats.ICacheMisses;
-  }
-  return Mem.read<uint32_t>(A);
-}
-
-uint32_t SparcSim::loadMem(SimAddr A, unsigned Bytes, bool SignExtend) {
-  if (Cfg.ModelCaches && !DCache.access(A)) {
-    Stats.Cycles += Cfg.MissPenalty;
-    ++Stats.DCacheMisses;
-  }
-  switch (Bytes) {
-  case 1: {
-    uint8_t V = Mem.read<uint8_t>(A);
-    return SignExtend ? uint32_t(int32_t(int8_t(V))) : V;
-  }
-  case 2: {
-    if (A & 1)
-      fatalKind(CgErrKind::SimFault,
-          "sparc sim: unaligned halfword access at 0x%llx",
-            (unsigned long long)A);
-    uint16_t V = Mem.read<uint16_t>(A);
-    return SignExtend ? uint32_t(int32_t(int16_t(V))) : V;
-  }
-  case 4:
-    if (A & 3)
-      fatalKind(CgErrKind::SimFault,
-          "sparc sim: unaligned word access at 0x%llx",
-            (unsigned long long)A);
-    return Mem.read<uint32_t>(A);
-  }
-  unreachable("bad load size");
-}
-
-void SparcSim::storeMem(SimAddr A, unsigned Bytes, uint32_t V) {
-  if (Cfg.ModelCaches && !DCache.access(A)) {
-    Stats.Cycles += Cfg.MissPenalty;
-    ++Stats.DCacheMisses;
-  }
-  switch (Bytes) {
-  case 1:
-    Mem.write<uint8_t>(A, uint8_t(V));
-    return;
-  case 2:
-    Mem.write<uint16_t>(A, uint16_t(V));
-    return;
-  case 4:
-    if (A & 3)
-      fatalKind(CgErrKind::SimFault,
-          "sparc sim: unaligned word store at 0x%llx",
-            (unsigned long long)A);
-    Mem.write<uint32_t>(A, V);
-    return;
-  }
-  unreachable("bad store size");
-}
+SparcSim::SparcSim(Memory &M, MachineConfig C)
+    : Interp(M, C, sparcTargetInfo().DefaultCC) {}
 
 void SparcSim::setIccSub(uint32_t A, uint32_t B) {
   uint32_t R32 = A - B;
@@ -173,26 +100,6 @@ bool SparcSim::fccHolds(unsigned Cond) const {
     return !U;
   }
   unreachable("bad fcc condition");
-}
-
-float SparcSim::getS(unsigned F) const {
-  float V;
-  std::memcpy(&V, &FPR[F], 4);
-  return V;
-}
-void SparcSim::setS(unsigned F, float V) { std::memcpy(&FPR[F], &V, 4); }
-
-double SparcSim::getD(unsigned F) const {
-  uint64_t Bits = uint64_t(FPR[F]) | (uint64_t(FPR[F + 1]) << 32);
-  double V;
-  std::memcpy(&V, &Bits, 8);
-  return V;
-}
-void SparcSim::setD(unsigned F, double V) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &V, 8);
-  FPR[F] = uint32_t(Bits);
-  FPR[F + 1] = uint32_t(Bits >> 32);
 }
 
 void SparcSim::step() {
@@ -395,106 +302,56 @@ void SparcSim::step() {
   }
 
   case Opc::Ld:
-    W(Rd, loadMem(Addr(), 4, false));
+    W(Rd, load<uint32_t>(Addr()));
     return;
   case Opc::Ldub:
-    W(Rd, loadMem(Addr(), 1, false));
+    W(Rd, load<uint8_t>(Addr()));
     return;
   case Opc::Lduh:
-    W(Rd, loadMem(Addr(), 2, false));
+    W(Rd, load<uint16_t>(Addr()));
     return;
   case Opc::Ldsb:
-    W(Rd, loadMem(Addr(), 1, true));
+    W(Rd, uint32_t(load<int8_t>(Addr())));
     return;
   case Opc::Ldsh:
-    W(Rd, loadMem(Addr(), 2, true));
+    W(Rd, uint32_t(load<int16_t>(Addr())));
     return;
   case Opc::St:
-    storeMem(Addr(), 4, R[Rd]);
+    store(Addr(), R[Rd]);
     return;
   case Opc::Stb:
-    storeMem(Addr(), 1, R[Rd]);
+    store(Addr(), uint8_t(R[Rd]));
     return;
   case Opc::Sth:
-    storeMem(Addr(), 2, R[Rd]);
+    store(Addr(), uint16_t(R[Rd]));
     return;
   case Opc::Ldf:
-    FPR[Rd] = loadMem(Addr(), 4, false);
+    FPR[Rd] = load<uint32_t>(Addr());
     return;
   case Opc::Lddf:
-    FPR[Rd] = loadMem(Addr(), 4, false);
-    FPR[Rd + 1] = loadMem(Addr() + 4, 4, false);
+    FPR[Rd] = load<uint32_t>(Addr());
+    FPR[Rd + 1] = load<uint32_t>(Addr() + 4);
     return;
   case Opc::Stf:
-    storeMem(Addr(), 4, FPR[Rd]);
+    store(Addr(), FPR[Rd]);
     return;
   case Opc::Stdf:
-    storeMem(Addr(), 4, FPR[Rd]);
-    storeMem(Addr() + 4, 4, FPR[Rd + 1]);
+    store(Addr(), FPR[Rd]);
+    store(Addr() + 4, FPR[Rd + 1]);
     return;
   }
   unreachable("bad SPARC opcode");
 }
 
-TypedValue SparcSim::callWithConv(const CallConv &CC, SimAddr Entry,
-                                  const std::vector<TypedValue> &Args,
-                                  Type RetTy) {
-  Stats = RunStats();
+void SparcSim::resetForCall(const CallConv &CC, SimAddr Entry, SimAddr Sp) {
   std::memset(R, 0, sizeof(R));
   Y = 0;
   IccN = IccZ = IccV = IccC = false;
   Fcc = 0;
-
-  R[SP] = uint32_t(initialSp(Mem));
+  R[SP] = uint32_t(Sp);
   unsigned Link = CC.LinkReg.isValid() ? unsigned(CC.LinkReg.Num) : unsigned(O7);
   R[Link] = uint32_t(StopAddr - 8); // retl jumps to link+8
-
-  std::vector<Type> Types;
-  Types.reserve(Args.size());
-  for (const TypedValue &A : Args)
-    Types.push_back(A.Ty);
-  std::vector<ArgLoc> Locs = computeArgLocs(CC, Types, 4);
-  for (size_t I = 0; I < Args.size(); ++I) {
-    const ArgLoc &L = Locs[I];
-    const TypedValue &A = Args[I];
-    if (!L.OnStack) {
-      if (L.R.isInt()) {
-        R[L.R.Num] = uint32_t(A.Bits);
-      } else if (A.Ty == Type::D) {
-        FPR[L.R.Num] = uint32_t(A.Bits);
-        FPR[L.R.Num + 1] = uint32_t(A.Bits >> 32);
-      } else {
-        FPR[L.R.Num] = uint32_t(A.Bits);
-      }
-      continue;
-    }
-    SimAddr Slot = SimAddr(R[SP]) + uint32_t(L.StackOff);
-    Mem.write<uint32_t>(Slot, uint32_t(A.Bits));
-    if (A.Ty == Type::D)
-      Mem.write<uint32_t>(Slot + 4, uint32_t(A.Bits >> 32));
-  }
-
-  PC = Entry;
   NPC = Entry + 4;
-  while (PC != StopAddr) {
-    if (Stats.Instrs >= InstrLimit)
-      fatalKind(CgErrKind::SimFault,
-          "sparc sim: instruction limit exceeded; runaway code?");
-    VCODE_PF_SAMPLE_VPC(++PfClock, PC);
-    step();
-  }
-
-  TypedValue Res;
-  Res.Ty = RetTy;
-  if (RetTy == Type::D)
-    Res.Bits =
-        uint64_t(FPR[CC.FpRet.Num]) | (uint64_t(FPR[CC.FpRet.Num + 1]) << 32);
-  else if (RetTy == Type::F)
-    Res.Bits = FPR[CC.FpRet.Num];
-  else if (isSignedType(RetTy))
-    Res.Bits = uint64_t(int64_t(int32_t(R[CC.IntRet.Num])));
-  else
-    Res.Bits = R[CC.IntRet.Num];
-  finishRun(Stats);
-  return Res;
 }
+
+template class vcode::sim::Interp<SparcSim>;

@@ -15,58 +15,36 @@
 #ifndef VCODE_SIM_SPARCSIM_H
 #define VCODE_SIM_SPARCSIM_H
 
-#include "sim/Cache.h"
-#include "sim/Cpu.h"
-#include "sim/Memory.h"
+#include "sim/Interp.h"
 
 namespace vcode {
 namespace sim {
 
 /// SPARC V8 CPU simulator over a Memory arena.
-class SparcSim : public Cpu {
+class SparcSim final : public Interp<SparcSim>, private Regs32 {
 public:
+  static constexpr const char *IsaName = "sparc";
+  static constexpr unsigned WordBytes = 4;
+  static constexpr uint64_t DefaultInstrLimit = 2'000'000'000;
+
   explicit SparcSim(Memory &M, MachineConfig Cfg = dec5000Config());
 
-  TypedValue callWithConv(const CallConv &CC, SimAddr Entry,
-                          const std::vector<TypedValue> &Args,
-                          Type RetTy) override;
-  const CallConv &defaultConv() const override;
-  void flushCaches() override;
-  void warmData(SimAddr A, size_t Len) override;
-  const RunStats &lastStats() const override { return Stats; }
-  const MachineConfig &config() const override { return Cfg; }
-
-  void setInstrLimit(uint64_t N) override { InstrLimit = N; }
-
 private:
+  friend class Interp<SparcSim>;
+
   void step();
-  uint32_t fetch(SimAddr A);
-  uint32_t loadMem(SimAddr A, unsigned Bytes, bool SignExtend);
-  void storeMem(SimAddr A, unsigned Bytes, uint32_t V);
+  void resetForCall(const CallConv &CC, SimAddr Entry, SimAddr Sp);
   bool iccHolds(unsigned Cond) const;
   bool fccHolds(unsigned Cond) const;
   void setIccSub(uint32_t A, uint32_t B);
-  double getD(unsigned F) const;
-  void setD(unsigned F, double V);
-  float getS(unsigned F) const;
-  void setS(unsigned F, float V);
 
-  Memory &Mem;
-  MachineConfig Cfg;
-  Cache ICache, DCache;
-  RunStats Stats;
-  uint64_t InstrLimit = 2'000'000'000;
-  uint64_t PfClock = 0; ///< cumulative instruction clock for the sampler
-
-  uint32_t R[32] = {};
-  uint32_t FPR[32] = {};
   uint32_t Y = 0;
   bool IccN = false, IccZ = false, IccV = false, IccC = false;
   unsigned Fcc = 0; // 0=E 1=L 2=G 3=U
-  SimAddr PC = 0, NPC = 0;
-
-  static constexpr SimAddr StopAddr = 0xFFFF0000;
+  SimAddr NPC = 0;
 };
+
+extern template class Interp<SparcSim>;
 
 } // namespace sim
 } // namespace vcode

@@ -35,11 +35,6 @@ class NativeCpu final : public sim::Cpu {
 public:
   explicit NativeCpu(sim::Memory &M);
 
-  sim::TypedValue callWithConv(const CallConv &CC, SimAddr Entry,
-                               const std::vector<sim::TypedValue> &Args,
-                               Type RetTy) override {
-    return callWithConvSpan(CC, Entry, Args.data(), Args.size(), RetTy);
-  }
   /// The hot path: marshals straight from the caller's storage into the
   /// trampoline's registers, no heap allocation per call.
   sim::TypedValue callWithConvSpan(const CallConv &CC, SimAddr Entry,

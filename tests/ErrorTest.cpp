@@ -119,7 +119,8 @@ TEST_P(ErrorTest, SimulatorCatchesRunawayCode) {
   V.jmp(L);
   CodePtr Fn = V.end();
   B.Cpu->setInstrLimit(100000);
-  EXPECT_DEATH(B.Cpu->call(Fn.Entry, {}), "instruction limit");
+  EXPECT_DEATH(B.Cpu->call(Fn.Entry, {}),
+               "instruction limit \\(100000\\) exceeded");
 }
 
 TEST_P(ErrorTest, SimulatorCatchesWildMemoryAccess) {
