@@ -27,6 +27,7 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <string>
 
 namespace vcode {
 
@@ -72,6 +73,9 @@ struct CodeMem {
   /// client handed it over directly; the retry driver and the code cache
   /// stamp themselves). Null means the legacy direct-to-v_lambda wording.
   const char *Source = nullptr;
+  /// Name the finished function is published under in the CodeMap (the
+  /// code cache stamps its key); null leaves it to setFunctionName.
+  const std::string *Name = nullptr;
 };
 
 /// Result of v_end: the entry address of a finished function. SizeBytes

@@ -124,6 +124,8 @@ void VCode::lambda(const char *ArgTypeStr, Reg *ArgRegs, bool IsLeaf,
   MemArena = Mem.Arena;
   MemGuest = Mem.Guest;
   MemSize = Mem.Size;
+  if (Mem.Name)
+    FnName = *Mem.Name;
   if (MemArena)
     MemArena->beginWrite(MemGuest, MemSize);
   RA.init(TI);
@@ -231,11 +233,12 @@ CodePtr VCode::endImpl() {
     MemArena->publish(MemGuest, Entry.SizeBytes);
 
   // Register the finished region with the process-wide CodeMap (no-op
-  // when telemetry is compiled out). Callers with a better name/tier
-  // (CodeCache keys, DBT guest ranges) annotate the entry afterwards.
+  // when telemetry is compiled out) under its final name, tier and guest
+  // range: the entry is never changed after this.
   profile::CodeMap::instance().publish(
       Buf.baseAddr(), Entry.SizeBytes, Entry.Entry,
-      uintptr_t(Buf.hostBase()), std::move(FnName), TI.Name, PubTier);
+      uintptr_t(Buf.hostBase()), std::move(FnName), TI.Name, PubTier,
+      PubGuestLo, PubGuestHi);
 
   VCODE_TM_SPAN("core.backpatch", TmFinishStart);
   VCODE_TM_COUNT("core.functions", 1);

@@ -107,9 +107,9 @@ public:
   CodePtr end();
 
   /// Names the function being generated for introspection (the CodeMap
-  /// entry end() publishes, --dump-code, profiler reports). Cleared by
-  /// lambda(); callers that know a better name (cache key, guest PC) can
-  /// set it any time before end().
+  /// entry end() publishes, --dump-code, profiler reports). lambda()
+  /// resets it to the region's CodeMem::Name (the cache key) or clears
+  /// it; a call after lambda() and before end() overrides that.
   void setFunctionName(std::string Name) { FnName = std::move(Name); }
   const std::string &functionName() const { return FnName; }
 
@@ -118,6 +118,12 @@ public:
   /// persists across lambda() so a stamp placed before the emitter runs
   /// survives to end().
   void setPublishTier(Tier T) { PubTier = T; }
+  /// Guest-PC range [Lo, Hi) recorded on the published CodeMap entry (a
+  /// DBT translation's source). Persists across lambda() like the tier.
+  void setPublishGuestRange(uint64_t Lo, uint64_t Hi) {
+    PubGuestLo = Lo;
+    PubGuestHi = Hi;
+  }
 
   // --- Registers (paper §3.2, §5.3) ---------------------------------------
 
@@ -381,6 +387,7 @@ private:
   // Introspection metadata carried to the CodeMap entry end() publishes.
   std::string FnName;
   Tier PubTier = Tier::Tier0;
+  uint64_t PubGuestLo = 0, PubGuestHi = 0;
 
   std::vector<int64_t> LabelPos; // word index, -1 if unbound
   std::vector<Fixup> Fixups;

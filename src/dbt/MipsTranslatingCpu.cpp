@@ -62,16 +62,10 @@ TypedValue MipsTranslatingCpu::callWithConvSpan(const CallConv &CC,
     return Res;
   }
 
-  // Marshal as the interpreter does (MipsSim::resetForCall and the shared
-  // placement walker). FPR persists across calls there too (only the
-  // integer file is cleared).
-  std::memset(GS.R, 0, sizeof(GS.R));
-  GS.HI = GS.LO = 0;
-  GS.FpCond = 0;
+  // Marshal as the interpreter does: the same register reset and the
+  // shared placement walker.
   const SimAddr Sp = initialSp(Mem);
-  GS.R[29] = uint32_t(Sp);
-  GS.R[CC.LinkReg.isValid() ? CC.LinkReg.Num : 31] =
-      uint32_t(sim::MipsSim::StopAddr);
+  sim::MipsSim::resetRegsForCall(GS, CC, Sp);
   ArgWalker Walk(CC, sim::MipsSim::WordBytes);
   for (size_t I = 0; I < NumArgs; ++I) {
     ArgLoc L = Walk.next(Args[I].Ty);

@@ -24,9 +24,6 @@ namespace {
 
 /// Distinct retired names kept before aggregating under "<retired>".
 constexpr size_t kMaxRetired = 4096;
-/// Mutations between snapshot rebuilds (amortizes the O(n) copy; while
-/// the snapshot is behind, lookups take the locked slow path instead).
-constexpr uint64_t kRebuildEvery = 32;
 
 /// "fn@<hex addr>" without the snprintf detour: publish() is on the
 /// v_end path of every generated function, so the synthesized-name case
@@ -56,114 +53,66 @@ std::string fmtLine(const char *Fmt, ...) {
 } // namespace
 
 struct CodeMap::Impl {
+  using Map = std::map<uint64_t, std::shared_ptr<const CodeEntry>>;
+
   mutable std::mutex M;
-  /// Source of truth, keyed by region base address.
-  std::map<uint64_t, std::shared_ptr<CodeEntry>> Live;
-  /// Published read view; replaced wholesale, never mutated in place.
-  std::atomic<std::shared_ptr<const Snap>> Reader;
-  /// Mutations since the last snapshot rebuild. A rebuild stores 0 with
-  /// release after publishing Reader; readers load it with acquire before
-  /// Reader, so a zero read guarantees a snapshot at least that new.
-  std::atomic<uint64_t> Dirty{0};
+  /// Live entries by region base address, and those with a host address
+  /// by Host. Every entry in ByHost is also in ByAddr.
+  Map ByAddr, ByHost;
   std::atomic<uint64_t> GenSeq{0};
 
-  uint64_t Published = 0, Removed = 0, Renames = 0;
+  uint64_t Published = 0, Removed = 0;
   /// Heat folded out of removed entries, by name.
   std::unordered_map<std::string, uint64_t> Retired;
   uint64_t RetiredOther = 0;
 
-  /// Rebuilds and republishes the read snapshot. Caller holds M.
-  void rebuildLocked() {
-    auto S = std::make_shared<Snap>();
-    S->ByAddr.reserve(Live.size());
-    for (auto &KV : Live)
-      S->ByAddr.push_back(KV.second);
-    for (auto &E : S->ByAddr)
-      if (E->Host)
-        S->ByHost.push_back(E);
-    std::sort(S->ByHost.begin(), S->ByHost.end(),
-              [](const std::shared_ptr<CodeEntry> &A,
-                 const std::shared_ptr<CodeEntry> &B) {
-                return A->Host < B->Host;
-              });
-    Reader.store(std::shared_ptr<const Snap>(std::move(S)),
-                 std::memory_order_release);
-    Dirty.store(0, std::memory_order_release);
-  }
-
-  /// Counts a mutation and rebuilds the snapshot on the amortization
-  /// boundary. Caller holds M.
-  void noteMutationLocked() {
-    if (Dirty.fetch_add(1, std::memory_order_relaxed) + 1 >= kRebuildEvery)
-      rebuildLocked();
-  }
-
-  /// Folds a dying entry's heat into the retired tally. Caller holds M.
-  void retireLocked(const CodeEntry &E) {
+  /// Removes \p It's entry from both maps and folds its heat into the
+  /// retired tally. Caller holds M. Returns the next ByAddr position.
+  Map::iterator eraseLocked(Map::iterator It) {
+    const CodeEntry &E = *It->second;
+    // A newer region may have taken over the host key (a freed arena's
+    // memory reused by another); only drop the slot if it is still ours.
+    auto H = ByHost.find(E.Host);
+    if (H != ByHost.end() && H->second == It->second)
+      ByHost.erase(H);
     uint64_t S = E.Samples.load(std::memory_order_relaxed);
-    if (!S)
-      return;
-    auto It = Retired.find(E.Name);
-    if (It != Retired.end())
-      It->second += S;
-    else if (Retired.size() < kMaxRetired)
-      Retired.emplace(E.Name, S);
-    else
-      RetiredOther += S;
+    if (S) {
+      auto R = Retired.find(E.Name);
+      if (R != Retired.end())
+        R->second += S;
+      else if (Retired.size() < kMaxRetired)
+        Retired.emplace(E.Name, S);
+      else
+        RetiredOther += S;
+    }
+    ++Removed;
+    return ByAddr.erase(It);
   }
 
   /// Removes every live entry overlapping [Addr, Addr+Bytes). Caller
-  /// holds M. Returns the number removed.
-  uint64_t removeOverlapsLocked(uint64_t Addr, uint64_t Bytes) {
-    uint64_t N = 0;
+  /// holds M.
+  void removeOverlapsLocked(uint64_t Addr, uint64_t Bytes) {
     // First candidate: the entry at or before Addr can still cover it.
-    auto It = Live.upper_bound(Addr);
-    if (It != Live.begin()) {
-      auto Prev = std::prev(It);
-      if (Prev->first + Prev->second->Bytes > Addr)
-        It = Prev;
-    }
-    while (It != Live.end() && It->first < Addr + Bytes) {
-      retireLocked(*It->second);
-      It = Live.erase(It);
-      ++N;
-    }
-    return N;
+    auto It = ByAddr.upper_bound(Addr);
+    if (It != ByAddr.begin() && std::prev(It)->second->contains(Addr))
+      --It;
+    while (It != ByAddr.end() && It->first < Addr + Bytes)
+      It = eraseLocked(It);
   }
 
-  /// Snapshot binary search by simulated address.
-  static std::shared_ptr<const CodeEntry>
-  searchAddr(const Snap &S, uint64_t Pc) {
-    auto It = std::upper_bound(
-        S.ByAddr.begin(), S.ByAddr.end(), Pc,
-        [](uint64_t P, const std::shared_ptr<CodeEntry> &E) {
-          return P < E->Addr;
-        });
-    if (It == S.ByAddr.begin())
+  /// The entry whose region [key, key+Bytes) in \p Mp holds \p Pc.
+  /// Caller holds M.
+  static std::shared_ptr<const CodeEntry> findLocked(const Map &Mp,
+                                                     uint64_t Pc) {
+    auto It = Mp.upper_bound(Pc);
+    if (It == Mp.begin())
       return nullptr;
-    auto &E = *std::prev(It);
-    return E->contains(Pc) ? E : nullptr;
-  }
-
-  /// Snapshot binary search by host address.
-  static std::shared_ptr<const CodeEntry>
-  searchHost(const Snap &S, uintptr_t Pc) {
-    auto It = std::upper_bound(
-        S.ByHost.begin(), S.ByHost.end(), Pc,
-        [](uintptr_t P, const std::shared_ptr<CodeEntry> &E) {
-          return P < E->Host;
-        });
-    if (It == S.ByHost.begin())
-      return nullptr;
-    auto &E = *std::prev(It);
-    return E->containsHost(Pc) ? E : nullptr;
+    --It;
+    return Pc - It->first < It->second->Bytes ? It->second : nullptr;
   }
 };
 
-CodeMap::CodeMap() : I(new Impl) {
-  std::lock_guard<std::mutex> L(I->M);
-  I->rebuildLocked(); // never leave Reader null
-}
+CodeMap::CodeMap() : I(new Impl) {}
 
 CodeMap &CodeMap::instance() {
   // Leaked: profiler drains and atexit reports may run after static
@@ -174,7 +123,8 @@ CodeMap &CodeMap::instance() {
 
 uint64_t CodeMap::publish(uint64_t Addr, uint64_t Bytes, uint64_t Entry,
                           uintptr_t Host, std::string Name,
-                          const char *Target, Tier T) {
+                          const char *Target, Tier T, uint64_t GuestLo,
+                          uint64_t GuestHi) {
   if (!Bytes)
     return 0;
   auto E = std::make_shared<CodeEntry>();
@@ -185,6 +135,8 @@ uint64_t CodeMap::publish(uint64_t Addr, uint64_t Bytes, uint64_t Entry,
   E->Target = Target ? Target : "";
   E->GenTier = T;
   E->Generation = I->GenSeq.fetch_add(1, std::memory_order_relaxed) + 1;
+  E->GuestLo = GuestLo;
+  E->GuestHi = GuestHi;
   if (Name.empty())
     E->Name = synthName(Addr);
   else
@@ -195,97 +147,38 @@ uint64_t CodeMap::publish(uint64_t Addr, uint64_t Bytes, uint64_t Entry,
   }
   {
     std::lock_guard<std::mutex> L(I->M);
-    I->Removed += I->removeOverlapsLocked(Addr, Bytes);
-    I->Live[Addr] = E;
+    I->removeOverlapsLocked(Addr, Bytes);
+    I->ByAddr.emplace(Addr, E);
+    if (Host)
+      I->ByHost[Host] = E;
     ++I->Published;
-    I->noteMutationLocked();
   }
   exportOnPublish(*E);
   return E->Generation;
 }
 
-bool CodeMap::annotate(uint64_t Addr, const std::string &Name, Tier T) {
-  std::lock_guard<std::mutex> L(I->M);
-  auto It = I->Live.find(Addr);
-  if (It == I->Live.end())
-    return false;
-  // Copy-on-write: concurrent readers hold the old entry; a string they
-  // might be reading is never mutated underneath them.
-  auto E = std::make_shared<CodeEntry>(*It->second);
-  E->Name = Name;
-  E->GenTier = T;
-  It->second = std::move(E);
-  ++I->Renames;
-  I->noteMutationLocked();
-  return true;
-}
-
-bool CodeMap::setGuestRange(uint64_t AnyAddrInRegion, uint64_t Lo,
-                            uint64_t Hi) {
-  std::lock_guard<std::mutex> L(I->M);
-  auto It = I->Live.upper_bound(AnyAddrInRegion);
-  if (It == I->Live.begin())
-    return false;
-  --It;
-  if (!It->second->contains(AnyAddrInRegion))
-    return false;
-  auto E = std::make_shared<CodeEntry>(*It->second);
-  E->GuestLo = Lo;
-  E->GuestHi = Hi;
-  It->second = std::move(E);
-  I->noteMutationLocked();
-  return true;
-}
-
 void CodeMap::remove(uint64_t Addr) {
   std::lock_guard<std::mutex> L(I->M);
-  auto It = I->Live.find(Addr);
-  if (It == I->Live.end())
-    return;
-  I->retireLocked(*It->second);
-  I->Live.erase(It);
-  ++I->Removed;
-  I->noteMutationLocked();
+  auto It = I->ByAddr.find(Addr);
+  if (It != I->ByAddr.end())
+    I->eraseLocked(It);
 }
 
 std::shared_ptr<const CodeEntry> CodeMap::lookup(uint64_t Pc) const {
-  // The snapshot answers only when it is current: a stale *hit* would
-  // attribute to an entry already removed or renamed, not just miss.
-  // Dirty is read first: a zero read acquires the rebuild that stored it,
-  // so the snapshot loaded next holds every entry published before that.
-  if (!I->Dirty.load(std::memory_order_acquire))
-    return Impl::searchAddr(*I->Reader.load(std::memory_order_acquire), Pc);
-  // Answer from the truth map without rebuilding: this is the virtual
-  // sampler's path, and continuous churn keeps the snapshot perpetually
-  // dirty — an O(n) rebuild per sample inside the lock would convoy the
-  // dispatch threads behind the installers. O(log n) and allocation-free
-  // keeps the critical section negligible; rebuilds stay amortized on
-  // the mutation boundary.
   std::lock_guard<std::mutex> L(I->M);
-  auto It = I->Live.upper_bound(Pc);
-  if (It == I->Live.begin())
-    return nullptr;
-  auto &E = std::prev(It)->second;
-  return E->contains(Pc) ? E : nullptr;
+  return Impl::findLocked(I->ByAddr, Pc);
 }
 
 std::shared_ptr<const CodeEntry> CodeMap::lookupHost(uintptr_t Pc) const {
-  if (!I->Dirty.load(std::memory_order_acquire))
-    return Impl::searchHost(*I->Reader.load(std::memory_order_acquire), Pc);
-  // Host lookups come from the native ring drain (stop/report time), not
-  // a hot loop, and Live is not indexed by host address — rebuilding here
-  // restores the indexed fast path for the rest of the batch.
   std::lock_guard<std::mutex> L(I->M);
-  I->rebuildLocked();
-  auto S2 = I->Reader.load(std::memory_order_acquire);
-  return Impl::searchHost(*S2, Pc);
+  return Impl::findLocked(I->ByHost, Pc);
 }
 
 std::vector<std::shared_ptr<const CodeEntry>> CodeMap::entries() const {
   std::lock_guard<std::mutex> L(I->M);
   std::vector<std::shared_ptr<const CodeEntry>> Out;
-  Out.reserve(I->Live.size());
-  for (auto &KV : I->Live)
+  Out.reserve(I->ByAddr.size());
+  for (auto &KV : I->ByAddr)
     Out.push_back(KV.second);
   return Out;
 }
@@ -293,7 +186,7 @@ std::vector<std::shared_ptr<const CodeEntry>> CodeMap::entries() const {
 std::shared_ptr<const CodeEntry>
 CodeMap::findByName(const std::string &Name) const {
   std::lock_guard<std::mutex> L(I->M);
-  for (auto &KV : I->Live)
+  for (auto &KV : I->ByAddr)
     if (KV.second->Name == Name)
       return KV.second;
   return nullptr;
@@ -304,8 +197,7 @@ CodeMap::Stats CodeMap::stats() const {
   Stats S;
   S.Published = I->Published;
   S.Removed = I->Removed;
-  S.Live = I->Live.size();
-  S.Renames = I->Renames;
+  S.Live = I->ByAddr.size();
   return S;
 }
 
@@ -327,11 +219,9 @@ void CodeMap::appendReport(std::string &Out) const {
   auto Retired = retiredHeat();
 
   Out += "codemap:\n";
-  Out += fmtLine("  regions: %llu live, %llu published, %llu retired, "
-                 "%llu renamed\n",
+  Out += fmtLine("  regions: %llu live, %llu published, %llu retired\n",
                  (unsigned long long)S.Live, (unsigned long long)S.Published,
-                 (unsigned long long)S.Removed,
-                 (unsigned long long)S.Renames);
+                 (unsigned long long)S.Removed);
   uint64_t TotalBytes = 0, TotalSamples = 0;
   for (auto &E : Es) {
     TotalBytes += E->Bytes;
@@ -378,11 +268,11 @@ void CodeMap::appendReport(std::string &Out) const {
 
 void CodeMap::resetForTest() {
   std::lock_guard<std::mutex> L(I->M);
-  I->Live.clear();
+  I->ByAddr.clear();
+  I->ByHost.clear();
   I->Retired.clear();
   I->RetiredOther = 0;
-  I->Published = I->Removed = I->Renames = 0;
-  I->rebuildLocked();
+  I->Published = I->Removed = 0;
 }
 
 } // namespace profile

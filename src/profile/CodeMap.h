@@ -14,14 +14,14 @@
 /// perf-map/jitdump writers (profile/JitDump.h) stream entries from it,
 /// and --dump-code walks it for annotated disassembly.
 ///
-/// Concurrency: writers (publish/annotate/remove) serialize on a mutex;
-/// readers look PCs up in an immutable snapshot swapped through
-/// std::atomic<std::shared_ptr>, so a lookup never blocks on a writer.
-/// Snapshot rebuilds are amortized (every kRebuildEvery mutations) to keep
-/// the publish path off the service's install-latency SLO; a lookup only
-/// consults the snapshot while no mutations are pending — otherwise it
-/// takes the slow path and rebuilds — so attribution stays exact (never a
-/// removed or renamed entry) without per-publish rebuild cost.
+/// Concurrency: one mutex guards two ordered maps of the same entries,
+/// one keyed by region base address (lookup, overlap eviction) and one by
+/// host address (lookupHost, for the SIGPROF drain). publish, remove and
+/// overlap eviction update both under the lock; each lookup takes it for
+/// one upper_bound. An entry is complete when publish() inserts it — the
+/// caller passes the name, tier and guest range it will carry — and is
+/// never copied or changed afterwards except for its Samples counter, so
+/// a reader holding the shared_ptr needs no lock.
 ///
 /// Like the telemetry layer it reports through, the whole registry
 /// compiles out under -DVCODE_TELEMETRY=OFF: the class below becomes an
@@ -45,10 +45,8 @@
 namespace vcode {
 namespace profile {
 
-/// Metadata for one published code region. Immutable after publication
-/// except Samples (relaxed-atomic profiler heat); metadata updates
-/// (annotate/setGuestRange) replace the entry copy-on-write so concurrent
-/// readers never observe a string mid-write.
+/// Metadata for one published code region. Fixed at publication except
+/// Samples (relaxed-atomic profiler heat).
 struct CodeEntry {
   uint64_t Addr = 0;  ///< region base, in its arena's simulated addresses
   uint64_t Bytes = 0; ///< published length
@@ -62,19 +60,7 @@ struct CodeEntry {
   std::vector<uint8_t> Code; ///< captured bytes (only when capture is on)
   mutable std::atomic<uint64_t> Samples{0}; ///< profiler heat
 
-  CodeEntry() = default;
-  /// Copy for the copy-on-write metadata updates; carries the heat over.
-  CodeEntry(const CodeEntry &O)
-      : Addr(O.Addr), Bytes(O.Bytes), Entry(O.Entry), Host(O.Host),
-        Name(O.Name), Target(O.Target), GenTier(O.GenTier),
-        Generation(O.Generation), GuestLo(O.GuestLo), GuestHi(O.GuestHi),
-        Code(O.Code), Samples(O.Samples.load(std::memory_order_relaxed)) {}
-  CodeEntry &operator=(const CodeEntry &) = delete;
-
   bool contains(uint64_t Pc) const { return Pc - Addr < Bytes; }
-  bool containsHost(uintptr_t Pc) const {
-    return Host && Pc - Host < Bytes;
-  }
 };
 
 #if VCODE_TELEMETRY_ENABLED
@@ -89,36 +75,26 @@ public:
     uint64_t Published = 0; ///< publish() calls
     uint64_t Removed = 0;   ///< remove() plus overlap evictions
     uint64_t Live = 0;      ///< entries currently registered
-    uint64_t Renames = 0;   ///< annotate() metadata updates
   };
 
   /// Registers [Addr, Addr+Bytes) with entry point \p Entry. Any
   /// previously published region that overlaps is removed first (the
   /// cache's free pool reuses regions); its heat folds into the retired
-  /// tally. An empty \p Name is synthesized as "fn@<addr>". Captures the
-  /// code bytes from \p Host when capture is enabled. Returns the publish
-  /// generation number.
+  /// tally. An empty \p Name is synthesized as "fn@<addr>". [\p GuestLo,
+  /// \p GuestHi) is a DBT translation's guest-PC source range (empty
+  /// otherwise). Captures the code bytes from \p Host when capture is
+  /// enabled. Returns the publish generation number.
   uint64_t publish(uint64_t Addr, uint64_t Bytes, uint64_t Entry,
                    uintptr_t Host, std::string Name, const char *Target,
-                   Tier T);
-
-  /// Renames the region based at exactly \p Addr and updates its tier
-  /// (CodeCache insert/promote know the key and final tier only after
-  /// v_end published). Returns false if no region is based there.
-  bool annotate(uint64_t Addr, const std::string &Name, Tier T);
-
-  /// Records the guest-PC source range on the region containing
-  /// \p AnyAddrInRegion (DBT translations). Returns false on no region.
-  bool setGuestRange(uint64_t AnyAddrInRegion, uint64_t Lo, uint64_t Hi);
+                   Tier T, uint64_t GuestLo = 0, uint64_t GuestHi = 0);
 
   /// Unregisters the region based at exactly \p Addr (eviction, promotion
   /// reclaim); its heat folds into the retired tally.
   void remove(uint64_t Addr);
 
   /// PC -> entry in the simulated address space of each region's arena.
-  /// O(log n) against the read snapshot; never blocks on a publisher
-  /// unless mutations are pending (then rebuilds under the writer lock,
-  /// so a stale entry is never returned). NOT async-signal-safe.
+  /// O(log n) under the lock; never returns a removed entry. NOT
+  /// async-signal-safe.
   std::shared_ptr<const CodeEntry> lookup(uint64_t Pc) const;
   /// Host-address -> entry (SIGPROF RIPs, DBT translated-function
   /// pointers). Same contract as lookup().
@@ -157,11 +133,6 @@ private:
   CodeMap();
   ~CodeMap() = delete; // leaked singleton: atexit readers outlive statics
 
-  struct Snap {
-    std::vector<std::shared_ptr<CodeEntry>> ByAddr; ///< sorted by Addr
-    std::vector<std::shared_ptr<CodeEntry>> ByHost; ///< Host != 0, sorted
-  };
-
   struct Impl;
   Impl *I;
   std::atomic<bool> Capture{false};
@@ -178,14 +149,12 @@ public:
     return M;
   }
   struct Stats {
-    uint64_t Published = 0, Removed = 0, Live = 0, Renames = 0;
+    uint64_t Published = 0, Removed = 0, Live = 0;
   };
   uint64_t publish(uint64_t, uint64_t, uint64_t, uintptr_t, std::string,
-                   const char *, Tier) {
+                   const char *, Tier, uint64_t = 0, uint64_t = 0) {
     return 0;
   }
-  bool annotate(uint64_t, const std::string &, Tier) { return false; }
-  bool setGuestRange(uint64_t, uint64_t, uint64_t) { return false; }
   void remove(uint64_t) {}
   std::shared_ptr<const CodeEntry> lookup(uint64_t) const { return {}; }
   std::shared_ptr<const CodeEntry> lookupHost(uintptr_t) const { return {}; }

@@ -16,7 +16,7 @@
 ///
 /// - Virtual: the simulators sample their own guest PC every
 ///   kVirtualSamplePeriod instructions via VCODE_PF_SAMPLE_VPC. Ordinary
-///   thread context, so attribution is immediate (lock-free CodeMap
+///   thread context, so attribution is immediate (one locked CodeMap
 ///   lookup + relaxed Samples increment).
 ///
 /// Everything here compiles out under -DVCODE_TELEMETRY=OFF: the macro

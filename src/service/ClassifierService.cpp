@@ -148,8 +148,8 @@ void ClassifierService::buildTopSets(Report &R) const {
   if (!Cfg.TopN)
     return;
   // Heat joins through the CodeMap by shared cache key: the live entry
-  // (annotated by CodeCache::makeVersion) plus samples folded into the
-  // retired tally when churn evicted earlier versions of the same key.
+  // (v_end publishes cached code under its key) plus samples folded into
+  // the retired tally when churn evicted earlier versions of the same key.
   std::vector<std::pair<std::string, uint64_t>> Retired =
       profile::CodeMap::instance().retiredHeat();
   std::unordered_map<std::string, uint64_t> RetiredByKey(Retired.begin(),

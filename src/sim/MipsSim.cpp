@@ -383,12 +383,8 @@ SimAddr MipsSim::stepUnit(SimAddr At) {
 }
 
 void MipsSim::resetForCall(const CallConv &CC, SimAddr Entry, SimAddr Sp) {
-  std::memset(R, 0, sizeof(R));
-  HI = LO = 0;
-  FpCond = false;
+  resetRegsForCall(*this, CC, Sp);
   LastLoadReg = -1;
-  R[29] = uint32_t(Sp);
-  R[CC.LinkReg.isValid() ? CC.LinkReg.Num : 31] = uint32_t(StopAddr);
   NPC = Entry + 4;
 }
 

@@ -17,6 +17,7 @@
 #define VCODE_SIM_MIPSSIM_H
 
 #include "sim/Interp.h"
+#include <cstring>
 
 namespace vcode {
 namespace sim {
@@ -61,6 +62,19 @@ public:
   /// mid-CTI state. Returns the PC where control lands (StopAddr when
   /// the unit returned through the sentinel link register).
   SimAddr stepUnit(SimAddr At);
+
+  /// The per-call register reset shared with the binary translator:
+  /// clears R, HI, LO and the FP condition, then seeds $sp with \p Sp and
+  /// the link register with StopAddr. FPRs persist across calls. \p S is
+  /// MipsSim itself or dbt::GuestState.
+  template <typename State>
+  static void resetRegsForCall(State &S, const CallConv &CC, SimAddr Sp) {
+    std::memset(S.R, 0, sizeof(S.R));
+    S.HI = S.LO = 0;
+    S.FpCond = 0;
+    S.R[29] = uint32_t(Sp);
+    S.R[CC.LinkReg.isValid() ? CC.LinkReg.Num : 31] = uint32_t(StopAddr);
+  }
 
 private:
   friend class Interp<MipsSim>;
