@@ -25,18 +25,12 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "dbt/MipsTranslatingCpu.h"
-#include "mips/MipsTarget.h"
 #include "service/ClassifierService.h"
-#include "sim/MipsSim.h"
+#include "substrate/Substrate.h"
 #include "support/Error.h"
 #include "support/ToolFlags.h"
 #include <cstdio>
 #include <cstring>
-#ifdef __x86_64__
-#include "x64/NativeCpu.h"
-#include "x64/X64Target.h"
-#endif
 
 using namespace vcode;
 using namespace vcode::service;
@@ -89,23 +83,6 @@ int main(int Argc, char **Argv) {
       fatal("bench_dpf_service: unknown argument '%s'", Argv[I]);
   }
 
-  enum class Substrate { Mips, Host, Dbt } Sub = Substrate::Mips;
-  if (Opts.TargetGiven) {
-    if (!std::strcmp(Opts.TargetName, "host"))
-      Sub = Substrate::Host;
-    else if (!std::strcmp(Opts.TargetName, "dbt"))
-      Sub = Substrate::Dbt;
-    else if (std::strcmp(Opts.TargetName, "mips"))
-      fatal("bench_dpf_service: --target=%s is not supported (mips is the "
-            "simulated default; host runs natively, dbt through the binary "
-            "translator)",
-            Opts.TargetName);
-  }
-#ifndef __x86_64__
-  if (Sub == Substrate::Host)
-    fatal("bench_dpf_service: --target=host needs an x86-64 build");
-#endif
-
   ClassifierService::Config C;
   C.FlowsPerSet = 10; // the paper's ten-filter sets
   uint64_t TotalFilters = Opts.FiltersGiven ? Opts.Filters
@@ -126,65 +103,29 @@ int main(int Argc, char **Argv) {
   C.HotThreshold = Opts.HotGiven ? Opts.HotThreshold : 1000;
   C.Seed = 42;
 
-  // One arena + target + service per run keeps runs independent and the
-  // per-run cache counters exact.
-  auto runOnce = [&](const ClassifierService::Config &Cfg,
-                     ClassifierService::Report &R) {
-    switch (Sub) {
-    case Substrate::Mips: {
-      sim::Memory Mem;
-      mips::MipsTarget Tgt;
-      ClassifierService S(
-          Tgt, Mem,
-          [](sim::Memory &M) -> std::unique_ptr<sim::Cpu> {
-            return std::make_unique<sim::MipsSim>(M, sim::dec5000Config());
-          },
-          Cfg);
-      R = S.run();
-      return;
-    }
-    case Substrate::Dbt: {
-      sim::Memory Mem;
-      mips::MipsTarget Tgt;
-      ClassifierService S(
-          Tgt, Mem,
-          [](sim::Memory &M) -> std::unique_ptr<sim::Cpu> {
-            return std::make_unique<dbt::MipsTranslatingCpu>(M);
-          },
-          Cfg);
-      R = S.run();
-      return;
-    }
-    case Substrate::Host: {
-#ifdef __x86_64__
-      sim::Memory Mem(sim::Memory::Native);
-      x64::X64Target Tgt;
-      ClassifierService S(
-          Tgt, Mem,
-          [](sim::Memory &M) -> std::unique_ptr<sim::Cpu> {
-            return std::make_unique<x64::NativeCpu>(M);
-          },
-          Cfg);
-      R = S.run();
-      return;
-#else
-      fatal("bench_dpf_service: host substrate unavailable");
-#endif
-    }
-    }
+  // Every run gets a fresh substrate and service, so runs stay independent
+  // and the per-run cache counters exact; every dispatch thread gets its
+  // own CPU. The first run uses the substrate the banner describes.
+  auto newSubstrate = [&] {
+    return makeSubstrate(Opts, "bench_dpf_service",
+                         Substrate::Mips | Substrate::Host | Substrate::Dbt);
   };
-
-  const char *SubName = Sub == Substrate::Mips  ? "mips (simulated)"
-                        : Sub == Substrate::Host ? "host (native x86-64)"
-                                                 : "dbt (binary translation)";
-  std::printf("== DPF classification service (E16) — %s ==\n", SubName);
+  Substrate First = newSubstrate();
+  auto runOnce = [&](const ClassifierService::Config &Cfg) {
+    Substrate S = First.Mem ? std::move(First) : newSubstrate();
+    ClassifierService Svc(*S.Tgt, *S.Mem, [&S] { return S.makeCpu(); }, Cfg);
+    return Svc.run();
+  };
+  std::printf("== DPF classification service (E16) — %s ==\n",
+              First.modelsCycles() ? "mips (simulated)"
+              : First.native()     ? "host (native x86-64)"
+                                   : "dbt (binary translation)");
 
   bool AllOk = true;
   if (Soak) {
     // Bounded soak: one pass, correctness gates plus a modest progress
     // floor that holds even under TSan/ASan timing.
-    ClassifierService::Report R;
-    runOnce(C, R);
+    ClassifierService::Report R = runOnce(C);
     ClassifierService::printReport(R, C, "soak");
     AllOk &= checkGates(R, "soak");
     if (R.Installs < C.Sets) {
@@ -202,8 +143,7 @@ int main(int Argc, char **Argv) {
     for (unsigned Churn : {1u, 2u, 4u}) {
       ClassifierService::Config Level = C;
       Level.ChurnThreads = Churn;
-      ClassifierService::Report R;
-      runOnce(Level, R);
+      ClassifierService::Report R = runOnce(Level);
       char Title[64];
       std::snprintf(Title, sizeof(Title), "churn x%u", Churn);
       ClassifierService::printReport(R, Level, Title);

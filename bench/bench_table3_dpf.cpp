@@ -15,22 +15,16 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "dbt/MipsTranslatingCpu.h"
+#include "dbt/TranslationEngine.h"
 #include "dpf/Engines.h"
-#include "mips/MipsTarget.h"
 #include "sim/MipsSim.h"
-#include "support/Error.h"
+#include "substrate/Substrate.h"
 #include "support/Rng.h"
 #include "support/TablePrinter.h"
 #include "support/ToolFlags.h"
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#ifdef __x86_64__
-#include "x64/NativeCpu.h"
-#include "x64/X64Target.h"
-#endif
 
 using namespace vcode;
 using namespace vcode::dpf;
@@ -77,21 +71,16 @@ double wallUsPerMsg(Engine &E, sim::Cpu &Cpu, const std::vector<Trial> &Trials,
 int main(int Argc, char **Argv) {
   tool::ToolOptions Opts;
   tool::handleArgs(Argc, Argv, Opts);
-  bool Host = false, Dbt = false;
-  if (Opts.TargetGiven) {
-    if (!std::strcmp(Opts.TargetName, "host"))
-      Host = true;
-    else if (!std::strcmp(Opts.TargetName, "dbt"))
-      Dbt = true;
-    else if (std::strcmp(Opts.TargetName, "mips"))
-      fatal("bench_table3_dpf: --target=%s is not supported here (mips is "
-            "the simulated default; host adds native rows, dbt adds the "
-            "binary-translation section)",
-            Opts.TargetName);
-  }
-
-  sim::Memory Mem;
-  mips::MipsTarget Tgt;
+  Substrate S = makeSubstrate(Opts, "bench_table3_dpf",
+                              Substrate::Mips | Substrate::Host |
+                                  Substrate::Dbt);
+  // The tables bill simulated DEC5000/200 cycles, so they interpret MIPS
+  // code whatever the target: dbt adds a binary-translation section over
+  // the same arena, host a native section over an arena of its own.
+  bool Native = S.native();
+  Substrate Sim = Native ? makeSubstrate("mips") : std::move(S);
+  sim::Memory &Mem = *Sim.Mem;
+  Target &Tgt = *Sim.Tgt;
   sim::MipsSim Cpu(Mem, sim::dec5000Config());
 
   const unsigned NumFilters = 10;
@@ -201,14 +190,15 @@ int main(int Argc, char **Argv) {
               Dpf.codeBytes(), InstallInsns, InstallUs,
               InstallUs / (MpfUs - DpfUs), InstallUs / (PfUs - DpfUs));
 
-  if (Dbt) {
+  if (Sim.Engine) {
     // EXPERIMENTS E15: interpreted vs binary-translated throughput on a
     // million-packet DPF run. Same arena, same classifier code, same
     // packet stream — only the execution substrate changes.
     std::printf("\nBinary translation (--target=dbt): million-packet DPF "
                 "run, interpreter vs translator\n\n");
-    dbt::MipsTranslatingCpu TCpu(Mem);
-    if (!TCpu.translating())
+    sim::Cpu &TCpu = *Sim.Cpu;
+    bool Translating = Sim.Engine->available();
+    if (!Translating)
       std::printf("(translation unavailable on this host: both rows "
                   "interpret)\n\n");
 
@@ -259,20 +249,19 @@ int main(int Argc, char **Argv) {
                 NumPackets, DCheck & 1);
     double Speedup = InterpSec / TransSec;
     std::printf("translated/interpreted speedup: %.1fx %s\n", Speedup,
-                !TCpu.translating() ? "(translation unavailable)"
-                : Speedup >= 5.0    ? "(>= 5x: ok)"
-                                    : "(BELOW the 5x target)");
+                !Translating     ? "(translation unavailable)"
+                : Speedup >= 5.0 ? "(>= 5x: ok)"
+                                 : "(BELOW the 5x target)");
     if (DMismatch)
       return 1;
   }
 
-  if (Host) {
-#ifdef __x86_64__
+  if (Native) {
     std::printf("\nNative execution (--target=host, x86-64 SysV, W^X code "
                 "regions):\n\n");
-    sim::Memory NMem(sim::Memory::Native);
-    x64::X64Target NTgt;
-    x64::NativeCpu NCpu(NMem);
+    sim::Memory &NMem = *S.Mem;
+    Target &NTgt = *S.Tgt;
+    sim::Cpu &NCpu = *S.Cpu;
 
     // Identical packet stream in native memory (same seed, same ports).
     Rng NR(42);
@@ -337,10 +326,6 @@ int main(int Argc, char **Argv) {
                 NumPackets - Mismatches, NumPackets, NCheck & 1);
     if (Mismatches)
       return 1;
-#else
-    std::printf("\n--target=host requires an x86-64 build host; skipping "
-                "the native section.\n");
-#endif
   }
 
   std::printf("\n(check %d)\n", Check & 1);

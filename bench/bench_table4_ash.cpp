@@ -25,19 +25,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "ash/Ash.h"
-#include "mips/MipsTarget.h"
 #include "sim/MipsSim.h"
-#include "support/Error.h"
+#include "substrate/Substrate.h"
 #include "support/Rng.h"
 #include "support/TablePrinter.h"
 #include "support/ToolFlags.h"
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#ifdef __x86_64__
-#include "x64/NativeCpu.h"
-#include "x64/X64Target.h"
-#endif
 
 using namespace vcode;
 using namespace vcode::ash;
@@ -59,7 +53,7 @@ double toUs(uint64_t Cycles, const sim::MachineConfig &C) {
 }
 
 void runMachine(const sim::MachineConfig &Cfg, sim::Memory &Mem,
-                mips::MipsTarget &Tgt) {
+                Target &Tgt) {
   sim::MipsSim Cpu(Mem, Cfg);
   Rng R(5);
   SimAddr Src = Mem.alloc(BufBytes, 16);
@@ -142,19 +136,17 @@ void runMachine(const sim::MachineConfig &Cfg, sim::Memory &Mem,
               double(SepCold) / double(IntgCold));
 }
 
-#ifdef __x86_64__
-
 /// Native rows for --target=host: the same generated pipelines executing on
 /// the build machine through the x86-64 backend. There is no simulated
 /// cache to flush, so only the warm rows are reported, timed by wall clock
 /// over repeated passes.
-int runHost() {
+int runHost(Substrate &S) {
   std::printf("\nNative execution (--target=host, x86-64 SysV, %u KB "
               "message, wall clock):\n\n",
               BufBytes / 1024);
-  sim::Memory Mem(sim::Memory::Native);
-  x64::X64Target Tgt;
-  x64::NativeCpu Cpu(Mem);
+  sim::Memory &Mem = *S.Mem;
+  Target &Tgt = *S.Tgt;
+  sim::Cpu &Cpu = *S.Cpu;
   Rng R(5);
   SimAddr Src = Mem.alloc(BufBytes, 16);
   SimAddr Dst = Mem.alloc(BufBytes, 16);
@@ -214,37 +206,20 @@ int runHost() {
   return BadChecksums ? 1 : 0;
 }
 
-#endif // __x86_64__
-
 } // namespace
 
 int main(int Argc, char **Argv) {
   tool::ToolOptions Opts;
   tool::handleArgs(Argc, Argv, Opts);
-  bool Host = false;
-  if (Opts.TargetGiven) {
-    if (!std::strcmp(Opts.TargetName, "host"))
-      Host = true;
-    else if (std::strcmp(Opts.TargetName, "mips"))
-      fatal("bench_table4_ash: --target=%s is not supported here (mips is "
-            "the simulated default; host adds native rows)",
-            Opts.TargetName);
-  }
-
-  sim::Memory Mem;
-  mips::MipsTarget Tgt;
-
+  Substrate S = makeSubstrate(Opts, "bench_table4_ash",
+                              Substrate::Mips | Substrate::Host);
+  // The simulated tables run on a MIPS arena whatever the target; host
+  // adds the native rows.
+  bool Native = S.native();
+  Substrate Sim = Native ? makeSubstrate("mips") : std::move(S);
   std::printf("Table 4: cost of integrated and non-integrated memory "
               "operations\n");
-  runMachine(sim::dec3100Config(), Mem, Tgt);
-  runMachine(sim::dec5000Config(), Mem, Tgt);
-  if (Host) {
-#ifdef __x86_64__
-    return runHost();
-#else
-    std::printf("\n--target=host requires an x86-64 build host; skipping "
-                "the native section.\n");
-#endif
-  }
-  return 0;
+  runMachine(sim::dec3100Config(), *Sim.Mem, *Sim.Tgt);
+  runMachine(sim::dec5000Config(), *Sim.Mem, *Sim.Tgt);
+  return Native ? runHost(S) : 0;
 }

@@ -10,19 +10,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "ash/Ash.h"
-#include "dbt/MipsTranslatingCpu.h"
-#include "mips/MipsTarget.h"
-#include "sim/MipsSim.h"
-#include "support/Error.h"
+#include "substrate/Substrate.h"
 #include "support/Rng.h"
-#include <cstdio>
-#include <cstring>
-#include <memory>
 #include "support/ToolFlags.h"
-#ifdef __x86_64__
-#include "x64/NativeCpu.h"
-#include "x64/X64Target.h"
-#endif
+#include <cstdio>
 
 using namespace vcode;
 using namespace vcode::ash;
@@ -38,37 +29,13 @@ int main(int argc, char **argv) {
   (void)argc;
   (void)argv;
 
-  std::unique_ptr<sim::Memory> MemPtr;
-  std::unique_ptr<Target> TgtPtr;
-  std::unique_ptr<sim::Cpu> CpuPtr;
-  bool Cycles = true; // only the interpreter models cycle counts
-  const char *Want = Opts.TargetGiven ? Opts.TargetName : "mips";
-  if (!std::strcmp(Want, "host")) {
-#ifdef __x86_64__
-    MemPtr = std::make_unique<sim::Memory>(sim::Memory::Native);
-    TgtPtr = std::make_unique<x64::X64Target>();
-    CpuPtr = std::make_unique<x64::NativeCpu>(*MemPtr);
-    Cycles = false;
-#else
-    fatal("ash_pipeline: --target=host requires an x86-64 build machine");
-#endif
-  } else if (!std::strcmp(Want, "mips") || !std::strcmp(Want, "dbt")) {
-    MemPtr = std::make_unique<sim::Memory>();
-    TgtPtr = std::make_unique<mips::MipsTarget>();
-    if (!std::strcmp(Want, "dbt")) {
-      CpuPtr = std::make_unique<dbt::MipsTranslatingCpu>(*MemPtr);
-      Cycles = false;
-    } else {
-      CpuPtr = std::make_unique<sim::MipsSim>(*MemPtr, sim::dec5000Config());
-    }
-  } else {
-    fatal("ash_pipeline: --target=%s is not supported here (mips, host or "
-          "dbt)",
-          Want);
-  }
-  sim::Memory &Mem = *MemPtr;
-  Target &Target = *TgtPtr;
-  sim::Cpu &Cpu = *CpuPtr;
+  Substrate Sub = makeSubstrate(Opts, "ash_pipeline",
+                                Substrate::Mips | Substrate::Host |
+                                    Substrate::Dbt);
+  sim::Memory &Mem = *Sub.Mem;
+  Target &Target = *Sub.Tgt;
+  sim::Cpu &Cpu = *Sub.Cpu;
+  bool Cycles = Sub.modelsCycles();
 
   const uint32_t Bytes = 4096;
   Rng R(1);

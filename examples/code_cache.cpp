@@ -17,23 +17,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/CodeCache.h"
-#include "dbt/MipsTranslatingCpu.h"
 #include "dpf/Engines.h"
-#include "mips/MipsTarget.h"
-#include "sim/MipsSim.h"
-#include "support/Error.h"
+#include "substrate/Substrate.h"
+#include "support/ToolFlags.h"
 #include "tcc/Tcc.h"
 #include <cstdio>
-#include <cstring>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
-#include "support/ToolFlags.h"
-#ifdef __x86_64__
-#include "x64/NativeCpu.h"
-#include "x64/X64Target.h"
-#endif
 
 using namespace vcode;
 
@@ -50,43 +41,11 @@ int main(int argc, char **argv) {
   (void)argv;
 
   // One arena + one backend + one cache, shared by every thread.
-  std::unique_ptr<sim::Memory> MemPtr;
-  std::unique_ptr<Target> TgtPtr;
-  std::shared_ptr<dbt::TranslationEngine> Dbt;
-  const char *Want = Opts.TargetGiven ? Opts.TargetName : "mips";
-  if (!std::strcmp(Want, "host")) {
-#ifdef __x86_64__
-    MemPtr = std::make_unique<sim::Memory>(sim::Memory::Native);
-    TgtPtr = std::make_unique<x64::X64Target>();
-#else
-    fatal("code_cache: --target=host requires an x86-64 build machine");
-#endif
-  } else if (!std::strcmp(Want, "mips") || !std::strcmp(Want, "dbt")) {
-    MemPtr = std::make_unique<sim::Memory>();
-    TgtPtr = std::make_unique<mips::MipsTarget>();
-    if (!std::strcmp(Want, "dbt"))
-      Dbt = std::make_shared<dbt::TranslationEngine>(*MemPtr);
-  } else {
-    fatal("code_cache: --target=%s is not supported here (mips, host or "
-          "dbt)",
-          Want);
-  }
-  sim::Memory &Mem = *MemPtr;
-  Target &Tgt = *TgtPtr;
-  // Per-thread CPUs over the shared arena (each with a private stack).
-  auto makeCpu = [&]() -> std::unique_ptr<sim::Cpu> {
-    std::unique_ptr<sim::Cpu> C;
-    if (Dbt)
-      C = std::make_unique<dbt::MipsTranslatingCpu>(Mem, Dbt);
-#ifdef __x86_64__
-    else if (!std::strcmp(Want, "host"))
-      C = std::make_unique<x64::NativeCpu>(Mem);
-#endif
-    else
-      C = std::make_unique<sim::MipsSim>(Mem);
-    C->setStackTop(Mem.allocStack());
-    return C;
-  };
+  Substrate Sub = makeSubstrate(Opts, "code_cache",
+                                Substrate::Mips | Substrate::Host |
+                                    Substrate::Dbt);
+  sim::Memory &Mem = *Sub.Mem;
+  Target &Tgt = *Sub.Tgt;
   CodeCache Cache(Mem);
 
   std::printf("-- DPF: eight threads, two distinct filter sets --\n");
@@ -103,8 +62,9 @@ int main(int argc, char **argv) {
       dpf::DpfEngine Engine(Tgt, Mem);
       Engine.setTier(Opts.GenTier);
       Engine.setHotThreshold(Opts.HotThreshold);
-      std::unique_ptr<sim::Cpu> CpuPtr = makeCpu();
+      std::unique_ptr<sim::Cpu> CpuPtr = Sub.makeCpu();
       sim::Cpu &Cpu = *CpuPtr;
+      Cpu.setStackTop(Mem.allocStack());
       // Even threads serve SetA, odd ones SetB: within each group only
       // the first arrival generates, everyone else reuses its code.
       Engine.installShared(Cache, T % 2 ? SetB : SetA);
@@ -128,9 +88,8 @@ int main(int argc, char **argv) {
   const char *Src = "triple(x) { return 3 * x; }";
   CodePtr P1 = C1.compileShared(Cache, Src);
   CodePtr P2 = C2.compileShared(Cache, Src); // cache hit: same entry point
-  std::unique_ptr<sim::Cpu> Cpu = makeCpu();
   std::printf("triple(14) = %d; shared entry: %s\n",
-              C1.run(*Cpu, "triple", {14}),
+              C1.run(*Sub.Cpu, "triple", {14}),
               P1.Entry == P2.Entry ? "yes" : "no");
 
   S = Cache.stats();

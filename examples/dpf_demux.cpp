@@ -18,31 +18,57 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "dbt/MipsTranslatingCpu.h"
+#include "dbt/TranslationEngine.h"
 #include "dpf/Engines.h"
-#include "mips/MipsTarget.h"
-#include "sim/MipsSim.h"
-#include "support/Error.h"
+#include "substrate/Substrate.h"
 #include "support/ToolFlags.h"
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#ifdef __x86_64__
-#include "x64/NativeCpu.h"
-#include "x64/X64Target.h"
-#endif
 
 using namespace vcode;
 using namespace vcode::dpf;
 
 namespace {
 
-/// Classifies the probe packets with all three engines, printing per-probe
-/// costs via \p CostOf (simulated cycles or measured wall nanoseconds).
-template <typename CostFn>
-int runProbes(sim::Memory &Mem, sim::Cpu &Cpu, MpfEngine &Mpf,
-              PathFinderEngine &Pf, DpfEngine &Dpf, const char *CostUnit,
-              CostFn CostOf) {
+/// Cost of one classification of \p Msg: simulated cycles of the call
+/// just made when the CPU models them, else wall nanoseconds averaged over
+/// a batch of repeated dispatches.
+uint64_t costOf(const Substrate &S, Engine &E, sim::Cpu &C, SimAddr Msg) {
+  if (S.modelsCycles())
+    return C.lastStats().Cycles;
+  constexpr unsigned Reps = 2000;
+  auto T0 = std::chrono::steady_clock::now();
+  for (unsigned I = 0; I < Reps; ++I)
+    E.classify(C, Msg);
+  auto T1 = std::chrono::steady_clock::now();
+  return uint64_t(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(T1 - T0).count() /
+      Reps);
+}
+
+/// Installs ten TCP/IP filters in all three engines, then classifies
+/// the probe packets with each, printing each probe's costs.
+int runDemux(const Substrate &S, Tier GenTier) {
+  sim::Memory &Mem = *S.Mem;
+  sim::Cpu &Cpu = *S.Cpu;
+  // Ten endpoints listening on ports 1024..1033.
+  std::vector<Filter> Filters = makeTcpIpFilters(10, 1024);
+
+  MpfEngine Mpf(*S.Tgt, Mem);
+  PathFinderEngine Pf(*S.Tgt, Mem);
+  DpfEngine Dpf(*S.Tgt, Mem);
+  Dpf.setTier(GenTier);
+  Mpf.install(Filters);
+  Pf.install(Filters);
+  Dpf.install(Filters);
+  std::printf("installed 10 TCP/IP filters; DPF compiled them to %zu bytes "
+              "of %s code (dispatch: %s)\n\n",
+              Dpf.codeBytes(),
+              S.native()  ? "x86-64"
+              : S.Engine ? "MIPS (translated)"
+                         : "MIPS",
+              Dpf.dispatchUsed());
+
   SimAddr Msg = Mem.alloc(pkt::HeaderBytes, 8);
   struct Probe {
     uint16_t Port;
@@ -57,43 +83,21 @@ int runProbes(sim::Memory &Mem, sim::Cpu &Cpu, MpfEngine &Mpf,
   for (const Probe &P : Probes) {
     writeTcpPacket(Mem, Msg, P.Port);
     int A = Mpf.classify(Cpu, Msg);
-    uint64_t MpfCost = CostOf(Mpf, Cpu, Msg);
+    uint64_t MpfCost = costOf(S, Mpf, Cpu, Msg);
     int B = Pf.classify(Cpu, Msg);
-    uint64_t PfCost = CostOf(Pf, Cpu, Msg);
+    uint64_t PfCost = costOf(S, Pf, Cpu, Msg);
     int C = Dpf.classify(Cpu, Msg);
-    uint64_t DpfCost = CostOf(Dpf, Cpu, Msg);
+    uint64_t DpfCost = costOf(S, Dpf, Cpu, Msg);
     if (A != B || B != C) {
       std::printf("ENGINES DISAGREE on port %u: %d %d %d\n", P.Port, A, B, C);
       return 1;
     }
     std::printf("dst port %5u -> filter %2d (%s)\n", P.Port, C, P.What);
-    std::printf("   %s: MPF %llu, PATHFINDER %llu, DPF %llu\n", CostUnit,
+    std::printf("   %s: MPF %llu, PATHFINDER %llu, DPF %llu\n",
+                S.modelsCycles() ? "cycles" : "ns/message",
                 (unsigned long long)MpfCost, (unsigned long long)PfCost,
                 (unsigned long long)DpfCost);
   }
-  return 0;
-}
-
-template <typename Body>
-int runDemux(sim::Memory &Mem, Target &Tgt, sim::Cpu &Cpu, Tier GenTier,
-             const char *CodeKind, const char *CostUnit, Body CostOf) {
-  // Ten endpoints listening on ports 1024..1033.
-  std::vector<Filter> Filters = makeTcpIpFilters(10, 1024);
-
-  MpfEngine Mpf(Tgt, Mem);
-  PathFinderEngine Pf(Tgt, Mem);
-  DpfEngine Dpf(Tgt, Mem);
-  Dpf.setTier(GenTier);
-  Mpf.install(Filters);
-  Pf.install(Filters);
-  Dpf.install(Filters);
-  std::printf("installed 10 TCP/IP filters; DPF compiled them to %zu bytes "
-              "of %s code (dispatch: %s)\n\n",
-              Dpf.codeBytes(), CodeKind, Dpf.dispatchUsed());
-
-  int Rc = runProbes(Mem, Cpu, Mpf, Pf, Dpf, CostUnit, CostOf);
-  if (Rc)
-    return Rc;
   std::printf("\nrun bench/bench_table3_dpf for the full Table 3 "
               "reproduction.\n");
   return 0;
@@ -110,68 +114,12 @@ int main(int argc, char **argv) {
   (void)argc;
   (void)argv;
 
-  bool Host = Opts.TargetGiven && !std::strcmp(Opts.TargetName, "host");
-  bool Dbt = Opts.TargetGiven && !std::strcmp(Opts.TargetName, "dbt");
-  if (Opts.TargetGiven && !Host && !Dbt &&
-      std::strcmp(Opts.TargetName, "mips"))
-    fatal("dpf_demux: --target=%s is not supported here (mips, host or dbt)",
-          Opts.TargetName);
-
-  if (Host) {
-#ifdef __x86_64__
-    sim::Memory Mem(sim::Memory::Native);
-    x64::X64Target Tgt;
-    x64::NativeCpu Cpu(Mem);
-    // Native runs report no simulated cycles; time a batch of dispatches
-    // and report wall nanoseconds per message.
-    auto CostOf = [](Engine &E, sim::Cpu &C, SimAddr Msg) -> uint64_t {
-      constexpr unsigned Reps = 10000;
-      auto T0 = std::chrono::steady_clock::now();
-      for (unsigned I = 0; I < Reps; ++I)
-        E.classify(C, Msg);
-      auto T1 = std::chrono::steady_clock::now();
-      return uint64_t(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(T1 - T0)
-              .count() /
-          Reps);
-    };
-    return runDemux(Mem, Tgt, Cpu, Opts.GenTier, "x86-64", "ns/message",
-                    CostOf);
-#else
-    fatal("dpf_demux: --target=host requires an x86-64 build machine");
-#endif
-  }
-
-  if (Dbt) {
-    // Same MIPS code and memory arena, but executed through the binary
-    // translator. Cycle counts are not modeled there, so costs are wall
-    // nanoseconds like the native path.
-    sim::Memory Mem;
-    mips::MipsTarget Tgt;
-    dbt::MipsTranslatingCpu Cpu(Mem);
+  Substrate S = makeSubstrate(Opts, "dpf_demux",
+                              Substrate::Mips | Substrate::Host |
+                                  Substrate::Dbt);
+  if (S.Engine)
     std::printf("binary translation %s\n\n",
-                Cpu.translating() ? "active (MIPS -> x86-64)"
-                                  : "unavailable; interpreting");
-    auto CostOf = [](Engine &E, sim::Cpu &C, SimAddr Msg) -> uint64_t {
-      constexpr unsigned Reps = 2000;
-      auto T0 = std::chrono::steady_clock::now();
-      for (unsigned I = 0; I < Reps; ++I)
-        E.classify(C, Msg);
-      auto T1 = std::chrono::steady_clock::now();
-      return uint64_t(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(T1 - T0)
-              .count() /
-          Reps);
-    };
-    return runDemux(Mem, Tgt, Cpu, Opts.GenTier, "MIPS (translated)",
-                    "ns/message", CostOf);
-  }
-
-  sim::Memory Mem;
-  mips::MipsTarget Tgt;
-  sim::MipsSim Cpu(Mem, sim::dec5000Config());
-  auto CostOf = [](Engine &, sim::Cpu &C, SimAddr) -> uint64_t {
-    return C.lastStats().Cycles;
-  };
-  return runDemux(Mem, Tgt, Cpu, Opts.GenTier, "MIPS", "cycles", CostOf);
+                S.Engine->available() ? "active (MIPS -> x86-64)"
+                                      : "unavailable; interpreting");
+  return runDemux(S, Opts.GenTier);
 }

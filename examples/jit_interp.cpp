@@ -17,19 +17,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/VCode.h"
-#include "dbt/MipsTranslatingCpu.h"
-#include "mips/MipsTarget.h"
-#include "sim/MipsSim.h"
+#include "substrate/Substrate.h"
 #include "support/Error.h"
-#include <cstdio>
-#include <cstring>
-#include <memory>
-#include <vector>
 #include "support/ToolFlags.h"
-#ifdef __x86_64__
-#include "x64/NativeCpu.h"
-#include "x64/X64Target.h"
-#endif
+#include <cstdio>
+#include <vector>
 
 using namespace vcode;
 using sim::TypedValue;
@@ -333,37 +325,13 @@ int main(int argc, char **argv) {
   (void)argc;
   (void)argv;
 
-  std::unique_ptr<sim::Memory> MemPtr;
-  std::unique_ptr<Target> TgtPtr;
-  std::unique_ptr<sim::Cpu> CpuPtr;
-  bool HaveCycles = true;
-  const char *Want = Opts.TargetGiven ? Opts.TargetName : "mips";
-  if (!std::strcmp(Want, "host")) {
-#ifdef __x86_64__
-    MemPtr = std::make_unique<sim::Memory>(sim::Memory::Native);
-    TgtPtr = std::make_unique<x64::X64Target>();
-    CpuPtr = std::make_unique<x64::NativeCpu>(*MemPtr);
-    HaveCycles = false;
-#else
-    fatal("jit_interp: --target=host requires an x86-64 build machine");
-#endif
-  } else if (!std::strcmp(Want, "mips") || !std::strcmp(Want, "dbt")) {
-    MemPtr = std::make_unique<sim::Memory>();
-    TgtPtr = std::make_unique<mips::MipsTarget>();
-    if (!std::strcmp(Want, "dbt")) {
-      CpuPtr = std::make_unique<dbt::MipsTranslatingCpu>(*MemPtr);
-      HaveCycles = false;
-    } else {
-      CpuPtr = std::make_unique<sim::MipsSim>(*MemPtr, sim::dec5000Config());
-    }
-  } else {
-    fatal("jit_interp: --target=%s is not supported here (mips, host or "
-          "dbt)",
-          Want);
-  }
-  sim::Memory &Mem = *MemPtr;
-  Target &Tgt = *TgtPtr;
-  sim::Cpu &Cpu = *CpuPtr;
+  Substrate S = makeSubstrate(Opts, "jit_interp",
+                              Substrate::Mips | Substrate::Host |
+                                  Substrate::Dbt);
+  sim::Memory &Mem = *S.Mem;
+  Target &Tgt = *S.Tgt;
+  sim::Cpu &Cpu = *S.Cpu;
+  bool HaveCycles = S.modelsCycles();
 
   std::vector<Insn> Prog = buildProgram();
 

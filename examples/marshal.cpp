@@ -17,19 +17,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/VCode.h"
-#include "dbt/MipsTranslatingCpu.h"
-#include "mips/MipsTarget.h"
-#include "sim/MipsSim.h"
+#include "substrate/Substrate.h"
+#include "support/ToolFlags.h"
 #include <cstdio>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
-#include "support/ToolFlags.h"
-#ifdef __x86_64__
-#include "x64/NativeCpu.h"
-#include "x64/X64Target.h"
-#endif
 
 using namespace vcode;
 using sim::TypedValue;
@@ -119,32 +111,12 @@ int main(int argc, char **argv) {
   (void)argc;
   (void)argv;
 
-  std::unique_ptr<sim::Memory> MemPtr;
-  std::unique_ptr<Target> TgtPtr;
-  std::unique_ptr<sim::Cpu> CpuPtr;
-  const char *Want = Opts.TargetGiven ? Opts.TargetName : "mips";
-  if (!std::strcmp(Want, "host")) {
-#ifdef __x86_64__
-    MemPtr = std::make_unique<sim::Memory>(sim::Memory::Native);
-    TgtPtr = std::make_unique<x64::X64Target>();
-    CpuPtr = std::make_unique<x64::NativeCpu>(*MemPtr);
-#else
-    fatal("marshal: --target=host requires an x86-64 build machine");
-#endif
-  } else if (!std::strcmp(Want, "mips") || !std::strcmp(Want, "dbt")) {
-    MemPtr = std::make_unique<sim::Memory>();
-    TgtPtr = std::make_unique<mips::MipsTarget>();
-    if (!std::strcmp(Want, "dbt"))
-      CpuPtr = std::make_unique<dbt::MipsTranslatingCpu>(*MemPtr);
-    else
-      CpuPtr = std::make_unique<sim::MipsSim>(*MemPtr);
-  } else {
-    fatal("marshal: --target=%s is not supported here (mips, host or dbt)",
-          Want);
-  }
-  sim::Memory &Mem = *MemPtr;
-  Target &Tgt = *TgtPtr;
-  sim::Cpu &Cpu = *CpuPtr;
+  Substrate S = makeSubstrate(Opts, "marshal",
+                              Substrate::Mips | Substrate::Host |
+                                  Substrate::Dbt);
+  sim::Memory &Mem = *S.Mem;
+  Target &Tgt = *S.Tgt;
+  sim::Cpu &Cpu = *S.Cpu;
 
   // The "protocol" handler: int handler(int a, int b, double x, char *msg)
   // = a + b + (int)x + msg[0]. Also generated with VCODE, naturally.

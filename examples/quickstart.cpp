@@ -13,49 +13,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/VCode.h"
-#include "dbt/MipsTranslatingCpu.h"
-#include "mips/MipsTarget.h"
-#include "sim/MipsSim.h"
-#include "support/Error.h"
-#include <cstdio>
-#include <cstring>
-#include <memory>
+#include "substrate/Substrate.h"
 #include "support/ToolFlags.h"
-#ifdef __x86_64__
-#include "x64/NativeCpu.h"
-#include "x64/X64Target.h"
-#endif
+#include <cstdio>
 
 using namespace vcode;
-
-#ifdef __x86_64__
-namespace {
-
-/// The same Fig. 1 sequence emitted for this machine and called directly
-/// (--target=host): no simulator anywhere, plus1 is real x86-64.
-int runHost() {
-  sim::Memory Mem(sim::Memory::Native);
-  x64::X64Target Target;
-  x64::NativeCpu Cpu(Mem);
-
-  VCode V(Target);
-  Reg Arg[1];
-  V.lambda("%i", Arg, LeafHint, Mem.allocCode(4096));
-  V.addii(Arg[0], Arg[0], 1);
-  V.reti(Arg[0]);
-  CodePtr Plus1 = V.end();
-
-  std::printf("plus1 entry: 0x%llx (%zu bytes of x86-64)\n",
-              (unsigned long long)Plus1.Entry, Plus1.SizeBytes);
-  for (int32_t X : {41, -1, 0, 99})
-    std::printf("plus1(%d) = %d   (native call)\n", X,
-                Cpu.call(Plus1.Entry, {sim::TypedValue::fromInt(X)})
-                    .asInt32());
-  return 0;
-}
-
-} // namespace
-#endif
 
 int main(int argc, char **argv) {
   // Shared tool flags (see support/ToolFlags.h). This example drives a
@@ -67,32 +29,16 @@ int main(int argc, char **argv) {
   argc = tool::handleArgs(argc, argv, Opts);
   (void)argc;
   (void)argv;
-  bool Dbt = Opts.TargetGiven && !std::strcmp(Opts.TargetName, "dbt");
-  if (Opts.TargetGiven && !Dbt && std::strcmp(Opts.TargetName, "mips")) {
-    if (!std::strcmp(Opts.TargetName, "host")) {
-#ifdef __x86_64__
-      return runHost();
-#else
-      fatal("quickstart: --target=host requires an x86-64 build machine");
-#endif
-    }
-    fatal("quickstart: --target=%s is not supported here (mips, host or "
-          "dbt)",
-          Opts.TargetName);
-  }
-  // The simulated machine's memory and CPU stand in for the paper's
-  // DECstation (see DESIGN.md).
-  sim::Memory Mem;
-  mips::MipsTarget Target;
-  std::unique_ptr<sim::Cpu> CpuPtr;
-  if (Dbt)
-    CpuPtr = std::make_unique<dbt::MipsTranslatingCpu>(Mem);
-  else
-    CpuPtr = std::make_unique<sim::MipsSim>(Mem);
-  sim::Cpu &Cpu = *CpuPtr;
+  // By default the simulated machine's memory and CPU stand in for the
+  // paper's DECstation (see DESIGN.md).
+  Substrate S = makeSubstrate(Opts, "quickstart",
+                              Substrate::Mips | Substrate::Host |
+                                  Substrate::Dbt);
+  sim::Memory &Mem = *S.Mem;
+  sim::Cpu &Cpu = *S.Cpu;
 
   // --- Paper Fig. 1, line for line -------------------------------------
-  VCode V(Target);
+  VCode V(*S.Tgt);
   Reg Arg[1];
 
   // Begin code generation. "%i" says the routine takes a single integer
@@ -110,6 +56,16 @@ int main(int argc, char **argv) {
   CodePtr Plus1 = V.end();
 
   // --- Inspect the generated machine code ------------------------------
+  if (S.native()) {
+    // plus1 is real x86-64 here: no simulator anywhere.
+    std::printf("plus1 entry: 0x%llx (%zu bytes of x86-64)\n",
+                (unsigned long long)Plus1.Entry, Plus1.SizeBytes);
+    for (int32_t X : {41, -1, 0, 99})
+      std::printf("plus1(%d) = %d   (native call)\n", X,
+                  Cpu.call(Plus1.Entry, {sim::TypedValue::fromInt(X)})
+                      .asInt32());
+    return 0;
+  }
   std::printf("plus1 entry: 0x%llx (%zu bytes emitted)\n",
               (unsigned long long)Plus1.Entry, Plus1.SizeBytes);
   const uint32_t *Words =

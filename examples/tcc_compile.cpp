@@ -10,23 +10,11 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "alpha/AlphaTarget.h"
-#include "dbt/MipsTranslatingCpu.h"
-#include "mips/MipsTarget.h"
-#include "sim/AlphaSim.h"
-#include "sim/MipsSim.h"
-#include "sim/SparcSim.h"
-#include "sparc/SparcTarget.h"
-#include "support/Error.h"
+#include "substrate/Substrate.h"
+#include "support/ToolFlags.h"
 #include "tcc/Tcc.h"
 #include <cstdio>
-#include <cstring>
-#include <memory>
-#include "support/ToolFlags.h"
-#ifdef __x86_64__
-#include "x64/NativeCpu.h"
-#include "x64/X64Target.h"
-#endif
+#include <vector>
 
 using namespace vcode;
 
@@ -41,16 +29,16 @@ const char *Programs[] = {
     R"(hyp2(a, b) { return gcd(a, b) + fact(5); })",
 };
 
-void runOn(const char *Name, Target &Tgt, sim::Cpu &Cpu, sim::Memory &Mem,
-           Tier GenTier) {
-  tcc::Tcc T(Tgt, Mem);
+void runOn(Substrate &S, Tier GenTier) {
+  tcc::Tcc T(*S.Tgt, *S.Mem);
   T.setTier(GenTier);
   for (const char *Src : Programs)
     T.compile(Src);
 
-  std::printf("%-6s fact(10)=%d  gcd(462, 1071)=%d  hyp2(12, 18)=%d\n", Name,
-              T.run(Cpu, "fact", {10}), T.run(Cpu, "gcd", {462, 1071}),
-              T.run(Cpu, "hyp2", {12, 18}));
+  sim::Cpu &Cpu = *S.Cpu;
+  std::printf("%-6s fact(10)=%d  gcd(462, 1071)=%d  hyp2(12, 18)=%d\n",
+              S.Name, T.run(Cpu, "fact", {10}),
+              T.run(Cpu, "gcd", {462, 1071}), T.run(Cpu, "hyp2", {12, 18}));
 }
 
 } // namespace
@@ -65,47 +53,20 @@ int main(int argc, char **argv) {
   (void)argc;
   (void)argv;
 
-  if (Opts.TargetGiven && !std::strcmp(Opts.TargetName, "host")) {
-#ifdef __x86_64__
-    std::printf("tcc-lite: same front-end, native x86-64 target\n\n");
-    sim::Memory Mem(sim::Memory::Native);
-    x64::X64Target Tgt;
-    x64::NativeCpu Cpu(Mem);
-    runOn("host", Tgt, Cpu, Mem, Opts.GenTier);
-    return 0;
-#else
-    fatal("tcc_compile: --target=host requires an x86-64 build machine");
-#endif
-  }
-  if (Opts.TargetGiven && !std::strcmp(Opts.TargetName, "dbt")) {
-    std::printf("tcc-lite: MIPS target, binary-translated execution\n\n");
-    sim::Memory Mem;
-    mips::MipsTarget Tgt;
-    dbt::MipsTranslatingCpu Cpu(Mem);
-    runOn("dbt", Tgt, Cpu, Mem, Opts.GenTier);
-    return 0;
-  }
-
-  std::printf("tcc-lite: one front-end, three target machines "
-              "(paper §4.1)\n\n");
-  if (!Opts.TargetGiven || !std::strcmp(Opts.TargetName, "mips")) {
-    sim::Memory Mem;
-    mips::MipsTarget Tgt;
-    sim::MipsSim Cpu(Mem);
-    runOn("mips", Tgt, Cpu, Mem, Opts.GenTier);
-  }
-  if (!Opts.TargetGiven || !std::strcmp(Opts.TargetName, "sparc")) {
-    sim::Memory Mem;
-    sparc::SparcTarget Tgt;
-    sim::SparcSim Cpu(Mem);
-    runOn("sparc", Tgt, Cpu, Mem, Opts.GenTier);
-  }
-  if (!Opts.TargetGiven || !std::strcmp(Opts.TargetName, "alpha")) {
-    sim::Memory Mem;
-    alpha::AlphaTarget Tgt;
-    Tgt.installDivHelpers(Mem.allocCode(16384));
-    sim::AlphaSim Cpu(Mem);
-    runOn("alpha", Tgt, Cpu, Mem, Opts.GenTier);
+  std::vector<const char *> Names = {"mips", "sparc", "alpha"};
+  if (Opts.TargetName)
+    Names = {Opts.TargetName};
+  for (const char *Name : Names) {
+    Substrate S = makeSubstrate(Name);
+    if (Name == Names.front())
+      std::printf("%s\n\n",
+                  S.native()   ? "tcc-lite: same front-end, native x86-64 "
+                                 "target"
+                  : S.Engine ? "tcc-lite: MIPS target, binary-translated "
+                               "execution"
+                             : "tcc-lite: one front-end, three target "
+                               "machines (paper §4.1)");
+    runOn(S, Opts.GenTier);
   }
   return 0;
 }

@@ -9,6 +9,7 @@
 #if VCODE_TELEMETRY_ENABLED
 
 #include "profile/JitDump.h"
+#include "profile/Profiler.h"
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
@@ -145,6 +146,7 @@ uint64_t CodeMap::publish(uint64_t Addr, uint64_t Bytes, uint64_t Entry,
     const uint8_t *P = reinterpret_cast<const uint8_t *>(Host);
     E->Code.assign(P, P + Bytes);
   }
+  drainPendingSamples(); // before overlap eviction retires an entry
   {
     std::lock_guard<std::mutex> L(I->M);
     I->removeOverlapsLocked(Addr, Bytes);
@@ -158,6 +160,7 @@ uint64_t CodeMap::publish(uint64_t Addr, uint64_t Bytes, uint64_t Entry,
 }
 
 void CodeMap::remove(uint64_t Addr) {
+  drainPendingSamples();
   std::lock_guard<std::mutex> L(I->M);
   auto It = I->ByAddr.find(Addr);
   if (It != I->ByAddr.end())

@@ -21,7 +21,9 @@
 /// one upper_bound. An entry is complete when publish() inserts it — the
 /// caller passes the name, tier and guest range it will carry — and is
 /// never copied or changed afterwards except for its Samples counter, so
-/// a reader holding the shared_ptr needs no lock.
+/// a reader holding the shared_ptr needs no lock. remove() and publish()
+/// drain the profiler's pending native samples before they take the lock
+/// (profile::drainPendingSamples), so the lock order is drain, then map.
 ///
 /// Like the telemetry layer it reports through, the whole registry
 /// compiles out under -DVCODE_TELEMETRY=OFF: the class below becomes an

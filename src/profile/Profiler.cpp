@@ -177,6 +177,12 @@ void recordVirtualPc(uint64_t Pc) {
   }
 }
 
+void drainPendingSamples() {
+  if (GRingHead.load(std::memory_order_relaxed) !=
+      GRingDrained.load(std::memory_order_relaxed))
+    drainNativeRing();
+}
+
 SamplerStats samplerStats() {
   drainNativeRing();
   std::lock_guard<std::mutex> L(GDrainM);

@@ -10,9 +10,10 @@
 /// - Native: a SIGPROF/itimer handler captures the interrupted RIP into a
 ///   lock-free ring of atomic slots (async-signal-safe: the handler does
 ///   one relaxed fetch_add and one relaxed store). Samples are attributed
-///   through CodeMap::lookupHost at drain time (stop/report), so native
-///   and DBT frames — real host code — show up by name. Linux/x86-64
-///   only; startSampler() reports false elsewhere.
+///   through CodeMap::lookupHost at drain time (stop, report, and before
+///   any CodeMap entry is removed), so native and DBT frames — real host
+///   code — show up by name, also after their region is retired.
+///   Linux/x86-64 only; startSampler() reports false elsewhere.
 ///
 /// - Virtual: the simulators sample their own guest PC every
 ///   kVirtualSamplePeriod instructions via VCODE_PF_SAMPLE_VPC. Ordinary
@@ -66,6 +67,13 @@ void stopSampler();
 /// simulators through VCODE_PF_SAMPLE_VPC; ordinary thread context.
 void recordVirtualPc(uint64_t Pc);
 
+/// Attributes the native samples taken so far. CodeMap calls it before
+/// an entry leaves the map, so a sample is charged to the region that was
+/// live when it was taken, never to a later one at the same address. The
+/// caller must not hold the CodeMap lock (the drain takes it). One relaxed
+/// compare when nothing is pending.
+void drainPendingSamples();
+
 /// Cumulative tallies for the current process (drains the native ring
 /// first so NativeAttributed is current).
 SamplerStats samplerStats();
@@ -105,6 +113,7 @@ inline bool samplerActive() { return false; }
 inline bool startSampler(unsigned = 997) { return false; }
 inline void stopSampler() {}
 inline void recordVirtualPc(uint64_t) {}
+inline void drainPendingSamples() {}
 inline SamplerStats samplerStats() { return {}; }
 inline void appendProfileReport(std::string &) {}
 inline void requestProfileReport() {}

@@ -96,7 +96,7 @@ void ClassifierService::churnLoop(unsigned Tid) {
 }
 
 void ClassifierService::dispatchLoop(unsigned Tid) {
-  std::unique_ptr<sim::Cpu> Cpu = MakeCpu(Mem);
+  std::unique_ptr<sim::Cpu> Cpu = MakeCpu();
   if (!Cpu)
     fatal("service: CpuFactory returned no Cpu");
   Cpu->setStackTop(Mem.allocStack());

@@ -54,10 +54,9 @@ namespace service {
 /// Runs one churn-under-dispatch workload and reports SLOs.
 class ClassifierService {
 public:
-  /// Makes a fresh execution substrate over the service's arena (one per
-  /// dispatch thread; threads never share a Cpu).
-  using CpuFactory =
-      std::function<std::unique_ptr<sim::Cpu>(sim::Memory &)>;
+  /// Makes a fresh CPU over the service's arena (one per dispatch thread;
+  /// threads never share a Cpu), e.g. Substrate::makeCpu.
+  using CpuFactory = std::function<std::unique_ptr<sim::Cpu>()>;
 
   struct Config {
     unsigned Sets = 32;          ///< concurrently-managed filter sets

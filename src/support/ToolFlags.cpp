@@ -77,12 +77,12 @@ void warnProfilingOff(const char *Flag) {
 
 int tool::handleArgs(int Argc, char **Argv, ToolOptions &Opts) {
   int Out = 1;
+  bool ProfileReportGiven = false, PerfMapGiven = false, JitDumpGiven = false;
   for (int Idx = 1; Idx < Argc; ++Idx) {
     const char *A = Argv[Idx] ? Argv[Idx] : "";
     if (std::strncmp(A, "--tier=", 7) == 0) {
       if (!parseTier(A + 7, Opts.GenTier))
         fatal("bad --tier value '%s' (expected 0, 1, tier0 or tier1)", A + 7);
-      Opts.TierGiven = true;
       continue;
     }
     if (std::strncmp(A, "--hot-threshold=", 16) == 0) {
@@ -99,7 +99,6 @@ int tool::handleArgs(int Argc, char **Argv, ToolOptions &Opts) {
               "or dbt)",
               A + 9);
       Opts.TargetName = A + 9;
-      Opts.TargetGiven = true;
       continue;
     }
     if (std::strncmp(A, "--filters=", 10) == 0) {
@@ -141,7 +140,7 @@ int tool::handleArgs(int Argc, char **Argv, ToolOptions &Opts) {
       continue;
     }
     if (std::strcmp(A, "--profile-report") == 0) {
-      Opts.ProfileReportGiven = true;
+      ProfileReportGiven = true;
       continue;
     }
     if (std::strncmp(A, "--dump-code=", 12) == 0) {
@@ -152,12 +151,12 @@ int tool::handleArgs(int Argc, char **Argv, ToolOptions &Opts) {
       continue;
     }
     if (std::strcmp(A, "--perf-map") == 0) {
-      Opts.PerfMapGiven = true;
+      PerfMapGiven = true;
       continue;
     }
     if (std::strcmp(A, "--jitdump") == 0 ||
         std::strncmp(A, "--jitdump=", 10) == 0) {
-      Opts.JitDumpGiven = true;
+      JitDumpGiven = true;
       const char *Path = A[9] == '=' ? A + 10 : nullptr;
       if (Path && !*Path)
         fatal("bad --jitdump value '' (expected a file path)");
@@ -170,12 +169,12 @@ int tool::handleArgs(int Argc, char **Argv, ToolOptions &Opts) {
   if (Out < Argc)
     Argv[Out] = nullptr;
 
-  if (!Opts.ProfileReportGiven)
+  if (!ProfileReportGiven)
     if (const char *E = std::getenv("VCODE_PROFILE_REPORT"))
       if (*E && std::strcmp(E, "0") != 0)
-        Opts.ProfileReportGiven = true;
+        ProfileReportGiven = true;
 
-  if (Opts.ProfileReportGiven) {
+  if (ProfileReportGiven) {
     warnProfilingOff("--profile-report");
     profile::requestProfileReport();
   }
@@ -183,12 +182,12 @@ int tool::handleArgs(int Argc, char **Argv, ToolOptions &Opts) {
     warnProfilingOff("--dump-code");
     profile::requestDumpCode(Opts.DumpCode);
   }
-  if (Opts.PerfMapGiven && !profile::enablePerfMap()) {
+  if (PerfMapGiven && !profile::enablePerfMap()) {
     warnProfilingOff("--perf-map");
     if (telemetry::compiledIn())
       std::fprintf(stderr, "vcode: --perf-map: cannot open the perf map\n");
   }
-  if (Opts.JitDumpGiven) {
+  if (JitDumpGiven) {
     warnProfilingOff("--jitdump");
     if (telemetry::compiledIn() && profile::jitDumpPath().empty())
       std::fprintf(stderr, "vcode: --jitdump unavailable on this OS\n");

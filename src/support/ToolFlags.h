@@ -15,10 +15,14 @@
 ///   --hot-threshold=<N>    promote a cache-shared function to Tier-1
 ///                          after N executions (0 disables; clients with
 ///                          no shared cache ignore it)
-///   --target=<name>        backend for tools/benches that honor it:
+///   --target=<name>        machine for tools/benches that honor it:
 ///                          mips, sparc, alpha, host (native x86-64), or
 ///                          dbt (MIPS code run through the binary
-///                          translator instead of the interpreter)
+///                          translator instead of the interpreter). Only
+///                          the name is checked here; the tool builds the
+///                          machine with makeSubstrate(Opts, ...)
+///                          (substrate/Substrate.h), which also rejects
+///                          names that tool does not accept
 ///
 /// plus the service-workload knobs (bench_dpf_service; other tools ignore
 /// them unless they opt in):
@@ -73,18 +77,13 @@ struct ToolOptions {
   double Duration = 0;          ///< --duration seconds, else 0 (default)
   double Zipf = 0;              ///< --zipf exponent, else 0 (default)
   const char *DumpCode = nullptr; ///< --dump-code pattern, else null
-  bool TierGiven = false;       ///< --tier appeared on the command line
   bool HotGiven = false;        ///< --hot-threshold appeared
-  bool TargetGiven = false;     ///< --target appeared
   bool FiltersGiven = false;    ///< --filters appeared
   bool ThreadsGiven = false;    ///< --threads appeared
   bool ChurnGiven = false;      ///< --churn appeared
   bool DurationGiven = false;   ///< --duration appeared
   bool ZipfGiven = false;       ///< --zipf appeared
-  bool ProfileReportGiven = false; ///< --profile-report appeared (or env)
   bool DumpCodeGiven = false;   ///< --dump-code appeared
-  bool PerfMapGiven = false;    ///< --perf-map appeared
-  bool JitDumpGiven = false;    ///< --jitdump appeared
 };
 
 /// Scans argv for the shared flags above, fills \p Opts, delegates the

@@ -22,7 +22,7 @@ namespace {
 
 class AshTest : public ::testing::TestWithParam<std::string> {
 protected:
-  void SetUp() override { B = makeBundle(GetParam()); }
+  void SetUp() override { B = makeSubstrate(GetParam()); }
 
   SimAddr makeBuffer(uint32_t Bytes, uint64_t Seed) {
     SimAddr A = B.Mem->alloc(Bytes, 8);
@@ -39,7 +39,7 @@ protected:
     return true;
   }
 
-  TargetBundle B;
+  Substrate B;
 };
 
 const std::vector<Step> CopyCksum = {Step::Copy, Step::Checksum};

@@ -17,9 +17,6 @@
 #include "TestUtil.h"
 #include "core/CodeCache.h"
 #include "dpf/Engines.h"
-#include "sim/AlphaSim.h"
-#include "sim/MipsSim.h"
-#include "sim/SparcSim.h"
 #include <atomic>
 #include <gtest/gtest.h>
 #include <thread>
@@ -31,17 +28,6 @@ using sim::TypedValue;
 namespace {
 
 constexpr unsigned NumThreads = 8;
-
-/// A simulator over \p Mem for target \p Name (the bundle helper always
-/// pairs a Cpu with its own arena; concurrent tests need several Cpus on
-/// one shared arena).
-std::unique_ptr<sim::Cpu> makeCpu(const std::string &Name, sim::Memory &Mem) {
-  if (Name == "mips")
-    return std::make_unique<sim::MipsSim>(Mem);
-  if (Name == "sparc")
-    return std::make_unique<sim::SparcSim>(Mem);
-  return std::make_unique<sim::AlphaSim>(Mem);
-}
 
 /// Emits one small function of shape `f(a) = |((K + a) ^ M)| * 3` where K
 /// and M depend on \p Variant — enough to cover constants outside the
@@ -84,12 +70,12 @@ class ConcurrencyTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(ConcurrencyTest, ParallelEmissionMatchesSerialByteForByte) {
   constexpr unsigned Variants = 12;
 
-  // Serial reference: one bundle, all variants in order. Every bundle's
+  // Serial reference: one substrate, all variants in order. Every substrate's
   // arena replays the same allocation sequence, so guest addresses (and
   // absolute fixups) match by construction.
   std::vector<std::vector<uint8_t>> Want(Variants);
   {
-    TargetBundle B = makeBundle(GetParam());
+    Substrate B = makeSubstrate(GetParam());
     for (unsigned Vn = 0; Vn < Variants; ++Vn) {
       CodeMem CM = B.Mem->allocCode(4096);
       VCode V(*B.Tgt);
@@ -104,7 +90,7 @@ TEST_P(ConcurrencyTest, ParallelEmissionMatchesSerialByteForByte) {
   std::vector<std::thread> Threads;
   for (unsigned T = 0; T < NumThreads; ++T) {
     Threads.emplace_back([&] {
-      TargetBundle B = makeBundle(GetParam());
+      Substrate B = makeSubstrate(GetParam());
       for (unsigned Vn = 0; Vn < Variants; ++Vn) {
         CodeMem CM = B.Mem->allocCode(4096);
         VCode V(*B.Tgt);
@@ -138,7 +124,7 @@ TEST_P(ConcurrencyTest, ParallelEmissionMatchesSerialByteForByte) {
 // concurrent deployment shape (one backend, one code arena, many
 // generator threads).
 TEST_P(ConcurrencyTest, SharedTargetSharedArenaGenerateAndRun) {
-  TargetBundle B = makeBundle(GetParam()); // Tgt + Mem shared; B.Cpu unused
+  Substrate B = makeSubstrate(GetParam()); // Tgt + Mem shared; B.Cpu unused
   sim::Memory &Mem = *B.Mem;
   Target &Tgt = *B.Tgt;
 
@@ -146,7 +132,7 @@ TEST_P(ConcurrencyTest, SharedTargetSharedArenaGenerateAndRun) {
   std::vector<std::thread> Threads;
   for (unsigned T = 0; T < NumThreads; ++T) {
     Threads.emplace_back([&, T] {
-      std::unique_ptr<sim::Cpu> Cpu = makeCpu(GetParam(), Mem);
+      std::unique_ptr<sim::Cpu> Cpu = B.makeCpu();
       Cpu->setStackTop(Mem.allocStack());
       for (unsigned Round = 0; Round < 6; ++Round) {
         unsigned Vn = T * 16 + Round;
@@ -177,7 +163,7 @@ TEST_P(ConcurrencyTest, SharedTargetSharedArenaGenerateAndRun) {
 // are racing to define. An ExtId returned by defineInstruction must be
 // usable immediately on the defining thread with no extra ordering.
 TEST_P(ConcurrencyTest, ExtensionRegistryConcurrentDefineFindEmit) {
-  TargetBundle B = makeBundle(GetParam());
+  Substrate B = makeSubstrate(GetParam());
   Target &Tgt = *B.Tgt;
   constexpr unsigned PerThread = 32;
 
@@ -185,8 +171,10 @@ TEST_P(ConcurrencyTest, ExtensionRegistryConcurrentDefineFindEmit) {
   std::vector<std::thread> Threads;
   for (unsigned T = 0; T < NumThreads; ++T) {
     Threads.emplace_back([&, T] {
-      sim::Memory Mem; // private arena: only the registry is shared
-      std::unique_ptr<sim::Cpu> Cpu = makeCpu(GetParam(), Mem);
+      // Private arena and CPU: only the registry is shared.
+      Substrate Own = makeSubstrate(GetParam());
+      sim::Memory &Mem = *Own.Mem;
+      std::unique_ptr<sim::Cpu> &Cpu = Own.Cpu;
       for (unsigned I = 0; I < PerThread; ++I) {
         int32_t K = int32_t(T * 1000 + I);
         std::string Name =
@@ -256,7 +244,7 @@ std::vector<std::vector<dpf::Filter>> makeFilterSets(unsigned Sets) {
 // every install, hit or miss, yields a classifier that classifies
 // correctly.
 TEST(ConcurrencyCacheTest, ExactlyOnceGenerationPerKey) {
-  TargetBundle B = makeBundle("mips");
+  Substrate B = makeSubstrate("mips");
   sim::Memory &Mem = *B.Mem;
   CodeCache Cache(Mem);
 
@@ -270,7 +258,7 @@ TEST(ConcurrencyCacheTest, ExactlyOnceGenerationPerKey) {
   for (unsigned T = 0; T < NumThreads; ++T) {
     Threads.emplace_back([&, T] {
       dpf::DpfEngine Engine(*B.Tgt, Mem);
-      std::unique_ptr<sim::Cpu> Cpu = makeCpu("mips", Mem);
+      std::unique_ptr<sim::Cpu> Cpu = B.makeCpu();
       Cpu->setStackTop(Mem.allocStack());
       for (unsigned It = 0; It < Iters; ++It) {
         bool Served =
@@ -302,7 +290,7 @@ TEST(ConcurrencyCacheTest, ExactlyOnceGenerationPerKey) {
 // the region only returns to the free pool (RegionsReused) once the last
 // pin drops.
 TEST(ConcurrencyCacheTest, EvictionKeepsPinnedCodeAliveThenRecyclesRegion) {
-  TargetBundle B = makeBundle("mips");
+  Substrate B = makeSubstrate("mips");
   sim::Memory &Mem = *B.Mem;
   CodeCache Cache(Mem, CodeCache::Options(/*Shards=*/1,
                                           /*MaxEntriesPerShard=*/2));
@@ -342,7 +330,7 @@ TEST(ConcurrencyCacheTest, EvictionKeepsPinnedCodeAliveThenRecyclesRegion) {
 // A failing generator must not poison the key: the error is reported to
 // the failing caller, the key is erased, and a later install succeeds.
 TEST(ConcurrencyCacheTest, FailedGenerationIsRetryable) {
-  TargetBundle B = makeBundle("mips");
+  Substrate B = makeSubstrate("mips");
   CodeCache Cache(*B.Mem);
 
   CodeCache::Handle H =

@@ -23,8 +23,8 @@ namespace {
 
 class DcgTest : public ::testing::TestWithParam<std::string> {
 protected:
-  void SetUp() override { B = makeBundle(GetParam()); }
-  TargetBundle B;
+  void SetUp() override { B = makeSubstrate(GetParam()); }
+  Substrate B;
 };
 
 TEST_P(DcgTest, ExpressionTreeCompiles) {

@@ -126,10 +126,10 @@ std::vector<uint64_t> evalHost(const std::vector<RandInsn> &P, Type Ty,
 class DifferentialTest : public ::testing::TestWithParam<std::string> {
 protected:
   void SetUp() override {
-    B = makeBundle(GetParam());
+    B = makeSubstrate(GetParam());
     WB = B.Tgt->info().WordBytes;
   }
-  TargetBundle B;
+  Substrate B;
   unsigned WB = 4;
 };
 

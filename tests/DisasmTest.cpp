@@ -30,8 +30,8 @@ namespace {
 
 class DisasmTest : public ::testing::TestWithParam<std::string> {
 protected:
-  void SetUp() override { B = makeBundle(GetParam()); }
-  TargetBundle B;
+  void SetUp() override { B = makeSubstrate(GetParam()); }
+  Substrate B;
 };
 
 TEST(DisasmKnownWords, Mips) {

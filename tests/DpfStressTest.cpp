@@ -22,8 +22,8 @@ namespace {
 
 class DpfStressTest : public ::testing::TestWithParam<std::string> {
 protected:
-  void SetUp() override { B = makeBundle(GetParam()); }
-  TargetBundle B;
+  void SetUp() override { B = makeSubstrate(GetParam()); }
+  Substrate B;
 };
 
 int refClassify(const std::vector<Filter> &Filters, const sim::Memory &M,

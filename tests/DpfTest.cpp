@@ -22,8 +22,8 @@ namespace {
 
 class DpfTest : public ::testing::TestWithParam<std::string> {
 protected:
-  void SetUp() override { B = makeBundle(GetParam()); }
-  TargetBundle B;
+  void SetUp() override { B = makeSubstrate(GetParam()); }
+  Substrate B;
 };
 
 /// Reference (host) classifier.

@@ -20,9 +20,9 @@ namespace {
 
 class ErrorTest : public ::testing::TestWithParam<std::string> {
 protected:
-  void SetUp() override { B = makeBundle(GetParam()); }
+  void SetUp() override { B = makeSubstrate(GetParam()); }
   CodeMem code(size_t Bytes = 8192) { return B.Mem->allocCode(Bytes); }
-  TargetBundle B;
+  Substrate B;
 };
 
 TEST_P(ErrorTest, CodeBufferOverflow) {

@@ -24,11 +24,11 @@ namespace {
 class ExtensionTest : public ::testing::TestWithParam<std::string> {
 protected:
   void SetUp() override {
-    B = makeBundle(GetParam());
+    B = makeSubstrate(GetParam());
     WB = B.Tgt->info().WordBytes;
   }
   CodeMem code(size_t Bytes = 8192) { return B.Mem->allocCode(Bytes); }
-  TargetBundle B;
+  Substrate B;
   unsigned WB = 4;
 };
 

@@ -36,8 +36,8 @@ namespace {
 
 class FaultInjectionTest : public ::testing::TestWithParam<std::string> {
 protected:
-  void SetUp() override { B = makeBundle(GetParam()); }
-  TargetBundle B;
+  void SetUp() override { B = makeSubstrate(GetParam()); }
+  Substrate B;
 };
 
 /// Host-side reference classifier (mirrors DpfTest's).
@@ -143,7 +143,7 @@ TEST_P(FaultInjectionTest, DpfRetryConvergesByteIdentical) {
 
   for (auto S : Strategies) {
     // Retry path: start hopelessly small and let install() grow the region.
-    TargetBundle A = makeBundle(GetParam());
+    Substrate A = makeSubstrate(GetParam());
     dpf::DpfEngine EA(*A.Tgt, *A.Mem, S);
     EA.setInitialCodeBytes(64);
     EA.install(Filters);
@@ -153,7 +153,7 @@ TEST_P(FaultInjectionTest, DpfRetryConvergesByteIdentical) {
     // One-shot path: a twin arena (same allocation history) with the
     // converged size must produce the identical bytes at the identical
     // address — the retry left no trace in the output.
-    TargetBundle C = makeBundle(GetParam());
+    Substrate C = makeSubstrate(GetParam());
     dpf::DpfEngine EC(*C.Tgt, *C.Mem, S);
     EC.setInitialCodeBytes(EA.regionBytes());
     EC.install(Filters);
@@ -179,9 +179,9 @@ TEST_P(FaultInjectionTest, InterpreterEnginesRetryConverge) {
   // the retry loop, so those survive failed attempts by construction.
   std::vector<dpf::Filter> Filters = dpf::makeTcpIpFilters(10, 1024);
   for (int Which = 0; Which < 2; ++Which) {
-    TargetBundle A = makeBundle(GetParam());
-    TargetBundle C = makeBundle(GetParam());
-    auto Make = [&](TargetBundle &Bu) -> std::unique_ptr<dpf::Engine> {
+    Substrate A = makeSubstrate(GetParam());
+    Substrate C = makeSubstrate(GetParam());
+    auto Make = [&](Substrate &Bu) -> std::unique_ptr<dpf::Engine> {
       if (Which == 0)
         return std::make_unique<dpf::MpfEngine>(*Bu.Tgt, *Bu.Mem);
       return std::make_unique<dpf::PathFinderEngine>(*Bu.Tgt, *Bu.Mem);
@@ -253,7 +253,7 @@ TEST_P(FaultInjectionTest, TccSweepPrograms) {
 }
 
 TEST_P(FaultInjectionTest, TccRetryDriverConverges) {
-  TargetBundle A = makeBundle(GetParam());
+  Substrate A = makeSubstrate(GetParam());
   tcc::Tcc TA(*A.Tgt, *A.Mem);
   TA.setInitialCodeBytes(64);
   TA.compile("gcd(a, b) { while (b != 0) { var t = b; b = a % b; a = t; } "
@@ -270,7 +270,7 @@ TEST_P(FaultInjectionTest, TccByteIdentityAfterManualRetry) {
   // so the sweep can release them and the converged code must land where
   // a one-shot run on a twin arena lands.
   const char *Src = "poly(x) { var y = x * x; return y * x + 3 * y + x + 7; }";
-  TargetBundle A = makeBundle(GetParam());
+  Substrate A = makeSubstrate(GetParam());
   tcc::Tcc TA(*A.Tgt, *A.Mem);
   CgError Err;
   CodePtr PA;
@@ -293,7 +293,7 @@ TEST_P(FaultInjectionTest, TccByteIdentityAfterManualRetry) {
   }
   EXPECT_GE(Failures, 1u);
 
-  TargetBundle C = makeBundle(GetParam());
+  Substrate C = makeSubstrate(GetParam());
   tcc::Tcc TC(*C.Tgt, *C.Mem);
   CodeMem CMC = C.Mem->allocCode(Bytes);
   CodePtr PC = TC.compileInto(Src, CMC);
@@ -325,7 +325,7 @@ TEST_P(FaultInjectionTest, AshSweepAndByteIdentity) {
   };
 
   for (const Pipe &P : Pipes) {
-    TargetBundle A = makeBundle(GetParam());
+    Substrate A = makeSubstrate(GetParam());
     VCode V(*A.Tgt);
     unsigned Failures = 0;
     size_t FinalBytes = 0;
@@ -340,7 +340,7 @@ TEST_P(FaultInjectionTest, AshSweepAndByteIdentity) {
     EXPECT_GE(Failures, 1u);
 
     // One-shot on a twin arena: byte-identical at the same address.
-    TargetBundle C = makeBundle(GetParam());
+    Substrate C = makeSubstrate(GetParam());
     VCode VC(*C.Tgt);
     CodeMem CMC = C.Mem->allocCode(FinalBytes);
     CodePtr PC = ash::emitLoopInto(VC, CMC, P.Steps, P.Unroll, P.Sched);

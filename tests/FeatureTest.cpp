@@ -23,7 +23,7 @@ namespace {
 class FeatureTest : public ::testing::TestWithParam<std::string> {
 protected:
   void SetUp() override {
-    B = makeBundle(GetParam());
+    B = makeSubstrate(GetParam());
     WB = B.Tgt->info().WordBytes;
   }
   CodeMem code(size_t Bytes = 8192) { return B.Mem->allocCode(Bytes); }
@@ -39,7 +39,7 @@ protected:
     return V.end();
   }
 
-  TargetBundle B;
+  Substrate B;
   unsigned WB = 4;
 };
 

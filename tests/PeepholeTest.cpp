@@ -21,8 +21,8 @@ namespace {
 
 class PeepholeTest : public ::testing::TestWithParam<std::string> {
 protected:
-  void SetUp() override { B = makeBundle(GetParam()); }
-  TargetBundle B;
+  void SetUp() override { B = makeSubstrate(GetParam()); }
+  Substrate B;
 };
 
 TEST_P(PeepholeTest, SetBinopFoldsToImmediate) {

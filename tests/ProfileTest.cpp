@@ -4,11 +4,12 @@
 //
 // The introspection subsystem (src/profile/): CodeMap lifecycle and
 // boundary lookups, consistency under 8-thread churn (the TSan target),
-// v_end integration, cache and DBT installs listed under their keys, virtual-PC sampler attribution on a
-// known-hot loop, structural validation of the perf-map and jitdump
-// exports by test-side readers, and disassembler round-trips. Every test
-// skips cleanly under -DVCODE_TELEMETRY=OFF, where the whole subsystem
-// compiles out.
+// v_end integration, cache and DBT installs listed under their keys,
+// virtual-PC sampler attribution on a known-hot loop, native samples
+// credited to a region removed mid-session, structural validation of the
+// perf-map and jitdump exports by test-side readers, and disassembler
+// round-trips. Every test skips cleanly under -DVCODE_TELEMETRY=OFF, where
+// the whole subsystem compiles out.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +25,10 @@
 #include "sim/Memory.h"
 #include "sim/MipsSim.h"
 #include "support/Telemetry.h"
+#include "x64/NativeCpu.h"
 #include "x64/X64Disasm.h"
+#include "x64/X64Target.h"
+#include <ctime>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -360,6 +364,61 @@ TEST_F(ProfileTest, VirtualSamplerAttributesHotLoop) {
   Sim.call(Fn.Entry, {TypedValue::fromInt(100'000)});
   profile::SamplerStats PS2 = profile::samplerStats();
   EXPECT_EQ(PS2.VirtualSamples, PS.VirtualSamples);
+}
+
+/// Native samples wait in the SIGPROF ring until a drain attributes them.
+/// A region removed before the session ends must still be credited with
+/// the samples taken while it ran, under its own name.
+TEST_F(ProfileTest, NativeSamplesAttributedBeforeRemoval) {
+#if !defined(__linux__) || !defined(__x86_64__)
+  GTEST_SKIP() << "native sampling is Linux/x86-64 only";
+#else
+  auto &M = profile::CodeMap::instance();
+  sim::Memory Mem(sim::Memory::Native);
+  x64::X64Target Target;
+  x64::NativeCpu Cpu(Mem);
+
+  VCode V(Target);
+  Reg Arg[1];
+  V.lambda("%i", Arg, LeafHint, Mem.allocCode(4096));
+  V.setFunctionName("hot:native");
+  Reg S = V.getreg(Type::I), I = V.getreg(Type::I);
+  V.setInt(Type::I, S, 0);
+  V.setInt(Type::I, I, 0);
+  Label L = V.genLabel();
+  V.label(L);
+  V.binop(BinOp::Add, Type::I, S, S, I);
+  V.binopImm(BinOp::Add, Type::I, I, I, 1);
+  V.branch(Cond::Lt, Type::I, I, Arg[0], L);
+  V.ret(Type::I, S);
+  CodePtr Fn = V.end();
+  ASSERT_TRUE(Fn.isValid());
+  auto E = M.findByName("hot:native");
+  ASSERT_TRUE(E);
+
+  if (!profile::startSampler()) {
+    profile::stopSampler();
+    GTEST_SKIP() << "cannot arm the profiling timer here";
+  }
+  // About 300 ms of CPU, nearly all of it inside the generated loop.
+  auto CpuMs = [] {
+    timespec T;
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &T);
+    return double(T.tv_sec) * 1e3 + double(T.tv_nsec) / 1e6;
+  };
+  const double Start = CpuMs();
+  while (CpuMs() - Start < 300)
+    Cpu.call(Fn.Entry, {TypedValue::fromInt(1'000'000)});
+  M.remove(E->Addr);
+  profile::stopSampler();
+
+  uint64_t Heat = 0;
+  for (const auto &R : M.retiredHeat())
+    if (R.first == "hot:native")
+      Heat += R.second;
+  EXPECT_GT(Heat, 0u) << profile::samplerStats().NativeSamples
+                      << " native samples, none credited to the region";
+#endif
 }
 
 TEST_F(ProfileTest, PerfMapStructure) {

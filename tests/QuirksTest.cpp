@@ -217,7 +217,7 @@ TEST(SparcQuirks, YRegisterDivision) {
 TEST(MipsQuirks, BigImmediatesSynthesizeThroughAt) {
   // Constants that do not fit 16-bit immediate fields (the paper's §1
   // boundary-condition example) must synthesize via lui/ori.
-  TargetBundle B = makeBundle("mips");
+  Substrate B = makeSubstrate("mips");
   VCode V(*B.Tgt);
   Reg Arg[1];
   V.lambda("%i", Arg, LeafHint, B.Mem->allocCode(8192));

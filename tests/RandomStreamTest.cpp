@@ -32,10 +32,10 @@ class RandomStreamTest
     : public ::testing::TestWithParam<std::tuple<std::string, int>> {
 protected:
   void SetUp() override {
-    B = makeBundle(std::get<0>(GetParam()));
+    B = makeSubstrate(std::get<0>(GetParam()));
     WB = B.Tgt->info().WordBytes;
   }
-  TargetBundle B;
+  Substrate B;
   unsigned WB = 4;
 };
 

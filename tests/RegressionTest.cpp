@@ -24,14 +24,14 @@ namespace {
 class RegressionTest : public ::testing::TestWithParam<std::string> {
 protected:
   void SetUp() override {
-    B = makeBundle(GetParam());
+    B = makeSubstrate(GetParam());
     WB = B.Tgt->info().WordBytes;
   }
 
   /// Reclaims code memory between generated functions.
   CodeMem code() { return B.Mem->allocCode(8192); }
 
-  TargetBundle B;
+  Substrate B;
   unsigned WB = 4;
 };
 

@@ -15,9 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
-#include "mips/MipsTarget.h"
 #include "service/ClassifierService.h"
-#include "sim/MipsSim.h"
 #include <gtest/gtest.h>
 
 using namespace vcode;
@@ -25,10 +23,6 @@ using namespace vcode::service;
 using namespace vcode::test;
 
 namespace {
-
-std::unique_ptr<sim::Cpu> makeMipsCpu(sim::Memory &M) {
-  return std::make_unique<sim::MipsSim>(M, sim::dec5000Config());
-}
 
 //===----------------------------------------------------------------------===//
 // Zipf generator
@@ -115,8 +109,7 @@ TEST(TrafficTest, PacketsMatchExpectedVerdict) {
 
 TEST(ServiceTest, ChurnUnderDispatchDifferential) {
   VCODE_SEEDED(0x21f4);
-  sim::Memory Mem;
-  mips::MipsTarget Tgt;
+  Substrate B = makeSubstrate("mips");
   ClassifierService::Config C;
   C.Sets = 12;
   C.FlowsPerSet = 6;
@@ -128,7 +121,7 @@ TEST(ServiceTest, ChurnUnderDispatchDifferential) {
   // Eviction pressure on: one entry per shard, 8 shards, 12 live sets.
   C.CacheShards = 8;
   C.CacheEntriesPerShard = 1;
-  ClassifierService S(Tgt, Mem, makeMipsCpu, C);
+  ClassifierService S(*B.Tgt, *B.Mem, [&B] { return B.makeCpu(); }, C);
   ClassifierService::Report R = S.run();
 
   // Bit-identical verdicts under eviction pressure: ground truth on every
@@ -151,8 +144,7 @@ TEST(ServiceTest, ChurnUnderDispatchDifferential) {
 
 TEST(ServiceTest, ExactlyOnceGenerationWithoutEviction) {
   VCODE_SEEDED(0x21f5);
-  sim::Memory Mem;
-  mips::MipsTarget Tgt;
+  Substrate B = makeSubstrate("mips");
   ClassifierService::Config C;
   C.Sets = 8;
   C.FlowsPerSet = 5;
@@ -163,7 +155,7 @@ TEST(ServiceTest, ExactlyOnceGenerationWithoutEviction) {
   // Cache big enough for every set: reinstalls must all be hits.
   C.CacheShards = 4;
   C.CacheEntriesPerShard = 64;
-  ClassifierService S(Tgt, Mem, makeMipsCpu, C);
+  ClassifierService S(*B.Tgt, *B.Mem, [&B] { return B.makeCpu(); }, C);
   ClassifierService::Report R = S.run();
 
   EXPECT_TRUE(R.ok());
@@ -178,8 +170,7 @@ TEST(ServiceTest, ExactlyOnceGenerationWithoutEviction) {
 
 TEST(ServiceTest, PromotionUnderChurn) {
   VCODE_SEEDED(0x21f6);
-  sim::Memory Mem;
-  mips::MipsTarget Tgt;
+  Substrate B = makeSubstrate("mips");
   ClassifierService::Config C;
   C.Sets = 2;
   C.FlowsPerSet = 4;
@@ -189,7 +180,7 @@ TEST(ServiceTest, PromotionUnderChurn) {
   C.Seed = TestSeed;
   C.GenTier = Tier::Tier0; // promotion only lifts Tier-0 code
   C.HotThreshold = 50;
-  ClassifierService S(Tgt, Mem, makeMipsCpu, C);
+  ClassifierService S(*B.Tgt, *B.Mem, [&B] { return B.makeCpu(); }, C);
   ClassifierService::Report R = S.run();
 
   EXPECT_TRUE(R.ok());
@@ -203,8 +194,7 @@ TEST(ServiceTest, PromotionUnderChurn) {
 
 TEST(ServiceTest, ReportSLOFieldsPopulated) {
   VCODE_SEEDED(0x21f7);
-  sim::Memory Mem;
-  mips::MipsTarget Tgt;
+  Substrate B = makeSubstrate("mips");
   ClassifierService::Config C;
   C.Sets = 4;
   C.FlowsPerSet = 4;
@@ -212,7 +202,7 @@ TEST(ServiceTest, ReportSLOFieldsPopulated) {
   C.ChurnThreads = 1;
   C.DurationSec = 0.25;
   C.Seed = TestSeed;
-  ClassifierService S(Tgt, Mem, makeMipsCpu, C);
+  ClassifierService S(*B.Tgt, *B.Mem, [&B] { return B.makeCpu(); }, C);
   ClassifierService::Report R = S.run();
 
   EXPECT_TRUE(R.ok());

@@ -245,8 +245,8 @@ TEST(CacheModel, WarmPreloadsRange) {
 
 class SimCostTest : public ::testing::TestWithParam<std::string> {
 protected:
-  void SetUp() override { B = makeBundle(GetParam()); }
-  TargetBundle B;
+  void SetUp() override { B = makeSubstrate(GetParam()); }
+  Substrate B;
 };
 
 TEST_P(SimCostTest, CycleAccountingBasics) {

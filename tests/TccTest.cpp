@@ -20,13 +20,13 @@ namespace {
 class TccTest : public ::testing::TestWithParam<std::string> {
 protected:
   void SetUp() override {
-    B = makeBundle(GetParam());
+    B = makeSubstrate(GetParam());
     T = std::make_unique<tcc::Tcc>(*B.Tgt, *B.Mem);
   }
   int32_t run(const std::string &Name, std::vector<int32_t> Args) {
     return T->run(*B.Cpu, Name, Args);
   }
-  TargetBundle B;
+  Substrate B;
   std::unique_ptr<tcc::Tcc> T;
 };
 

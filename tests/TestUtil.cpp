@@ -5,12 +5,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
-#include "mips/MipsTarget.h"
-#include "sim/MipsSim.h"
-#include "alpha/AlphaTarget.h"
-#include "sim/AlphaSim.h"
-#include "sim/SparcSim.h"
-#include "sparc/SparcTarget.h"
+#include "alpha/AlphaEncoding.h"
+#include "sparc/SparcEncoding.h"
 #include "support/Error.h"
 #include "support/Rng.h"
 #include <cmath>
@@ -72,29 +68,6 @@ std::string vcode::test::seedInfo(uint64_t Seed) {
                 testSeedOverridden() ? "from VCODE_TEST_SEED" : "default",
                 (unsigned long long)testBaseSeed());
   return Buf;
-}
-
-TargetBundle vcode::test::makeBundle(const std::string &Name) {
-  TargetBundle B;
-  B.Mem = std::make_unique<sim::Memory>();
-  if (Name == "mips") {
-    B.Tgt = std::make_unique<mips::MipsTarget>();
-    B.Cpu = std::make_unique<sim::MipsSim>(*B.Mem);
-    return B;
-  }
-  if (Name == "sparc") {
-    B.Tgt = std::make_unique<sparc::SparcTarget>();
-    B.Cpu = std::make_unique<sim::SparcSim>(*B.Mem);
-    return B;
-  }
-  if (Name == "alpha") {
-    auto Tgt = std::make_unique<alpha::AlphaTarget>();
-    Tgt->installDivHelpers(B.Mem->allocCode(16384));
-    B.Tgt = std::move(Tgt);
-    B.Cpu = std::make_unique<sim::AlphaSim>(*B.Mem);
-    return B;
-  }
-  fatal("unknown test target '%s'", Name.c_str());
 }
 
 std::vector<std::string> vcode::test::allTargetNames() {

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Target-parameterized fixtures (one bundle = arena + backend + CPU
-/// simulator) and a host-side reference evaluator for VCODE instruction
+/// Target-parameterized fixtures (one substrate = arena + backend + CPU
+/// simulator, from substrate/Substrate.h) and a host-side reference evaluator for VCODE instruction
 /// semantics. The auto-generated regression tests (paper §3.3: "a script to
 /// automatically generate regression tests for errors in instruction
 /// mappings and calling conventions") compare generated-code results on the
@@ -23,6 +23,7 @@
 #include "sparc/SparcDecode.h"
 #include "sim/Cpu.h"
 #include "sim/Memory.h"
+#include "substrate/Substrate.h"
 #include <gtest/gtest.h>
 #include <memory>
 #include <string>
@@ -65,17 +66,8 @@ std::string seedInfo(uint64_t Seed);
       __FILE__, __LINE__,                                                     \
       ::vcode::test::seedInfo(::vcode::test::testBaseSeed()))
 
-/// Everything needed to generate and run code for one target.
-struct TargetBundle {
-  std::unique_ptr<sim::Memory> Mem;
-  std::unique_ptr<Target> Tgt;
-  std::unique_ptr<sim::Cpu> Cpu;
-};
-
-/// Creates a bundle by target name ("mips", "sparc", "alpha").
-TargetBundle makeBundle(const std::string &Name);
-
-/// Names of all available targets (for INSTANTIATE_TEST_SUITE_P).
+/// Names of the simulated targets (for INSTANTIATE_TEST_SUITE_P); each
+/// fixture gets its arena, backend and CPU from makeSubstrate(name).
 std::vector<std::string> allTargetNames();
 
 /// Register-width in bits of \p Ty values on a target with \p WordBytes

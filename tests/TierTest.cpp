@@ -32,9 +32,6 @@
 #include "core/Generate.h"
 #include "core/VRegLayer.h"
 #include "dpf/Engines.h"
-#include "sim/AlphaSim.h"
-#include "sim/MipsSim.h"
-#include "sim/SparcSim.h"
 #include "support/Rng.h"
 #include "tcc/Tcc.h"
 #include <atomic>
@@ -50,19 +47,9 @@ namespace {
 
 class TierTest : public ::testing::TestWithParam<std::string> {
 protected:
-  void SetUp() override { B = makeBundle(GetParam()); }
-  TargetBundle B;
+  void SetUp() override { B = makeSubstrate(GetParam()); }
+  Substrate B;
 };
-
-/// A simulator over \p Mem for target \p Name (for tests that need
-/// several Cpus over one shared arena; the bundle's Cpu is one-per-arena).
-std::unique_ptr<sim::Cpu> makeCpu(const std::string &Name, sim::Memory &Mem) {
-  if (Name == "mips")
-    return std::make_unique<sim::MipsSim>(Mem);
-  if (Name == "sparc")
-    return std::make_unique<sim::SparcSim>(Mem);
-  return std::make_unique<sim::AlphaSim>(Mem);
-}
 
 /// Emits one seeded vreg program through the layer at \p T. All vregs are
 /// defined before any use; the body mixes random three-address ops,
@@ -351,7 +338,7 @@ TEST_P(TierTest, PromotionExactlyOnceConcurrent) {
       E.setTier(Tier::Tier0);
       E.setHotThreshold(Threshold);
       E.installShared(Cache, Filters);
-      std::unique_ptr<sim::Cpu> Cpu = makeCpu(GetParam(), Mem);
+      std::unique_ptr<sim::Cpu> Cpu = B.makeCpu();
       Cpu->setStackTop(Mem.allocStack());
       for (unsigned I = 0; I < Iters; ++I)
         if (E.classify(*Cpu, Pkt) != 1)
@@ -453,7 +440,7 @@ TEST_P(TierTest, SharedEngineSteadyStateAcrossSwap) {
   E.installShared(Cache, Filters);
   std::vector<std::unique_ptr<sim::Cpu>> Cpus;
   for (unsigned T = 0; T < 8; ++T) {
-    Cpus.push_back(makeCpu(GetParam(), Mem));
+    Cpus.push_back(B.makeCpu());
     Cpus.back()->setStackTop(Mem.allocStack());
   }
   checkSwapUnderDispatch(
@@ -485,7 +472,7 @@ TEST_P(TierTest, SharedTccFunctionSteadyStateAcrossSwap) {
     Tccs.back()->setTier(Tier::Tier0);
     Tccs.back()->setHotThreshold(300);
     Tccs.back()->compileShared(Cache, Src);
-    Cpus.push_back(makeCpu(GetParam(), Mem));
+    Cpus.push_back(B.makeCpu());
     Cpus.back()->setStackTop(Mem.allocStack());
   }
   checkSwapUnderDispatch(
