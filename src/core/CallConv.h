@@ -58,8 +58,8 @@ struct CallConv {
 
 /// The placement rule, one argument at a time and without allocation.
 /// Every consumer of a convention walks its arguments through this: the
-/// front end (computeArgLocs), the simulators' and the binary translator's
-/// call marshalling. \p WordBytes is the target word size (stack slots
+/// front end (computeArgLocs), the simulators', the binary translator's
+/// and NativeCpu's call marshalling. \p WordBytes is the target word size (stack slots
 /// are word-granular; doubles take 8 bytes always).
 class ArgWalker {
 public:

@@ -65,27 +65,6 @@ int intSlotOf(Reg R) {
 
 } // namespace
 
-void NativeCpu::checkExecutable(SimAddr Entry) {
-  // Sample the epoch before the lookup: a mutation racing with it leaves
-  // the cache stamped stale, so the next call looks up again.
-  uint64_t Epoch = Mem.execEpoch();
-  if (Epoch != ExecStamp) {
-    for (ExecRange &R : ExecCache)
-      R = ExecRange();
-    ExecStamp = Epoch;
-  }
-  uint64_t Page = Entry >> 12;
-  ExecRange &R =
-      ExecCache[(Page * 0x9e3779b97f4a7c15ull) >> (64 - ExecCacheBits)];
-  if (Entry >= R.Lo && Entry < R.Hi)
-    return;
-  if (!Mem.executableRange(Entry, R.Lo, R.Hi))
-    fatalKind(CgErrKind::SimFault,
-              "native: entry 0x%llx is not published executable code "
-              "(v_end publishes; did generation fail?)",
-              (unsigned long long)Entry);
-}
-
 TypedValue NativeCpu::callWithConvSpan(const CallConv &CC, SimAddr Entry,
                                        const TypedValue *Args, size_t NumArgs,
                                        Type RetTy) {
@@ -98,55 +77,47 @@ TypedValue NativeCpu::callWithConvSpan(const CallConv &CC, SimAddr Entry,
   fatalKind(CgErrKind::ApiMisuse,
             "native: direct execution requires an x86-64 host");
 #else
-  checkExecutable(Entry);
+  if (!Mem.isExecutable(Entry))
+    fatalKind(CgErrKind::SimFault,
+              "native: entry 0x%llx is not published executable code "
+              "(v_end publishes; did generation fail?)",
+              (unsigned long long)Entry);
 
-  // Assign locations exactly as computeArgLocs does (next free int/fp
-  // register per argument, left to right; then naturally-aligned 8-byte
-  // outgoing slots), without materializing the ArgLoc vector: this path
-  // runs once per dispatched message.
+  // Place each argument by the convention's one placement rule (ArgWalker),
+  // without materializing the ArgLoc vector: this path runs once per
+  // dispatched message. Every stack argument takes one 8-byte slot.
   uint64_t IArg[6] = {0, 0, 0, 0, 0, 0};
   double DArg[8] = {0, 0, 0, 0, 0, 0, 0, 0};
   uint64_t SArg[MaxStackSlots] = {0, 0, 0, 0, 0, 0, 0, 0};
-  size_t NextInt = 0, NextFp = 0, NextSlot = 0;
+  ArgWalker Walk(CC, 8);
   for (size_t I = 0; I < NumArgs; ++I) {
     const TypedValue &A = Args[I];
-    if (isFpType(A.Ty)) {
-      // Pass the bit pattern: an F argument occupies the low 32 bits of
-      // its xmm register (or stack slot), exactly where the callee reads
-      // it.
-      uint64_t Bits = A.Ty == Type::F ? (A.Bits & 0xffffffffu) : A.Bits;
-      if (NextFp >= CC.FpArgRegs.size()) {
-        if (NextSlot >= MaxStackSlots)
-          fatalKind(CgErrKind::ApiMisuse,
-                    "native: argument %zu needs stack slot %zu; the host "
-                    "trampoline passes at most %zu stack slots",
-                    I + 1, NextSlot + 1, MaxStackSlots);
-        SArg[NextSlot++] = Bits;
-        continue;
-      }
-      Reg R = CC.FpArgRegs[NextFp++];
-      if (R.Num >= 8)
+    // Pass the bit pattern: an F argument occupies the low 32 bits of its
+    // xmm register (or stack slot), exactly where the callee reads it.
+    uint64_t Bits = A.Ty == Type::F ? (A.Bits & 0xffffffffu) : A.Bits;
+    ArgLoc L = Walk.next(A.Ty);
+    if (L.OnStack) {
+      size_t Slot = size_t(L.StackOff) / 8;
+      if (Slot >= MaxStackSlots)
+        fatalKind(CgErrKind::ApiMisuse,
+                  "native: argument %zu needs stack slot %zu; the host "
+                  "trampoline passes at most %zu stack slots",
+                  I + 1, Slot + 1, MaxStackSlots);
+      SArg[Slot] = Bits;
+    } else if (isFpType(A.Ty)) {
+      if (L.R.Num >= 8)
         fatalKind(CgErrKind::ApiMisuse,
                   "native: fp argument register xmm%u is outside the SysV "
                   "argument set",
-                  unsigned(R.Num));
-      DArg[R.Num] = std::bit_cast<double>(Bits);
+                  unsigned(L.R.Num));
+      DArg[L.R.Num] = std::bit_cast<double>(Bits);
     } else {
-      if (NextInt >= CC.IntArgRegs.size()) {
-        if (NextSlot >= MaxStackSlots)
-          fatalKind(CgErrKind::ApiMisuse,
-                    "native: argument %zu needs stack slot %zu; the host "
-                    "trampoline passes at most %zu stack slots",
-                    I + 1, NextSlot + 1, MaxStackSlots);
-        SArg[NextSlot++] = A.Bits;
-        continue;
-      }
-      int Slot = intSlotOf(CC.IntArgRegs[NextInt++]);
+      int Slot = intSlotOf(L.R);
       if (Slot < 0)
         fatalKind(CgErrKind::ApiMisuse,
                   "native: integer argument register is outside the SysV "
                   "argument set");
-      IArg[Slot] = A.Bits;
+      IArg[Slot] = Bits;
     }
   }
 

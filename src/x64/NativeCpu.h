@@ -47,30 +47,10 @@ public:
   void setInstrLimit(uint64_t) override {} // real execution has no governor
   const sim::MachineConfig &config() const override { return Cfg; }
 
-  /// Slots in the executable-range cache (a power of two).
-  static constexpr unsigned ExecCacheBits = 8;
-  static constexpr size_t ExecCacheSlots = size_t(1) << ExecCacheBits;
-
 private:
-  /// Execute-before-publish gate: dies unless \p Entry lies in published
-  /// code. Answers from the range cache while execEpoch() is unchanged.
-  void checkExecutable(SimAddr Entry);
-
   sim::Memory &Mem;
   sim::RunStats Last;
   sim::MachineConfig Cfg;
-  /// Positive executableRange() answers, direct-mapped by a hash of the
-  /// entry's page and valid only while the memory's execEpoch() equals
-  /// ExecStamp (the whole cache is cleared when it moves). Dispatch over
-  /// many classifiers switches entry on nearly every call; one cached
-  /// range would send each of those calls to Memory's mutex and range
-  /// map. The hash spreads code regions, which sit a fixed number of
-  /// pages apart, over all slots.
-  struct ExecRange {
-    SimAddr Lo = 0, Hi = 0; ///< empty: contains nothing
-  };
-  ExecRange ExecCache[ExecCacheSlots];
-  uint64_t ExecStamp = ~uint64_t(0);
 };
 
 } // namespace x64

@@ -3,11 +3,11 @@
 // Part of the vcode reproduction of Engler, PLDI 1996.
 //
 // Unit tests for the machine substrate that stands in for the paper's
-// DECstations: memory arena bounds and allocation, the direct-mapped cache
-// model (the mechanism behind Table 4's cached/uncached rows), the cycle
-// cost model (the mechanism behind every µs the benches report) with its
-// golden totals, the interpreters' shared alignment rule, and the SPARC
-// and Alpha decode tables against their interpreters.
+// DECstations: memory arena bounds, allocation and lazy backing, the
+// direct-mapped cache model (the mechanism behind Table 4's cached/uncached
+// rows), the cycle cost model (the mechanism behind every µs the benches
+// report) with its golden totals, the interpreters' shared alignment rule,
+// and the SPARC and Alpha decode tables against their interpreters.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +20,9 @@
 #include "sim/SparcSim.h"
 #include "support/Error.h"
 #include "support/Rng.h"
+#include <fstream>
 #include <gtest/gtest.h>
+#include <string>
 
 using namespace vcode;
 using namespace vcode::test;
@@ -186,6 +188,33 @@ TEST(MemoryArena, ContainsIsOverflowSafe) {
   EXPECT_FALSE(M.contains(0x10000000 + (1 << 20) - 4, 8));
   EXPECT_TRUE(M.contains(0x10000000, 1 << 20));
   EXPECT_TRUE(M.contains(0x10000000 + (1 << 20) - 4, 4));
+}
+
+/// This process's resident set in KiB (VmRSS), or -1 where
+/// /proc/self/status does not report it.
+long residentKiB() {
+  std::ifstream In("/proc/self/status");
+  std::string Line;
+  while (std::getline(In, Line))
+    if (Line.rfind("VmRSS:", 0) == 0)
+      return std::stol(Line.substr(6));
+  return -1;
+}
+
+// An arena costs memory only for the pages it touches: constructing the
+// default 64 MiB simulated arena and writing one word must not make the
+// whole arena resident.
+TEST(MemoryArena, SimulatedArenaIsLazy) {
+  long Before = residentKiB();
+  if (Before < 0)
+    GTEST_SKIP() << "VmRSS is not reported in /proc/self/status here";
+  sim::Memory M(64 << 20);
+  SimAddr A = M.base() + (32 << 20);
+  M.write<uint32_t>(A, 0xdeadbeef);
+  long Grew = residentKiB() - Before;
+  EXPECT_EQ(M.read<uint32_t>(A), 0xdeadbeefu);
+  EXPECT_LT(Grew, 4 * 1024) << "a 64 MiB arena made " << Grew
+                            << " KiB resident";
 }
 
 TEST(CacheModel, NonPowerOfTwoSizeRoundsDown) {
