@@ -4,10 +4,11 @@
 //
 // Measures the raw cost of the telemetry primitives that ride on the
 // emission hot path (EXPERIMENTS.md E12): sharded counter increments
-// (single-threaded and contended), the tick source, scoped phase timers
-// under each runtime gate, and event-ring appends with tracing on. The
-// acceptance bar for the layer is set elsewhere (bench_codegen ON vs OFF);
-// this benchmark explains *why* that bar holds by pricing each primitive.
+// (single-threaded and contended), the tick source, phase spans into
+// their histograms under each runtime gate, and event-ring appends with
+// tracing on. The acceptance bar for the layer is set elsewhere
+// (bench_codegen ON vs OFF); this benchmark explains *why* that bar holds
+// by pricing each primitive.
 //
 // In a VCODE_TELEMETRY=OFF build the macro benchmarks measure literal
 // empty statements and should report sub-nanosecond loop overhead only.
@@ -46,7 +47,7 @@ void BM_CounterMacro(benchmark::State &State) {
 BENCHMARK(BM_CounterMacro)->Threads(1)->Threads(8);
 
 //===----------------------------------------------------------------------===//
-// Tick source and phase timers
+// Tick source and phase spans
 //===----------------------------------------------------------------------===//
 
 // tick() honors the runtime timing gate: with timing off it returns 0
@@ -67,36 +68,41 @@ void BM_TickGateOn(benchmark::State &State) {
 }
 BENCHMARK(BM_TickGateOn);
 
-void BM_ScopedTimerGateOff(benchmark::State &State) {
+// A phase span as the instrumented code writes it. Gate off, the tick is 0
+// and the span records nothing; gate on, it reads the clock twice and
+// records the interval in nanoseconds into the span's histogram (one
+// histogram shared by every thread).
+void BM_SpanGateOff(benchmark::State &State) {
   vt::setTiming(false);
-  vt::Timer &T = vt::registry().timer("bench.timer.off");
-  for (auto _ : State)
-    vt::ScopedTimer S(T);
+  for (auto _ : State) {
+    VCODE_TM_TICK(T0);
+    VCODE_TM_SPAN("bench.span.off", T0);
+  }
 }
-BENCHMARK(BM_ScopedTimerGateOff);
+BENCHMARK(BM_SpanGateOff);
 
-void BM_ScopedTimerGateOn(benchmark::State &State) {
+void BM_SpanGateOn(benchmark::State &State) {
   vt::setTiming(true);
-  vt::Timer &T = vt::registry().timer("bench.timer.on");
-  for (auto _ : State)
-    vt::ScopedTimer S(T);
+  for (auto _ : State) {
+    VCODE_TM_TICK(T0);
+    VCODE_TM_SPAN("bench.span.on", T0);
+  }
   vt::setTiming(false);
   State.SetItemsProcessed(State.iterations());
 }
-BENCHMARK(BM_ScopedTimerGateOn)->Threads(1)->Threads(4);
+BENCHMARK(BM_SpanGateOn)->Threads(1)->Threads(4);
 
 //===----------------------------------------------------------------------===//
 // Event ring (tracing on)
 //===----------------------------------------------------------------------===//
 
-// Full span with tracing enabled: timer record + lock-free ring append.
-// This is the most expensive configuration the hot path can run in.
+// Full span with tracing enabled: histogram record + lock-free ring
+// append. This is the most expensive configuration the hot path can run in.
 void BM_SpanTracing(benchmark::State &State) {
   vt::setTracing(true);
-  vt::Timer &T = vt::registry().timer("bench.timer.trace");
   for (auto _ : State) {
-    uint64_t T0 = vt::tick();
-    vt::spanFrom(T, T0);
+    VCODE_TM_TICK(T0);
+    VCODE_TM_SPAN("bench.span.trace", T0);
   }
   vt::setTracing(false);
   vt::setTiming(false);

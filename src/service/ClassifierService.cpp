@@ -61,7 +61,7 @@ void ClassifierService::installSet(unsigned Set) {
   auto L = std::make_shared<Live>(Tgt, Mem);
   L->Engine.setTier(Cfg.GenTier);
   L->Engine.setHotThreshold(Cfg.HotThreshold);
-  // Unconditionally timed (not gated like phase timers): the install
+  // Unconditionally timed (not gated like phase spans): the install
   // latency distribution IS the service's product, and now() is one TSC
   // read on either side of a code generation.
   uint64_t T0 = telemetry::now();

@@ -6,6 +6,7 @@
 
 #include "support/Telemetry.h"
 #include "profile/CodeMap.h"
+#include "support/Error.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -32,7 +33,8 @@ namespace {
 double calibrateTicksPerNs() {
 #if defined(__x86_64__) || defined(__i386__)
   // Measure the TSC against steady_clock over a ~2ms window. Runs once,
-  // lazily, the first time anything converts ticks (reports/exports only).
+  // the first time anything converts ticks; setTiming(true) does so before
+  // any span can.
   using Clock = std::chrono::steady_clock;
   Clock::time_point T0 = Clock::now();
   uint64_t C0 = now();
@@ -77,9 +79,9 @@ constexpr uint64_t kRingSize = 1u << 16; // 64K events, power of two
 struct Registry::Impl {
   mutable std::mutex M; ///< guards the maps below (registration is cold)
   // std::map: node-based, so element addresses and key c_str() pointers
-  // stay stable for the life of the process (Timer::name() relies on it).
+  // stay stable for the life of the process (Histogram::name() relies on
+  // it).
   std::map<std::string, Counter> Counters;
-  std::map<std::string, Timer> Timers;
   std::map<std::string, Histogram> Histograms;
   std::map<std::string, std::vector<Counter *>> Attached;
   std::map<std::string, uint64_t> Retired;
@@ -141,13 +143,15 @@ BatchedCount::~BatchedCount() {
 }
 #endif
 
-Histogram::Histogram(const char *Name) : AttachedName(Name) {
+Histogram::Histogram(const char *Name) : Name(Name) {
   registry().attach(Name, this);
 }
 
+// Registry-owned histograms are named too, but live in the leaked registry
+// and are never destroyed: only instance-owned ones detach here.
 Histogram::~Histogram() {
-  if (AttachedName)
-    registry().detach(AttachedName, this);
+  if (Name)
+    registry().detach(Name, this);
 }
 
 double Histogram::Snapshot::percentile(double P) const {
@@ -193,20 +197,15 @@ Counter &Registry::counter(std::string_view Name) {
   return I->Counters[std::string(Name)];
 }
 
-Timer &Registry::timer(std::string_view Name) {
+Histogram &Registry::histogram(std::string_view Name) {
   std::lock_guard<std::mutex> L(I->M);
-  auto [It, Inserted] = I->Timers.try_emplace(std::string(Name));
+  auto [It, Inserted] = I->Histograms.try_emplace(std::string(Name));
   // Set the back-pointer only on first insertion: event recording reads
-  // Name without the lock, so it must never be re-written once the timer
-  // has been handed out.
+  // Name without the lock, so it must never be re-written once the
+  // histogram has been handed out.
   if (Inserted)
     It->second.Name = It->first.c_str();
   return It->second;
-}
-
-Histogram &Registry::histogram(std::string_view Name) {
-  std::lock_guard<std::mutex> L(I->M);
-  return I->Histograms[std::string(Name)];
 }
 
 Histogram::Snapshot Registry::histogramSnapshot(std::string_view Name) const {
@@ -307,8 +306,6 @@ void Registry::reset() {
   for (BatchedCount *B : I->Batches)
     B->clear();
 #endif
-  for (auto &[Name, T] : I->Timers)
-    T.reset();
   for (auto &[Name, V] : I->Attached)
     for (Counter *C : V)
       C->reset();
@@ -376,25 +373,9 @@ void Registry::report(std::ostream &OS) const {
   }
 
   std::lock_guard<std::mutex> L(I->M);
-  if (!I->Timers.empty()) {
-    std::snprintf(Line, sizeof(Line), "timers:%31s %10s %10s %10s %10s\n", "",
-                  "count", "total", "avg", "max");
-    OS << Line;
-    for (const auto &[Name, T] : I->Timers) {
-      Timer::Snapshot S = T.snapshot();
-      char Total[32], Avg[32], Max[32];
-      printDuration(Total, sizeof(Total), ticksToNs(S.TotalTicks));
-      printDuration(Avg, sizeof(Avg),
-                    S.Count ? ticksToNs(S.TotalTicks) / double(S.Count) : 0);
-      printDuration(Max, sizeof(Max), ticksToNs(S.MaxTicks));
-      std::snprintf(Line, sizeof(Line), "  %-36s %10llu %10s %10s %10s\n",
-                    Name.c_str(), (unsigned long long)S.Count, Total, Avg, Max);
-      OS << Line;
-    }
-  }
-
   // Merge global, live instance, and retired histograms by name. Values
-  // recorded into histograms are nanoseconds by convention ("*_ns" names).
+  // recorded into histograms are nanoseconds by convention (every span's
+  // are).
   std::map<std::string, Histogram::Snapshot> MergedHists;
   for (const auto &[Name, H] : I->Histograms)
     MergedHists[Name].merge(H.snapshot());
@@ -408,20 +389,21 @@ void Registry::report(std::ostream &OS) const {
     AnyHist |= S.Count != 0;
   if (AnyHist) {
     std::snprintf(Line, sizeof(Line),
-                  "histograms:%27s %10s %10s %10s %10s %10s\n", "", "count",
-                  "p50", "p90", "p99", "max");
+                  "histograms:%27s %10s %10s %10s %10s %10s %10s\n", "",
+                  "count", "total", "p50", "p90", "p99", "max");
     OS << Line;
     for (const auto &[Name, S] : MergedHists) {
       if (!S.Count)
         continue;
-      char P50[32], P90[32], P99[32], Max[32];
+      char Total[32], P50[32], P90[32], P99[32], Max[32];
+      printDuration(Total, sizeof(Total), double(S.Sum));
       printDuration(P50, sizeof(P50), S.percentile(50));
       printDuration(P90, sizeof(P90), S.percentile(90));
       printDuration(P99, sizeof(P99), S.percentile(99));
       printDuration(Max, sizeof(Max), double(S.Max));
-      std::snprintf(Line, sizeof(Line), "  %-36s %10llu %10s %10s %10s %10s\n",
-                    Name.c_str(), (unsigned long long)S.Count, P50, P90, P99,
-                    Max);
+      std::snprintf(Line, sizeof(Line),
+                    "  %-36s %10llu %10s %10s %10s %10s %10s\n", Name.c_str(),
+                    (unsigned long long)S.Count, Total, P50, P90, P99, Max);
       OS << Line;
     }
   }
@@ -564,6 +546,8 @@ int handleArgs(int Argc, char **Argv) {
     }
     if (std::strncmp(A, "--trace-json=", 13) == 0) {
       TraceFile = A + 13;
+      if (!*TraceFile)
+        fatal("bad --trace-json value '' (expected a file path)");
       continue;
     }
     Argv[Out++] = Argv[Idx];
@@ -571,19 +555,11 @@ int handleArgs(int Argc, char **Argv) {
   if (Out < Argc)
     Argv[Out] = nullptr;
 
-  if (const char *E = std::getenv("VCODE_TELEMETRY_REPORT"))
-    if (*E && std::strcmp(E, "0") != 0)
-      WantReport = true;
-  if (!TraceFile)
-    if (const char *E = std::getenv("VCODE_TRACE_JSON"))
-      if (*E)
-        TraceFile = E;
-
   if (WantReport) {
     GWantReport = true;
-    setTiming(true); // the report should include phase timers
+    setTiming(true); // the report should include phase spans
   }
-  if (TraceFile && *TraceFile) {
+  if (TraceFile) {
     GTraceFile = TraceFile;
     setTracing(true);
   }

@@ -169,11 +169,6 @@ int tool::handleArgs(int Argc, char **Argv, ToolOptions &Opts) {
   if (Out < Argc)
     Argv[Out] = nullptr;
 
-  if (!ProfileReportGiven)
-    if (const char *E = std::getenv("VCODE_PROFILE_REPORT"))
-      if (*E && std::strcmp(E, "0") != 0)
-        ProfileReportGiven = true;
-
   if (ProfileReportGiven) {
     warnProfilingOff("--profile-report");
     profile::requestProfileReport();

@@ -38,7 +38,7 @@
 ///
 ///   --profile-report       start the samplers; print the profile report
 ///                          (sample attribution + CodeMap heat) to stderr
-///                          at exit ($VCODE_PROFILE_REPORT as default)
+///                          at exit
 ///   --dump-code=<name|all> print annotated disassembly of the matching
 ///                          published regions to stdout at exit
 ///   --perf-map             write /tmp/perf-<pid>.map for perf symbolization

@@ -237,4 +237,11 @@ TEST(ToolFlagsTest, RejectsUnknownTarget) {
   }
 }
 
+TEST(ToolFlagsTest, RejectsEmptyTraceJsonPath) {
+  ArgvBuilder A({"--trace-json="});
+  tool::ToolOptions Opts;
+  EXPECT_DEATH(tool::handleArgs(A.argc(), A.argv(), Opts),
+               "bad --trace-json value ''");
+}
+
 } // namespace

@@ -2,8 +2,9 @@
 //
 // Part of the vcode reproduction of Engler, PLDI 1996.
 //
-// Covers the support/Telemetry.h contract: counter and timer registration
-// and aggregation across threads, instance-counter attach/retire folding,
+// Covers the support/Telemetry.h contract: counter and histogram
+// registration and aggregation across threads, phase spans recording
+// nanoseconds into histograms, instance-counter attach/retire folding,
 // thread-local batched counters (exact totals, exact at-exit report),
 // Chrome trace-JSON well-formedness (parseable structure, monotonically
 // ordered ts per tid), and — in VCODE_TELEMETRY=OFF builds — that the
@@ -25,6 +26,7 @@
 #endif
 
 #include <gtest/gtest.h>
+#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -75,30 +77,17 @@ TEST(Telemetry, CounterAggregatesAcrossThreads) {
   EXPECT_EQ(C.value(), uint64_t(kThreads) * kIters);
 }
 
-TEST(Telemetry, TimerAggregatesAcrossThreads) {
-  vt::Timer &T = vt::registry().timer("test.mt.timer");
-  T.reset();
-  constexpr int kThreads = 4, kIters = 1000;
-  std::vector<std::thread> Ts;
-  for (int W = 0; W < kThreads; ++W)
-    Ts.emplace_back([&T, W] {
-      for (int I = 0; I < kIters; ++I)
-        T.record(uint64_t(W) + 1); // durations 1..4 ticks
-    });
-  for (std::thread &W : Ts)
-    W.join();
-  vt::Timer::Snapshot S = T.snapshot();
-  EXPECT_EQ(S.Count, uint64_t(kThreads) * kIters);
-  EXPECT_EQ(S.TotalTicks, uint64_t(kIters) * (1 + 2 + 3 + 4));
-  EXPECT_EQ(S.MinTicks, 1u);
-  EXPECT_EQ(S.MaxTicks, 4u);
-}
-
-TEST(Telemetry, TimerNamePointsAtRegistryKey) {
-  vt::Timer &T = vt::registry().timer("test.timer.name");
-  EXPECT_STREQ(T.name(), "test.timer.name");
+TEST(Telemetry, HistogramNamePointsAtRegistryKey) {
+  vt::Histogram &H = vt::registry().histogram("test.hist.name");
+  EXPECT_STREQ(H.name(), "test.hist.name");
   // Stable across re-lookup (trace events keep the pointer).
-  EXPECT_EQ(T.name(), vt::registry().timer("test.timer.name").name());
+  EXPECT_EQ(H.name(), vt::registry().histogram("test.hist.name").name());
+  // Instance-owned histograms report under their own name; unregistered
+  // ones have none.
+  vt::Histogram Owned("test.hist.owned_ns");
+  EXPECT_STREQ(Owned.name(), "test.hist.owned_ns");
+  vt::Histogram Bare;
+  EXPECT_EQ(Bare.name(), nullptr);
 }
 
 TEST(Telemetry, InstanceCounterAttachAndRetire) {
@@ -120,28 +109,16 @@ TEST(Telemetry, InstanceCounterAttachAndRetire) {
   EXPECT_EQ(vt::registry().counterValue(Name), Before + 42);
 }
 
-TEST(Telemetry, ScopedTimerHonorsRuntimeGate) {
-  vt::Timer &T = vt::registry().timer("test.scoped.timer");
-  T.reset();
-  bool WasOn = vt::timingEnabled();
-  vt::setTiming(false);
-  { vt::ScopedTimer S(T); }
-  EXPECT_EQ(T.snapshot().Count, 0u) << "timing off: no record";
-  vt::setTiming(true);
-  { vt::ScopedTimer S(T); }
-  EXPECT_EQ(T.snapshot().Count, 1u);
-  vt::setTiming(WasOn);
-}
-
 TEST(Telemetry, ReportListsCountersAndTimers) {
   vt::registry().counter("test.report.counter").add(7);
-  vt::registry().timer("test.report.timer").record(10);
+  vt::registry().histogram("test.report.span").record(10);
   std::ostringstream OS;
   vt::report(OS);
   std::string R = OS.str();
   EXPECT_NE(R.find("vcode telemetry report"), std::string::npos);
   EXPECT_NE(R.find("test.report.counter"), std::string::npos);
-  EXPECT_NE(R.find("test.report.timer"), std::string::npos);
+  EXPECT_NE(R.find("test.report.span"), std::string::npos);
+  EXPECT_EQ(R.find("timers:"), std::string::npos) << "spans are histograms";
 }
 
 //===----------------------------------------------------------------------===//
@@ -159,10 +136,10 @@ TEST(Telemetry, TraceJsonWellFormed) {
   std::vector<std::thread> Ts;
   for (int W = 0; W < kThreads; ++W)
     Ts.emplace_back([] {
-      vt::Timer &T = vt::registry().timer("test.trace.phase");
+      vt::Histogram &H = vt::registry().histogram("test.trace.phase");
       for (int I = 0; I < kSpans; ++I) {
         uint64_t T0 = vt::now();
-        vt::span(T, T0, vt::now());
+        vt::span(H, T0, vt::now());
       }
     });
   for (std::thread &W : Ts)
@@ -453,6 +430,51 @@ TEST(Telemetry, EmissionCoreCounters) {
   vt::resetAll();
 }
 
+void spanOnce() {
+  VCODE_TM_TICK(T0);
+  VCODE_TM_SPAN("test.span.gate", T0);
+}
+
+TEST(Telemetry, SpanHonorsRuntimeGate) {
+  vt::Histogram &H = vt::registry().histogram("test.span.gate");
+  H.reset();
+  bool WasOn = vt::timingEnabled();
+  vt::setTiming(false);
+  spanOnce();
+  EXPECT_EQ(H.snapshot().Count, 0u) << "timing off: no record";
+  vt::setTiming(true);
+  spanOnce();
+  EXPECT_EQ(H.snapshot().Count, 1u);
+  vt::setTiming(WasOn);
+}
+
+// A span stores nanoseconds, not raw ticks: around a >= 2ms sleep it
+// records at least 2e6, and no more than the steady_clock interval that
+// encloses it (raw TSC ticks would exceed that by the tick rate in GHz).
+TEST(Telemetry, SpanRecordsNanoseconds) {
+  vt::Histogram &H = vt::registry().histogram("test.span.sleep");
+  H.reset();
+  bool WasOn = vt::timingEnabled();
+  vt::setTiming(true);
+  auto Outer0 = std::chrono::steady_clock::now();
+  {
+    VCODE_TM_TICK(T0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    VCODE_TM_SPAN("test.span.sleep", T0);
+  }
+  double OuterNs = std::chrono::duration<double, std::nano>(
+                       std::chrono::steady_clock::now() - Outer0)
+                       .count();
+  vt::setTiming(WasOn);
+  vt::Histogram::Snapshot S =
+      vt::registry().histogramSnapshot("test.span.sleep");
+  ASSERT_EQ(S.Count, 1u);
+  EXPECT_GE(S.Sum, 2000000u);
+  EXPECT_LE(S.Sum, 2000000000u);
+  EXPECT_LE(double(S.Sum), OuterNs * 1.1) << "raw ticks recorded?";
+  EXPECT_EQ(S.Max, S.Sum);
+}
+
 TEST(Telemetry, EmissionPhaseTimersWhenTimingOn) {
   vt::resetAll();
   bool WasTiming = vt::timingEnabled();
@@ -460,8 +482,8 @@ TEST(Telemetry, EmissionPhaseTimersWhenTimingOn) {
   sim::Memory Mem;
   mips::MipsTarget Tgt;
   ASSERT_TRUE(genOne(Tgt, Mem, 16).isValid());
-  EXPECT_EQ(vt::registry().timer("core.emit").snapshot().Count, 1u);
-  EXPECT_EQ(vt::registry().timer("core.backpatch").snapshot().Count, 1u);
+  EXPECT_EQ(vt::registry().histogramSnapshot("core.emit").Count, 1u);
+  EXPECT_EQ(vt::registry().histogramSnapshot("core.backpatch").Count, 1u);
   vt::setTiming(WasTiming);
   vt::resetAll();
 }
@@ -475,11 +497,9 @@ TEST(Telemetry, EmissionPhaseTimersWhenTimingOn) {
 constexpr int compiledOutProbe() {
   VCODE_TM_COUNT("off.counter", 1);
   VCODE_TM_COUNT_BATCHED("off.batched", 1);
-  VCODE_TM_HIST("off.hist_ns", 1);
   VCODE_TM_TICK(T0);
   VCODE_TM_SPAN("off.span", T0);
   VCODE_TM_SPAN_AT("off.span2", T0, T0);
-  VCODE_TM_SCOPE("off.scope");
   VCODE_TM_STMT(vt::registry().counter("off.stmt").inc());
   return 7;
 }
@@ -501,10 +521,10 @@ TEST(Telemetry, HotPathCompiledOut) {
   sim::Memory Mem;
   mips::MipsTarget Tgt;
   ASSERT_TRUE(genOne(Tgt, Mem, 64).isValid());
-  // The emission core registered nothing: no counters, no phase timers.
+  // The emission core registered nothing: no counters, no phase spans.
   EXPECT_EQ(vt::registry().counterValue("core.functions"), 0u);
   EXPECT_EQ(vt::registry().counterValue("core.instrs_emitted"), 0u);
-  EXPECT_EQ(vt::registry().timer("core.emit").snapshot().Count, 0u);
+  EXPECT_EQ(vt::registry().histogramSnapshot("core.emit").Count, 0u);
   std::ostringstream OS;
   vt::report(OS);
   EXPECT_NE(OS.str().find("compiled out"), std::string::npos);
