@@ -169,7 +169,9 @@ CodePtr vcode::ash::emitLoopInto(VCode &V, CodeMem CM,
 namespace {
 
 /// Generates the loop with generateWithRetry: on buffer overflow the
-/// failed region is released and the attempt re-run into a grown one.
+/// region grows in place (the loop allocates nothing mid-emission, so it
+/// is still the arena's last allocation); a failed attempt's region is
+/// released before the next.
 CodePtr genLoop(Target &Tgt, sim::Memory &Mem, const std::vector<Step> &Steps,
                 unsigned Unroll, bool ScheduleSlots,
                 uint32_t XorKey = DefaultXorKey, Tier Tr = Tier::Tier0) {

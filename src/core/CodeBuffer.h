@@ -12,6 +12,12 @@
 /// book-keeping needed to know the (simulated-machine) address of each word
 /// so absolute addresses can be encoded at emission time.
 ///
+/// A region is fixed-size unless its owner asks otherwise: the retry
+/// driver (core/Generate.h) marks its regions growable, and on overflow
+/// the buffer's cold path asks the arena to extend the region in place
+/// and carries on. The base never moves, so growth changes no emitted
+/// byte; the hot put() path is still one compare.
+///
 /// The buffer emits in units of the target's smallest instruction element:
 /// 4 bytes on the fixed-width RISC ports (MIPS, SPARC, Alpha), 1 byte on
 /// the variable-length x86-64 host port. All cursor arithmetic (wordIndex,
@@ -24,6 +30,7 @@
 #define VCODE_CORE_CODEBUFFER_H
 
 #include "support/Error.h"
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -36,12 +43,14 @@ namespace vcode {
 /// addresses 1:1 onto host addresses.
 using SimAddr = uint64_t;
 
-/// Arena-side hooks for executable-memory protection. An arena that hands
-/// out W^X code regions (sim::Memory in native mode) implements these; the
+/// Arena-side hooks for code regions. An arena that hands out W^X code
+/// regions (sim::Memory in native mode) implements beginWrite/publish; the
 /// generation core calls beginWrite() before emitting into a region and
 /// publish() once the finished function's bytes are final, so RW->RX flips
 /// and icache coherence live in one place rather than in every client.
-/// The default no-op implementations keep the simulated arenas unchanged.
+/// grow() extends a region in place for the retry driver (see
+/// CodeMem::Growth). The default implementations keep the simulated
+/// arenas' protection hooks no-ops and refuse every growth.
 class CodeArena {
 public:
   virtual ~CodeArena() = default;
@@ -56,6 +65,24 @@ public:
     (void)Addr;
     (void)Size;
   }
+  /// Extends the region [Addr, Addr+Size) in place to at least \p NewSize
+  /// bytes, backed by host storage contiguous with the region's. Returns
+  /// the region's new size, or \p Size when it cannot grow. Added bytes
+  /// are writable and never executable until publish().
+  virtual size_t grow(SimAddr Addr, size_t Size, size_t NewSize) {
+    (void)Addr;
+    (void)NewSize;
+    return Size;
+  }
+};
+
+/// Capacity record of a code region that may grow in place. Whoever
+/// accounts for the region owns the record; the code buffer stores every
+/// size the arena grants in it, so the owner sees the region's final
+/// extent even when emission fails.
+struct RegionGrowth {
+  size_t Limit = 0; ///< bytes the region may grow to (0: fixed size)
+  size_t Size = 0;  ///< current capacity in bytes
 };
 
 /// A span of code memory handed to v_lambda: host storage backing a range
@@ -76,6 +103,14 @@ struct CodeMem {
   /// Name the finished function is published under in the CodeMap (the
   /// code cache stamps its key); null leaves it to setFunctionName.
   const std::string *Name = nullptr;
+  /// In-place growth. Null keeps the paper's contract for a region handed
+  /// straight to v_lambda: it is fixed, and overflow is an error ("pass a
+  /// larger region"). generateWithRetry points it at a record with a
+  /// Limit; on overflow the buffer then asks Arena to extend the region
+  /// and keeps emitting. Only the capacity changes: the base address, and
+  /// so every emitted byte, stays what a one-shot run into a region of the
+  /// final size would produce.
+  RegionGrowth *Growth = nullptr;
 };
 
 /// Result of v_end: the entry address of a finished function. SizeBytes
@@ -124,6 +159,8 @@ public:
     GuestBase = Mem.Guest;
     Unit = UnitBytes;
     Source = Mem.Source;
+    Arena = Mem.Arena;
+    Growth = Mem.Growth;
   }
 
   /// True once reset() has bound a region.
@@ -251,8 +288,30 @@ private:
               wordIndex());
   }
 
-  [[noreturn]] void overflow(size_t Needed) const {
-    size_t Cap = size_t(Limit - Base) / Unit;
+  /// Cold path of every capacity check: makes room for \p Needed more
+  /// units or throws. A growable region (CodeMem::Growth) asks its arena
+  /// for max(2 x capacity, needed) bytes, capped at the record's Limit;
+  /// a fixed region, a refusal or the cap reports BufferOverflow.
+#if defined(__GNUC__) || defined(__clang__)
+  __attribute__((cold, noinline))
+#endif
+  void overflow(size_t Needed) {
+    size_t CapBytes = size_t(Limit - Base);
+    size_t NeedBytes = usedBytes() + Needed * Unit;
+    if (Growth && Arena) {
+      size_t Max = Growth->Limit / Unit * Unit;
+      size_t Want = std::min(std::max(2 * CapBytes, NeedBytes), Max);
+      if (Want >= NeedBytes) {
+        size_t Got = Arena->grow(GuestBase, CapBytes, Want);
+        if (Got > CapBytes) {
+          Limit = Base + Got;
+          Growth->Size = Got;
+        }
+        if (Got >= NeedBytes)
+          return;
+      }
+    }
+    size_t Cap = CapBytes / Unit;
     if (Needed <= 1)
       fatalAt(CgErrKind::BufferOverflow, wordIndex(),
               "code buffer overflow (%zu words); %s", Cap,
@@ -271,6 +330,8 @@ private:
   SimAddr GuestBase = 0;
   unsigned Unit = 4;
   const char *Source = nullptr;
+  CodeArena *Arena = nullptr;
+  RegionGrowth *Growth = nullptr;
 };
 
 } // namespace vcode

@@ -237,6 +237,8 @@ public:
   /// previous (failed) attempt's region into the cache pool and serves a
   /// fresh one, pool-first. The final region is handed over to the cache
   /// entry on success (or reclaimed on failure) by lookupOrGenerate.
+  /// Every region is served with this object's RegionGrowth record, so a
+  /// region the driver grew in place is filed at its grown size.
   /// Not copyable: the cache reads the final region back from this
   /// object, so generators must pass it by reference.
   class RegionAlloc {
@@ -245,12 +247,14 @@ public:
     RegionAlloc &operator=(const RegionAlloc &) = delete;
 
     CodeMem operator()(size_t Bytes) {
-      if (CurBytes)
-        C.reclaimRegion(CurAddr, CurBytes);
+      if (Cur.Size)
+        C.reclaimRegion(CurAddr, Cur.Size);
+      Cur = RegionGrowth{};
       CodeMem M = C.allocRegion(Bytes);
       M.Name = &Key;
+      M.Growth = &Cur;
       CurAddr = M.Guest;
-      CurBytes = M.Size;
+      Cur.Size = M.Size;
       return M;
     }
 
@@ -260,7 +264,7 @@ public:
     CodeCache &C;
     const std::string &Key; ///< published name of every region served
     SimAddr CurAddr = 0;
-    size_t CurBytes = 0;
+    RegionGrowth Cur; ///< the current region's capacity (grown in place)
   };
 
   explicit CodeCache(sim::Memory &M, Options O = Options())
@@ -322,8 +326,8 @@ public:
 
     // Failure: the last attempt's region is unused — recycle it, publish
     // the error to waiters, and drop the key so a retry can regenerate.
-    if (RA.CurBytes)
-      reclaimRegion(RA.CurAddr, RA.CurBytes);
+    if (RA.Cur.Size)
+      reclaimRegion(RA.CurAddr, RA.Cur.Size);
     {
       std::lock_guard<std::mutex> Lock(E->M);
       E->Err = R.Err;
@@ -372,8 +376,8 @@ public:
     GenerateResult R = Gen(RA);
     VCODE_TM_SPAN("cache.promote", TmPromoteStart);
     if (!R.ok()) {
-      if (RA.CurBytes)
-        reclaimRegion(RA.CurAddr, RA.CurBytes);
+      if (RA.Cur.Size)
+        reclaimRegion(RA.CurAddr, RA.Cur.Size);
       CtPromoteFailures.inc();
       E->Promoting.store(false, std::memory_order_release);
       return false;
@@ -461,7 +465,7 @@ private:
     auto V = std::make_shared<Version>(*this);
     V->Code = R.Code;
     V->RegionAddr = RA.CurAddr;
-    V->RegionBytes = RA.CurBytes;
+    V->RegionBytes = RA.Cur.Size;
     V->GenTier = R.GenTier;
     return V;
   }

@@ -10,10 +10,14 @@
 /// how many words v_lambda needs). The paper's answer is "pass a larger
 /// region"; a long-running service cannot abort to deliver that advice.
 /// This driver runs the client's emission callback with error recovery
-/// enabled and, when the only failure is a code-buffer overflow, re-runs
-/// it into a geometrically grown region until it fits (bounded attempts).
-/// Any other error kind — and any overflow that persists at the size cap —
-/// is returned to the caller as a structured CgError instead.
+/// enabled and marks the region growable: on overflow the code buffer
+/// asks the arena to extend the region in place (CodeArena::grow) and
+/// emission carries on, so each instruction is still written once. Only
+/// when the arena refuses — another allocation already follows the
+/// region — does the driver re-run the callback into a geometrically
+/// larger region (bounded attempts). Any other error kind, and any
+/// overflow at the size cap, is returned to the caller as a structured
+/// CgError instead.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +39,8 @@ namespace vcode {
 /// Region-growth policy (and generation tier) for generateWithRetry.
 struct GenerateOptions {
   size_t InitialBytes = 4096;        ///< first attempt's region size
-  size_t MaxBytes = size_t(1) << 24; ///< growth cap (16 MiB)
+  size_t MaxBytes = size_t(1) << 24; ///< growth cap (16 MiB); native
+                                     ///< arenas round to whole pages
   unsigned MaxAttempts = 16;         ///< attempt bound
   Tier GenTier = Tier::Tier0;        ///< pipeline for tier-aware emitters
 };
@@ -46,7 +51,7 @@ struct GenerateResult {
   CodePtr Code;          ///< invalid unless ok()
   CgError Err;           ///< the terminating error when !ok()
   unsigned Attempts = 0; ///< emission attempts made (>= 1)
-  size_t RegionBytes = 0; ///< region size of the last attempt
+  size_t RegionBytes = 0; ///< final capacity of the last attempt's region
   Tier GenTier = Tier::Tier0; ///< tier the driver ran the emitter at
   bool ok() const { return Code.isValid(); }
 };
@@ -71,21 +76,26 @@ private:
   bool WasOn;
 };
 
-/// Runs \p Emit(\p Alloc(bytes)) under error recovery, growing the region
-/// geometrically while the failure is CgErrKind::BufferOverflow.
+/// Runs \p Emit(\p Alloc(bytes)) under error recovery. The region grows in
+/// place up to Opts.MaxBytes while its arena allows; an overflow it cannot
+/// absorb re-runs \p Emit into a region twice the size of the failed one.
 ///
 /// \p Alloc: size_t -> CodeMem. Called once per attempt; typically
 ///   [&](size_t N) { return Mem.allocCode(N); }. If earlier attempts'
 ///   regions should be reclaimed, take a sim::Memory::mark() before the
 ///   call and release it inside Alloc — but only when nothing allocated
-///   during emission must survive the retry.
+///   during emission must survive the retry. An allocator that accounts
+///   for its regions (CodeCache::RegionAlloc) returns them with its own
+///   RegionGrowth record, so it sees how far each one grew; otherwise the
+///   driver supplies one.
 /// \p Emit: CodeMem -> CodePtr. Must be re-runnable from scratch: it
 ///   receives a fresh region and performs the whole lambda()..end()
 ///   sequence. Errors unwind out of it via CgAbort; the driver catches
 ///   them, abandons the poisoned function, and decides whether to retry.
 ///
 /// Non-overflow errors (arena exhaustion, API misuse, ...) are returned
-/// immediately — a larger code region cannot cure them.
+/// immediately — a larger code region cannot cure them — and so is an
+/// overflow whose region already reached Opts.MaxBytes.
 ///
 /// \p Emit may optionally take the generation tier as a second parameter
 /// (CodeMem, Tier); tier-aware emitters receive Opts.GenTier, emitters
@@ -112,11 +122,18 @@ GenerateResult generateWithRetry(VCode &V, AllocFn Alloc, EmitFn Emit,
   for (unsigned A = 0; A < std::max(Opts.MaxAttempts, 1u); ++A) {
     ++R.Attempts;
     VCODE_TM_COUNT("core.gen.attempts", 1);
-    R.RegionBytes = Bytes;
     V.clearError();
+    RegionGrowth Own{Opts.MaxBytes, Bytes};
+    RegionGrowth *G = &Own;
+    size_t Initial = Bytes;
     try {
       CodePtr P;
       CodeMem CM = Alloc(Bytes);
+      if (CM.Growth)
+        G = CM.Growth;
+      *G = RegionGrowth{Opts.MaxBytes, CM.Size};
+      CM.Growth = G;
+      Initial = CM.Size;
       // Overflow diagnostics should name whoever sized the region: these
       // regions are driver-sized and regrown automatically, so "pass a
       // larger region to v_lambda" would mislead.
@@ -127,21 +144,23 @@ GenerateResult generateWithRetry(VCode &V, AllocFn Alloc, EmitFn Emit,
         P = Emit(CM, Opts.GenTier);
       else
         P = Emit(CM);
-      if (P.isValid()) {
-        R.Code = P;
-        R.Err = CgError{};
-        return R;
-      }
-      R.Err = V.lastError(); // poisoned end() returned the invalid CodePtr
+      R.Code = P;
+      R.Err = P.isValid() ? CgError{} : V.lastError(); // poisoned end()
     } catch (const CgAbort &E) {
       V.abandon();
       R.Err = E.error();
     }
-    if (R.Err.Kind != CgErrKind::BufferOverflow || Bytes >= Opts.MaxBytes)
+    R.RegionBytes = G->Size;
+    if (G->Size > Initial)
+      VCODE_TM_COUNT("core.gen.grown", 1);
+    if (R.ok())
+      return R;
+    if (R.Err.Kind != CgErrKind::BufferOverflow ||
+        R.RegionBytes >= Opts.MaxBytes)
       return GiveUp();
     VCODE_TM_COUNT("core.gen.retry", 1);
     VCODE_TM_COUNT("core.gen.overflow_retries", 1);
-    Bytes = std::min(Bytes * 2, Opts.MaxBytes);
+    Bytes = std::min(std::max(Bytes, R.RegionBytes) * 2, Opts.MaxBytes);
   }
   return GiveUp();
 }

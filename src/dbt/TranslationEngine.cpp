@@ -76,7 +76,7 @@ CodeCache::Handle TranslationEngine::translate(SimAddr PC, uint64_t Gen) {
       V.setPublishGuestRange(Lo, Hi);
     GenerateOptions GO;
     // ~tens of host bytes per guest word plus per-block stub overhead;
-    // generateWithRetry grows geometrically on a miss.
+    // generateWithRetry grows the region on a miss.
     GO.InitialBytes = 512 + 96 * size_t(R.TotalWords) + 64 * R.Blocks.size();
     GO.MaxBytes = size_t(1) << 22;
     GenerateResult GR = generateWithRetry(

@@ -57,12 +57,14 @@ public:
   size_t codeBytes() const { return Code.SizeBytes; }
 
   /// Sets the code-region size for the next install's first attempt; on
-  /// overflow the install retries into a geometrically grown region.
+  /// overflow the region grows in place, or the install retries into a
+  /// larger one when it cannot.
   void setInitialCodeBytes(size_t N) { InitialCodeBytes = N; }
   /// Emission attempts the last install needed (1 when the initial
-  /// region sufficed).
+  /// region sufficed or grew in place).
   unsigned installAttempts() const { return Attempts; }
-  /// Code-region size of the last install's successful attempt.
+  /// Final size of the last install's code region (after any in-place
+  /// growth).
   size_t regionBytes() const { return RegionBytes; }
 
   /// Runs the classifier for the message at \p Msg. Virtual so engines

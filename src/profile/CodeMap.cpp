@@ -62,20 +62,29 @@ struct CodeMap::Impl {
   Map ByAddr, ByHost;
   std::atomic<uint64_t> GenSeq{0};
 
+  /// Map nodes of the last removed entry, kept empty for the next
+  /// publish: a region republished where one was just released (the
+  /// common case under a retry driver or code cache) then allocates and
+  /// frees no node.
+  Map::node_type SpareAddr, SpareHost;
+
   uint64_t Published = 0, Removed = 0;
   /// Heat folded out of removed entries, by name.
   std::unordered_map<std::string, uint64_t> Retired;
   uint64_t RetiredOther = 0;
 
-  /// Removes \p It's entry from both maps and folds its heat into the
-  /// retired tally. Caller holds M. Returns the next ByAddr position.
+  /// Removes \p It's entry from both maps, keeping their nodes as spares,
+  /// and folds its heat into the retired tally. Caller holds M. Returns
+  /// the next ByAddr position.
   Map::iterator eraseLocked(Map::iterator It) {
     const CodeEntry &E = *It->second;
     // A newer region may have taken over the host key (a freed arena's
     // memory reused by another); only drop the slot if it is still ours.
     auto H = ByHost.find(E.Host);
-    if (H != ByHost.end() && H->second == It->second)
-      ByHost.erase(H);
+    if (H != ByHost.end() && H->second == It->second) {
+      SpareHost = ByHost.extract(H);
+      SpareHost.mapped().reset();
+    }
     uint64_t S = E.Samples.load(std::memory_order_relaxed);
     if (S) {
       auto R = Retired.find(E.Name);
@@ -87,7 +96,26 @@ struct CodeMap::Impl {
         RetiredOther += S;
     }
     ++Removed;
-    return ByAddr.erase(It);
+    auto Next = std::next(It);
+    SpareAddr = ByAddr.extract(It);
+    SpareAddr.mapped().reset();
+    return Next;
+  }
+
+  /// Maps \p Key to \p E in \p Mp, reusing \p Spare's node when it has
+  /// one. Caller holds M.
+  static void putLocked(Map &Mp, Map::node_type &Spare, uint64_t Key,
+                        std::shared_ptr<const CodeEntry> E) {
+    auto It = Mp.lower_bound(Key);
+    if (It != Mp.end() && It->first == Key) {
+      It->second = std::move(E);
+    } else if (Spare) {
+      Spare.key() = Key;
+      Spare.mapped() = std::move(E);
+      Mp.insert(It, std::move(Spare));
+    } else {
+      Mp.emplace_hint(It, Key, std::move(E));
+    }
   }
 
   /// Removes every live entry overlapping [Addr, Addr+Bytes). Caller
@@ -150,9 +178,9 @@ uint64_t CodeMap::publish(uint64_t Addr, uint64_t Bytes, uint64_t Entry,
   {
     std::lock_guard<std::mutex> L(I->M);
     I->removeOverlapsLocked(Addr, Bytes);
-    I->ByAddr.emplace(Addr, E);
+    Impl::putLocked(I->ByAddr, I->SpareAddr, Addr, E);
     if (Host)
-      I->ByHost[Host] = E;
+      Impl::putLocked(I->ByHost, I->SpareHost, Host, E);
     ++I->Published;
   }
   exportOnPublish(*E);

@@ -65,25 +65,40 @@ const Kind *findKind(const char *Name) {
   return nullptr;
 }
 
+/// The row for \p Name; dies on an unknown name, and on host anywhere
+/// but x86-64.
+const Kind &kindFor(const std::string &Name) {
+  const Kind *K = findKind(Name.c_str());
+  if (!K)
+    fatal("unknown substrate '%s' (mips, sparc, alpha, host or dbt)",
+          Name.c_str());
+#ifndef __x86_64__
+  if (K->Bit == Substrate::Host)
+    fatal("substrate 'host' requires an x86-64 build machine");
+#endif
+  return *K;
+}
+
 } // namespace
 
 CpuPtr Substrate::makeCpu() const { return findKind(Name)->NewCpu(*this); }
 
 Substrate vcode::makeSubstrate(const std::string &Name) {
-  const Kind *K = findKind(Name.c_str());
-  if (!K)
-    fatal("unknown substrate '%s' (mips, sparc, alpha, host or dbt)",
-          Name.c_str());
+  if (kindFor(Name).Bit == Substrate::Host)
+    return makeSubstrate(Name,
+                         std::make_unique<sim::Memory>(sim::Memory::Native));
+  return makeSubstrate(Name, std::make_unique<sim::Memory>());
+}
+
+Substrate vcode::makeSubstrate(const std::string &Name,
+                               std::unique_ptr<sim::Memory> Arena) {
+  const Kind *K = &kindFor(Name);
+  if (Arena->isNative() != (K->Bit == Substrate::Host))
+    fatal("substrate '%s' needs a %s arena", K->Name,
+          Arena->isNative() ? "simulated" : "native");
   Substrate S;
   S.Name = K->Name;
-  if (K->Bit == Substrate::Host) {
-#ifndef __x86_64__
-    fatal("substrate 'host' requires an x86-64 build machine");
-#endif
-    S.Mem = std::make_unique<sim::Memory>(sim::Memory::Native);
-  } else {
-    S.Mem = std::make_unique<sim::Memory>();
-  }
+  S.Mem = std::move(Arena);
   S.Tgt = K->NewTarget(*S.Mem);
   if (K->Bit == Substrate::Dbt)
     S.Engine = std::make_shared<dbt::TranslationEngine>(*S.Mem);

@@ -69,6 +69,12 @@ struct Substrate {
 /// name, or host on a machine that is not x86-64, dies with one line.
 Substrate makeSubstrate(const std::string &Name);
 
+/// The substrate called \p Name over \p Arena, an arena the caller made
+/// (native for host, simulated for every other name; a mismatch dies).
+/// Tests use it to run a machine over an arena with its own policy.
+Substrate makeSubstrate(const std::string &Name,
+                        std::unique_ptr<sim::Memory> Arena);
+
 /// The substrate a tool's --target asks for, mips when it names none.
 /// A name outside \p Accepted (a set of Substrate::Names bits) dies with
 /// "<Tool>: --target=<name> is not supported here (<accepted names>)".

@@ -66,12 +66,14 @@ public:
   uint64_t hotThreshold() const { return HotThreshold; }
 
   /// Sets the code-region size for the next compile's first attempt; on
-  /// overflow compile() retries into a geometrically grown region.
+  /// overflow the region grows in place, or compile() retries into a
+  /// larger one when it cannot.
   void setInitialCodeBytes(size_t N) { InitialCodeBytes = N; }
   /// Emission attempts the last compile needed (1 when the initial
-  /// region sufficed).
+  /// region sufficed or grew in place).
   unsigned compileAttempts() const { return Attempts; }
-  /// Code-region size of the last compile's successful attempt.
+  /// Final size of the last compile's code region (after any in-place
+  /// growth).
   size_t regionBytes() const { return RegionBytes; }
 
   /// Compiles one function definition, e.g. "inc(x) { return x + 1; }",

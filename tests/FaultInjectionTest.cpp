@@ -15,7 +15,9 @@
 //  - the retry drivers converge, and the converged output is byte-identical
 //    to a one-shot run into a large-enough region at the same address
 //    (generated code embeds absolute addresses, so the one-shot run uses a
-//    twin arena with the same allocation history).
+//    twin arena with the same allocation history). The drivers' regions
+//    come from arenas that refuse in-place growth, so these tests cover
+//    re-emission; GrowthTest covers regions that grow.
 //
 //===----------------------------------------------------------------------===//
 
@@ -142,8 +144,9 @@ TEST_P(FaultInjectionTest, DpfRetryConvergesByteIdentical) {
       dpf::DpfEngine::Dispatch::Hash, dpf::DpfEngine::Dispatch::Table};
 
   for (auto S : Strategies) {
-    // Retry path: start hopelessly small and let install() grow the region.
-    Substrate A = makeSubstrate(GetParam());
+    // Retry path: start hopelessly small in an arena whose regions cannot
+    // grow in place, so install() re-emits into ever larger regions.
+    Substrate A = makeFixedRegionSubstrate(GetParam());
     dpf::DpfEngine EA(*A.Tgt, *A.Mem, S);
     EA.setInitialCodeBytes(64);
     EA.install(Filters);
@@ -179,7 +182,8 @@ TEST_P(FaultInjectionTest, InterpreterEnginesRetryConverge) {
   // the retry loop, so those survive failed attempts by construction.
   std::vector<dpf::Filter> Filters = dpf::makeTcpIpFilters(10, 1024);
   for (int Which = 0; Which < 2; ++Which) {
-    Substrate A = makeSubstrate(GetParam());
+    // A's regions cannot grow in place: the install re-emits.
+    Substrate A = makeFixedRegionSubstrate(GetParam());
     Substrate C = makeSubstrate(GetParam());
     auto Make = [&](Substrate &Bu) -> std::unique_ptr<dpf::Engine> {
       if (Which == 0)
@@ -253,7 +257,9 @@ TEST_P(FaultInjectionTest, TccSweepPrograms) {
 }
 
 TEST_P(FaultInjectionTest, TccRetryDriverConverges) {
-  Substrate A = makeSubstrate(GetParam());
+  // Regions that cannot grow in place keep compile() on its re-emission
+  // path.
+  Substrate A = makeFixedRegionSubstrate(GetParam());
   tcc::Tcc TA(*A.Tgt, *A.Mem);
   TA.setInitialCodeBytes(64);
   TA.compile("gcd(a, b) { while (b != 0) { var t = b; b = a % b; a = t; } "

@@ -143,6 +143,36 @@ TEST_F(ProfileTest, CodeMapOverlapEvictsAndFoldsHeat) {
 /// The TSan target: concurrent publish/lookup/remove across 8 threads with
 /// a dedicated reader thread walking the entries the whole time. Each writer
 /// owns a disjoint address range, so the final census is exact.
+// A retry driver or code cache republishes where it just released: the
+// new entry replaces the old one under both keys, and a reader still
+// holding the old entry sees it unchanged.
+TEST_F(ProfileTest, CodeMapRepublishInPlace) {
+  auto &M = profile::CodeMap::instance();
+  const uintptr_t Host = 0x70000000;
+  M.publish(0x8000, 64, 0x8000, Host, "a", "x64", Tier::Tier0);
+  auto A = M.lookupHost(Host + 8);
+  ASSERT_TRUE(A);
+  for (int I = 0; I < 3; ++I)
+    M.publish(0x8000, 64, 0x8000, Host, "b" + std::to_string(I), "x64",
+              Tier::Tier0);
+  EXPECT_EQ(A->Name, "a");
+  EXPECT_EQ(M.lookup(0x8010)->Name, "b2");
+  EXPECT_EQ(M.lookupHost(Host + 8)->Name, "b2");
+  auto St = M.stats();
+  EXPECT_EQ(St.Published, 4u);
+  EXPECT_EQ(St.Removed, 3u);
+  EXPECT_EQ(St.Live, 1u);
+
+  // Same guest address, new host storage: the old host key goes away.
+  M.publish(0x8000, 64, 0x8000, Host + 0x1000, "c", "x64", Tier::Tier0);
+  EXPECT_FALSE(M.lookupHost(Host + 8));
+  EXPECT_EQ(M.lookupHost(Host + 0x1008)->Name, "c");
+  M.remove(0x8000);
+  EXPECT_FALSE(M.lookup(0x8010));
+  EXPECT_FALSE(M.lookupHost(Host + 0x1008));
+  EXPECT_EQ(M.stats().Live, 0u);
+}
+
 TEST_F(ProfileTest, CodeMapChurnEightThreads) {
   auto &M = profile::CodeMap::instance();
   constexpr unsigned kThreads = 8;

@@ -5,11 +5,12 @@
 // makeSubstrate(name) is the one place a machine name becomes an arena, a
 // backend and a CPU. Every name it builds on this machine runs Fig. 1's
 // plus1, on its own CPU and on a further one; the CPUs of a dbt substrate
-// share one translation cache; names it does not know, or a tool does not
-// accept, die with one message.
+// share one translation cache; names it does not know, names a tool does
+// not accept and arenas of the wrong kind die with one message.
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "core/CodeCache.h"
 #include "core/VCode.h"
 #include "dbt/TranslationEngine.h"
@@ -32,16 +33,6 @@ CodePtr emitPlus1(Substrate &S) {
   return V.end();
 }
 
-/// Every name the factory builds on this machine.
-std::vector<std::string> namesBuiltHere() {
-  std::vector<std::string> Names = {"mips", "sparc", "alpha"};
-#ifdef __x86_64__
-  Names.push_back("host");
-  Names.push_back("dbt");
-#endif
-  return Names;
-}
-
 class SubstrateTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SubstrateTest, Plus1OnEveryCpu) {
@@ -57,7 +48,7 @@ TEST_P(SubstrateTest, Plus1OnEveryCpu) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Names, SubstrateTest, ::testing::ValuesIn(namesBuiltHere()),
+    Names, SubstrateTest, ::testing::ValuesIn(test::allSubstrateNames()),
     [](const ::testing::TestParamInfo<std::string> &I) { return I.param; });
 
 TEST(SubstrateFactoryTest, DbtCpusShareOneEngine) {
@@ -84,6 +75,12 @@ TEST(SubstrateFactoryTest, DbtCpusShareOneEngine) {
 
 TEST(SubstrateFactoryTest, UnknownNameDies) {
   EXPECT_DEATH(makeSubstrate("vax"), "unknown substrate 'vax'");
+}
+
+TEST(SubstrateFactoryTest, ArenaOfWrongKindDies) {
+  EXPECT_DEATH(makeSubstrate("mips", std::make_unique<sim::Memory>(
+                                         sim::Memory::Native)),
+               "substrate 'mips' needs a simulated arena");
 }
 
 TEST(SubstrateFactoryTest, NameOutsideToolSetDies) {

@@ -74,6 +74,31 @@ std::vector<std::string> vcode::test::allTargetNames() {
   return {"mips", "sparc", "alpha"};
 }
 
+std::vector<std::string> vcode::test::allSubstrateNames() {
+  std::vector<std::string> Names = allTargetNames();
+#ifdef __x86_64__
+  Names.push_back("host");
+  Names.push_back("dbt");
+#endif
+  return Names;
+}
+
+namespace {
+/// An arena that refuses every in-place growth (CodeArena::grow).
+class FixedRegionMemory : public sim::Memory {
+public:
+  using sim::Memory::Memory;
+  size_t grow(SimAddr, size_t Size, size_t) override { return Size; }
+};
+} // namespace
+
+Substrate vcode::test::makeFixedRegionSubstrate(const std::string &Name) {
+  if (Name == "host")
+    return makeSubstrate(
+        Name, std::make_unique<FixedRegionMemory>(sim::Memory::Native));
+  return makeSubstrate(Name, std::make_unique<FixedRegionMemory>());
+}
+
 uint64_t vcode::test::canonicalize(Type Ty, uint64_t V, unsigned WordBytes) {
   if (isFpType(Ty))
     return Ty == Type::F ? (V & 0xffffffffu) : V;

@@ -70,6 +70,14 @@ std::string seedInfo(uint64_t Seed);
 /// fixture gets its arena, backend and CPU from makeSubstrate(name).
 std::vector<std::string> allTargetNames();
 
+/// Every substrate name makeSubstrate builds on this machine: the
+/// simulated targets, plus host and dbt on x86-64.
+std::vector<std::string> allSubstrateNames();
+
+/// makeSubstrate(\p Name) over an arena whose code regions never grow in
+/// place, so generateWithRetry takes its re-emission path on overflow.
+Substrate makeFixedRegionSubstrate(const std::string &Name);
+
 /// Register-width in bits of \p Ty values on a target with \p WordBytes
 /// words.
 inline unsigned typeBits(Type Ty, unsigned WordBytes) {
