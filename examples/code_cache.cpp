@@ -93,8 +93,8 @@ int main(int argc, char **argv) {
               P1.Entry == P2.Entry ? "yes" : "no");
 
   S = Cache.stats();
-  std::printf("cache now: %llu generations, %llu hits, %llu pooled bytes\n",
+  std::printf("cache now: %llu generations, %llu hits, %llu free code bytes\n",
               (unsigned long long)S.Generations, (unsigned long long)S.Hits,
-              (unsigned long long)S.PooledBytes);
+              (unsigned long long)Mem.freeCodeBytes());
   return 0;
 }

@@ -33,6 +33,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <string>
 
@@ -96,10 +97,6 @@ struct CodeMem {
   /// Owning arena's W^X hooks, when the region needs protection flips
   /// around emission (native mode); null for plain simulated memory.
   CodeArena *Arena = nullptr;
-  /// Who sized this region, for overflow diagnostics ("v_lambda" when the
-  /// client handed it over directly; the retry driver and the code cache
-  /// stamp themselves). Null means the legacy direct-to-v_lambda wording.
-  const char *Source = nullptr;
   /// Name the finished function is published under in the CodeMap (the
   /// code cache stamps its key); null leaves it to setFunctionName.
   const std::string *Name = nullptr;
@@ -158,7 +155,6 @@ public:
     Limit = Base + Mem.Size;
     GuestBase = Mem.Guest;
     Unit = UnitBytes;
-    Source = Mem.Source;
     Arena = Mem.Arena;
     Growth = Mem.Growth;
   }
@@ -291,7 +287,8 @@ private:
   /// Cold path of every capacity check: makes room for \p Needed more
   /// units or throws. A growable region (CodeMem::Growth) asks its arena
   /// for max(2 x capacity, needed) bytes, capped at the record's Limit;
-  /// a fixed region, a refusal or the cap reports BufferOverflow.
+  /// a fixed region, a refusal or the cap reports BufferOverflow and the
+  /// bytes needed.
 #if defined(__GNUC__) || defined(__clang__)
   __attribute__((cold, noinline))
 #endif
@@ -311,17 +308,14 @@ private:
           return;
       }
     }
-    size_t Cap = CapBytes / Unit;
-    if (Needed <= 1)
-      fatalAt(CgErrKind::BufferOverflow, wordIndex(),
-              "code buffer overflow (%zu words); %s", Cap,
-              Source ? Source : "pass a larger region to v_lambda");
-    else
-      fatalAt(CgErrKind::BufferOverflow, wordIndex(),
-              "code buffer overflow: instruction needs %zu words but only "
-              "%zu of %zu remain; %s",
-              Needed, remainingWords(), Cap,
-              Source ? Source : "pass a larger region to v_lambda");
+    CgError E{CgErrKind::BufferOverflow, wordIndex(), NeedBytes, {}};
+    std::snprintf(E.Detail, sizeof(E.Detail),
+                  "code buffer overflow: instruction needs %zu word(s) but "
+                  "only %zu of %zu remain; %s",
+                  Needed, remainingWords(), size_t(Limit - Base) / Unit,
+                  Growth ? "generateWithRetry grows and retries"
+                         : "pass a larger region to v_lambda");
+    dispatchError(E);
   }
 
   uint8_t *Base = nullptr;
@@ -329,7 +323,6 @@ private:
   uint8_t *Limit = nullptr;
   SimAddr GuestBase = 0;
   unsigned Unit = 4;
-  const char *Source = nullptr;
   CodeArena *Arena = nullptr;
   RegionGrowth *Growth = nullptr;
 };

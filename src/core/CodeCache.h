@@ -21,22 +21,25 @@
 ///    parallel (the shard lock is dropped during generation).
 ///  - Safe reclamation. Entries hand out refcounted Handles. Evicting an
 ///    entry only removes it from the table; its code region returns to the
-///    cache's free pool when the last Handle drops, so a classifier still
-///    executing on some simulator thread is never freed under it.
+///    arena when the last Handle drops, so a classifier still executing on
+///    some simulator thread is never freed under it.
+///  - LRU eviction. Each shard lists its Ready entries, most recently
+///    looked up first: a hit moves its entry to the front, eviction pops
+///    the back, and entries still generating are never listed or evicted.
 ///  - Tiered promotion. Entries count their dispatches
 ///    (Handle::dispatch) and promote(key) regenerates an entry —
 ///    typically at Tier-1 — and atomically swaps the refcounted code
 ///    version under concurrent dispatchers: exactly one promoter runs,
 ///    pinned dispatchers finish on the old version, and the old region
-///    is recycled only when its last pin drops.
+///    is freed only when its last pin drops.
 ///  - Final versions. A promoted entry never changes again, and every
 ///    Handle owns the entry that owns that version, so its code outlives
 ///    any Handle a dispatcher holds. Handle::dispatch runs a final
 ///    version straight through Handle::finalVersion() — no lock, no pin,
 ///    no count — and keeps the pinned, counted path for entries that may
 ///    still be swapped.
-///  - Counters. Hits / misses / generations / evictions / reclaimed
-///    regions are exact (sharded relaxed atomics, summed by stats()), so
+///  - Counters. Hits / misses / generations / failures / evictions /
+///    promotions are exact (sharded relaxed atomics, summed by stats()), so
 ///    tests can assert "one generation per distinct key" instead of
 ///    eyeballing timings. The counters are instance-owned
 ///    telemetry::Counter objects: stats() stays per-cache exact, and the
@@ -44,12 +47,13 @@
 ///    "cache.*" (summed across caches, including destroyed ones).
 ///
 /// The cache allocates code regions from one sim::Memory arena (which must
-/// be the arena the consuming engines execute from). The arena is a bump
-/// allocator with no general free; the cache layers a size-bucketed free
-/// pool on top, so evicted regions are recycled into later generations
-/// rather than leaked. Side allocations a generator makes during emission
-/// (e.g. DPF jump tables) stay in the arena for the lifetime of the arena —
-/// bounded, but not recycled; see the threading-model notes in README.md.
+/// be the arena the consuming engines execute from, and must outlive the
+/// cache and its Handles). The arena owns free code memory: evicted and
+/// failed regions go back to it and later allocCode calls, from this cache
+/// or any other user of the arena, reuse them. Side allocations a
+/// generator makes during emission (e.g. DPF jump tables) stay in the
+/// arena for the lifetime of the arena — bounded, but not recycled; see
+/// the threading-model notes in README.md.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,7 +67,7 @@
 #include <atomic>
 #include <cassert>
 #include <condition_variable>
-#include <map>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -94,31 +98,29 @@ public:
     uint64_t Generations = 0;
     uint64_t Failures = 0;
     uint64_t Evictions = 0;
-    uint64_t RegionsReused = 0; ///< regions served from the free pool
-    uint64_t PooledBytes = 0;   ///< bytes currently sitting in the pool
     uint64_t Promotions = 0;        ///< promote() swaps that succeeded
     uint64_t PromoteFailures = 0;   ///< promote() regenerations that failed
   };
 
   /// One immutable generation of an entry's code. Promotion installs a
   /// new Version and drops the entry's reference to the old one; the old
-  /// code region returns to the pool only when the last pin (a dispatcher
-  /// mid-call) releases it — so code is never freed under a running
-  /// simulator thread.
+  /// code region returns to the arena only when the last pin (a
+  /// dispatcher mid-call) releases it — so code is never freed under a
+  /// running simulator thread.
   struct Version {
-    explicit Version(CodeCache &C) : Owner(C) {}
+    explicit Version(sim::Memory &M) : Mem(M) {}
     ~Version() {
       if (RegionBytes) {
-        // The region is going back to the free pool: unregister it from
-        // the CodeMap before another generation can reuse the addresses.
+        // Unregister the region from the CodeMap before another
+        // generation can reuse the addresses.
         profile::CodeMap::instance().remove(RegionAddr);
-        Owner.reclaimRegion(RegionAddr, RegionBytes);
+        Mem.freeCode(RegionAddr, RegionBytes);
       }
     }
     Version(const Version &) = delete;
     Version &operator=(const Version &) = delete;
 
-    CodeCache &Owner;
+    sim::Memory &Mem;
     CodePtr Code;
     SimAddr RegionAddr = 0;
     size_t RegionBytes = 0;
@@ -129,13 +131,15 @@ private:
   enum class State : uint8_t { Generating, Ready, Failed };
 
   struct Entry {
-    explicit Entry(CodeCache &C, std::string K)
-        : Owner(C), Key(std::move(K)) {}
+    explicit Entry(std::string K) : Key(std::move(K)) {}
     Entry(const Entry &) = delete;
     Entry &operator=(const Entry &) = delete;
 
-    CodeCache &Owner;
     const std::string Key;
+    /// Position in the shard's LRU list, set when the entry becomes Ready
+    /// and valid while it stays in the table (guarded by the shard mutex).
+    std::list<Entry *>::iterator LruPos;
+    bool InLru = false;
 
     std::mutex M;              ///< guards St/Err/Cur + CV below
     std::condition_variable CV;
@@ -149,7 +153,6 @@ private:
     /// before). Cur is never replaced again after that, so this pointer
     /// stays valid for the entry's lifetime.
     std::atomic<const Version *> Final{nullptr};
-    std::atomic<uint64_t> LastUse{0};
     std::atomic<uint64_t> ExecCount{0}; ///< pinned dispatches via Handle
     std::atomic<bool> Promoting{false}; ///< exactly-once promote gate
   };
@@ -158,7 +161,7 @@ public:
   /// A refcounted view of one cache entry. As long as any Handle (or the
   /// cache's own table slot) references the entry, its code region stays
   /// allocated; engines keep the Handle of their installed classifier for
-  /// as long as they may execute it. Handles must not outlive the cache.
+  /// as long as they may execute it. Handles must not outlive the arena.
   class Handle {
   public:
     Handle() = default;
@@ -233,10 +236,10 @@ public:
   };
 
   /// Per-generation region allocator handed to the generator callback:
-  /// plugs into generateWithRetry's Alloc slot. Each call reclaims the
-  /// previous (failed) attempt's region into the cache pool and serves a
-  /// fresh one, pool-first. The final region is handed over to the cache
-  /// entry on success (or reclaimed on failure) by lookupOrGenerate.
+  /// plugs into generateWithRetry's Alloc slot. Each call frees the
+  /// previous (failed) attempt's region to the arena and allocates a
+  /// fresh one. The final region is handed over to the cache entry on
+  /// success (or freed on failure) by lookupOrGenerate.
   /// Every region is served with this object's RegionGrowth record, so a
   /// region the driver grew in place is filed at its grown size.
   /// Not copyable: the cache reads the final region back from this
@@ -248,9 +251,9 @@ public:
 
     CodeMem operator()(size_t Bytes) {
       if (Cur.Size)
-        C.reclaimRegion(CurAddr, Cur.Size);
+        Mem.freeCode(CurAddr, Cur.Size);
       Cur = RegionGrowth{};
-      CodeMem M = C.allocRegion(Bytes);
+      CodeMem M = Mem.allocCode(Bytes);
       M.Name = &Key;
       M.Growth = &Cur;
       CurAddr = M.Guest;
@@ -260,8 +263,13 @@ public:
 
   private:
     friend class CodeCache;
-    RegionAlloc(CodeCache &C, const std::string &Key) : C(C), Key(Key) {}
-    CodeCache &C;
+    RegionAlloc(sim::Memory &Mem, const std::string &Key)
+        : Mem(Mem), Key(Key) {}
+    ~RegionAlloc() {
+      if (Cur.Size)
+        Mem.freeCode(CurAddr, Cur.Size);
+    }
+    sim::Memory &Mem;
     const std::string &Key; ///< published name of every region served
     SimAddr CurAddr = 0;
     RegionGrowth Cur; ///< the current region's capacity (grown in place)
@@ -290,14 +298,14 @@ public:
       auto It = S.Map.find(Key);
       if (It != S.Map.end()) {
         E = It->second;
+        if (E->InLru)
+          S.Lru.splice(S.Lru.begin(), S.Lru, E->LruPos);
       } else {
-        E = std::make_shared<Entry>(*this, Key);
+        E = std::make_shared<Entry>(Key);
         S.Map.emplace(Key, E);
         Creator = true;
       }
     }
-    E->LastUse.store(Tick.fetch_add(1, std::memory_order_relaxed) + 1,
-                     std::memory_order_relaxed);
 
     if (!Creator) {
       // Hit, possibly on an entry still generating: block-and-reuse.
@@ -308,7 +316,7 @@ public:
     }
 
     CtMisses.inc();
-    RegionAlloc RA(*this, E->Key);
+    RegionAlloc RA(Mem, E->Key);
     VCODE_TM_TICK(TmGenStart);
     GenerateResult R = Gen(RA);
     VCODE_TM_SPAN("cache.generate", TmGenStart);
@@ -320,14 +328,12 @@ public:
       }
       E->CV.notify_all();
       CtGenerations.inc();
-      evictIfNeeded(S);
+      insertAndEvict(S, *E);
       return Handle(std::move(E));
     }
 
-    // Failure: the last attempt's region is unused — recycle it, publish
-    // the error to waiters, and drop the key so a retry can regenerate.
-    if (RA.Cur.Size)
-      reclaimRegion(RA.CurAddr, RA.Cur.Size);
+    // Failure: RA frees the last attempt's region; publish the error to
+    // waiters and drop the key so a retry can regenerate.
     {
       std::lock_guard<std::mutex> Lock(E->M);
       E->Err = R.Err;
@@ -371,13 +377,11 @@ public:
     }
     if (E->Promoting.exchange(true, std::memory_order_acq_rel))
       return false; // someone else is promoting, or the entry is final
-    RegionAlloc RA(*this, E->Key);
+    RegionAlloc RA(Mem, E->Key);
     VCODE_TM_TICK(TmPromoteStart);
     GenerateResult R = Gen(RA);
     VCODE_TM_SPAN("cache.promote", TmPromoteStart);
     if (!R.ok()) {
-      if (RA.Cur.Size)
-        reclaimRegion(RA.CurAddr, RA.Cur.Size);
       CtPromoteFailures.inc();
       E->Promoting.store(false, std::memory_order_release);
       return false;
@@ -391,7 +395,7 @@ public:
       E->Cur = makeVersion(R, RA);
       E->Final.store(E->Cur.get(), std::memory_order_release);
     }
-    // Old's region is reclaimed when the last pinned dispatcher drops it
+    // Old's region is freed when the last pinned dispatcher drops it
     // (possibly right here, when nobody was mid-call).
     Old.reset();
     CtPromotions.inc();
@@ -421,14 +425,8 @@ public:
     S.Generations = CtGenerations.value();
     S.Failures = CtFailures.value();
     S.Evictions = CtEvictions.value();
-    S.RegionsReused = CtRegionsReused.value();
     S.Promotions = CtPromotions.value();
     S.PromoteFailures = CtPromoteFailures.value();
-    std::lock_guard<std::mutex> Lock(PoolMutex);
-    for (const auto &[Bytes, Addr] : FreePool) {
-      (void)Addr;
-      S.PooledBytes += Bytes;
-    }
     return S;
   }
 
@@ -450,6 +448,7 @@ private:
   struct Shard {
     mutable std::mutex M;
     std::unordered_map<std::string, std::shared_ptr<Entry>> Map;
+    std::list<Entry *> Lru; ///< Ready entries, most recently used first
   };
 
   Shard &shardFor(const std::string &Key) {
@@ -462,70 +461,26 @@ private:
   /// region under the key and tier.
   std::shared_ptr<const Version> makeVersion(const GenerateResult &R,
                                              RegionAlloc &RA) {
-    auto V = std::make_shared<Version>(*this);
+    auto V = std::make_shared<Version>(Mem);
     V->Code = R.Code;
     V->RegionAddr = RA.CurAddr;
     V->RegionBytes = RA.Cur.Size;
     V->GenTier = R.GenTier;
+    RA.Cur = RegionGrowth{};
     return V;
   }
 
-  /// Serves a code region, preferring the smallest pooled region that
-  /// fits; falls back to the (thread-safe) arena bump allocator.
-  CodeMem allocRegion(size_t Bytes) {
-    {
-      std::lock_guard<std::mutex> Lock(PoolMutex);
-      auto It = FreePool.lower_bound(Bytes);
-      if (It != FreePool.end()) {
-        CodeMem M;
-        M.Guest = It->second;
-        M.Size = It->first;
-        FreePool.erase(It);
-        M.Host = Mem.hostPtr(M.Guest, M.Size);
-        M.Arena = &Mem;
-        M.Source = RegionSource;
-        CtRegionsReused.inc();
-        return M;
-      }
-    }
-    CodeMem M = Mem.allocCode(Bytes);
-    M.Source = RegionSource;
-    return M;
-  }
-
-  /// Overflow-diagnostic provenance for cache-managed regions: the caller
-  /// never sized these, so "pass a larger region to v_lambda" is wrong.
-  static constexpr const char *RegionSource =
-      "the region came from the CodeCache region pool (generateWithRetry "
-      "grows it on overflow)";
-
-  /// Returns a region to the free pool (called by Entry destruction and
-  /// by RegionAlloc when an attempt's region is abandoned).
-  void reclaimRegion(SimAddr Addr, size_t Bytes) {
-    std::lock_guard<std::mutex> Lock(PoolMutex);
-    FreePool.emplace(Bytes, Addr);
-  }
-
-  /// Evicts least-recently-used Ready entries from \p S until it is back
-  /// under capacity. Entries still generating are never evicted; evicted
+  /// Puts \p E, now Ready, at the front of \p S's LRU list, then evicts
+  /// from the back until the shard is back under capacity. Evicted
   /// entries live on through any outstanding Handles.
-  void evictIfNeeded(Shard &S) {
+  void insertAndEvict(Shard &S, Entry &E) {
     std::lock_guard<std::mutex> Lock(S.M);
-    while (S.Map.size() > Opts.MaxEntriesPerShard) {
-      auto Victim = S.Map.end();
-      uint64_t Oldest = ~uint64_t(0);
-      for (auto It = S.Map.begin(); It != S.Map.end(); ++It) {
-        std::lock_guard<std::mutex> ELock(It->second->M);
-        if (It->second->St != State::Ready)
-          continue;
-        uint64_t Use = It->second->LastUse.load(std::memory_order_relaxed);
-        if (Use < Oldest) {
-          Oldest = Use;
-          Victim = It;
-        }
-      }
-      if (Victim == S.Map.end())
-        return; // everything is mid-generation; nothing evictable
+    S.Lru.push_front(&E);
+    E.LruPos = S.Lru.begin();
+    E.InLru = true;
+    while (S.Map.size() > Opts.MaxEntriesPerShard && !S.Lru.empty()) {
+      auto Victim = S.Map.find(S.Lru.back()->Key);
+      S.Lru.pop_back();
       S.Map.erase(Victim);
       CtEvictions.inc();
     }
@@ -533,15 +488,7 @@ private:
 
   sim::Memory &Mem;
   Options Opts;
-
-  // Declared before the shards so entry destructors running during shard
-  // teardown can still reclaim into a live pool.
-  mutable std::mutex PoolMutex;
-  std::multimap<size_t, SimAddr> FreePool; ///< size -> region base
-
   std::vector<Shard> ShardVec;
-
-  std::atomic<uint64_t> Tick{0};
 
   // Instance-owned telemetry counters: lock-free sharded increments, exact
   // per-cache values via value()/stats(), and automatic aggregation into
@@ -553,7 +500,6 @@ private:
   telemetry::Counter CtGenerations{"cache.generations"};
   telemetry::Counter CtFailures{"cache.failures"};
   telemetry::Counter CtEvictions{"cache.evictions"};
-  telemetry::Counter CtRegionsReused{"cache.regions_reused"};
   telemetry::Counter CtPromotions{"cache.promotions"};
   telemetry::Counter CtPromoteFailures{"cache.promote_failures"};
 };

@@ -14,10 +14,10 @@
 /// asks the arena to extend the region in place (CodeArena::grow) and
 /// emission carries on, so each instruction is still written once. Only
 /// when the arena refuses — another allocation already follows the
-/// region — does the driver re-run the callback into a geometrically
-/// larger region (bounded attempts). Any other error kind, and any
-/// overflow at the size cap, is returned to the caller as a structured
-/// CgError instead.
+/// region — is the callback re-run into a region at least twice as large
+/// and at least as large as the overflow needed. Any other error kind,
+/// and any overflow that needs more than the size cap, is returned to
+/// the caller at once as a structured CgError.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +41,6 @@ struct GenerateOptions {
   size_t InitialBytes = 4096;        ///< first attempt's region size
   size_t MaxBytes = size_t(1) << 24; ///< growth cap (16 MiB); native
                                      ///< arenas round to whole pages
-  unsigned MaxAttempts = 16;         ///< attempt bound
   Tier GenTier = Tier::Tier0;        ///< pipeline for tier-aware emitters
 };
 
@@ -95,7 +94,9 @@ private:
 ///
 /// Non-overflow errors (arena exhaustion, API misuse, ...) are returned
 /// immediately — a larger code region cannot cure them — and so is an
-/// overflow whose region already reached Opts.MaxBytes.
+/// overflow that needs more than Opts.MaxBytes (CgError::NeedBytes). Every
+/// retry at least doubles the region, so the attempt bound only guards
+/// against an allocator that serves less than it was asked for.
 ///
 /// \p Emit may optionally take the generation tier as a second parameter
 /// (CodeMem, Tier); tier-aware emitters receive Opts.GenTier, emitters
@@ -103,6 +104,7 @@ private:
 template <typename AllocFn, typename EmitFn>
 GenerateResult generateWithRetry(VCode &V, AllocFn Alloc, EmitFn Emit,
                                  GenerateOptions Opts = {}) {
+  constexpr unsigned MaxAttempts = 16;
   GenerateResult R;
   R.GenTier = Opts.GenTier;
   // Stamp the tier onto the CodeMap entry v_end will publish (the stamp
@@ -119,7 +121,7 @@ GenerateResult generateWithRetry(VCode &V, AllocFn Alloc, EmitFn Emit,
                   R.Attempts, R.RegionBytes);
     return R;
   };
-  for (unsigned A = 0; A < std::max(Opts.MaxAttempts, 1u); ++A) {
+  for (unsigned A = 0; A < MaxAttempts; ++A) {
     ++R.Attempts;
     VCODE_TM_COUNT("core.gen.attempts", 1);
     V.clearError();
@@ -134,12 +136,6 @@ GenerateResult generateWithRetry(VCode &V, AllocFn Alloc, EmitFn Emit,
       *G = RegionGrowth{Opts.MaxBytes, CM.Size};
       CM.Growth = G;
       Initial = CM.Size;
-      // Overflow diagnostics should name whoever sized the region: these
-      // regions are driver-sized and regrown automatically, so "pass a
-      // larger region to v_lambda" would mislead.
-      if (!CM.Source)
-        CM.Source = "the region was sized by generateWithRetry (it grows "
-                    "and retries on overflow)";
       if constexpr (std::is_invocable_v<EmitFn, CodeMem, Tier>)
         P = Emit(CM, Opts.GenTier);
       else
@@ -156,11 +152,12 @@ GenerateResult generateWithRetry(VCode &V, AllocFn Alloc, EmitFn Emit,
     if (R.ok())
       return R;
     if (R.Err.Kind != CgErrKind::BufferOverflow ||
-        R.RegionBytes >= Opts.MaxBytes)
+        R.Err.NeedBytes > Opts.MaxBytes)
       return GiveUp();
     VCODE_TM_COUNT("core.gen.retry", 1);
     VCODE_TM_COUNT("core.gen.overflow_retries", 1);
-    Bytes = std::min(std::max(Bytes, R.RegionBytes) * 2, Opts.MaxBytes);
+    Bytes = std::min(std::max({2 * Bytes, 2 * R.RegionBytes, R.Err.NeedBytes}),
+                     Opts.MaxBytes);
   }
   return GiveUp();
 }

@@ -81,7 +81,7 @@ public:
 
   /// Registers [Addr, Addr+Bytes) with entry point \p Entry. Any
   /// previously published region that overlaps is removed first (the
-  /// cache's free pool reuses regions); its heat folds into the retired
+  /// arena reuses freed code regions); its heat folds into the retired
   /// tally. An empty \p Name is synthesized as "fn@<addr>". [\p GuestLo,
   /// \p GuestHi) is a DBT translation's guest-PC source range (empty
   /// otherwise). Captures the code bytes from \p Host when capture is

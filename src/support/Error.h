@@ -75,6 +75,9 @@ struct CgError {
   /// Function-relative word index of the emission cursor when the error
   /// was raised, or NoWordIndex when no function was in progress.
   uint32_t WordIndex = NoWordIndex;
+  /// BufferOverflow only: bytes the function needed at the failing
+  /// instruction (0 otherwise), a lower bound for the next region.
+  size_t NeedBytes = 0;
   /// Formatted diagnostic (truncated to fit; always NUL-terminated).
   char Detail[232] = {};
 

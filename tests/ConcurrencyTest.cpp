@@ -287,8 +287,8 @@ TEST(ConcurrencyCacheTest, ExactlyOnceGenerationPerKey) {
 // Eviction versus refcounts: with a deliberately tiny cache, installing
 // more sets than fit evicts the oldest entries — but an engine pinning an
 // evicted classifier through its Handle keeps executing valid code, and
-// the region only returns to the free pool (RegionsReused) once the last
-// pin drops.
+// the region only returns to the arena (Memory::regionsReused) once the
+// last pin drops.
 TEST(ConcurrencyCacheTest, EvictionKeepsPinnedCodeAliveThenRecyclesRegion) {
   Substrate B = makeSubstrate("mips");
   sim::Memory &Mem = *B.Mem;
@@ -308,6 +308,7 @@ TEST(ConcurrencyCacheTest, EvictionKeepsPinnedCodeAliveThenRecyclesRegion) {
   for (unsigned S = 1; S < 5; ++S)
     Other.installShared(Cache, FilterSets[S]);
   CodeCache::Stats S1 = Cache.stats();
+  uint64_t Reused1 = Mem.regionsReused();
   EXPECT_GT(S1.Evictions, 0u);
   EXPECT_LE(Cache.size(), 2u);
 
@@ -316,14 +317,14 @@ TEST(ConcurrencyCacheTest, EvictionKeepsPinnedCodeAliveThenRecyclesRegion) {
   EXPECT_EQ(Pinned.classify(*B.Cpu, Pkt), 1);
 
   // Dropping the pin (by reinstalling a different set) releases the
-  // region into the pool; the next generation recycles it instead of
+  // region to the arena; the next generation recycles it instead of
   // growing the arena.
   Pinned.installShared(Cache, FilterSets[1]);
   uint64_t GensBefore = Cache.stats().Generations;
   Other.installShared(Cache, FilterSets[5]); // distinct: must generate
   CodeCache::Stats S2 = Cache.stats();
   EXPECT_EQ(S2.Generations, GensBefore + 1);
-  EXPECT_GT(S2.RegionsReused, S1.RegionsReused);
+  EXPECT_GT(Mem.regionsReused(), Reused1);
   EXPECT_EQ(Other.classify(*B.Cpu, Pkt), 1);
 }
 

@@ -11,6 +11,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "core/Generate.h"
+#include <cstring>
 #include <gtest/gtest.h>
 
 using namespace vcode;
@@ -169,6 +171,38 @@ TEST_P(ErrorTest, RecoveredBufferOverflow) {
   ASSERT_TRUE(Fn.isValid());
   EXPECT_FALSE(V.lastError()) << "lambda must clear the recorded error";
   B.Cpu->call(Fn.Entry, {});
+}
+
+TEST_P(ErrorTest, OverflowAdviceFollowsWhoSizedTheRegion) {
+  // A region handed straight to v_lambda is fixed, so the client is told
+  // to pass a larger one. A growable region comes from generateWithRetry,
+  // which grows and retries on its own.
+  VCode V(*B.Tgt);
+  auto Emit = [&](CodeMem CM) {
+    V.lambda("%v", nullptr, LeafHint, CM);
+    for (int I = 0; I < 1000; ++I)
+      V.nop();
+    V.retv();
+    return V.end();
+  };
+  V.setErrorRecovery(true);
+  EXPECT_THROW((void)Emit(code(64)), CgAbort);
+  V.abandon();
+  EXPECT_NE(std::strstr(V.lastError().Detail,
+                        "pass a larger region to v_lambda"),
+            nullptr)
+      << V.lastError().Detail;
+  V.setErrorRecovery(false);
+
+  GenerateOptions Opts;
+  Opts.InitialBytes = 64;
+  Opts.MaxBytes = 128;
+  GenerateResult R = generateWithRetry(
+      V, [&](size_t N) { return code(N); }, Emit, Opts);
+  ASSERT_FALSE(R.ok());
+  EXPECT_NE(std::strstr(R.Err.Detail, "generateWithRetry grows and retries"),
+            nullptr)
+      << R.Err.Detail;
 }
 
 TEST_P(ErrorTest, PoisonedEndReturnsInvalidCodePtr) {

@@ -14,9 +14,9 @@
 //    re-emission converges to the same bytes a one-shot run produces;
 //  - growth stops at GenerateOptions::MaxBytes, and the driver does not
 //    re-run a function whose region already reached it;
-//  - the code cache files grown regions at their grown size, so its pool
-//    and live versions account for every byte the arena handed it, also
-//    when a retry cannot get its region;
+//  - the code cache frees grown regions at their grown size, so the
+//    arena's free bytes and the live versions account for every byte the
+//    arena handed the cache, also when a retry cannot get its region;
 //  - threads growing and allocating in one arena never share a byte;
 //  - on the native host, grown pages stay non-executable until publish,
 //    and after it exactly the used pages are executable.
@@ -228,7 +228,7 @@ TEST_P(GrowthTest, GrowthStopsAtMaxBytes) {
 
 TEST_P(GrowthTest, CacheAccountsForGrownRegions) {
   // One shard of two entries: every further key evicts one, and its
-  // region returns to the pool at the size it grew to.
+  // region returns to the arena at the size it grew to.
   CodeCache Cache(*B.Mem, CodeCache::Options(1, 2));
   SimAddr First = 0;
   auto Generate = [&](const std::string &Key, unsigned N, size_t MaxBytes) {
@@ -261,26 +261,26 @@ TEST_P(GrowthTest, CacheAccountsForGrownRegions) {
     EXPECT_GE(H.regionBytes(), H.code().SizeBytes);
     Grown += H.regionBytes() > FirstSize;
   }
-  // A failure at the cap reclaims its region at the size it grew to.
+  // A failure at the cap frees its region at the size it grew to.
   EXPECT_FALSE(Generate("huge", 20000, 4 * PageBytes).valid());
 
   CodeCache::Stats S = Cache.stats();
   EXPECT_EQ(S.Generations, 6u);
   EXPECT_EQ(S.Failures, 1u);
   EXPECT_EQ(S.Evictions, 4u);
-  EXPECT_GT(S.RegionsReused, 0u);
+  EXPECT_GT(B.Mem->regionsReused(), 0u);
   EXPECT_GT(Grown, 0u) << "no region grew";
   size_t Live = Cache.lookup("k4").regionBytes() +
                 Cache.lookup("k5").regionBytes();
   ASSERT_GT(Live, 0u);
-  EXPECT_EQ(S.PooledBytes + Live, B.Mem->mark() - First)
-      << "pooled + live bytes must equal what the arena handed the cache";
+  EXPECT_EQ(B.Mem->freeCodeBytes() + Live, B.Mem->mark() - First)
+      << "free + live bytes must equal what the arena handed the cache";
 }
 
 TEST_P(GrowthTest, CacheReclaimsOnceWhenRetryExhaustsArena) {
   // In a 1 MiB arena the region grows until the stack limit refuses it;
   // the retry's doubled region cannot be allocated. The failed attempt's
-  // region must enter the pool exactly once.
+  // region must be freed exactly once.
   auto Arena = GetParam() == "host"
                    ? std::make_unique<sim::Memory>(sim::Memory::Native,
                                                    1 << 20, 4096)
@@ -307,8 +307,8 @@ TEST_P(GrowthTest, CacheReclaimsOnceWhenRetryExhaustsArena) {
   EXPECT_EQ(H.error().Kind, CgErrKind::ArenaExhausted) << H.error().Detail;
   CodeCache::Stats St = Cache.stats();
   EXPECT_EQ(St.Failures, 1u);
-  EXPECT_GT(St.PooledBytes, 512u);
-  EXPECT_EQ(St.PooledBytes, S.Mem->mark() - First);
+  EXPECT_GT(S.Mem->freeCodeBytes(), 512u);
+  EXPECT_EQ(S.Mem->freeCodeBytes(), S.Mem->mark() - First);
 }
 
 TEST_P(GrowthTest, ConcurrentGrowthAndAllocation) {

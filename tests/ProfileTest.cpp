@@ -121,7 +121,7 @@ TEST_F(ProfileTest, CodeMapOverlapEvictsAndFoldsHeat) {
   ASSERT_TRUE(Old);
   Old->Samples.fetch_add(5, std::memory_order_relaxed);
 
-  // The cache's free pool reuses regions: a publish overlapping a live
+  // The arena reuses freed code regions: a publish overlapping a live
   // entry evicts it, and its heat survives in the retired tally.
   M.publish(0x4080, 0x100, 0x4080, 0, "new", "mips", Tier::Tier0);
   EXPECT_FALSE(M.findByName("old"));
