@@ -22,10 +22,17 @@
 //  - promotion: a cache-shared classifier crossing its hotness threshold
 //    is regenerated at Tier-1 and swapped exactly once, including under
 //    concurrent dispatch from many engines (a TSan workload, like all of
-//    ConcurrencyTest).
+//    ConcurrencyTest);
+//
+//  - byte identity: a fixed Tier-1 corpus (random streams, nested loops,
+//    spill pressure, a jump whose target fills its delay slot, and a tcc
+//    program with nested loops) emits the same bytes as the recorded
+//    hashes on every simulated target; the host substrates check results
+//    only (their code embeds native arena addresses).
 //
 //===----------------------------------------------------------------------===//
 
+#include "StreamGen.h"
 #include "TestUtil.h"
 #include "ash/Ash.h"
 #include "core/CodeCache.h"
@@ -485,8 +492,342 @@ TEST_P(TierTest, SharedTccFunctionSteadyStateAcrossSwap) {
       });
 }
 
+
+// --- Tier-1 byte identity ----------------------------------------------------
+
+uint64_t fnv1a(const uint8_t *P, size_t N, uint64_t H = 0xcbf29ce484222325ull) {
+  for (size_t I = 0; I < N; ++I)
+    H = (H ^ P[I]) * 0x100000001b3ull;
+  return H;
+}
+
+/// FNV-1a hashes of each part of the Tier-1 corpus, in emission order.
+struct Tier1Hashes {
+  uint64_t Streams = 0, Loops = 0, Pressure = 0, JmpFill = 0, Tcc = 0;
+};
+
+/// Records a StreamGen stream through the Tier-1 layer (the layer has no
+/// conversions; Cvt is drawn as a move by the caller). Slot values come
+/// in as arguments, leave through \p Out, and slot 0 is also returned.
+CodePtr emitStreamTier1(VCode &V, const std::vector<StreamInsn> &P, Type Ty,
+                        CodeMem CM, SimAddr Scratch, SimAddr Out) {
+  Reg Arg[StreamSlots];
+  V.lambda("%U%U%U%U", Arg, LeafHint, CM);
+  VRegLayer L(V, Tier::Tier1);
+  VReg Sl[StreamSlots];
+  for (unsigned I = 0; I < StreamSlots; ++I)
+    Sl[I] = L.fromArg(Ty, Arg[I]);
+  VReg Ptr = L.alloc(Type::P);
+  L.setInt(Type::P, Ptr, Scratch);
+  std::vector<std::pair<unsigned, Label>> Pending;
+  for (unsigned I = 0; I < P.size(); ++I) {
+    while (!Pending.empty() && Pending.back().first == I) {
+      L.label(Pending.back().second);
+      Pending.pop_back();
+    }
+    const StreamInsn &N = P[I];
+    switch (N.Kind) {
+    case StreamInsn::Bin:
+      L.binop(N.Bop, Ty, Sl[N.D], Sl[N.A], Sl[N.B]);
+      break;
+    case StreamInsn::BinImm:
+      L.binopImm(N.Bop, Ty, Sl[N.D], Sl[N.A], N.Imm);
+      break;
+    case StreamInsn::Un:
+    case StreamInsn::Cvt:
+      L.unop(N.Uop, Ty, Sl[N.D], Sl[N.A]);
+      break;
+    case StreamInsn::Set:
+      L.setInt(Ty, Sl[N.D], uint64_t(N.Imm));
+      break;
+    case StreamInsn::CmpSet: {
+      Label LT = V.genLabel(), LE = V.genLabel();
+      L.branch(N.C, Ty, Sl[N.A], Sl[N.B], LT);
+      L.setInt(Ty, Sl[N.D], 0);
+      L.jmp(LE);
+      L.label(LT);
+      L.setInt(Ty, Sl[N.D], 1);
+      L.label(LE);
+      break;
+    }
+    case StreamInsn::Load:
+      L.load(Ty, Sl[N.D], Ptr, 8 * N.Cell);
+      break;
+    case StreamInsn::Store:
+      L.store(Ty, Sl[N.A], Ptr, 8 * N.Cell);
+      break;
+    case StreamInsn::Guard: {
+      Label Skip = V.genLabel();
+      L.branch(N.C, Ty, Sl[N.A], Sl[N.B], Skip);
+      Pending.emplace_back(I + 1 + N.Skip, Skip);
+      break;
+    }
+    }
+  }
+  while (!Pending.empty()) {
+    L.label(Pending.back().second);
+    Pending.pop_back();
+  }
+  L.setInt(Type::P, Ptr, Out);
+  for (unsigned I = 0; I < StreamSlots; ++I)
+    L.store(Ty, Sl[I], Ptr, 8 * I);
+  L.ret(Ty, Sl[0]);
+  L.finish();
+  return V.end();
+}
+
+/// sum(i * j for 0 <= j < i < n), then a countdown: jumps back to labels
+/// bound before them (outer and inner loop) and a conditional backward
+/// branch, so loop-carried intervals must be extended across each body.
+CodePtr buildNestedLoops(VCode &V, CodeMem CM) {
+  Reg Arg[1];
+  V.lambda("%i", Arg, LeafHint, CM);
+  VRegLayer L(V, Tier::Tier1);
+  VReg N = L.fromArg(Type::I, Arg[0]);
+  VReg S = L.alloc(Type::I), I = L.alloc(Type::I), J = L.alloc(Type::I),
+       T = L.alloc(Type::I), C = L.alloc(Type::I);
+  Label Outer = V.genLabel(), Inner = V.genLabel(), Next = V.genLabel(),
+        Done = V.genLabel(), Down = V.genLabel();
+  L.setInt(Type::I, S, 0);
+  L.setInt(Type::I, I, 0);
+  L.label(Outer);
+  L.branch(Cond::Ge, Type::I, I, N, Done);
+  L.setInt(Type::I, J, 0);
+  L.label(Inner);
+  L.branch(Cond::Ge, Type::I, J, I, Next);
+  L.binop(BinOp::Mul, Type::I, T, I, J);
+  L.binop(BinOp::Add, Type::I, S, S, T);
+  L.binopImm(BinOp::Add, Type::I, J, J, 1);
+  L.jmp(Inner);
+  L.label(Next);
+  L.binopImm(BinOp::Add, Type::I, I, I, 1);
+  L.jmp(Outer);
+  L.label(Done);
+  L.setInt(Type::I, C, 3);
+  L.label(Down);
+  L.binopImm(BinOp::Add, Type::I, S, S, 100);
+  L.binopImm(BinOp::Sub, Type::I, C, C, 1);
+  L.branchImm(Cond::Gt, Type::I, C, 0, Down);
+  L.ret(Type::I, S);
+  L.finish();
+  return V.end();
+}
+
+/// 24 simultaneously live vregs summed inside a loop: more than any
+/// target's temp pool, so allocation reruns with scratch registers held
+/// back and the replay stages spilled operands. Returns n * sum(k*1000+7).
+CodePtr buildPressure(VCode &V, CodeMem CM, unsigned &Spills) {
+  constexpr unsigned NV = 24;
+  Reg Arg[1];
+  V.lambda("%i", Arg, LeafHint, CM);
+  VRegLayer L(V, Tier::Tier1);
+  VReg N = L.fromArg(Type::I, Arg[0]);
+  VReg Vs[NV];
+  for (unsigned K = 0; K < NV; ++K) {
+    Vs[K] = L.alloc(Type::I);
+    L.setInt(Type::I, Vs[K], K * 1000 + 7);
+  }
+  VReg Acc = L.alloc(Type::I);
+  L.setInt(Type::I, Acc, 0);
+  Label Top = V.genLabel();
+  L.label(Top);
+  for (unsigned K = 0; K < NV; ++K)
+    L.binop(BinOp::Add, Type::I, Acc, Acc, Vs[K]);
+  L.binopImm(BinOp::Sub, Type::I, N, N, 1);
+  L.branchImm(Cond::Gt, Type::I, N, 0, Top);
+  L.ret(Type::I, Acc);
+  L.finish();
+  Spills = L.spillCount();
+  return V.end();
+}
+
+/// A loop closed by a jump whose predecessor (a store) cannot fill its
+/// delay slot, so on MIPS and SPARC the replay copies the loop head's
+/// first op into the slot and retargets the jump past it. Returns a + 30
+/// and leaves the final sum in \p Cell.
+CodePtr buildJmpFill(VCode &V, CodeMem CM, SimAddr Cell, unsigned &Fills) {
+  Reg Arg[1];
+  V.lambda("%i", Arg, LeafHint, CM);
+  VRegLayer L(V, Tier::Tier1);
+  VReg Acc = L.fromArg(Type::I, Arg[0]);
+  VReg I = L.alloc(Type::I), Ptr = L.alloc(Type::P);
+  L.setInt(Type::P, Ptr, Cell);
+  L.setInt(Type::I, I, 10);
+  Label Top = V.genLabel(), Done = V.genLabel();
+  L.label(Top);
+  L.binopImm(BinOp::Add, Type::I, Acc, Acc, 3);
+  L.binopImm(BinOp::Sub, Type::I, I, I, 1);
+  L.branchImm(Cond::Eq, Type::I, I, 0, Done);
+  L.store(Type::I, Acc, Ptr, 0);
+  L.jmp(Top);
+  L.label(Done);
+  L.ret(Type::I, Acc);
+  L.finish();
+  Fills = L.delayFills();
+  return V.end();
+}
+
+/// Generates the Tier-1 corpus on \p B, checks every function's results,
+/// and returns the per-part byte hashes. Seeds are fixed (not
+/// VCODE_TEST_SEED-derived) so the hashes are stable.
+Tier1Hashes emitTier1Corpus(Substrate &B) {
+  Tier1Hashes H;
+  const unsigned WB = B.Tgt->info().WordBytes;
+  const uint64_t WordMask = WB == 8 ? ~uint64_t(0) : 0xffffffffull;
+  auto Region = [&](size_t Bytes) { return B.Mem->allocCode(Bytes); };
+  auto Hash = [](uint64_t Prev, CodeMem CM, CodePtr P) {
+    return fnv1a(CM.Host, P.SizeBytes, Prev);
+  };
+
+  SimAddr Scratch = B.Mem->alloc(8 * StreamScratchSlots, 8);
+  SimAddr Out = B.Mem->alloc(8 * StreamSlots, 8);
+  for (unsigned Index = 0; Index < 24; ++Index) {
+    SCOPED_TRACE("stream " + std::to_string(Index));
+    const Type Ty = Index % 2 ? Type::UL : Type::L;
+    Rng R(0x7157ull + Index * 7919);
+    std::vector<StreamInsn> Prog = makeStream(R, Ty, typeBits(Ty, WB));
+    for (StreamInsn &N : Prog)
+      if (N.Kind == StreamInsn::Cvt) {
+        N.Kind = StreamInsn::Un;
+        N.Uop = UnOp::Mov;
+      }
+    std::vector<uint64_t> Slot(StreamSlots), Cells(StreamScratchSlots, 0);
+    std::vector<TypedValue> Args;
+    for (unsigned I = 0; I < StreamSlots; ++I) {
+      Slot[I] = canonicalize(Ty, R.next(), WB);
+      Args.push_back(TypedValue::fromUInt(Slot[I], Type::UL));
+    }
+    for (unsigned I = 0; I < StreamScratchSlots; ++I)
+      B.Mem->write<uint64_t>(Scratch + 8 * I, 0);
+
+    VCode V(*B.Tgt);
+    CodeMem CM = Region(1 << 14);
+    CodePtr P = emitStreamTier1(V, Prog, Ty, CM, Scratch, Out);
+    EXPECT_TRUE(P.isValid());
+    if (!P.isValid())
+      return H;
+    H.Streams = Hash(H.Streams, CM, P);
+    B.Cpu->call(P.Entry, Args, Ty);
+    evalHost(Prog, Ty, Slot, Cells, WB);
+    for (unsigned I = 0; I < StreamSlots; ++I) {
+      EXPECT_EQ(B.Mem->read<uint64_t>(Out + 8 * I) & WordMask,
+                Slot[I] & WordMask)
+          << "slot " << I;
+    }
+    for (unsigned I = 0; I < StreamScratchSlots; ++I) {
+      EXPECT_EQ(B.Mem->read<uint64_t>(Scratch + 8 * I) & WordMask,
+                Cells[I] & WordMask)
+          << "scratch cell " << I;
+    }
+  }
+
+  auto Call = [&](CodePtr P, int32_t A) {
+    return B.Cpu->call(P.Entry, {TypedValue::fromInt(A)}, Type::I).asInt32();
+  };
+
+  {
+    VCode V(*B.Tgt);
+    CodeMem CM = Region(1 << 14);
+    CodePtr P = buildNestedLoops(V, CM);
+    H.Loops = Hash(0, CM, P);
+    EXPECT_EQ(Call(P, 6), 85 + 300); // sum(i*j, j<i<6) = 85
+    EXPECT_EQ(Call(P, 0), 300);
+  }
+  {
+    VCode V(*B.Tgt);
+    CodeMem CM = Region(1 << 14);
+    unsigned Spills = 0;
+    CodePtr P = buildPressure(V, CM, Spills);
+    H.Pressure = Hash(0, CM, P);
+    EXPECT_GT(Spills, 0u);
+    EXPECT_EQ(Call(P, 3), 3 * (1000 * 23 * 24 / 2 + 24 * 7));
+  }
+  {
+    SimAddr Cell = B.Mem->alloc(8, 8);
+    VCode V(*B.Tgt);
+    CodeMem CM = Region(1 << 14);
+    unsigned Fills = 0;
+    CodePtr P = buildJmpFill(V, CM, Cell, Fills);
+    H.JmpFill = Hash(0, CM, P);
+    if (B.Tgt->info().HasBranchDelaySlot) {
+      EXPECT_GE(Fills, 1u);
+    }
+    EXPECT_EQ(Call(P, 5), 35);
+    EXPECT_EQ(B.Mem->read<int32_t>(Cell), 32);
+  }
+  {
+    tcc::Tcc C(*B.Tgt, *B.Mem);
+    C.setTier(Tier::Tier1);
+    CodeMem CM = Region(1 << 14);
+    CodePtr P = C.compileInto(R"(
+      nest(n) {
+        var s = 0;
+        var i = 0;
+        while (i < n) {
+          var j = 0;
+          while (j < i) { s = s + i * j; j = j + 1; }
+          i = i + 1;
+        }
+        return s;
+      })",
+                              CM);
+    H.Tcc = Hash(0, CM, P);
+    EXPECT_EQ(C.run(*B.Cpu, "nest", {6}), 85);
+  }
+  return H;
+}
+
+// The Tier-1 pipeline's output bytes are pinned: a rewrite of recording,
+// allocation or replay must not move a single byte on any simulated
+// target. The constants were recorded from the record/linear-scan/replay
+// implementation that first produced them.
+TEST_P(TierTest, Tier1CorpusBytesMatchRecordedHashes) {
+  struct Want {
+    const char *Target;
+    Tier1Hashes H;
+  };
+  const Want Table[] = {
+      {"mips",
+       {0xa6383e879bdac33full, 0x266d3c1d70e88537ull, 0x1c36d01f7f4a1a8bull,
+        0x1f43713eb3b17187ull, 0x0d29de893c998d88ull}},
+      {"sparc",
+       {0x069d2396442f48d1ull, 0x3d881d37ed1f383dull, 0x7acf2aff26746edbull,
+        0xfc2e6362fe29a4adull, 0x3fc36651fcbca222ull}},
+      {"alpha",
+       {0xd4a5bedbd37aacf7ull, 0xa2027838dae9a0e8ull, 0xfb30c8673f9c5cf2ull,
+        0xe1673b46076afe73ull, 0x803fcc4382c70a4eull}},
+  };
+  Tier1Hashes Got = emitTier1Corpus(B);
+  const Want *W = nullptr;
+  for (const Want &X : Table)
+    if (GetParam() == X.Target)
+      W = &X;
+  ASSERT_NE(W, nullptr) << "no recorded hashes for " << GetParam();
+  SCOPED_TRACE(::testing::Message() << std::hex << "got {0x" << Got.Streams
+                                     << ", 0x" << Got.Loops << ", 0x"
+                                     << Got.Pressure << ", 0x" << Got.JmpFill
+                                     << ", 0x" << Got.Tcc << "}");
+  EXPECT_EQ(Got.Streams, W->H.Streams);
+  EXPECT_EQ(Got.Loops, W->H.Loops);
+  EXPECT_EQ(Got.Pressure, W->H.Pressure);
+  EXPECT_EQ(Got.JmpFill, W->H.JmpFill);
+  EXPECT_EQ(Got.Tcc, W->H.Tcc);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllTargets, TierTest,
                          ::testing::ValuesIn(allTargetNames()),
                          [](const auto &Info) { return Info.param; });
+
+#ifdef __x86_64__
+// The same corpus on the host substrates: results only. x86-64 code
+// embeds native arena addresses, which differ from run to run.
+class Tier1HostTest : public TierTest {};
+
+TEST_P(Tier1HostTest, Tier1CorpusComputesCorrectly) { emitTier1Corpus(B); }
+
+INSTANTIATE_TEST_SUITE_P(HostSubstrates, Tier1HostTest,
+                         ::testing::Values("host", "dbt"),
+                         [](const auto &Info) { return Info.param; });
+#endif
 
 } // namespace
