@@ -288,7 +288,9 @@ private:
   /// units or throws. A growable region (CodeMem::Growth) asks its arena
   /// for max(2 x capacity, needed) bytes, capped at the record's Limit;
   /// a fixed region, a refusal or the cap reports BufferOverflow and the
-  /// bytes needed.
+  /// bytes needed. The advice names what the caller can do: pass a larger
+  /// region (fixed), raise the cap (generateWithRetry gives up past it),
+  /// or nothing (refused growth: generateWithRetry re-emits).
 #if defined(__GNUC__) || defined(__clang__)
   __attribute__((cold, noinline))
 #endif
@@ -309,12 +311,22 @@ private:
       }
     }
     CgError E{CgErrKind::BufferOverflow, wordIndex(), NeedBytes, {}};
+    char Cap[128];
+    const char *Advice = "pass a larger region to v_lambda";
+    if (Growth && NeedBytes > Growth->Limit) {
+      std::snprintf(Cap, sizeof(Cap),
+                    "%zu bytes exceed the region's growth cap of %zu "
+                    "(GenerateOptions::MaxBytes)",
+                    NeedBytes, Growth->Limit);
+      Advice = Cap;
+    } else if (Growth) {
+      Advice = "generateWithRetry grows and retries";
+    }
     std::snprintf(E.Detail, sizeof(E.Detail),
                   "code buffer overflow: instruction needs %zu word(s) but "
                   "only %zu of %zu remain; %s",
                   Needed, remainingWords(), size_t(Limit - Base) / Unit,
-                  Growth ? "generateWithRetry grows and retries"
-                         : "pass a larger region to v_lambda");
+                  Advice);
     dispatchError(E);
   }
 

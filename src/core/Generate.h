@@ -155,7 +155,6 @@ GenerateResult generateWithRetry(VCode &V, AllocFn Alloc, EmitFn Emit,
         R.Err.NeedBytes > Opts.MaxBytes)
       return GiveUp();
     VCODE_TM_COUNT("core.gen.retry", 1);
-    VCODE_TM_COUNT("core.gen.overflow_retries", 1);
     Bytes = std::min(std::max({2 * Bytes, 2 * R.RegionBytes, R.Err.NeedBytes}),
                      Opts.MaxBytes);
   }

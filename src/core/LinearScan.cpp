@@ -5,61 +5,52 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/LinearScan.h"
-#include <algorithm>
+#include "support/Error.h"
 #include <cassert>
 
 using namespace vcode;
 
 namespace {
 
-struct Interval {
-  int32_t V = -1;
-  uint32_t Start = 0;
-  uint32_t End = 0;
-  bool Fp = false;
+/// One register pool's scan state. Every active interval holds one pool
+/// register, so there are never more active intervals than registers.
+struct PoolState {
+  static constexpr size_t MaxRegs = 64;
+  struct Held {
+    uint32_t Iv;     // interval index
+    unsigned RegIdx; // pool index
+  };
+  const std::vector<Reg> &Regs;
+  uint64_t Free = 0;          // bit K set: Regs[K] is free
+  Held Active[MaxRegs] = {};  // unsorted
+  unsigned NActive = 0;
+  explicit PoolState(const std::vector<Reg> &P) : Regs(P) {
+    if (P.size() > MaxRegs)
+      fatal("linear scan: register pool of %zu exceeds %zu", P.size(),
+            MaxRegs);
+    Free = P.size() == MaxRegs ? ~uint64_t(0) : (uint64_t(1) << P.size()) - 1;
+  }
 };
 
 } // namespace
 
-LsResult vcode::linearScan(const std::vector<LsVRegInfo> &VRegs,
-                           const std::vector<LsOpRefs> &Ops,
+unsigned vcode::linearScan(std::vector<LsInterval> &Ivs,
                            const std::vector<LsEdge> &BackEdges,
                            const std::vector<Reg> &IntPool,
                            const std::vector<Reg> &FpPool) {
-  LsResult R;
-  R.Assign.resize(VRegs.size());
-
-  // Build [first ref, last ref] intervals.
-  std::vector<Interval> Iv;
-  std::vector<int32_t> IvOf(VRegs.size(), -1);
-  auto Ref = [&](int32_t V, uint32_t Pos) {
-    if (V < 0)
-      return;
-    assert(size_t(V) < VRegs.size() && "bad vreg reference");
-    if (IvOf[V] < 0) {
-      IvOf[V] = int32_t(Iv.size());
-      Iv.push_back({V, Pos, Pos, isFpType(VRegs[V].Ty)});
-    } else {
-      Iv[IvOf[V]].End = Pos;
-    }
-  };
-  for (uint32_t P = 0; P < Ops.size(); ++P) {
-    Ref(Ops[P].Use0, P);
-    Ref(Ops[P].Use1, P);
-    Ref(Ops[P].Def, P);
-  }
-
   // Loop extension: a value live at a backward branch's target must
   // survive to the branch (it is needed again next iteration). Iterate
-  // to a fixpoint so nested loops compose.
+  // to a fixpoint so nested loops compose. Intervals are ordered by
+  // start, so only a prefix can be live at the target.
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (const LsEdge &E : BackEdges) {
-      if (E.Target > E.Pos)
-        continue; // forward edge: no extension needed
-      for (Interval &I : Iv) {
-        if (I.Start <= E.Target && I.End >= E.Target && I.End < E.Pos) {
+      assert(E.Target <= E.Pos && "back edge points forward");
+      for (LsInterval &I : Ivs) {
+        if (I.Start > E.Target)
+          break;
+        if (I.End >= E.Target && I.End < E.Pos) {
           I.End = E.Pos;
           Changed = true;
         }
@@ -67,85 +58,54 @@ LsResult vcode::linearScan(const std::vector<LsVRegInfo> &VRegs,
     }
   }
 
-  // Pre-colored vregs keep their register and never compete for a pool.
-  for (size_t V = 0; V < VRegs.size(); ++V)
-    if (VRegs[V].Pre.isValid())
-      R.Assign[V].Phys = VRegs[V].Pre;
-
-  std::vector<uint32_t> Order(Iv.size());
-  for (uint32_t I = 0; I < Order.size(); ++I)
-    Order[I] = I;
-  std::stable_sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
-    return Iv[A].Start < Iv[B].Start;
-  });
-
-  struct PoolState {
-    const std::vector<Reg> &Regs;
-    std::vector<bool> Busy;          // by pool index
-    std::vector<uint32_t> Active;    // interval indices, unsorted
-    std::vector<int32_t> RegIdxOf;   // interval -> pool index
-    unsigned HighWater = 0;
-    explicit PoolState(const std::vector<Reg> &P, size_t NIv)
-        : Regs(P), Busy(P.size(), false), RegIdxOf(NIv, -1) {}
-  };
-  PoolState Int(IntPool, Iv.size()), Fp(FpPool, Iv.size());
-
-  for (uint32_t Idx : Order) {
-    const Interval &I = Iv[Idx];
-    if (VRegs[I.V].Pre.isValid())
-      continue;
+  PoolState Int(IntPool), Fp(FpPool);
+  unsigned Spills = 0;
+  for (uint32_t Idx = 0; Idx < Ivs.size(); ++Idx) {
+    LsInterval &I = Ivs[Idx];
+    assert((Idx == 0 || Ivs[Idx - 1].Start <= I.Start) &&
+           "intervals not ordered by start");
+    I.Spilled = false;
+    I.Phys = Reg{};
     PoolState &PS = I.Fp ? Fp : Int;
 
     // Expire intervals that ended strictly before this one starts.
-    for (size_t A = 0; A < PS.Active.size();) {
-      if (Iv[PS.Active[A]].End < I.Start) {
-        PS.Busy[PS.RegIdxOf[PS.Active[A]]] = false;
-        PS.Active[A] = PS.Active.back();
-        PS.Active.pop_back();
+    for (unsigned A = 0; A < PS.NActive;) {
+      if (Ivs[PS.Active[A].Iv].End < I.Start) {
+        PS.Free |= uint64_t(1) << PS.Active[A].RegIdx;
+        PS.Active[A] = PS.Active[--PS.NActive];
       } else {
         ++A;
       }
     }
 
     // Lowest free pool index = most-preferred register.
-    int32_t FreeIdx = -1;
-    for (size_t K = 0; K < PS.Busy.size(); ++K)
-      if (!PS.Busy[K]) {
-        FreeIdx = int32_t(K);
-        break;
-      }
-    if (FreeIdx >= 0) {
-      PS.Busy[FreeIdx] = true;
-      PS.RegIdxOf[Idx] = FreeIdx;
-      PS.Active.push_back(Idx);
-      R.Assign[I.V].Phys = PS.Regs[FreeIdx];
-      PS.HighWater = std::max(PS.HighWater, unsigned(FreeIdx) + 1);
+    if (PS.Free) {
+      unsigned K = unsigned(__builtin_ctzll(PS.Free));
+      PS.Free &= PS.Free - 1;
+      I.Phys = PS.Regs[K];
+      PS.Active[PS.NActive++] = {Idx, K};
       continue;
     }
 
     // Pressure: spill the interval with the furthest end (it blocks a
     // register for the longest time).
     uint32_t Victim = Idx;
-    size_t VictimAt = SIZE_MAX;
-    for (size_t A = 0; A < PS.Active.size(); ++A)
-      if (Iv[PS.Active[A]].End > Iv[Victim].End) {
-        Victim = PS.Active[A];
+    unsigned VictimAt = 0;
+    for (unsigned A = 0; A < PS.NActive; ++A)
+      if (Ivs[PS.Active[A].Iv].End > Ivs[Victim].End) {
+        Victim = PS.Active[A].Iv;
         VictimAt = A;
       }
     if (Victim != Idx) {
-      int32_t StolenIdx = PS.RegIdxOf[Victim];
-      R.Assign[Iv[Victim].V] = LsAssignment{Reg{}, true};
-      PS.RegIdxOf[Victim] = -1;
-      PS.RegIdxOf[Idx] = StolenIdx;
-      PS.Active[VictimAt] = Idx;
-      R.Assign[I.V].Phys = PS.Regs[StolenIdx];
+      LsInterval &V = Ivs[Victim];
+      I.Phys = V.Phys;
+      V.Phys = Reg{};
+      V.Spilled = true;
+      PS.Active[VictimAt].Iv = Idx;
     } else {
-      R.Assign[I.V] = LsAssignment{Reg{}, true};
+      I.Spilled = true;
     }
-    ++R.Spills;
+    ++Spills;
   }
-
-  R.IntRegsUsed = Int.HighWater;
-  R.FpRegsUsed = Fp.HighWater;
-  return R;
+  return Spills;
 }

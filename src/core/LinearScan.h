@@ -7,8 +7,10 @@
 /// \file
 /// Linear-scan register allocation over the Tier-1 vreg recording
 /// (Poletto/Engler/Kaashoek's tcc lineage: one pass over live intervals,
-/// no graph coloring). Intervals span [first reference, last reference];
-/// a backward branch extends every interval live at its target to cover
+/// no graph coloring). The recorder builds the intervals and back edges
+/// while it records (core/VRegLayer.h), so the allocator walks vregs, not
+/// operations. Intervals span [first reference, last reference]; a
+/// backward branch extends every interval live at its target to cover
 /// the branch, iterated to a fixpoint so values stay in registers across
 /// loop backedges. On pressure the interval with the furthest end is
 /// spilled (whole-interval spilling — the replay stages spilled accesses
@@ -20,25 +22,21 @@
 #define VCODE_CORE_LINEARSCAN_H
 
 #include "core/Reg.h"
-#include "core/Types.h"
 #include <cstdint>
 #include <vector>
 
 namespace vcode {
 
-/// One virtual register, as seen by the allocator.
-struct LsVRegInfo {
-  Type Ty = Type::I; ///< decides int vs fp pool
-  Reg Pre;           ///< valid = pre-colored (e.g. an argument register);
-                     ///< excluded from allocation, never spilled
-};
-
-/// Def/use references of one recorded operation (indices into the vreg
-/// vector, -1 when absent). Positions are the operation's index.
-struct LsOpRefs {
-  int32_t Use0 = -1;
-  int32_t Use1 = -1;
-  int32_t Def = -1;
+/// One virtual register's live interval: [Start, End] in recorded-
+/// operation positions. linearScan fills Phys and Spilled. Pre-colored
+/// vregs (argument registers) keep their register and have no interval.
+struct LsInterval {
+  int32_t VReg = -1;   ///< the vreg this interval belongs to
+  uint32_t Start = 0;  ///< first reference
+  uint32_t End = 0;    ///< last reference (loop extension may raise it)
+  bool Fp = false;     ///< competes for the fp pool
+  bool Spilled = false;
+  Reg Phys;            ///< valid unless Spilled
 };
 
 /// A resolved backward control-flow edge: the operation at \p Pos
@@ -48,25 +46,11 @@ struct LsEdge {
   uint32_t Target = 0;
 };
 
-/// Per-vreg allocation outcome.
-struct LsAssignment {
-  Reg Phys;            ///< valid unless Spilled (or vreg never referenced)
-  bool Spilled = false;
-};
-
-struct LsResult {
-  std::vector<LsAssignment> Assign; ///< indexed by vreg
-  unsigned Spills = 0;              ///< number of spilled vregs
-  unsigned IntRegsUsed = 0;         ///< distinct int pool regs assigned
-  unsigned FpRegsUsed = 0;          ///< distinct fp pool regs assigned
-};
-
-/// Allocates \p VRegs over the operations \p Ops using the given physical
-/// register pools (in preference order). \p BackEdges lists backward
-/// branches for loop-liveness extension. Pre-colored vregs keep their
-/// register; unreferenced vregs get no assignment.
-LsResult linearScan(const std::vector<LsVRegInfo> &VRegs,
-                    const std::vector<LsOpRefs> &Ops,
+/// Allocates \p Ivs, which must be ordered by Start, from the given
+/// physical register pools (in preference order). \p BackEdges extend
+/// intervals across loops (in place; rerunning is idempotent). Returns
+/// the number of spilled intervals.
+unsigned linearScan(std::vector<LsInterval> &Ivs,
                     const std::vector<LsEdge> &BackEdges,
                     const std::vector<Reg> &IntPool,
                     const std::vector<Reg> &FpPool);

@@ -11,7 +11,6 @@
 #include "support/Telemetry.h"
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 using namespace vcode;
 
@@ -59,9 +58,8 @@ VReg VRegLayer::fromArg(Type Ty, Reg ArgReg) {
   S.Pre = ArgReg;
   Slots.push_back(S);
   VReg R{int32_t(Slots.size() - 1)};
-  RecOp &O = rec(RecOp::FromPhys);
+  RecOp &O = rec(RecOp::FromPhys, R.Id);
   O.Ty = Ty;
-  O.D = R.Id;
   O.Phys = ArgReg;
   return R;
 }
@@ -93,12 +91,58 @@ void VRegLayer::checkVReg(VReg R) const {
     fatal("vreg layer: invalid virtual register");
 }
 
-VRegLayer::RecOp &VRegLayer::rec(RecOp::Kind K) {
+void VRegLayer::openInterval(int32_t Vr, uint32_t Pos) {
+  Slot &S = Slots[Vr];
+  S.Iv = int32_t(Ivs.size());
+  LsInterval &I = Ivs.emplace_back();
+  I.VReg = Vr;
+  I.Start = I.End = Pos;
+  I.Fp = isFpType(S.Ty);
+}
+
+inline void VRegLayer::ref(int32_t Vr, uint32_t Pos) {
+  if (Vr < 0)
+    return;
+  const Slot &S = Slots[Vr];
+  if (S.Iv >= 0)
+    Ivs[S.Iv].End = Pos;
+  else if (!S.Pre.isValid()) // pre-colored vregs are not allocated
+    openInterval(Vr, Pos);
+}
+
+VRegLayer::RecOp &VRegLayer::rec(RecOp::Kind K, int32_t D, int32_t S1,
+                                 int32_t S2) {
   if (Finished)
     fatal("vreg layer: recording after finish()");
-  Rec.emplace_back();
-  Rec.back().K = K;
-  return Rec.back();
+  // Positions only grow, so intervals open in start order; within one
+  // op, sources are noted before the def, and intervals that open at the
+  // same op are allocated in that order.
+  const uint32_t Pos = uint32_t(Rec.size());
+  ref(S1, Pos);
+  ref(S2, Pos);
+  ref(D, Pos);
+  RecOp &O = Rec.emplace_back();
+  O.K = K;
+  O.D = D;
+  O.S1 = S1;
+  O.S2 = S2;
+  return O;
+}
+
+int32_t VRegLayer::labelAt(Label L) const {
+  return size_t(L.Id) < LabelAt.size() ? LabelAt[L.Id] : -1;
+}
+
+VRegLayer::RecOp &VRegLayer::recBranch(RecOp::Kind K, Label L, int32_t S1,
+                                       int32_t S2) {
+  const uint32_t Pos = uint32_t(Rec.size());
+  const int32_t Target = labelAt(L);
+  if (Target >= 0)
+    BackEdges.push_back(LsEdge{Pos, uint32_t(Target)});
+  RecOp &O = rec(K, -1, S1, S2);
+  Exits.push_back(Pos);
+  O.L = L;
+  return O;
 }
 
 void VRegLayer::fromPhys(VReg Dst, Reg Src) {
@@ -107,9 +151,8 @@ void VRegLayer::fromPhys(VReg Dst, Reg Src) {
     writeBack(Dst, Src);
     return;
   }
-  RecOp &O = rec(RecOp::FromPhys);
+  RecOp &O = rec(RecOp::FromPhys, Dst.Id);
   O.Ty = Slots[Dst.Id].Ty;
-  O.D = Dst.Id;
   O.Phys = Src;
 }
 
@@ -125,12 +168,9 @@ void VRegLayer::binop(BinOp Op, Type Ty, VReg Rd, VReg Rs1, VReg Rs2) {
     writeBack(Rd, D);
     return;
   }
-  RecOp &O = rec(RecOp::Binop);
+  RecOp &O = rec(RecOp::Binop, Rd.Id, Rs1.Id, Rs2.Id);
   O.Op = uint8_t(Op);
   O.Ty = Ty;
-  O.D = Rd.Id;
-  O.S1 = Rs1.Id;
-  O.S2 = Rs2.Id;
 }
 
 void VRegLayer::binopImm(BinOp Op, Type Ty, VReg Rd, VReg Rs1, int64_t Imm) {
@@ -143,11 +183,9 @@ void VRegLayer::binopImm(BinOp Op, Type Ty, VReg Rd, VReg Rs1, int64_t Imm) {
     writeBack(Rd, D);
     return;
   }
-  RecOp &O = rec(RecOp::BinopImm);
+  RecOp &O = rec(RecOp::BinopImm, Rd.Id, Rs1.Id);
   O.Op = uint8_t(Op);
   O.Ty = Ty;
-  O.D = Rd.Id;
-  O.S1 = Rs1.Id;
   O.Imm = Imm;
 }
 
@@ -161,11 +199,9 @@ void VRegLayer::unop(UnOp Op, Type Ty, VReg Rd, VReg Rs) {
     writeBack(Rd, D);
     return;
   }
-  RecOp &O = rec(RecOp::Unop);
+  RecOp &O = rec(RecOp::Unop, Rd.Id, Rs.Id);
   O.Op = uint8_t(Op);
   O.Ty = Ty;
-  O.D = Rd.Id;
-  O.S1 = Rs.Id;
 }
 
 void VRegLayer::setInt(Type Ty, VReg Rd, uint64_t Imm) {
@@ -176,9 +212,8 @@ void VRegLayer::setInt(Type Ty, VReg Rd, uint64_t Imm) {
     writeBack(Rd, D);
     return;
   }
-  RecOp &O = rec(RecOp::SetInt);
+  RecOp &O = rec(RecOp::SetInt, Rd.Id);
   O.Ty = Ty;
-  O.D = Rd.Id;
   O.Imm = int64_t(Imm);
 }
 
@@ -192,10 +227,8 @@ void VRegLayer::load(Type Ty, VReg Rd, VReg Base, int64_t Off) {
     writeBack(Rd, D);
     return;
   }
-  RecOp &O = rec(RecOp::Load);
+  RecOp &O = rec(RecOp::Load, Rd.Id, Base.Id);
   O.Ty = Ty;
-  O.D = Rd.Id;
-  O.S1 = Base.Id;
   O.Imm = Off;
 }
 
@@ -208,10 +241,8 @@ void VRegLayer::store(Type Ty, VReg Val, VReg Base, int64_t Off) {
     V.storeImm(Ty, Vv, A, Off);
     return;
   }
-  RecOp &O = rec(RecOp::Store);
+  RecOp &O = rec(RecOp::Store, -1, Val.Id, Base.Id);
   O.Ty = Ty;
-  O.S1 = Val.Id;
-  O.S2 = Base.Id;
   O.Imm = Off;
 }
 
@@ -224,12 +255,9 @@ void VRegLayer::branch(Cond C, Type Ty, VReg A, VReg B, Label L) {
     V.branch(C, Ty, Pa, Pb, L);
     return;
   }
-  RecOp &O = rec(RecOp::Branch);
+  RecOp &O = recBranch(RecOp::Branch, L, A.Id, B.Id);
   O.Op = uint8_t(C);
   O.Ty = Ty;
-  O.S1 = A.Id;
-  O.S2 = B.Id;
-  O.L = L;
 }
 
 void VRegLayer::branchImm(Cond C, Type Ty, VReg A, int64_t Imm, Label L) {
@@ -239,12 +267,10 @@ void VRegLayer::branchImm(Cond C, Type Ty, VReg A, int64_t Imm, Label L) {
     V.branchImm(C, Ty, Pa, Imm, L);
     return;
   }
-  RecOp &O = rec(RecOp::BranchImm);
+  RecOp &O = recBranch(RecOp::BranchImm, L, A.Id);
   O.Op = uint8_t(C);
   O.Ty = Ty;
-  O.S1 = A.Id;
   O.Imm = Imm;
-  O.L = L;
 }
 
 void VRegLayer::ret(Type Ty, VReg Rs) {
@@ -254,9 +280,9 @@ void VRegLayer::ret(Type Ty, VReg Rs) {
     V.ret(Ty, P);
     return;
   }
-  RecOp &O = rec(RecOp::Ret);
+  Exits.push_back(uint32_t(Rec.size()));
+  RecOp &O = rec(RecOp::Ret, -1, Rs.Id);
   O.Ty = Ty;
-  O.S1 = Rs.Id;
 }
 
 void VRegLayer::label(Label L) {
@@ -264,7 +290,13 @@ void VRegLayer::label(Label L) {
     V.label(L);
     return;
   }
+  if (!L.isValid())
+    fatal("vreg layer: binding an invalid label");
+  const int32_t Pos = int32_t(Rec.size());
   rec(RecOp::Lbl).L = L;
+  if (size_t(L.Id) >= LabelAt.size())
+    LabelAt.resize(std::max(size_t(L.Id) + 1, 2 * LabelAt.size()), -1);
+  LabelAt[L.Id] = Pos;
 }
 
 void VRegLayer::jmp(Label L) {
@@ -272,7 +304,7 @@ void VRegLayer::jmp(Label L) {
     V.jmp(L);
     return;
   }
-  rec(RecOp::Jmp).L = L;
+  recBranch(RecOp::Jmp, L);
 }
 
 void VRegLayer::jmpReg(VReg R) {
@@ -282,7 +314,7 @@ void VRegLayer::jmpReg(VReg R) {
     V.jmpr(P);
     return;
   }
-  rec(RecOp::JmpReg).S1 = R.Id;
+  rec(RecOp::JmpReg, -1, R.Id);
 }
 
 // --- Tier-1: allocate and replay ---------------------------------------------
@@ -321,10 +353,6 @@ Reg VRegLayer::physOf(int32_t Vr) const {
   return Vr >= 0 ? Slots[Vr].Phys : Reg{};
 }
 
-bool VRegLayer::isSpilled(int32_t Vr) const {
-  return Vr >= 0 && Slots[Vr].Spilled;
-}
-
 Reg VRegLayer::scratchFor(Type Ty, unsigned Which) const {
   Reg R = isFpType(Ty) ? FpScratch[Which] : IntScratch[Which];
   if (!R.isValid())
@@ -333,61 +361,8 @@ Reg VRegLayer::scratchFor(Type Ty, unsigned Which) const {
 }
 
 void VRegLayer::allocate() {
-  std::vector<LsVRegInfo> Infos(Slots.size());
-  for (size_t I = 0; I < Slots.size(); ++I) {
-    Infos[I].Ty = Slots[I].Ty;
-    Infos[I].Pre = Slots[I].Pre;
-  }
-
-  std::unordered_map<int32_t, uint32_t> LabelPos;
-  for (uint32_t P = 0; P < Rec.size(); ++P)
-    if (Rec[P].K == RecOp::Lbl)
-      LabelPos[Rec[P].L.Id] = P;
-
-  std::vector<LsOpRefs> Refs(Rec.size());
-  std::vector<LsEdge> BackEdges;
-  for (uint32_t P = 0; P < Rec.size(); ++P) {
-    const RecOp &O = Rec[P];
-    LsOpRefs &R = Refs[P];
-    switch (O.K) {
-    case RecOp::Binop:
-      R.Use0 = O.S1;
-      R.Use1 = O.S2;
-      R.Def = O.D;
-      break;
-    case RecOp::BinopImm:
-    case RecOp::Unop:
-    case RecOp::Load:
-      R.Use0 = O.S1;
-      R.Def = O.D;
-      break;
-    case RecOp::SetInt:
-    case RecOp::FromPhys:
-      R.Def = O.D;
-      break;
-    case RecOp::Store:
-    case RecOp::Branch:
-      R.Use0 = O.S1;
-      R.Use1 = O.S2;
-      break;
-    case RecOp::BranchImm:
-    case RecOp::Ret:
-    case RecOp::JmpReg:
-      R.Use0 = O.S1;
-      break;
-    case RecOp::Lbl:
-    case RecOp::Jmp:
-      break;
-    }
-    if (O.K == RecOp::Branch || O.K == RecOp::BranchImm || O.K == RecOp::Jmp) {
-      auto It = LabelPos.find(O.L.Id);
-      if (It != LabelPos.end() && It->second <= P)
-        BackEdges.push_back(LsEdge{P, It->second});
-    }
-  }
-
-  LsResult LS = linearScan(Infos, Refs, BackEdges, IntPool, FpPool);
-  if (LS.Spills > 0) {
+  Spills = linearScan(Ivs, BackEdges, IntPool, FpPool);
+  if (Spills > 0) {
     // Pressure: rerun with scratch registers held back so the replay can
     // stage spilled operands. Two per class covers the worst op (both
     // sources spilled).
@@ -403,19 +378,19 @@ void VRegLayer::allocate() {
     Reserve(IntPool, IntScratch, "integer");
     if (!FpPool.empty())
       Reserve(FpPool, FpScratch, "floating-point");
-    LS = linearScan(Infos, Refs, BackEdges, IntPool, FpPool);
+    Spills = linearScan(Ivs, BackEdges, IntPool, FpPool);
   }
 
-  Spills = LS.Spills;
-  for (size_t I = 0; I < Slots.size(); ++I) {
-    if (Slots[I].Pre.isValid()) {
-      Slots[I].Phys = Slots[I].Pre;
-      continue;
+  // Spill homes in vreg order (frame offsets follow allocation order).
+  for (Slot &S : Slots) {
+    if (S.Pre.isValid()) {
+      S.Phys = S.Pre;
+    } else if (S.Iv >= 0) {
+      S.Phys = Ivs[S.Iv].Phys;
+      S.Spilled = Ivs[S.Iv].Spilled;
+      if (S.Spilled)
+        S.Home = V.localVar(S.Ty);
     }
-    Slots[I].Phys = LS.Assign[I].Phys;
-    Slots[I].Spilled = LS.Assign[I].Spilled;
-    if (Slots[I].Spilled)
-      Slots[I].Home = V.localVar(Slots[I].Ty);
   }
 }
 
@@ -423,11 +398,27 @@ namespace {
 
 enum FillKind : uint8_t { FillNone = 0, FillPred, FillTarget };
 
+/// What the replay does at one recorded op besides emitting it.
+struct OpPlan {
+  FillKind Fill = FillNone; ///< branch: how its delay slot is filled
+  bool Consumed = false;    ///< folded into a neighbor's slot or return
+  bool RetImm = false;      ///< ret emitted as retImm of the previous op
+  int32_t FillSrc = -1;     ///< FillTarget: the op copied into the slot
+  Label SkipAfter;          ///< bound right after this op: the retarget of
+                            ///< jumps whose slot holds a copy of it
+};
+
 } // namespace
 
 void VRegLayer::replay() {
   const TargetInfo &TI = V.info();
   const size_t N = Rec.size();
+
+  // Most recordings spill nothing: test the count once, not per operand.
+  const bool HaveSpills = Spills > 0;
+  auto isSpilled = [&](int32_t Vr) {
+    return HaveSpills && Vr >= 0 && Slots[Vr].Spilled;
+  };
 
   auto IsBr = [&](const RecOp &O) {
     return O.K == RecOp::Branch || O.K == RecOp::BranchImm || O.K == RecOp::Jmp;
@@ -497,71 +488,56 @@ void VRegLayer::replay() {
     return false; // jmp
   };
 
-  std::vector<uint8_t> Fill(N, FillNone);  // per branch op
-  std::vector<uint8_t> Consumed(N, 0);     // op folded into a neighbor
-  std::vector<uint8_t> RetImm(N, 0);       // ret emitted as retImm
-  std::vector<int32_t> FillSrc(N, -1);     // FillTarget: op index to copy
-  std::unordered_map<int32_t, Label> SkipLabelOf; // label id -> skip label
-  std::unordered_multimap<uint32_t, Label> BindAfter; // op idx -> skip label
+  std::vector<OpPlan> Plan(N);
 
   // Fold "setInt D, K; ret D" into one return-immediate: the constant's
   // only consumer is the adjacent ret (a ret never falls through and no
   // label separates the pair, so no other path can observe this def).
   // On delay-slot machines the constant rides the return's slot; on the
   // others the result move disappears. Either way, one instruction saved.
-  for (uint32_t I = 0; I + 1 < N; ++I) {
+  //
+  // On delay-slot machines, fill from the predecessor in the same walk:
+  // the previous recorded op moves into the slot; it executes on every
+  // path through the branch (no label can sit between — it would be a
+  // distinct recorded op).
+  for (uint32_t I : Exits) {
+    if (I == 0)
+      continue;
     const RecOp &O = Rec[I];
-    const RecOp &R = Rec[I + 1];
-    if (O.K == RecOp::SetInt && !isFpType(O.Ty) && R.K == RecOp::Ret &&
-        !isFpType(R.Ty) && R.S1 == O.D) {
-      Consumed[I] = 1;
-      RetImm[I + 1] = 1;
+    const RecOp &Prev = Rec[I - 1];
+    if (Prev.K == RecOp::SetInt && !isFpType(Prev.Ty) && O.K == RecOp::Ret &&
+        !isFpType(O.Ty) && O.S1 == Prev.D) {
+      Plan[I - 1].Consumed = true;
+      Plan[I].RetImm = true;
+      continue;
     }
+    if (!TI.HasBranchDelaySlot || !IsBr(O) || BranchSpilled(O) ||
+        !SlotEligible(Prev) || BranchReads(O, physOf(Prev.D)))
+      continue;
+    Plan[I - 1].Consumed = true;
+    Plan[I].Fill = FillPred;
   }
 
+  // For unconditional jumps with an empty slot, copy the target's first
+  // instruction into the slot and retarget the jump to a skip label bound
+  // just past the copied instruction. Illegal for conditional branches
+  // (the slot executes on the fall-through path too).
   if (TI.HasBranchDelaySlot) {
-    std::unordered_map<int32_t, uint32_t> LabelPos;
-    for (uint32_t P = 0; P < N; ++P)
-      if (Rec[P].K == RecOp::Lbl)
-        LabelPos[Rec[P].L.Id] = P;
-
-    // Pass 1: fill from the predecessor. The previous recorded op moves
-    // into the slot; it executes on every path through the branch (no
-    // label can sit between — it would be a distinct recorded op).
-    for (uint32_t I = 1; I < N; ++I) {
-      const RecOp &O = Rec[I];
-      if (!IsBr(O) || BranchSpilled(O) || Consumed[I - 1])
+    for (uint32_t I : Exits) {
+      if (Rec[I].K != RecOp::Jmp || Plan[I].Fill != FillNone)
         continue;
-      const RecOp &Prev = Rec[I - 1];
-      if (!SlotEligible(Prev) || BranchReads(O, physOf(Prev.D)))
+      const int32_t At = labelAt(Rec[I].L);
+      if (At < 0)
         continue;
-      Consumed[I - 1] = 1;
-      Fill[I] = FillPred;
-    }
-
-    // Pass 2: for unconditional jumps with an empty slot, copy the
-    // target's first instruction into the slot and retarget the jump to
-    // a skip label bound just past the copied instruction. Illegal for
-    // conditional branches (the slot executes on the fall-through path
-    // too).
-    for (uint32_t I = 0; I < N; ++I) {
-      if (Rec[I].K != RecOp::Jmp || Fill[I] != FillNone)
-        continue;
-      auto It = LabelPos.find(Rec[I].L.Id);
-      if (It == LabelPos.end())
-        continue;
-      uint32_t F = It->second;
+      uint32_t F = uint32_t(At);
       while (F < N && Rec[F].K == RecOp::Lbl)
         ++F;
-      if (F >= N || F == I || Consumed[F] || !SlotEligible(Rec[F]))
+      if (F >= N || F == I || Plan[F].Consumed || !SlotEligible(Rec[F]))
         continue;
-      Fill[I] = FillTarget;
-      FillSrc[I] = int32_t(F);
-      auto Ins = SkipLabelOf.try_emplace(Rec[I].L.Id, Label{});
-      if (Ins.second) {
-        Ins.first->second = V.genLabel();
-        BindAfter.emplace(F, Ins.first->second);
-      }
+      Plan[I].Fill = FillTarget;
+      Plan[I].FillSrc = int32_t(F);
+      if (!Plan[F].SkipAfter.isValid())
+        Plan[F].SkipAfter = V.genLabel();
     }
   }
 
@@ -614,13 +590,14 @@ void VRegLayer::replay() {
   try {
   for (uint32_t I = 0; I < N; ++I) {
     const RecOp &O = Rec[I];
-    if (Consumed[I]) {
+    const OpPlan &Pl = Plan[I];
+    if (Pl.Consumed) {
       // Folded into the following branch's delay slot or return.
-    } else if (RetImm[I]) {
+    } else if (Pl.RetImm) {
       PH.flush();
       V.retImm(O.Ty, Rec[I - 1].Imm);
       ++RetFolds;
-    } else if (Fill[I] == FillPred) {
+    } else if (Pl.Fill == FillPred) {
       PH.flush();
       const RecOp &SlotOp = Rec[I - 1];
       V.scheduleDelay(
@@ -634,11 +611,11 @@ void VRegLayer::replay() {
           },
           [&] { EmitRaw(SlotOp); });
       ++DelayFills;
-    } else if (Fill[I] == FillTarget) {
+    } else if (Pl.Fill == FillTarget) {
       PH.flush();
-      Label Skip = SkipLabelOf.at(O.L.Id);
+      Label Skip = Plan[Pl.FillSrc].SkipAfter;
       V.scheduleDelay([&] { V.jmp(Skip); },
-                      [&] { EmitRaw(Rec[FillSrc[I]]); });
+                      [&] { EmitRaw(Rec[Pl.FillSrc]); });
       ++DelayFills;
     } else {
       switch (O.K) {
@@ -756,12 +733,10 @@ void VRegLayer::replay() {
         break;
       }
     }
-    // Bind any fill-from-target skip labels that land right after this op.
-    auto Range = BindAfter.equal_range(I);
-    if (Range.first != Range.second) {
+    // Bind the fill-from-target skip label that lands right after this op.
+    if (Pl.SkipAfter.isValid()) {
       PH.flush();
-      for (auto It = Range.first; It != Range.second; ++It)
-        V.label(It->second);
+      V.label(Pl.SkipAfter);
     }
   }
   PH.flush();

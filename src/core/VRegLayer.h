@@ -19,19 +19,26 @@
 /// destination — the paper's naive cost model, measured by bench_ablation.
 ///
 /// Tier-1: the same mirrored surface *records* a compact buffered IR
-/// (per-op vreg defs/uses) instead of emitting. finish() then runs
-/// linear-scan register allocation over the recording (core/LinearScan.h)
-/// and replays it through the real emitters with the Peephole and
-/// StrengthReduce layers applied unconditionally and branch delay slots
-/// filled on machines that have them (MIPS/SPARC). Values live in real
-/// registers; stack homes are allocated only for vregs the allocator
-/// spills under pressure.
+/// (per-op vreg defs/uses) instead of emitting. While it records, the
+/// layer also keeps what allocation and replay need, so neither rescans
+/// the recording: each vreg's live interval (opened at its first
+/// reference, extended at every later one, so intervals come out ordered
+/// by start), the op index of every bound label (a flat table by label
+/// id), every branch or jump to an already-bound label (a back edge), and
+/// the op index of every branch, jump and return (where the replay looks
+/// for delay-slot fills and return folds). finish() then runs linear-scan register allocation over those
+/// intervals (core/LinearScan.h) and replays the recording through the
+/// real emitters with the Peephole and StrengthReduce layers applied
+/// unconditionally and branch delay slots filled on machines that have
+/// them (MIPS/SPARC). Values live in real registers; stack homes are
+/// allocated only for vregs the allocator spills under pressure.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef VCODE_CORE_VREGLAYER_H
 #define VCODE_CORE_VREGLAYER_H
 
+#include "core/LinearScan.h"
 #include "core/Tier.h"
 #include "core/VCode.h"
 #include <vector>
@@ -105,6 +112,7 @@ private:
     Reg Pre;             ///< Tier-1 pre-color (argument registers)
     Reg Phys;            ///< Tier-1 assignment (invalid when spilled)
     bool Spilled = false;
+    int32_t Iv = -1;     ///< Tier-1 live interval (index into Ivs)
   };
 
   /// One recorded operation of the Tier-1 buffered IR.
@@ -139,14 +147,21 @@ private:
   void writeBack(VReg R, Reg Phys);   ///< store staging reg to its home
 
   // --- Tier-1 path ----------------------------------------------------------
-  RecOp &rec(RecOp::Kind K);
+  /// Appends an op with its vreg operands (-1 when absent) and notes
+  /// their references in the order S1, S2, D.
+  RecOp &rec(RecOp::Kind K, int32_t D = -1, int32_t S1 = -1, int32_t S2 = -1);
+  /// rec() for a branch or jump to \p L; notes a back edge when \p L is
+  /// already bound.
+  RecOp &recBranch(RecOp::Kind K, Label L, int32_t S1 = -1, int32_t S2 = -1);
+  void ref(int32_t Vr, uint32_t Pos); ///< notes a reference at op \p Pos
+  void openInterval(int32_t Vr, uint32_t Pos);
+  int32_t labelAt(Label L) const; ///< op index of L's binding, or -1
   void checkVReg(VReg R) const;
   void claimPools();
   void releaseClaimed();
   void allocate();
   void replay();
   Reg physOf(int32_t V) const;
-  bool isSpilled(int32_t V) const;
   Reg scratchFor(Type Ty, unsigned Which) const;
 
   VCode &V;
@@ -156,6 +171,10 @@ private:
   Reg FpStage[3];
 
   std::vector<RecOp> Rec;
+  std::vector<LsInterval> Ivs;  ///< by start (first reference)
+  std::vector<int32_t> LabelAt; ///< label id -> op index of Lbl, or -1
+  std::vector<LsEdge> BackEdges;
+  std::vector<uint32_t> Exits;  ///< op indices of branches, jumps and rets
   std::vector<Reg> IntPool, FpPool;
   Reg IntScratch[2], FpScratch[2];
   std::vector<Reg> Claimed; ///< everything to putreg (pool + scratch)

@@ -176,7 +176,8 @@ TEST_P(ErrorTest, RecoveredBufferOverflow) {
 TEST_P(ErrorTest, OverflowAdviceFollowsWhoSizedTheRegion) {
   // A region handed straight to v_lambda is fixed, so the client is told
   // to pass a larger one. A growable region comes from generateWithRetry,
-  // which grows and retries on its own.
+  // which grows and retries on its own up to its cap; past the cap it
+  // gives up, so the advice names the cap instead.
   VCode V(*B.Tgt);
   auto Emit = [&](CodeMem CM) {
     V.lambda("%v", nullptr, LeafHint, CM);
@@ -200,8 +201,11 @@ TEST_P(ErrorTest, OverflowAdviceFollowsWhoSizedTheRegion) {
   GenerateResult R = generateWithRetry(
       V, [&](size_t N) { return code(N); }, Emit, Opts);
   ASSERT_FALSE(R.ok());
-  EXPECT_NE(std::strstr(R.Err.Detail, "generateWithRetry grows and retries"),
+  EXPECT_NE(std::strstr(R.Err.Detail, "exceed the region's growth cap of 128 "
+                                      "(GenerateOptions::MaxBytes)"),
             nullptr)
+      << R.Err.Detail;
+  EXPECT_EQ(std::strstr(R.Err.Detail, "grows and retries"), nullptr)
       << R.Err.Detail;
 }
 
