@@ -94,9 +94,7 @@ void AlphaTarget::beginFunction(VCode &VC) {
   // into the tail of this region and the entry point skips the rest.
   uint32_t ReservedWords = uint32_t(2 + 32 + 32 + VC.prologueArgCopies().size());
   VC.setReservedPrologueWords(ReservedWords);
-  VC.buf().ensureWords(ReservedWords);
-  for (uint32_t I = 0; I < ReservedWords; ++I)
-    VC.buf().put(nop());
+  VC.buf().fill(nop(), ReservedWords);
 }
 
 CodePtr AlphaTarget::endFunction(VCode &VC) {
@@ -112,7 +110,7 @@ CodePtr AlphaTarget::endFunction(VCode &VC) {
   uint32_t FpMask = VC.regAlloc().usedCalleeSavedMask(Reg::Fp);
   unsigned Link = gpr(VC.cc().LinkReg);
 
-  std::vector<uint32_t> Pro;
+  PrologueWords Pro;
   if (F) {
     Pro.push_back(lda(SP, SP, -int32_t(F)));
     if (!VC.isLeaf())

@@ -58,9 +58,10 @@ struct CallConv {
 
 /// The placement rule, one argument at a time and without allocation.
 /// Every consumer of a convention walks its arguments through this: the
-/// front end (computeArgLocs), the simulators', the binary translator's
-/// and NativeCpu's call marshalling. \p WordBytes is the target word size (stack slots
-/// are word-granular; doubles take 8 bytes always).
+/// front end (VCode's lambda and callBegin, straight into the function's
+/// recycled location tables), the simulators', the binary translator's
+/// and NativeCpu's call marshalling. \p WordBytes is the target word size
+/// (stack slots are word-granular; doubles take 8 bytes always).
 class ArgWalker {
 public:
   ArgWalker(const CallConv &Conv, unsigned WordBytes)
@@ -93,19 +94,6 @@ private:
   size_t NextInt = 0, NextFp = 0;
   uint32_t StackOff = 0;
 };
-
-/// Computes the location of every argument of a call with argument types
-/// \p ArgTypes under convention \p CC.
-inline std::vector<ArgLoc> computeArgLocs(const CallConv &CC,
-                                          const std::vector<Type> &ArgTypes,
-                                          unsigned WordBytes) {
-  std::vector<ArgLoc> Locs;
-  Locs.reserve(ArgTypes.size());
-  ArgWalker Walk(CC, WordBytes);
-  for (Type T : ArgTypes)
-    Locs.push_back(Walk.next(T));
-  return Locs;
-}
 
 /// Returns the number of outgoing-argument-area bytes a call with locations
 /// \p Locs needs under convention \p CC.

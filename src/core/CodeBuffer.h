@@ -208,6 +208,19 @@ public:
       overflow(N);
   }
 
+  /// Emits \p N copies of unit \p W behind one capacity check (the
+  /// prologue reservation's nops).
+  void fill(uint32_t W, size_t N) {
+    ensureWords(N);
+    if (Unit == 1) {
+      std::memset(Ip, int(uint8_t(W)), N);
+      Ip += N;
+      return;
+    }
+    for (size_t I = 0; I < N; ++I, Ip += Unit)
+      storeUnit(Ip, W);
+  }
+
   /// Current cursor as a function-relative unit index.
   uint32_t wordIndex() const { return uint32_t(Ip - Base) / Unit; }
 

@@ -26,12 +26,13 @@ void RegAlloc::init(const TargetInfo &TI) {
     Int[I] = Fp[I] = Entry();
   UsedCalleeInt = UsedCalleeFp = 0;
 
-  IntOrder.clear();
-  FpOrder.clear();
+  IntOrder.N = FpOrder.N = 0;
   auto Add = [this](const std::vector<Reg> &Regs, RegKind K) {
     for (Reg R : Regs) {
       entry(R) = Entry{K, /*Free=*/true};
-      (R.isInt() ? IntOrder : FpOrder).push_back(R);
+      Order &O = R.isInt() ? IntOrder : FpOrder;
+      assert(O.N < MaxRegs && "register listed twice");
+      O.Regs[O.N++] = R;
     }
   };
   // Default priority: caller-saved scratch first (cheap), then the
@@ -43,8 +44,12 @@ void RegAlloc::init(const TargetInfo &TI) {
 }
 
 void RegAlloc::setPriorityOrder(Reg::KindType Kind,
-                                const std::vector<Reg> &Order) {
-  std::vector<Reg> &Dst = Kind == Reg::Int ? IntOrder : FpOrder;
+                                const std::vector<Reg> &NewOrder) {
+  if (NewOrder.size() > MaxRegs)
+    fatalKind(CgErrKind::BadOperand,
+              "priority ordering of %zu registers exceeds the %u a kind has",
+              NewOrder.size(), MaxRegs);
+  Order &Dst = order(Kind);
   // Reordering must not change which registers are currently allocated:
   // a register handed out before the reorder stays allocated, and one
   // free before it stays free. Snapshot liveness before rewriting.
@@ -55,7 +60,9 @@ void RegAlloc::setPriorityOrder(Reg::KindType Kind,
   // is retained so hard-coded uses still save correctly.
   for (Reg R : Dst)
     entry(R).Free = false;
-  Dst = Order;
+  Dst.N = 0;
+  for (Reg R : NewOrder)
+    Dst.Regs[Dst.N++] = R;
   for (Reg R : Dst)
     entry(R).Free = !Live[R.Num];
 }
@@ -77,8 +84,7 @@ void RegAlloc::allCalleeSaved() {
 }
 
 Reg RegAlloc::scan(Reg::KindType Kind, RegKind Want) {
-  const std::vector<Reg> &Order = Kind == Reg::Int ? IntOrder : FpOrder;
-  for (Reg R : Order) {
+  for (Reg R : order(Kind)) {
     Entry &E = entry(R);
     if (E.Free && E.Kind == Want) {
       E.Free = false;

@@ -29,14 +29,18 @@ namespace vcode {
 /// Per-function register allocation state.
 class RegAlloc {
 public:
+  /// Register numbers per kind (and so the longest priority ordering).
+  static constexpr unsigned MaxRegs = 64;
+
   /// Resets all state from the target description: classes, priority
   /// orderings, and availability.
   void init(const TargetInfo &TI);
 
   /// Replaces the allocation priority ordering for one register kind
   /// (paper: "the client declares an allocation priority ordering for all
-  /// register candidates"). Registers not listed become unavailable.
-  void setPriorityOrder(Reg::KindType Kind, const std::vector<Reg> &Order);
+  /// register candidates"). Registers not listed become unavailable; an
+  /// ordering longer than MaxRegs is an error.
+  void setPriorityOrder(Reg::KindType Kind, const std::vector<Reg> &NewOrder);
 
   /// Dynamically reclassifies one physical register (paper §5.3).
   void setKind(Reg R, RegKind K);
@@ -83,11 +87,19 @@ private:
   const Entry &entry(Reg R) const;
   Reg scan(Reg::KindType Kind, RegKind Want);
 
-  static constexpr unsigned MaxRegs = 64;
+  /// One kind's priority ordering.
+  struct Order {
+    Reg Regs[MaxRegs];
+    unsigned N = 0;
+    const Reg *begin() const { return Regs; }
+    const Reg *end() const { return Regs + N; }
+  };
+  Order &order(Reg::KindType K) { return K == Reg::Int ? IntOrder : FpOrder; }
+
   Entry Int[MaxRegs];
   Entry Fp[MaxRegs];
-  std::vector<Reg> IntOrder;
-  std::vector<Reg> FpOrder;
+  Order IntOrder;
+  Order FpOrder;
   uint32_t UsedCalleeInt = 0;
   uint32_t UsedCalleeFp = 0;
 };

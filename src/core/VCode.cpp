@@ -5,15 +5,97 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/VCode.h"
+#include "core/VRegLayer.h"
 #include "profile/CodeMap.h"
 #include "support/BitUtils.h"
 #include "support/Telemetry.h"
+#include <algorithm>
 #include <cassert>
 
 using namespace vcode;
 
-VCode::VCode(Target &Tgt) : T(Tgt), TI(Tgt.info()) {
-  CurCC = TI.DefaultCC;
+// --- Per-thread table sets ------------------------------------------------
+
+namespace {
+
+/// Sets a thread keeps: a VCode and its VRegLayer, twice over (two
+/// functions open at once).
+constexpr unsigned MaxKeptSets = 4;
+/// A returned set that reserved more than this is freed, not kept.
+constexpr size_t MaxKeptBytes = size_t(1) << 20;
+
+template <class T> size_t reserved(const std::vector<T> &V) {
+  return V.capacity() * sizeof(T);
+}
+
+struct FreeSets {
+  FnTables *Sets[MaxKeptSets] = {};
+  unsigned N = 0;
+  ~FreeSets();
+};
+
+// Set once this thread's list is destroyed (thread exit): a VCode that
+// outlives it, e.g. one with static storage, frees its set instead.
+thread_local bool FreeSetsGone = false;
+thread_local FreeSets Free;
+
+FreeSets::~FreeSets() {
+  while (N)
+    delete Sets[--N];
+  FreeSetsGone = true;
+}
+
+} // namespace
+
+FnTables::FnTables() = default;
+FnTables::~FnTables() = default;
+
+FnTablesPtr FnTables::acquire() {
+  if (!FreeSetsGone && Free.N)
+    return FnTablesPtr(Free.Sets[--Free.N]);
+  return FnTablesPtr(new FnTables);
+}
+
+void FnTablesRelease::operator()(FnTables *T) const {
+  if (FreeSetsGone || Free.N == MaxKeptSets ||
+      T->capacityBytes() > MaxKeptBytes) {
+    delete T;
+    return;
+  }
+  T->clear();
+  Free.Sets[Free.N++] = T;
+}
+
+VRegTables &FnTables::vreg() {
+  if (!VReg)
+    VReg = std::make_unique<VRegTables>();
+  return *VReg;
+}
+
+void FnTables::clear() {
+  LabelPos.clear();
+  Fixups.clear();
+  ConstPool.clear();
+  ConstPoolLabels.clear();
+  ConstPoolIndex.clear();
+  ArgLocations.clear();
+  ArgCopies.clear();
+  CallLocs.clear();
+  if (VReg)
+    VReg->clear();
+}
+
+size_t FnTables::capacityBytes() const {
+  return reserved(LabelPos) + reserved(Fixups) + reserved(ConstPool) +
+         reserved(ConstPoolLabels) + reserved(ConstPoolIndex) +
+         reserved(ArgLocations) + reserved(ArgCopies) + reserved(CallLocs) +
+         (VReg ? VReg->capacityBytes() : 0);
+}
+
+// --- VCode ------------------------------------------------------------------
+
+VCode::VCode(Target &Tgt)
+    : T(Tgt), TI(Tgt.info()), Tb(FnTables::acquire()), CurCC(&TI.DefaultCC) {
   RA.init(TI);
 }
 
@@ -46,66 +128,61 @@ void VCode::RecoveryHandler::handle(const CgError &E) {
 
 void VCode::abandon() {
   InFunction = false;
-  CallLocs.clear();
+  Tb->CallLocs.clear();
   CallNextArg = 0;
   SuppressDelayNop = false;
 }
 
-std::vector<Type> VCode::parseTypeString(const char *Str) const {
-  std::vector<Type> Out;
+void VCode::parseTypeString(const char *Str, std::vector<ArgLoc> &Locs) const {
+  Locs.clear();
+  ArgWalker Walk(*CurCC, TI.WordBytes);
   for (const char *P = Str; *P;) {
     if (*P != '%')
       fatal("bad type string '%s': expected '%%<type>'", Str);
     ++P;
+    Type Ty = Type::V;
     switch (*P++) {
     case 'v':
-      break; // void: no parameters
+      continue; // void: no parameters
     case 'i':
-      Out.push_back(Type::I);
+      Ty = Type::I;
       break;
     case 'u':
       if (*P == 'l') { // "%ul": unsigned long
         ++P;
-        Out.push_back(Type::UL);
+        Ty = Type::UL;
       } else {
-        Out.push_back(Type::U);
+        Ty = Type::U;
       }
       break;
     case 'l':
-      Out.push_back(Type::L);
+      Ty = Type::L;
       break;
     case 'U':
-      Out.push_back(Type::UL);
+      Ty = Type::UL;
       break;
     case 'p':
-      Out.push_back(Type::P);
+      Ty = Type::P;
       break;
     case 'f':
-      Out.push_back(Type::F);
+      Ty = Type::F;
       break;
     case 'd':
-      Out.push_back(Type::D);
+      Ty = Type::D;
       break;
     default:
       fatal("bad type string '%s': unknown type letter '%c'", Str, P[-1]);
     }
+    Locs.push_back(Walk.next(Ty));
   }
-  return Out;
 }
 
 void VCode::resetFunctionState() {
   MadeCall = false;
   SuppressDelayNop = false;
-  LabelPos.clear();
-  Fixups.clear();
   LocalBytes = 0;
   FrameBytes = 0;
-  ArgLocations.clear();
-  ArgCopies.clear();
-  ConstPool.clear();
-  ConstPoolLabels.clear();
-  ConstPoolIndex.clear();
-  CallLocs.clear();
+  Tb->clear();
   CallNextArg = 0;
   // FnName is per-function; PubTier deliberately persists (the retry
   // driver stamps it once, before Emit() runs lambda()).
@@ -131,10 +208,9 @@ void VCode::lambda(const char *ArgTypeStr, Reg *ArgRegs, bool IsLeaf,
   RA.init(TI);
   EpiLabel = genLabel();
 
-  std::vector<Type> ArgTypes = parseTypeString(ArgTypeStr);
-  ArgLocations = computeArgLocs(CurCC, ArgTypes, TI.WordBytes);
-  for (size_t I = 0; I < ArgLocations.size(); ++I) {
-    const ArgLoc &L = ArgLocations[I];
+  parseTypeString(ArgTypeStr, Tb->ArgLocations);
+  for (size_t I = 0; I < Tb->ArgLocations.size(); ++I) {
+    const ArgLoc &L = Tb->ArgLocations[I];
     Reg R;
     if (!L.OnStack) {
       // Keep the parameter in its incoming register (paper §3.2: "strives
@@ -148,7 +224,7 @@ void VCode::lambda(const char *ArgTypeStr, Reg *ArgRegs, bool IsLeaf,
       if (!R.isValid())
         fatalKind(CgErrKind::RegisterPressure,
                   "v_lambda: out of registers for parameter %zu", I);
-      ArgCopies.push_back(PrologueArgCopy{L.Ty, R, L.StackOff});
+      Tb->ArgCopies.push_back(PrologueArgCopy{L.Ty, R, L.StackOff});
     }
     if (ArgRegs)
       ArgRegs[I] = R;
@@ -198,23 +274,24 @@ CodePtr VCode::endImpl() {
 
   // Floating-point immediates go at the end of the instruction stream so
   // their space is reclaimed with the function (paper §5.2).
-  if (!ConstPool.empty()) {
+  const std::vector<uint64_t> &Pool = Tb->ConstPool;
+  if (!Pool.empty()) {
     while (Buf.cursorAddr() & 7)
       Buf.put(0);
-    for (size_t I = 0; I < ConstPool.size(); ++I) {
-      label(ConstPoolLabels[I]);
+    for (size_t I = 0; I < Pool.size(); ++I) {
+      label(Tb->ConstPoolLabels[I]);
       if (Buf.unitBytes() == 1) {
-        Buf.put64(ConstPool[I]);
+        Buf.put64(Pool[I]);
       } else {
-        Buf.put(uint32_t(ConstPool[I]));
-        Buf.put(uint32_t(ConstPool[I] >> 32));
+        Buf.put(uint32_t(Pool[I]));
+        Buf.put(uint32_t(Pool[I] >> 32));
       }
     }
   }
 
   // Backpatch unresolved jumps, branches, and constant references
   // (paper §3.2 step 4).
-  for (const Fixup &F : Fixups) {
+  for (const Fixup &F : Tb->Fixups) {
     if (F.Kind == FixupKind::EpilogueJump && !frameNeeded()) {
       // No epilogue: the target rewrites the site into a direct return.
       T.applyFixup(*this, F, 0);
@@ -245,7 +322,7 @@ CodePtr VCode::endImpl() {
   // Emitted words: body instructions plus constant-pool words.
   VCODE_TM_COUNT("core.instrs_emitted", Buf.wordIndex());
   VCODE_TM_COUNT("core.bytes_emitted", Entry.SizeBytes);
-  VCODE_TM_COUNT("core.fixups", Fixups.size());
+  VCODE_TM_COUNT("core.fixups", Tb->Fixups.size());
   return Entry;
 }
 
@@ -281,28 +358,31 @@ Reg VCode::sav(unsigned I, Type Ty) {
 }
 
 Label VCode::genLabel() {
-  LabelPos.push_back(-1);
-  return Label{int32_t(LabelPos.size() - 1)};
+  std::vector<int32_t> &Pos = Tb->LabelPos;
+  Pos.push_back(-1);
+  return Label{int32_t(Pos.size() - 1)};
 }
 
 void VCode::label(Label L) {
-  assert(L.isValid() && size_t(L.Id) < LabelPos.size() && "bad label");
-  if (LabelPos[L.Id] != -1)
+  std::vector<int32_t> &Pos = Tb->LabelPos;
+  assert(L.isValid() && size_t(L.Id) < Pos.size() && "bad label");
+  if (Pos[L.Id] != -1)
     fatal("label %d bound twice", L.Id);
-  LabelPos[L.Id] = Buf.wordIndex();
+  Pos[L.Id] = int32_t(Buf.wordIndex());
 }
 
 SimAddr VCode::labelAddr(Label L) const {
-  assert(L.isValid() && size_t(L.Id) < LabelPos.size() && "bad label");
-  if (LabelPos[L.Id] < 0)
+  const std::vector<int32_t> &Pos = Tb->LabelPos;
+  assert(L.isValid() && size_t(L.Id) < Pos.size() && "bad label");
+  if (Pos[L.Id] < 0)
     fatalKind(CgErrKind::UnboundLabel,
               "v_end: label %d is referenced but never bound", L.Id);
-  return Buf.addrOfWord(uint32_t(LabelPos[L.Id]));
+  return Buf.addrOfWord(uint32_t(Pos[L.Id]));
 }
 
 bool VCode::labelBound(Label L) const {
-  return L.isValid() && size_t(L.Id) < LabelPos.size() &&
-         LabelPos[L.Id] >= 0;
+  const std::vector<int32_t> &Pos = Tb->LabelPos;
+  return L.isValid() && size_t(L.Id) < Pos.size() && Pos[L.Id] >= 0;
 }
 
 Local VCode::localVar(Type Ty) {
@@ -328,23 +408,46 @@ void VCode::localAddr(Reg Rd, Local Lo) {
   binopImm(BinOp::Add, Type::P, Rd, spReg(), Lo.Off);
 }
 
+namespace {
+/// Home slot of \p Bits in an index of \p Mask + 1 slots (Fibonacci
+/// hashing: the multiply carries every input bit into the slot bits).
+size_t poolSlot(uint64_t Bits, size_t Mask) {
+  return size_t((Bits * 0x9e3779b97f4a7c15ull) >> 32) & Mask;
+}
+} // namespace
+
 Label VCode::constPoolLabel(uint64_t Bits) {
-  auto It = ConstPoolIndex.find(Bits);
-  if (It != ConstPoolIndex.end())
-    return ConstPoolLabels[It->second];
-  ConstPoolIndex.emplace(Bits, unsigned(ConstPool.size()));
-  ConstPool.push_back(Bits);
-  ConstPoolLabels.push_back(genLabel());
-  return ConstPoolLabels.back();
+  std::vector<uint64_t> &Pool = Tb->ConstPool;
+  std::vector<uint32_t> &Index = Tb->ConstPoolIndex;
+  // Keep the index at most half full: start at 16 slots, double and
+  // reinsert. Entries never move, so the pool keeps first-use order.
+  if (2 * (Pool.size() + 1) > Index.size()) {
+    Index.assign(std::max<size_t>(16, 2 * Index.size()), 0);
+    const size_t Mask = Index.size() - 1;
+    for (uint32_t E = 0; E < Pool.size(); ++E) {
+      size_t S = poolSlot(Pool[E], Mask);
+      while (Index[S])
+        S = (S + 1) & Mask;
+      Index[S] = E + 1;
+    }
+  }
+  const size_t Mask = Index.size() - 1;
+  size_t S = poolSlot(Bits, Mask);
+  for (; Index[S]; S = (S + 1) & Mask)
+    if (Pool[Index[S] - 1] == Bits)
+      return Tb->ConstPoolLabels[Index[S] - 1];
+  Index[S] = uint32_t(Pool.size()) + 1;
+  Pool.push_back(Bits);
+  Tb->ConstPoolLabels.push_back(genLabel());
+  return Tb->ConstPoolLabels.back();
 }
 
 void VCode::callBegin(const char *ArgTypeStr) {
   if (LeafFlag)
     fatal("call constructed inside a procedure declared V_LEAF");
-  std::vector<Type> Types = parseTypeString(ArgTypeStr);
-  CallLocs = computeArgLocs(CurCC, Types, TI.WordBytes);
+  parseTypeString(ArgTypeStr, Tb->CallLocs);
   CallNextArg = 0;
-  uint32_t Need = outArgBytes(CurCC, CallLocs, TI.WordBytes);
+  uint32_t Need = outArgBytes(*CurCC, Tb->CallLocs, TI.WordBytes);
   if (Need > TI.OutArgReserveBytes)
     fatal("call needs %u bytes of stack arguments but the fixed reserve is "
           "%u; raise TargetInfo::OutArgReserveBytes",
@@ -353,9 +456,9 @@ void VCode::callBegin(const char *ArgTypeStr) {
 }
 
 void VCode::callArg(Reg Src) {
-  if (CallNextArg >= CallLocs.size())
+  if (CallNextArg >= Tb->CallLocs.size())
     fatal("callArg: more arguments supplied than declared in callBegin");
-  const ArgLoc &L = CallLocs[CallNextArg++];
+  const ArgLoc &L = Tb->CallLocs[CallNextArg++];
   if (L.OnStack)
     storeImm(L.Ty, Src, spReg(), L.StackOff);
   else if (Src != L.R)

@@ -14,6 +14,14 @@
 /// is generated in place: every instruction method writes machine words
 /// directly into the client-supplied code region.
 ///
+/// Beside the emitted code a function keeps only tables: label positions,
+/// unresolved jumps, the constant pool and argument locations (FnTables).
+/// A VCode borrows them from a small per-thread free list for its lifetime
+/// and returns them cleared, so a client that builds a fresh VCode per
+/// function, on a thread that has generated before, goes from construction
+/// through lambda, emission and end to destruction without touching the
+/// heap.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef VCODE_CORE_VCODE_H
@@ -30,7 +38,7 @@
 #include "support/Error.h"
 #include <cstdint>
 #include <initializer_list>
-#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,6 +62,70 @@ struct PrologueArgCopy {
   Type Ty;
   Reg Dst;
   int32_t IncomingOff; ///< byte offset above the callee frame
+};
+
+/// A fixed-width target's prologue, built at v_end before it is copied
+/// into the reservation, in place of a heap vector: frame allocation,
+/// link save, up to 32 + 32 register saves and one load per stack-passed
+/// argument (each into a register of its own, so at most every register
+/// of both kinds).
+class PrologueWords {
+public:
+  void push_back(uint32_t W) {
+    if (N == Cap)
+      fatalKind(CgErrKind::Internal, "prologue exceeds %u words", Cap);
+    Words[N++] = W;
+  }
+  size_t size() const { return N; }
+  uint32_t operator[](size_t I) const { return Words[I]; }
+
+private:
+  static constexpr unsigned Cap = 2 + 32 + 32 + 2 * RegAlloc::MaxRegs;
+  uint32_t Words[Cap];
+  unsigned N = 0;
+};
+
+struct VRegTables; // core/VRegLayer.h
+struct FnTables;
+
+/// Returns a borrowed FnTables set to its thread's free list.
+struct FnTablesRelease {
+  void operator()(FnTables *T) const;
+};
+using FnTablesPtr = std::unique_ptr<FnTables, FnTablesRelease>;
+
+/// Every growable table of one function. A VCode and a VRegLayer each
+/// borrow a set from a small per-thread free list for their lifetime and
+/// give it back cleared, so on a thread that has generated before a
+/// function's lifecycle allocates nothing: the tables keep the capacity
+/// earlier functions grew them to. A thread keeps at most a few sets, and
+/// frees a returned set whose capacity passed a fixed ceiling, so what is
+/// retained is bounded by constants.
+struct FnTables {
+  std::vector<int32_t> LabelPos; ///< word index by label id, -1 if unbound
+  std::vector<Fixup> Fixups;
+  std::vector<uint64_t> ConstPool; ///< in first-use order
+  std::vector<Label> ConstPoolLabels;
+  /// Open-addressing index over ConstPool (slot -> entry + 1, 0 if
+  /// empty), at most half full; empty until the first entry.
+  std::vector<uint32_t> ConstPoolIndex;
+  std::vector<ArgLoc> ArgLocations;
+  std::vector<PrologueArgCopy> ArgCopies;
+  std::vector<ArgLoc> CallLocs; ///< out-call in progress
+  /// The vreg layer's tables, made the first time a VRegLayer borrows
+  /// this set.
+  std::unique_ptr<VRegTables> VReg;
+
+  FnTables();
+  ~FnTables();
+  /// Borrows a set from this thread's free list (a new one if it is empty).
+  static FnTablesPtr acquire();
+  /// The vreg layer's tables.
+  VRegTables &vreg();
+  /// Empties every table, keeping its capacity.
+  void clear();
+  /// Bytes the tables have reserved.
+  size_t capacityBytes() const;
 };
 
 /// Per-function dynamic code generation state.
@@ -93,7 +165,10 @@ public:
   /// Overrides the calling convention for subsequently generated functions
   /// (paper §5.4: "clients can dynamically substitute calling conventions
   /// on a per-generated-function basis").
-  void setCallConv(const CallConv &CC) { CurCC = CC; }
+  void setCallConv(const CallConv &CC) {
+    CustomCC = CC;
+    CurCC = &CustomCC;
+  }
 
   /// Begins generation of a function. \p ArgTypeStr lists incoming
   /// parameter types, e.g. "%i%p%d" ('U' stands for unsigned long); the
@@ -147,7 +222,7 @@ public:
   /// The register in which a function of result type \p Ty returns its
   /// value under the current convention (for register targeting).
   Reg resultReg(Type Ty) const {
-    return isFpType(Ty) ? CurCC.FpRet : CurCC.IntRet;
+    return isFpType(Ty) ? CurCC->FpRet : CurCC->IntRet;
   }
 
   /// Dynamically reclassifies a register (paper §5.3).
@@ -299,15 +374,15 @@ public:
   CodeBuffer &buf() { return Buf; }
   RegAlloc &regAlloc() { return RA; }
   Reg atReg() const { return TI.At; }
-  const CallConv &cc() const { return CurCC; }
+  const CallConv &cc() const { return *CurCC; }
   bool isLeaf() const { return LeafFlag; }
   bool inFunction() const { return InFunction; }
   bool madeCall() const { return MadeCall; }
   Label epilogueLabel() const { return EpiLabel; }
   uint32_t localBytes() const { return LocalBytes; }
-  const std::vector<ArgLoc> &argLocs() const { return ArgLocations; }
+  const std::vector<ArgLoc> &argLocs() const { return Tb->ArgLocations; }
   const std::vector<PrologueArgCopy> &prologueArgCopies() const {
-    return ArgCopies;
+    return Tb->ArgCopies;
   }
   /// Frame size in bytes, valid during Target::endFunction.
   uint32_t frameBytes() const { return FrameBytes; }
@@ -321,11 +396,11 @@ public:
 
   /// Records a fixup anchored at the *next* word to be emitted.
   void addFixup(FixupKind K, Label L) {
-    Fixups.push_back(Fixup{Buf.wordIndex(), L, K});
+    Tb->Fixups.push_back(Fixup{Buf.wordIndex(), L, K});
   }
   /// Records a fixup at an explicit word index.
   void addFixupAt(uint32_t WordIdx, FixupKind K, Label L) {
-    Fixups.push_back(Fixup{WordIdx, L, K});
+    Tb->Fixups.push_back(Fixup{WordIdx, L, K});
   }
   /// Returns a label bound (at end()) to an 8-byte constant-pool entry
   /// holding \p Bits. Entries are de-duplicated.
@@ -335,9 +410,9 @@ public:
   /// VCODE keeps: "other than the memory needed to store emitted
   /// instructions, VCODE need only store pointers to labels and
   /// unresolved jumps", paper §3).
-  size_t pendingFixups() const { return Fixups.size(); }
+  size_t pendingFixups() const { return Tb->Fixups.size(); }
   /// Number of labels created so far.
-  size_t labelCount() const { return LabelPos.size(); }
+  size_t labelCount() const { return Tb->LabelPos.size(); }
 
   /// Resolved address of a bound label; fatal if unbound (used during
   /// fixup application).
@@ -357,15 +432,24 @@ private:
     VCode &V;
   };
 
-  std::vector<Type> parseTypeString(const char *Str) const;
+  /// Places the parameters of type string \p Str (e.g. "%i%p%d") under
+  /// the current convention into \p Locs, one ArgWalker step per type.
+  void parseTypeString(const char *Str, std::vector<ArgLoc> &Locs) const;
   void resetFunctionState();
   CodePtr endImpl();
 
   Target &T;
   const TargetInfo &TI;
+  /// This function's tables: labels, fixups, constant pool, argument and
+  /// out-call locations (the paper's "pointers to labels and unresolved
+  /// jumps", §3), borrowed for the VCode's lifetime.
+  FnTablesPtr Tb;
   CodeBuffer Buf;
   RegAlloc RA;
-  CallConv CurCC;
+  /// The convention in force: the target's default (shared, never
+  /// copied) until setCallConv installs a copy of the client's.
+  const CallConv *CurCC;
+  CallConv CustomCC;
 
   RecoveryHandler Recover{*this};
   ErrorHandler *PrevHandler = nullptr;
@@ -389,8 +473,6 @@ private:
   Tier PubTier = Tier::Tier0;
   uint64_t PubGuestLo = 0, PubGuestHi = 0;
 
-  std::vector<int64_t> LabelPos; // word index, -1 if unbound
-  std::vector<Fixup> Fixups;
   Label EpiLabel;
 
   uint32_t LocalBytes = 0;
@@ -402,16 +484,7 @@ private:
   // in VCODE_TELEMETRY=ON and OFF builds; only written when ON.
   uint64_t TmEmitStart = 0;
 
-  std::vector<ArgLoc> ArgLocations;
-  std::vector<PrologueArgCopy> ArgCopies;
-
-  std::vector<uint64_t> ConstPool;
-  std::vector<Label> ConstPoolLabels;
-  std::map<uint64_t, unsigned> ConstPoolIndex;
-
-  // Out-call in progress.
-  std::vector<ArgLoc> CallLocs;
-  unsigned CallNextArg = 0;
+  unsigned CallNextArg = 0; ///< next argument of the out-call in progress
 };
 
 } // namespace vcode

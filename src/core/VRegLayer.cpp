@@ -14,7 +14,30 @@
 
 using namespace vcode;
 
-VRegLayer::VRegLayer(VCode &V, Tier T) : V(V), Mode(T) {
+void VRegTables::clear() {
+  Slots.clear();
+  Rec.clear();
+  Ivs.clear();
+  LabelAt.clear();
+  BackEdges.clear();
+  Exits.clear();
+  Plan.clear();
+  IntPool.clear();
+  FpPool.clear();
+  Claimed.clear();
+}
+
+size_t VRegTables::capacityBytes() const {
+  auto Bytes = [](const auto &V) {
+    return V.capacity() * sizeof(*V.data());
+  };
+  return Bytes(Slots) + Bytes(Rec) + Bytes(Ivs) + Bytes(LabelAt) +
+         Bytes(BackEdges) + Bytes(Exits) + Bytes(Plan) + Bytes(IntPool) +
+         Bytes(FpPool) + Bytes(Claimed);
+}
+
+VRegLayer::VRegLayer(VCode &V, Tier T)
+    : V(V), Mode(T), Set(FnTables::acquire()), Tb(Set->vreg()) {
   if (Mode != Tier::Tier0)
     return;
   for (unsigned I = 0; I < 3; ++I) {
@@ -43,8 +66,8 @@ VReg VRegLayer::alloc(Type Ty) {
   S.Ty = Ty;
   if (Mode == Tier::Tier0)
     S.Home = V.localVar(Ty); // Tier-1 spill homes are allocated on demand
-  Slots.push_back(S);
-  return VReg{int32_t(Slots.size() - 1)};
+  Tb.Slots.push_back(S);
+  return VReg{int32_t(Tb.Slots.size() - 1)};
 }
 
 VReg VRegLayer::fromArg(Type Ty, Reg ArgReg) {
@@ -56,8 +79,8 @@ VReg VRegLayer::fromArg(Type Ty, Reg ArgReg) {
   Slot S;
   S.Ty = Ty;
   S.Pre = ArgReg;
-  Slots.push_back(S);
-  VReg R{int32_t(Slots.size() - 1)};
+  Tb.Slots.push_back(S);
+  VReg R{int32_t(Tb.Slots.size() - 1)};
   RecOp &O = rec(RecOp::FromPhys, R.Id);
   O.Ty = Ty;
   O.Phys = ArgReg;
@@ -72,29 +95,29 @@ Reg VRegLayer::stage(unsigned Which, Type Ty) {
 }
 
 Reg VRegLayer::readIn(VReg R, unsigned Which) {
-  assert(R.isValid() && size_t(R.Id) < Slots.size() && "bad vreg");
-  const Slot &S = Slots[R.Id];
+  assert(R.isValid() && size_t(R.Id) < Tb.Slots.size() && "bad vreg");
+  const Slot &S = Tb.Slots[R.Id];
   Reg P = stage(Which, S.Ty);
   V.loadLocal(S.Ty, P, S.Home);
   return P;
 }
 
 void VRegLayer::writeBack(VReg R, Reg Phys) {
-  const Slot &S = Slots[R.Id];
+  const Slot &S = Tb.Slots[R.Id];
   V.storeLocal(S.Ty, Phys, S.Home);
 }
 
 // --- Mirrored surface --------------------------------------------------------
 
 void VRegLayer::checkVReg(VReg R) const {
-  if (!R.isValid() || size_t(R.Id) >= Slots.size())
+  if (!R.isValid() || size_t(R.Id) >= Tb.Slots.size())
     fatal("vreg layer: invalid virtual register");
 }
 
 void VRegLayer::openInterval(int32_t Vr, uint32_t Pos) {
-  Slot &S = Slots[Vr];
-  S.Iv = int32_t(Ivs.size());
-  LsInterval &I = Ivs.emplace_back();
+  Slot &S = Tb.Slots[Vr];
+  S.Iv = int32_t(Tb.Ivs.size());
+  LsInterval &I = Tb.Ivs.emplace_back();
   I.VReg = Vr;
   I.Start = I.End = Pos;
   I.Fp = isFpType(S.Ty);
@@ -103,9 +126,9 @@ void VRegLayer::openInterval(int32_t Vr, uint32_t Pos) {
 inline void VRegLayer::ref(int32_t Vr, uint32_t Pos) {
   if (Vr < 0)
     return;
-  const Slot &S = Slots[Vr];
+  const Slot &S = Tb.Slots[Vr];
   if (S.Iv >= 0)
-    Ivs[S.Iv].End = Pos;
+    Tb.Ivs[S.Iv].End = Pos;
   else if (!S.Pre.isValid()) // pre-colored vregs are not allocated
     openInterval(Vr, Pos);
 }
@@ -117,11 +140,11 @@ VRegLayer::RecOp &VRegLayer::rec(RecOp::Kind K, int32_t D, int32_t S1,
   // Positions only grow, so intervals open in start order; within one
   // op, sources are noted before the def, and intervals that open at the
   // same op are allocated in that order.
-  const uint32_t Pos = uint32_t(Rec.size());
+  const uint32_t Pos = uint32_t(Tb.Rec.size());
   ref(S1, Pos);
   ref(S2, Pos);
   ref(D, Pos);
-  RecOp &O = Rec.emplace_back();
+  RecOp &O = Tb.Rec.emplace_back();
   O.K = K;
   O.D = D;
   O.S1 = S1;
@@ -130,17 +153,17 @@ VRegLayer::RecOp &VRegLayer::rec(RecOp::Kind K, int32_t D, int32_t S1,
 }
 
 int32_t VRegLayer::labelAt(Label L) const {
-  return size_t(L.Id) < LabelAt.size() ? LabelAt[L.Id] : -1;
+  return size_t(L.Id) < Tb.LabelAt.size() ? Tb.LabelAt[L.Id] : -1;
 }
 
 VRegLayer::RecOp &VRegLayer::recBranch(RecOp::Kind K, Label L, int32_t S1,
                                        int32_t S2) {
-  const uint32_t Pos = uint32_t(Rec.size());
+  const uint32_t Pos = uint32_t(Tb.Rec.size());
   const int32_t Target = labelAt(L);
   if (Target >= 0)
-    BackEdges.push_back(LsEdge{Pos, uint32_t(Target)});
+    Tb.BackEdges.push_back(LsEdge{Pos, uint32_t(Target)});
   RecOp &O = rec(K, -1, S1, S2);
-  Exits.push_back(Pos);
+  Tb.Exits.push_back(Pos);
   O.L = L;
   return O;
 }
@@ -152,7 +175,7 @@ void VRegLayer::fromPhys(VReg Dst, Reg Src) {
     return;
   }
   RecOp &O = rec(RecOp::FromPhys, Dst.Id);
-  O.Ty = Slots[Dst.Id].Ty;
+  O.Ty = Tb.Slots[Dst.Id].Ty;
   O.Phys = Src;
 }
 
@@ -280,7 +303,7 @@ void VRegLayer::ret(Type Ty, VReg Rs) {
     V.ret(Ty, P);
     return;
   }
-  Exits.push_back(uint32_t(Rec.size()));
+  Tb.Exits.push_back(uint32_t(Tb.Rec.size()));
   RecOp &O = rec(RecOp::Ret, -1, Rs.Id);
   O.Ty = Ty;
 }
@@ -292,11 +315,12 @@ void VRegLayer::label(Label L) {
   }
   if (!L.isValid())
     fatal("vreg layer: binding an invalid label");
-  const int32_t Pos = int32_t(Rec.size());
+  const int32_t Pos = int32_t(Tb.Rec.size());
   rec(RecOp::Lbl).L = L;
-  if (size_t(L.Id) >= LabelAt.size())
-    LabelAt.resize(std::max(size_t(L.Id) + 1, 2 * LabelAt.size()), -1);
-  LabelAt[L.Id] = Pos;
+  if (size_t(L.Id) >= Tb.LabelAt.size())
+    Tb.LabelAt.resize(std::max(size_t(L.Id) + 1, 2 * Tb.LabelAt.size()),
+                      -1);
+  Tb.LabelAt[L.Id] = Pos;
 }
 
 void VRegLayer::jmp(Label L) {
@@ -331,26 +355,26 @@ void VRegLayer::claimPools() {
       if (RA.kindOf(R) == RegKind::CallerSaved && RA.isFree(R) &&
           RA.take(R)) {
         Pool.push_back(R);
-        Claimed.push_back(R);
+        Tb.Claimed.push_back(R);
       }
   };
   const TargetInfo &TI = V.info();
-  Claim(IntPool, TI.IntTemps);
+  Claim(Tb.IntPool, TI.IntTemps);
   bool AnyFp = false;
-  for (const Slot &S : Slots)
+  for (const Slot &S : Tb.Slots)
     AnyFp |= isFpType(S.Ty);
   if (AnyFp)
-    Claim(FpPool, TI.FpTemps);
+    Claim(Tb.FpPool, TI.FpTemps);
 }
 
 void VRegLayer::releaseClaimed() {
-  for (Reg R : Claimed)
+  for (Reg R : Tb.Claimed)
     V.putreg(R);
-  Claimed.clear();
+  Tb.Claimed.clear();
 }
 
 Reg VRegLayer::physOf(int32_t Vr) const {
-  return Vr >= 0 ? Slots[Vr].Phys : Reg{};
+  return Vr >= 0 ? Tb.Slots[Vr].Phys : Reg{};
 }
 
 Reg VRegLayer::scratchFor(Type Ty, unsigned Which) const {
@@ -361,7 +385,7 @@ Reg VRegLayer::scratchFor(Type Ty, unsigned Which) const {
 }
 
 void VRegLayer::allocate() {
-  Spills = linearScan(Ivs, BackEdges, IntPool, FpPool);
+  Spills = linearScan(Tb.Ivs, Tb.BackEdges, Tb.IntPool, Tb.FpPool);
   if (Spills > 0) {
     // Pressure: rerun with scratch registers held back so the replay can
     // stage spilled operands. Two per class covers the worst op (both
@@ -375,49 +399,33 @@ void VRegLayer::allocate() {
         Pool.pop_back();
       }
     };
-    Reserve(IntPool, IntScratch, "integer");
-    if (!FpPool.empty())
-      Reserve(FpPool, FpScratch, "floating-point");
-    Spills = linearScan(Ivs, BackEdges, IntPool, FpPool);
+    Reserve(Tb.IntPool, IntScratch, "integer");
+    if (!Tb.FpPool.empty())
+      Reserve(Tb.FpPool, FpScratch, "floating-point");
+    Spills = linearScan(Tb.Ivs, Tb.BackEdges, Tb.IntPool, Tb.FpPool);
   }
 
   // Spill homes in vreg order (frame offsets follow allocation order).
-  for (Slot &S : Slots) {
+  for (Slot &S : Tb.Slots) {
     if (S.Pre.isValid()) {
       S.Phys = S.Pre;
     } else if (S.Iv >= 0) {
-      S.Phys = Ivs[S.Iv].Phys;
-      S.Spilled = Ivs[S.Iv].Spilled;
+      S.Phys = Tb.Ivs[S.Iv].Phys;
+      S.Spilled = Tb.Ivs[S.Iv].Spilled;
       if (S.Spilled)
         S.Home = V.localVar(S.Ty);
     }
   }
 }
 
-namespace {
-
-enum FillKind : uint8_t { FillNone = 0, FillPred, FillTarget };
-
-/// What the replay does at one recorded op besides emitting it.
-struct OpPlan {
-  FillKind Fill = FillNone; ///< branch: how its delay slot is filled
-  bool Consumed = false;    ///< folded into a neighbor's slot or return
-  bool RetImm = false;      ///< ret emitted as retImm of the previous op
-  int32_t FillSrc = -1;     ///< FillTarget: the op copied into the slot
-  Label SkipAfter;          ///< bound right after this op: the retarget of
-                            ///< jumps whose slot holds a copy of it
-};
-
-} // namespace
-
 void VRegLayer::replay() {
   const TargetInfo &TI = V.info();
-  const size_t N = Rec.size();
+  const size_t N = Tb.Rec.size();
 
   // Most recordings spill nothing: test the count once, not per operand.
   const bool HaveSpills = Spills > 0;
   auto isSpilled = [&](int32_t Vr) {
-    return HaveSpills && Vr >= 0 && Slots[Vr].Spilled;
+    return HaveSpills && Vr >= 0 && Tb.Slots[Vr].Spilled;
   };
 
   auto IsBr = [&](const RecOp &O) {
@@ -488,7 +496,9 @@ void VRegLayer::replay() {
     return false; // jmp
   };
 
-  std::vector<OpPlan> Plan(N);
+  using enum VRegTables::FillKind;
+  std::vector<OpPlan> &Plan = Tb.Plan;
+  Plan.assign(N, OpPlan{});
 
   // Fold "setInt D, K; ret D" into one return-immediate: the constant's
   // only consumer is the adjacent ret (a ret never falls through and no
@@ -500,11 +510,11 @@ void VRegLayer::replay() {
   // the previous recorded op moves into the slot; it executes on every
   // path through the branch (no label can sit between — it would be a
   // distinct recorded op).
-  for (uint32_t I : Exits) {
+  for (uint32_t I : Tb.Exits) {
     if (I == 0)
       continue;
-    const RecOp &O = Rec[I];
-    const RecOp &Prev = Rec[I - 1];
+    const RecOp &O = Tb.Rec[I];
+    const RecOp &Prev = Tb.Rec[I - 1];
     if (Prev.K == RecOp::SetInt && !isFpType(Prev.Ty) && O.K == RecOp::Ret &&
         !isFpType(O.Ty) && O.S1 == Prev.D) {
       Plan[I - 1].Consumed = true;
@@ -523,16 +533,16 @@ void VRegLayer::replay() {
   // just past the copied instruction. Illegal for conditional branches
   // (the slot executes on the fall-through path too).
   if (TI.HasBranchDelaySlot) {
-    for (uint32_t I : Exits) {
-      if (Rec[I].K != RecOp::Jmp || Plan[I].Fill != FillNone)
+    for (uint32_t I : Tb.Exits) {
+      if (Tb.Rec[I].K != RecOp::Jmp || Plan[I].Fill != FillNone)
         continue;
-      const int32_t At = labelAt(Rec[I].L);
+      const int32_t At = labelAt(Tb.Rec[I].L);
       if (At < 0)
         continue;
       uint32_t F = uint32_t(At);
-      while (F < N && Rec[F].K == RecOp::Lbl)
+      while (F < N && Tb.Rec[F].K == RecOp::Lbl)
         ++F;
-      if (F >= N || F == I || Plan[F].Consumed || !SlotEligible(Rec[F]))
+      if (F >= N || F == I || Plan[F].Consumed || !SlotEligible(Tb.Rec[F]))
         continue;
       Plan[I].Fill = FillTarget;
       Plan[I].FillSrc = int32_t(F);
@@ -569,16 +579,16 @@ void VRegLayer::replay() {
   auto Use = [&](int32_t Vr, unsigned Which) {
     if (!isSpilled(Vr))
       return physOf(Vr);
-    Reg Sc = scratchFor(Slots[Vr].Ty, Which);
-    V.loadLocal(Slots[Vr].Ty, Sc, Slots[Vr].Home);
+    Reg Sc = scratchFor(Tb.Slots[Vr].Ty, Which);
+    V.loadLocal(Tb.Slots[Vr].Ty, Sc, Tb.Slots[Vr].Home);
     return Sc;
   };
   auto DefReg = [&](int32_t Vr) {
-    return isSpilled(Vr) ? scratchFor(Slots[Vr].Ty, 0) : physOf(Vr);
+    return isSpilled(Vr) ? scratchFor(Tb.Slots[Vr].Ty, 0) : physOf(Vr);
   };
   auto DefStore = [&](int32_t Vr, Reg R) {
     if (isSpilled(Vr))
-      V.storeLocal(Slots[Vr].Ty, R, Slots[Vr].Home);
+      V.storeLocal(Tb.Slots[Vr].Ty, R, Tb.Slots[Vr].Home);
   };
   auto AnySpilled = [&](const RecOp &O) {
     return isSpilled(O.D) || isSpilled(O.S1) || isSpilled(O.S2);
@@ -589,17 +599,17 @@ void VRegLayer::replay() {
   // poisoned function and raise again mid-unwind.
   try {
   for (uint32_t I = 0; I < N; ++I) {
-    const RecOp &O = Rec[I];
+    const RecOp &O = Tb.Rec[I];
     const OpPlan &Pl = Plan[I];
     if (Pl.Consumed) {
       // Folded into the following branch's delay slot or return.
     } else if (Pl.RetImm) {
       PH.flush();
-      V.retImm(O.Ty, Rec[I - 1].Imm);
+      V.retImm(O.Ty, Tb.Rec[I - 1].Imm);
       ++RetFolds;
     } else if (Pl.Fill == FillPred) {
       PH.flush();
-      const RecOp &SlotOp = Rec[I - 1];
+      const RecOp &SlotOp = Tb.Rec[I - 1];
       V.scheduleDelay(
           [&] {
             if (O.K == RecOp::Branch)
@@ -615,7 +625,7 @@ void VRegLayer::replay() {
       PH.flush();
       Label Skip = Plan[Pl.FillSrc].SkipAfter;
       V.scheduleDelay([&] { V.jmp(Skip); },
-                      [&] { EmitRaw(Rec[Pl.FillSrc]); });
+                      [&] { EmitRaw(Tb.Rec[Pl.FillSrc]); });
       ++DelayFills;
     } else {
       switch (O.K) {
@@ -722,11 +732,11 @@ void VRegLayer::replay() {
         V.jmpr(Use(O.S1, 0));
         break;
       case RecOp::FromPhys:
-        if (Slots[O.D].Pre.isValid()) {
+        if (Tb.Slots[O.D].Pre.isValid()) {
           // Pre-colored: the vreg *is* the argument register.
         } else if (isSpilled(O.D)) {
           PH.flush();
-          V.storeLocal(O.Ty, O.Phys, Slots[O.D].Home);
+          V.storeLocal(O.Ty, O.Phys, Tb.Slots[O.D].Home);
         } else if (physOf(O.D) != O.Phys) {
           PH.unop(UnOp::Mov, O.Ty, physOf(O.D), O.Phys);
         }
@@ -752,7 +762,7 @@ void VRegLayer::finish() {
     return;
   Finished = true;
   VCODE_TM_COUNT("core.tier1.recordings", 1);
-  VCODE_TM_COUNT("core.tier1.recorded_ops", Rec.size());
+  VCODE_TM_COUNT("core.tier1.recorded_ops", Tb.Rec.size());
   claimPools();
   try {
     allocate();

@@ -26,12 +26,18 @@
 /// by start), the op index of every bound label (a flat table by label
 /// id), every branch or jump to an already-bound label (a back edge), and
 /// the op index of every branch, jump and return (where the replay looks
-/// for delay-slot fills and return folds). finish() then runs linear-scan register allocation over those
-/// intervals (core/LinearScan.h) and replays the recording through the
-/// real emitters with the Peephole and StrengthReduce layers applied
-/// unconditionally and branch delay slots filled on machines that have
-/// them (MIPS/SPARC). Values live in real registers; stack homes are
-/// allocated only for vregs the allocator spills under pressure.
+/// for delay-slot fills and return folds). finish() then runs linear-scan
+/// register allocation over those intervals (core/LinearScan.h) and
+/// replays the recording through the real emitters with the Peephole and
+/// StrengthReduce layers applied unconditionally and branch delay slots
+/// filled on machines that have them (MIPS/SPARC). Values live in real
+/// registers; stack homes are allocated only for vregs the allocator
+/// spills under pressure.
+///
+/// At either tier the layer's tables (VRegTables) come from a table set
+/// borrowed from the same per-thread free list as its VCode's (FnTables,
+/// core/VCode.h), so recording allocates only while a thread's tables
+/// still grow.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,6 +55,73 @@ namespace vcode {
 struct VReg {
   int32_t Id = -1;
   constexpr bool isValid() const { return Id >= 0; }
+};
+
+/// The vreg layer's growable tables: one set per borrowed FnTables
+/// (core/VCode.h), so a layer, like its VCode, reuses what earlier
+/// functions on its thread grew.
+struct VRegTables {
+  struct Slot {
+    Local Home;          ///< Tier-0: staging home. Tier-1: spill home.
+    Type Ty = Type::I;
+    Reg Pre;             ///< Tier-1 pre-color (argument registers)
+    Reg Phys;            ///< Tier-1 assignment (invalid when spilled)
+    bool Spilled = false;
+    int32_t Iv = -1;     ///< Tier-1 live interval (index into Ivs)
+  };
+
+  /// One recorded operation of the Tier-1 buffered IR.
+  struct RecOp {
+    enum Kind : uint8_t {
+      Binop,
+      BinopImm,
+      Unop,
+      SetInt,
+      Load,
+      Store,
+      Branch,
+      BranchImm,
+      Ret,
+      Lbl,
+      Jmp,
+      JmpReg,
+      FromPhys,
+    };
+    Kind K = Binop;
+    uint8_t Op = 0; ///< BinOp / UnOp / Cond, per kind
+    Type Ty = Type::I;
+    int32_t D = -1, S1 = -1, S2 = -1; ///< vreg refs
+    int64_t Imm = 0;                  ///< immediate / offset / set value
+    Label L;                          ///< branch target / bound label
+    Reg Phys;                         ///< FromPhys source
+  };
+
+  enum FillKind : uint8_t { FillNone = 0, FillPred, FillTarget };
+
+  /// What the replay does at one recorded op besides emitting it.
+  struct OpPlan {
+    FillKind Fill = FillNone; ///< branch: how its delay slot is filled
+    bool Consumed = false;    ///< folded into a neighbor's slot or return
+    bool RetImm = false;      ///< ret emitted as retImm of the previous op
+    int32_t FillSrc = -1;     ///< FillTarget: the op copied into the slot
+    Label SkipAfter;          ///< bound right after this op: the retarget
+                              ///< of jumps whose slot holds a copy of it
+  };
+
+  std::vector<Slot> Slots;
+  std::vector<RecOp> Rec;
+  std::vector<LsInterval> Ivs;  ///< by start (first reference)
+  std::vector<int32_t> LabelAt; ///< label id -> op index of Lbl, or -1
+  std::vector<LsEdge> BackEdges;
+  std::vector<uint32_t> Exits; ///< op indices of branches, jumps and rets
+  std::vector<OpPlan> Plan;    ///< replay plan, by op index
+  std::vector<Reg> IntPool, FpPool;
+  std::vector<Reg> Claimed; ///< everything to putreg (pool + scratch)
+
+  /// Empties every table, keeping its capacity.
+  void clear();
+  /// Bytes the tables have reserved.
+  size_t capacityBytes() const;
 };
 
 /// Per-function virtual-register state layered over a VCode stream.
@@ -103,43 +176,12 @@ public:
   unsigned delayFills() const { return DelayFills; }
   unsigned retFolds() const { return RetFolds; }
   unsigned peepholeSaved() const { return PhSaved; }
-  size_t recordedOps() const { return Rec.size(); }
+  size_t recordedOps() const { return Tb.Rec.size(); }
 
 private:
-  struct Slot {
-    Local Home;          ///< Tier-0: staging home. Tier-1: spill home.
-    Type Ty = Type::I;
-    Reg Pre;             ///< Tier-1 pre-color (argument registers)
-    Reg Phys;            ///< Tier-1 assignment (invalid when spilled)
-    bool Spilled = false;
-    int32_t Iv = -1;     ///< Tier-1 live interval (index into Ivs)
-  };
-
-  /// One recorded operation of the Tier-1 buffered IR.
-  struct RecOp {
-    enum Kind : uint8_t {
-      Binop,
-      BinopImm,
-      Unop,
-      SetInt,
-      Load,
-      Store,
-      Branch,
-      BranchImm,
-      Ret,
-      Lbl,
-      Jmp,
-      JmpReg,
-      FromPhys,
-    };
-    Kind K = Binop;
-    uint8_t Op = 0; ///< BinOp / UnOp / Cond, per kind
-    Type Ty = Type::I;
-    int32_t D = -1, S1 = -1, S2 = -1; ///< vreg refs
-    int64_t Imm = 0;                  ///< immediate / offset / set value
-    Label L;                          ///< branch target / bound label
-    Reg Phys;                         ///< FromPhys source
-  };
+  using Slot = VRegTables::Slot;
+  using RecOp = VRegTables::RecOp;
+  using OpPlan = VRegTables::OpPlan;
 
   // --- Tier-0 path ----------------------------------------------------------
   Reg stage(unsigned Which, Type Ty); ///< staging register 0/1/2
@@ -166,18 +208,11 @@ private:
 
   VCode &V;
   Tier Mode;
-  std::vector<Slot> Slots;
+  FnTablesPtr Set; ///< borrowed from this thread's free list
+  VRegTables &Tb;  ///< Set's vreg tables
   Reg IntStage[3];
   Reg FpStage[3];
-
-  std::vector<RecOp> Rec;
-  std::vector<LsInterval> Ivs;  ///< by start (first reference)
-  std::vector<int32_t> LabelAt; ///< label id -> op index of Lbl, or -1
-  std::vector<LsEdge> BackEdges;
-  std::vector<uint32_t> Exits;  ///< op indices of branches, jumps and rets
-  std::vector<Reg> IntPool, FpPool;
   Reg IntScratch[2], FpScratch[2];
-  std::vector<Reg> Claimed; ///< everything to putreg (pool + scratch)
   bool Finished = false;
   unsigned Spills = 0;
   unsigned DelayFills = 0;

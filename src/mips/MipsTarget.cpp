@@ -81,9 +81,7 @@ void MipsTarget::beginFunction(VCode &VC) {
   // into the tail of this region and the entry point skips the rest.
   uint32_t ReservedWords = uint32_t(2 + 32 + 32 + VC.prologueArgCopies().size());
   VC.setReservedPrologueWords(ReservedWords);
-  VC.buf().ensureWords(ReservedWords);
-  for (uint32_t I = 0; I < ReservedWords; ++I)
-    VC.buf().put(nop());
+  VC.buf().fill(nop(), ReservedWords);
 }
 
 CodePtr MipsTarget::endFunction(VCode &VC) {
@@ -99,7 +97,7 @@ CodePtr MipsTarget::endFunction(VCode &VC) {
   uint32_t FpMask = VC.regAlloc().usedCalleeSavedMask(Reg::Fp);
 
   // Build the prologue.
-  std::vector<uint32_t> Pro;
+  PrologueWords Pro;
   if (F) {
     Pro.push_back(addiu(SP, SP, -int32_t(F)));
     if (!VC.isLeaf())

@@ -40,7 +40,7 @@ constexpr unsigned IntOrder[6] = {RDI, RSI, RDX, RCX, R8, R9};
 /// parameter populated realizes any register-only argument list. The
 /// trailing uint64_t parameters are all memory-class (the register sets
 /// are exhausted by then) and land at [rsp], [rsp+8], ... in order —
-/// exactly the outgoing-argument layout computeArgLocs assigns, since on
+/// exactly the outgoing-argument layout ArgWalker assigns, since on
 /// this target every stack argument occupies one naturally-aligned 8-byte
 /// slot. Populating all eight realizes any argument list with up to 64
 /// bytes of stack arguments; the callee reads only the slots its signature

@@ -114,10 +114,7 @@ void X64Target::beginFunction(VCode &VC) {
   uint32_t ReservedBytes =
       uint32_t(16 + 16 * 8 + 9 * VC.prologueArgCopies().size());
   VC.setReservedPrologueWords(ReservedBytes);
-  CodeBuffer &B = VC.buf();
-  B.ensureWords(ReservedBytes);
-  for (uint32_t I = 0; I < ReservedBytes; ++I)
-    B.put8(0x90);
+  VC.buf().fill(0x90, ReservedBytes);
 }
 
 CodePtr X64Target::endFunction(VCode &VC) {
@@ -133,12 +130,18 @@ CodePtr X64Target::endFunction(VCode &VC) {
   // Assemble the prologue into scratch storage (instructions are variable
   // length, so it cannot be built as words), then right-align it in the
   // reserved region.
-  std::vector<uint8_t> Tmp(256 + 9 * VC.prologueArgCopies().size());
+  // Every copy loads into a register of its own, so there are at most
+  // as many as registers of both kinds.
+  const size_t Copies = VC.prologueArgCopies().size();
+  uint8_t Tmp[256 + 9 * 2 * RegAlloc::MaxRegs];
+  if (Copies > 2 * RegAlloc::MaxRegs)
+    fatalKind(CgErrKind::Internal, "x64: %zu prologue argument copies",
+              Copies);
   CodeBuffer PB;
   CodeMem PM;
-  PM.Host = Tmp.data();
+  PM.Host = Tmp;
   PM.Guest = 0;
-  PM.Size = Tmp.size();
+  PM.Size = 256 + 9 * Copies;
   PB.reset(PM, 1);
   Asm P(PB);
   P.zeroR11(); // establish the synthesized zero register

@@ -116,12 +116,23 @@ TEST(Conds, SwapAndNegate) {
   EXPECT_EQ(negateCond(negateCond(Cond::Gt)), Cond::Gt);
 }
 
+/// The locations of arguments \p Args under \p CC, in order.
+std::vector<ArgLoc> placeArgs(const CallConv &CC,
+                              const std::vector<Type> &Args,
+                              unsigned WordBytes) {
+  std::vector<ArgLoc> Locs;
+  ArgWalker Walk(CC, WordBytes);
+  for (Type T : Args)
+    Locs.push_back(Walk.next(T));
+  return Locs;
+}
+
 TEST(CallConvPlacement, RegistersThenStack) {
   CallConv CC;
   CC.IntArgRegs = {intReg(4), intReg(5)};
   CC.FpArgRegs = {fpReg(12)};
   std::vector<Type> Args = {Type::I, Type::D, Type::I, Type::I, Type::D};
-  auto Locs = computeArgLocs(CC, Args, 4);
+  auto Locs = placeArgs(CC, Args, 4);
   ASSERT_EQ(Locs.size(), 5u);
   EXPECT_FALSE(Locs[0].OnStack);
   EXPECT_EQ(Locs[0].R, intReg(4));
@@ -141,7 +152,7 @@ TEST(CallConvPlacement, MinOutArgBytesFloors) {
   CC.IntArgRegs = {intReg(4)};
   CC.MinOutArgBytes = 16;
   std::vector<Type> Args = {Type::I};
-  auto Locs = computeArgLocs(CC, Args, 4);
+  auto Locs = placeArgs(CC, Args, 4);
   EXPECT_EQ(outArgBytes(CC, Locs, 4), 16u);
 }
 
