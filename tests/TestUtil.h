@@ -78,6 +78,15 @@ std::vector<std::string> allSubstrateNames();
 /// place, so generateWithRetry takes its re-emission path on overflow.
 Substrate makeFixedRegionSubstrate(const std::string &Name);
 
+/// FNV-1a over \p N bytes, continuing from \p H: the byte-identity
+/// tests' hash of emitted code.
+inline uint64_t fnv1a(const uint8_t *P, size_t N,
+                      uint64_t H = 0xcbf29ce484222325ull) {
+  for (size_t I = 0; I < N; ++I)
+    H = (H ^ P[I]) * 0x100000001b3ull;
+  return H;
+}
+
 /// Register-width in bits of \p Ty values on a target with \p WordBytes
 /// words.
 inline unsigned typeBits(Type Ty, unsigned WordBytes) {

@@ -495,12 +495,6 @@ TEST_P(TierTest, SharedTccFunctionSteadyStateAcrossSwap) {
 
 // --- Tier-1 byte identity ----------------------------------------------------
 
-uint64_t fnv1a(const uint8_t *P, size_t N, uint64_t H = 0xcbf29ce484222325ull) {
-  for (size_t I = 0; I < N; ++I)
-    H = (H ^ P[I]) * 0x100000001b3ull;
-  return H;
-}
-
 /// FNV-1a hashes of each part of the Tier-1 corpus, in emission order.
 struct Tier1Hashes {
   uint64_t Streams = 0, Loops = 0, Pressure = 0, JmpFill = 0, Tcc = 0;
