@@ -113,7 +113,8 @@ public:
       if (RegionBytes) {
         // Unregister the region from the CodeMap before another
         // generation can reuse the addresses.
-        profile::CodeMap::instance().remove(RegionAddr);
+        profile::CodeMap::instance().remove(
+            uintptr_t(Mem.hostPtr(RegionAddr, RegionBytes)));
         Mem.freeCode(RegionAddr, RegionBytes);
       }
     }

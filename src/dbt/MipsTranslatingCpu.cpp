@@ -127,7 +127,7 @@ TypedValue MipsTranslatingCpu::callWithConvSpan(const CallConv &CC,
       T.CF = CF;
     }
     ++Dispatches;
-    VCODE_PF_SAMPLE_VPC(++PfClock, PC);
+    VCODE_PF_SAMPLE_VPC(++PfClock, uintptr_t(Mem.hostPtr(SimAddr(PC), 4)));
     PC = CF->Fn(&GS, HostBase);
   }
 

@@ -54,37 +54,28 @@ std::string fmtLine(const char *Fmt, ...) {
 } // namespace
 
 struct CodeMap::Impl {
-  using Map = std::map<uint64_t, std::shared_ptr<const CodeEntry>>;
+  using Map = std::map<uintptr_t, std::shared_ptr<const CodeEntry>>;
 
   mutable std::mutex M;
-  /// Live entries by region base address, and those with a host address
-  /// by Host. Every entry in ByHost is also in ByAddr.
-  Map ByAddr, ByHost;
+  /// Live entries by the host address of their first byte.
+  Map ByHost;
   std::atomic<uint64_t> GenSeq{0};
 
-  /// Map nodes of the last removed entry, kept empty for the next
-  /// publish: a region republished where one was just released (the
-  /// common case under a retry driver or code cache) then allocates and
-  /// frees no node.
-  Map::node_type SpareAddr, SpareHost;
+  /// Map node of the last removed entry, kept empty for the next publish:
+  /// a region republished where one was just released (the common case
+  /// under a retry driver or code cache) then allocates and frees no node.
+  Map::node_type Spare;
 
   uint64_t Published = 0, Removed = 0;
   /// Heat folded out of removed entries, by name.
   std::unordered_map<std::string, uint64_t> Retired;
   uint64_t RetiredOther = 0;
 
-  /// Removes \p It's entry from both maps, keeping their nodes as spares,
-  /// and folds its heat into the retired tally. Caller holds M. Returns
-  /// the next ByAddr position.
+  /// Removes \p It's entry, keeping its node as the spare, and folds its
+  /// heat into the retired tally. Caller holds M. Returns the next
+  /// position.
   Map::iterator eraseLocked(Map::iterator It) {
     const CodeEntry &E = *It->second;
-    // A newer region may have taken over the host key (a freed arena's
-    // memory reused by another); only drop the slot if it is still ours.
-    auto H = ByHost.find(E.Host);
-    if (H != ByHost.end() && H->second == It->second) {
-      SpareHost = ByHost.extract(H);
-      SpareHost.mapped().reset();
-    }
     uint64_t S = E.Samples.load(std::memory_order_relaxed);
     if (S) {
       auto R = Retired.find(E.Name);
@@ -97,47 +88,29 @@ struct CodeMap::Impl {
     }
     ++Removed;
     auto Next = std::next(It);
-    SpareAddr = ByAddr.extract(It);
-    SpareAddr.mapped().reset();
+    Spare = ByHost.extract(It);
+    Spare.mapped().reset();
     return Next;
   }
 
-  /// Maps \p Key to \p E in \p Mp, reusing \p Spare's node when it has
-  /// one. Caller holds M.
-  static void putLocked(Map &Mp, Map::node_type &Spare, uint64_t Key,
-                        std::shared_ptr<const CodeEntry> E) {
-    auto It = Mp.lower_bound(Key);
-    if (It != Mp.end() && It->first == Key) {
-      It->second = std::move(E);
-    } else if (Spare) {
-      Spare.key() = Key;
-      Spare.mapped() = std::move(E);
-      Mp.insert(It, std::move(Spare));
-    } else {
-      Mp.emplace_hint(It, Key, std::move(E));
-    }
-  }
-
-  /// Removes every live entry overlapping [Addr, Addr+Bytes). Caller
+  /// Removes every live entry overlapping [Host, Host+Bytes), then maps
+  /// \p Host to \p E, reusing the spare node when there is one. Caller
   /// holds M.
-  void removeOverlapsLocked(uint64_t Addr, uint64_t Bytes) {
-    // First candidate: the entry at or before Addr can still cover it.
-    auto It = ByAddr.upper_bound(Addr);
-    if (It != ByAddr.begin() && std::prev(It)->second->contains(Addr))
+  void putLocked(uintptr_t Host, uint64_t Bytes,
+                 std::shared_ptr<const CodeEntry> E) {
+    // First candidate: the entry at or before Host can still cover it.
+    auto It = ByHost.upper_bound(Host);
+    if (It != ByHost.begin() && std::prev(It)->second->contains(Host))
       --It;
-    while (It != ByAddr.end() && It->first < Addr + Bytes)
+    while (It != ByHost.end() && It->first < Host + Bytes)
       It = eraseLocked(It);
-  }
-
-  /// The entry whose region [key, key+Bytes) in \p Mp holds \p Pc.
-  /// Caller holds M.
-  static std::shared_ptr<const CodeEntry> findLocked(const Map &Mp,
-                                                     uint64_t Pc) {
-    auto It = Mp.upper_bound(Pc);
-    if (It == Mp.begin())
-      return nullptr;
-    --It;
-    return Pc - It->first < It->second->Bytes ? It->second : nullptr;
+    if (Spare) {
+      Spare.key() = Host;
+      Spare.mapped() = std::move(E);
+      ByHost.insert(It, std::move(Spare));
+    } else {
+      ByHost.emplace_hint(It, Host, std::move(E));
+    }
   }
 };
 
@@ -170,46 +143,42 @@ uint64_t CodeMap::publish(uint64_t Addr, uint64_t Bytes, uint64_t Entry,
     E->Name = synthName(Addr);
   else
     E->Name = std::move(Name);
-  if (Host && Capture.load(std::memory_order_relaxed)) {
+  if (Capture.load(std::memory_order_relaxed)) {
     const uint8_t *P = reinterpret_cast<const uint8_t *>(Host);
     E->Code.assign(P, P + Bytes);
   }
   drainPendingSamples(); // before overlap eviction retires an entry
   {
     std::lock_guard<std::mutex> L(I->M);
-    I->removeOverlapsLocked(Addr, Bytes);
-    Impl::putLocked(I->ByAddr, I->SpareAddr, Addr, E);
-    if (Host)
-      Impl::putLocked(I->ByHost, I->SpareHost, Host, E);
+    I->putLocked(Host, Bytes, E);
     ++I->Published;
   }
   exportOnPublish(*E);
   return E->Generation;
 }
 
-void CodeMap::remove(uint64_t Addr) {
+void CodeMap::remove(uintptr_t Host) {
   drainPendingSamples();
   std::lock_guard<std::mutex> L(I->M);
-  auto It = I->ByAddr.find(Addr);
-  if (It != I->ByAddr.end())
+  auto It = I->ByHost.find(Host);
+  if (It != I->ByHost.end())
     I->eraseLocked(It);
 }
 
-std::shared_ptr<const CodeEntry> CodeMap::lookup(uint64_t Pc) const {
+std::shared_ptr<const CodeEntry> CodeMap::lookup(uintptr_t Pc) const {
   std::lock_guard<std::mutex> L(I->M);
-  return Impl::findLocked(I->ByAddr, Pc);
-}
-
-std::shared_ptr<const CodeEntry> CodeMap::lookupHost(uintptr_t Pc) const {
-  std::lock_guard<std::mutex> L(I->M);
-  return Impl::findLocked(I->ByHost, Pc);
+  auto It = I->ByHost.upper_bound(Pc);
+  if (It == I->ByHost.begin())
+    return nullptr;
+  --It;
+  return It->second->contains(Pc) ? It->second : nullptr;
 }
 
 std::vector<std::shared_ptr<const CodeEntry>> CodeMap::entries() const {
   std::lock_guard<std::mutex> L(I->M);
   std::vector<std::shared_ptr<const CodeEntry>> Out;
-  Out.reserve(I->ByAddr.size());
-  for (auto &KV : I->ByAddr)
+  Out.reserve(I->ByHost.size());
+  for (auto &KV : I->ByHost)
     Out.push_back(KV.second);
   return Out;
 }
@@ -217,7 +186,7 @@ std::vector<std::shared_ptr<const CodeEntry>> CodeMap::entries() const {
 std::shared_ptr<const CodeEntry>
 CodeMap::findByName(const std::string &Name) const {
   std::lock_guard<std::mutex> L(I->M);
-  for (auto &KV : I->ByAddr)
+  for (auto &KV : I->ByHost)
     if (KV.second->Name == Name)
       return KV.second;
   return nullptr;
@@ -228,7 +197,7 @@ CodeMap::Stats CodeMap::stats() const {
   Stats S;
   S.Published = I->Published;
   S.Removed = I->Removed;
-  S.Live = I->ByAddr.size();
+  S.Live = I->ByHost.size();
   return S;
 }
 
@@ -299,7 +268,6 @@ void CodeMap::appendReport(std::string &Out) const {
 
 void CodeMap::resetForTest() {
   std::lock_guard<std::mutex> L(I->M);
-  I->ByAddr.clear();
   I->ByHost.clear();
   I->Retired.clear();
   I->RetiredOther = 0;

@@ -14,10 +14,13 @@
 /// perf-map/jitdump writers (profile/JitDump.h) stream entries from it,
 /// and --dump-code walks it for annotated disassembly.
 ///
-/// Concurrency: one mutex guards two ordered maps of the same entries,
-/// one keyed by region base address (lookup, overlap eviction) and one by
-/// host address (lookupHost, for the SIGPROF drain). publish, remove and
-/// overlap eviction update both under the lock; each lookup takes it for
+/// Concurrency: one mutex guards one ordered map of the entries, keyed by
+/// the host address of each region's first byte. Host addresses are the
+/// only key: simulated arenas all default to the same guest base, but
+/// their mappings never overlap while they are alive, so a region is
+/// identified by where its bytes live. Callers holding a simulated address
+/// convert it through their arena (sim::Memory::hostPtr). publish, remove
+/// and overlap eviction update the map under the lock; lookup takes it for
 /// one upper_bound. An entry is complete when publish() inserts it — the
 /// caller passes the name, tier and guest range it will carry — and is
 /// never copied or changed afterwards except for its Samples counter, so
@@ -53,7 +56,7 @@ struct CodeEntry {
   uint64_t Addr = 0;  ///< region base, in its arena's simulated addresses
   uint64_t Bytes = 0; ///< published length
   uint64_t Entry = 0; ///< entry point (>= Addr when prologues right-align)
-  uintptr_t Host = 0; ///< host address of byte 0 (0 when unknown)
+  uintptr_t Host = 0; ///< host address of byte 0: the map's key
   std::string Name;   ///< cache key or client name; synthesized if unset
   const char *Target = ""; ///< TargetInfo::Name (static storage)
   Tier GenTier = Tier::Tier0;
@@ -62,7 +65,7 @@ struct CodeEntry {
   std::vector<uint8_t> Code; ///< captured bytes (only when capture is on)
   mutable std::atomic<uint64_t> Samples{0}; ///< profiler heat
 
-  bool contains(uint64_t Pc) const { return Pc - Addr < Bytes; }
+  bool contains(uintptr_t Pc) const { return Pc - Host < Bytes; }
 };
 
 #if VCODE_TELEMETRY_ENABLED
@@ -79,30 +82,29 @@ public:
     uint64_t Live = 0;      ///< entries currently registered
   };
 
-  /// Registers [Addr, Addr+Bytes) with entry point \p Entry. Any
-  /// previously published region that overlaps is removed first (the
-  /// arena reuses freed code regions); its heat folds into the retired
-  /// tally. An empty \p Name is synthesized as "fn@<addr>". [\p GuestLo,
-  /// \p GuestHi) is a DBT translation's guest-PC source range (empty
-  /// otherwise). Captures the code bytes from \p Host when capture is
-  /// enabled. Returns the publish generation number.
+  /// Registers the region whose \p Bytes bytes live at host address
+  /// \p Host, based at simulated address \p Addr with entry point
+  /// \p Entry (metadata for dumps). Any previously published region that
+  /// overlaps it in host memory is removed first (the arena reuses freed
+  /// code regions); its heat folds into the retired tally. An empty
+  /// \p Name is synthesized as "fn@<addr>". [\p GuestLo, \p GuestHi) is a
+  /// DBT translation's guest-PC source range (empty otherwise). Captures
+  /// the code bytes when capture is enabled. Returns the publish
+  /// generation number.
   uint64_t publish(uint64_t Addr, uint64_t Bytes, uint64_t Entry,
                    uintptr_t Host, std::string Name, const char *Target,
                    Tier T, uint64_t GuestLo = 0, uint64_t GuestHi = 0);
 
-  /// Unregisters the region based at exactly \p Addr (eviction, promotion
-  /// reclaim); its heat folds into the retired tally.
-  void remove(uint64_t Addr);
+  /// Unregisters the region whose first byte is at host address \p Host
+  /// (eviction, promotion reclaim); its heat folds into the retired tally.
+  void remove(uintptr_t Host);
 
-  /// PC -> entry in the simulated address space of each region's arena.
-  /// O(log n) under the lock; never returns a removed entry. NOT
-  /// async-signal-safe.
-  std::shared_ptr<const CodeEntry> lookup(uint64_t Pc) const;
-  /// Host-address -> entry (SIGPROF RIPs, DBT translated-function
-  /// pointers). Same contract as lookup().
-  std::shared_ptr<const CodeEntry> lookupHost(uintptr_t Pc) const;
+  /// Host address -> entry (simulator PCs converted through their arena,
+  /// SIGPROF RIPs, DBT translated-function pointers). O(log n) under the
+  /// lock; never returns a removed entry. NOT async-signal-safe.
+  std::shared_ptr<const CodeEntry> lookup(uintptr_t Pc) const;
 
-  /// Every live entry, in address order.
+  /// Every live entry, in host-address order.
   std::vector<std::shared_ptr<const CodeEntry>> entries() const;
   /// First live entry whose Name equals \p Name (report-time joins).
   std::shared_ptr<const CodeEntry> findByName(const std::string &Name) const;
@@ -157,9 +159,8 @@ public:
                    const char *, Tier, uint64_t = 0, uint64_t = 0) {
     return 0;
   }
-  void remove(uint64_t) {}
-  std::shared_ptr<const CodeEntry> lookup(uint64_t) const { return {}; }
-  std::shared_ptr<const CodeEntry> lookupHost(uintptr_t) const { return {}; }
+  void remove(uintptr_t) {}
+  std::shared_ptr<const CodeEntry> lookup(uintptr_t) const { return {}; }
   std::vector<std::shared_ptr<const CodeEntry>> entries() const { return {}; }
   std::shared_ptr<const CodeEntry> findByName(const std::string &) const {
     return {};

@@ -191,7 +191,7 @@ void exportOnPublish(const CodeEntry &E) {
   std::lock_guard<std::mutex> L(GM);
   if (!GMapF && !GDumpF)
     return;
-  uint64_t Addr = E.Host ? uint64_t(E.Host) : E.Addr;
+  uint64_t Addr = uint64_t(E.Host);
   if (GMapF) {
     std::fprintf(GMapF, "%llx %llx %s\n", (unsigned long long)Addr,
                  (unsigned long long)E.Bytes, E.Name.c_str());
@@ -199,12 +199,10 @@ void exportOnPublish(const CodeEntry &E) {
   }
 #if defined(__linux__)
   if (GDumpF) {
-    const uint8_t *Code = nullptr;
-    if (!E.Code.empty())
-      Code = E.Code.data();
-    else if (E.Host)
-      Code = reinterpret_cast<const uint8_t *>(E.Host);
-    size_t CodeLen = Code ? size_t(E.Bytes) : 0;
+    const uint8_t *Code = E.Code.empty()
+                              ? reinterpret_cast<const uint8_t *>(E.Host)
+                              : E.Code.data();
+    size_t CodeLen = size_t(E.Bytes);
 
     JitRecHeader RH;
     JitRecLoad RL;

@@ -19,9 +19,8 @@
 ///   Linux-only; enableJitDump() reports failure elsewhere.
 ///
 /// Both are push-model: once enabled, CodeMap::publish streams every
-/// subsequent entry through exportOnPublish. Addresses written are the
-/// host address when the region has one (what a sampling perf sees) and
-/// the simulated address otherwise.
+/// subsequent entry through exportOnPublish. Addresses written are host
+/// addresses (what a sampling perf sees).
 ///
 //===----------------------------------------------------------------------===//
 

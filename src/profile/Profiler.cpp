@@ -90,7 +90,7 @@ void drainNativeRing() {
     if (!Rip)
       continue; // handler racing ahead of the store; count it dropped
     ++GNatSamples;
-    if (auto E = M.lookupHost(uintptr_t(Rip))) {
+    if (auto E = M.lookup(uintptr_t(Rip))) {
       E->Samples.fetch_add(1, std::memory_order_relaxed);
       ++GNatAttributed;
     }
@@ -169,9 +169,9 @@ void stopSampler() {
   drainNativeRing();
 }
 
-void recordVirtualPc(uint64_t Pc) {
+void recordVirtualPc(uintptr_t HostPc) {
   GVirtSamples.fetch_add(1, std::memory_order_relaxed);
-  if (auto E = CodeMap::instance().lookup(Pc)) {
+  if (auto E = CodeMap::instance().lookup(HostPc)) {
     E->Samples.fetch_add(1, std::memory_order_relaxed);
     GVirtAttributed.fetch_add(1, std::memory_order_relaxed);
   }

@@ -10,15 +10,17 @@
 /// - Native: a SIGPROF/itimer handler captures the interrupted RIP into a
 ///   lock-free ring of atomic slots (async-signal-safe: the handler does
 ///   one relaxed fetch_add and one relaxed store). Samples are attributed
-///   through CodeMap::lookupHost at drain time (stop, report, and before
+///   through CodeMap::lookup at drain time (stop, report, and before
 ///   any CodeMap entry is removed), so native and DBT frames — real host
 ///   code — show up by name, also after their region is retired.
 ///   Linux/x86-64 only; startSampler() reports false elsewhere.
 ///
 /// - Virtual: the simulators sample their own guest PC every
-///   kVirtualSamplePeriod instructions via VCODE_PF_SAMPLE_VPC. Ordinary
-///   thread context, so attribution is immediate (one locked CodeMap
-///   lookup + relaxed Samples increment).
+///   kVirtualSamplePeriod instructions via VCODE_PF_SAMPLE_VPC and
+///   attribute it by host address: the PC converted through the arena it
+///   runs in, so two arenas at the same guest base never share heat.
+///   Ordinary thread context, so attribution is immediate (one locked
+///   CodeMap lookup + relaxed Samples increment).
 ///
 /// Everything here compiles out under -DVCODE_TELEMETRY=OFF: the macro
 /// expands to nothing and the functions become inline no-ops, so the
@@ -63,9 +65,10 @@ bool startSampler(unsigned Hz = 997);
 /// closes the session. Safe to call when not running.
 void stopSampler();
 
-/// Attributes one virtual-PC sample immediately. Called from the
-/// simulators through VCODE_PF_SAMPLE_VPC; ordinary thread context.
-void recordVirtualPc(uint64_t Pc);
+/// Attributes one virtual-PC sample, given as the host address of the
+/// sampled instruction, immediately. Called from the simulators through
+/// VCODE_PF_SAMPLE_VPC; ordinary thread context.
+void recordVirtualPc(uintptr_t HostPc);
 
 /// Attributes the native samples taken so far. CodeMap calls it before
 /// an entry leaves the map, so a sample is charged to the region that was
@@ -99,12 +102,13 @@ void resetSamplerForTest();
 
 /// One virtual-PC sample every kVirtualSamplePeriod ticks of Clk, only
 /// while a session is open. The common case is one AND, one compare,
-/// and one relaxed load.
-#define VCODE_PF_SAMPLE_VPC(Clk, Pc)                                         \
+/// and one relaxed load; \p HostPc (the sampled PC's host address) is
+/// evaluated only when a sample is taken.
+#define VCODE_PF_SAMPLE_VPC(Clk, HostPc)                                     \
   do {                                                                       \
     if (((Clk) & (::vcode::profile::kVirtualSamplePeriod - 1)) == 0 &&       \
         ::vcode::profile::samplerActive())                                   \
-      ::vcode::profile::recordVirtualPc(Pc);                                 \
+      ::vcode::profile::recordVirtualPc(HostPc);                             \
   } while (0)
 
 #else // !VCODE_TELEMETRY_ENABLED
@@ -112,7 +116,7 @@ void resetSamplerForTest();
 inline bool samplerActive() { return false; }
 inline bool startSampler(unsigned = 997) { return false; }
 inline void stopSampler() {}
-inline void recordVirtualPc(uint64_t) {}
+inline void recordVirtualPc(uintptr_t) {}
 inline void drainPendingSamples() {}
 inline SamplerStats samplerStats() { return {}; }
 inline void appendProfileReport(std::string &) {}
@@ -122,7 +126,7 @@ inline void profileAtExit() {}
 inline void resetSamplerForTest() {}
 
 // Arguments are not evaluated: the clock increment itself compiles out.
-#define VCODE_PF_SAMPLE_VPC(Clk, Pc)                                         \
+#define VCODE_PF_SAMPLE_VPC(Clk, HostPc)                                     \
   do {                                                                       \
   } while (0)
 

@@ -145,8 +145,6 @@ void ClassifierService::dispatchLoop(unsigned Tid) {
 }
 
 void ClassifierService::buildTopSets(Report &R) const {
-  if (!Cfg.TopN)
-    return;
   // Heat joins through the CodeMap by shared cache key: the live entry
   // (v_end publishes cached code under its key) plus samples folded into
   // the retired tally when churn evicted earlier versions of the same key.
@@ -184,16 +182,16 @@ void ClassifierService::buildTopSets(Report &R) const {
                 return A.Dispatches > B.Dispatches;
               return A.Set < B.Set;
             });
-  if (Sets.size() > Cfg.TopN)
-    Sets.resize(Cfg.TopN);
+  if (Sets.size() > kTopSets)
+    Sets.resize(kTopSets);
   R.TopSets = std::move(Sets);
 }
 
 ClassifierService::Report ClassifierService::run() {
   auto Start = std::chrono::steady_clock::now();
-  if (Cfg.Prepopulate)
-    for (unsigned S = 0; S < Cfg.Sets; ++S)
-      installSet(S);
+  // Every set is installed before the clock starts.
+  for (unsigned S = 0; S < Cfg.Sets; ++S)
+    installSet(S);
 
   Stop.store(false, std::memory_order_relaxed);
   std::vector<std::thread> Threads;

@@ -58,6 +58,11 @@ public:
   /// threads never share a Cpu), e.g. Substrate::makeCpu.
   using CpuFactory = std::function<std::unique_ptr<sim::Cpu>()>;
 
+  /// Hottest filter sets listed in the report. Heat is profiler samples
+  /// when the sampler ran, joined to sets through the CodeMap by shared
+  /// cache key; dispatch counts are always tallied.
+  static constexpr unsigned kTopSets = 5;
+
   struct Config {
     unsigned Sets = 32;          ///< concurrently-managed filter sets
     unsigned FlowsPerSet = 10;   ///< filters per set (the paper's 10)
@@ -73,12 +78,6 @@ public:
     /// Cache capacity per shard; 0 sizes the cache to roughly half the
     /// live sets, so steady-state churn continuously evicts.
     size_t CacheEntriesPerShard = 0;
-    bool Prepopulate = true; ///< install every set before the clock starts
-    /// Hottest filter sets listed in the report (0 disables the table).
-    /// Heat is profiler samples when the sampler ran, joined to sets
-    /// through the CodeMap by shared cache key; dispatch counts are
-    /// always tallied.
-    unsigned TopN = 5;
   };
 
   /// Outcome of one run(): correctness gates plus the SLO numbers.
@@ -99,7 +98,7 @@ public:
     double InstallMaxUs = 0;
     double DispatchP50Us = 0, DispatchP99Us = 0;
 
-    /// One hottest-filter-set row (Config::TopN of these, hottest first).
+    /// One hottest-filter-set row (kTopSets of these, hottest first).
     struct HotSet {
       unsigned Set = 0;        ///< filter-set index
       std::string Key;         ///< shared cache key the set files under

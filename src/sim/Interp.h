@@ -66,10 +66,10 @@ public:
     PC = Entry;
     while (PC != StopAddr) {
       checkLimit();
-      // Virtual-PC sampling (profile/Profiler.h): PfClock is cumulative
-      // across calls (Stats resets per call) so the sampling phase does
-      // not realign with every call.
-      VCODE_PF_SAMPLE_VPC(++PfClock, PC);
+      // Virtual-PC sampling (profile/Profiler.h), by the PC's host
+      // address: PfClock is cumulative across calls (Stats resets per
+      // call) so the sampling phase does not realign with every call.
+      VCODE_PF_SAMPLE_VPC(++PfClock, uintptr_t(Mem.hostPtr(PC, 4)));
       D.step();
     }
 

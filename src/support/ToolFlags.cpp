@@ -147,7 +147,6 @@ int tool::handleArgs(int Argc, char **Argv, ToolOptions &Opts) {
       if (!A[12])
         fatal("bad --dump-code value '' (expected a region name or 'all')");
       Opts.DumpCode = A + 12;
-      Opts.DumpCodeGiven = true;
       continue;
     }
     if (std::strcmp(A, "--perf-map") == 0) {
@@ -173,7 +172,7 @@ int tool::handleArgs(int Argc, char **Argv, ToolOptions &Opts) {
     warnProfilingOff("--profile-report");
     profile::requestProfileReport();
   }
-  if (Opts.DumpCodeGiven) {
+  if (Opts.DumpCode) {
     warnProfilingOff("--dump-code");
     profile::requestDumpCode(Opts.DumpCode);
   }

@@ -83,7 +83,6 @@ struct ToolOptions {
   bool ChurnGiven = false;      ///< --churn appeared
   bool DurationGiven = false;   ///< --duration appeared
   bool ZipfGiven = false;       ///< --zipf appeared
-  bool DumpCodeGiven = false;   ///< --dump-code appeared
 };
 
 /// Scans argv for the shared flags above, fills \p Opts, delegates the

@@ -5,7 +5,8 @@
 // The introspection subsystem (src/profile/): CodeMap lifecycle and
 // boundary lookups, consistency under 8-thread churn (the TSan target),
 // v_end integration, cache and DBT installs listed under their keys,
-// virtual-PC sampler attribution on a known-hot loop, native samples
+// arenas at the same simulated base keeping their own entries, virtual-PC
+// sampler attribution on a known-hot loop, native samples
 // credited to a region removed mid-session, structural validation of the
 // perf-map and jitdump exports by test-side readers, and disassembler
 // round-trips. Every test skips cleanly under -DVCODE_TELEMETRY=OFF, where
@@ -24,6 +25,7 @@
 #include "profile/Profiler.h"
 #include "sim/Memory.h"
 #include "sim/MipsSim.h"
+#include "substrate/Substrate.h"
 #include "support/Telemetry.h"
 #include "x64/NativeCpu.h"
 #include "x64/X64Disasm.h"
@@ -62,70 +64,96 @@ protected:
   }
 };
 
+/// Host address of \p Buf, the storage a hand-published entry claims.
+template <size_t N> uintptr_t hostOf(uint8_t (&Buf)[N]) {
+  return reinterpret_cast<uintptr_t>(Buf);
+}
+
+/// Host address of simulated address \p A in \p Mem (what the CodeMap
+/// keys on).
+uintptr_t hostOf(sim::Memory &Mem, SimAddr A) {
+  return uintptr_t(Mem.hostPtr(A, 1));
+}
+
+/// Publishes sum(n) = 0 + 1 + ... + (n-1) from \p Mem under \p Name: about
+/// 4 instructions per iteration, nearly all of them inside one loop.
+CodePtr emitSumLoop(Target &Tgt, sim::Memory &Mem, const char *Name) {
+  VCode V(Tgt);
+  Reg Arg[1];
+  V.lambda("%i", Arg, LeafHint, Mem.allocCode(4096));
+  V.setFunctionName(Name);
+  Reg S = V.getreg(Type::I), I = V.getreg(Type::I);
+  V.setInt(Type::I, S, 0);
+  V.setInt(Type::I, I, 0);
+  Label L = V.genLabel();
+  V.label(L);
+  V.binop(BinOp::Add, Type::I, S, S, I);
+  V.binopImm(BinOp::Add, Type::I, I, I, 1);
+  V.branch(Cond::Lt, Type::I, I, Arg[0], L);
+  V.ret(Type::I, S);
+  return V.end();
+}
+
 TEST_F(ProfileTest, CodeMapLifecycle) {
   auto &M = profile::CodeMap::instance();
-  uint64_t Gen = M.publish(0x1000, 64, 0x1000, 0, "f1", "mips", Tier::Tier0);
+  static uint8_t Buf[64];
+  const uintptr_t H = hostOf(Buf);
+  uint64_t Gen = M.publish(0x1000, 64, 0x1000, H, "f1", "mips", Tier::Tier0);
   EXPECT_GT(Gen, 0u);
   auto St = M.stats();
   EXPECT_EQ(St.Published, 1u);
   EXPECT_EQ(St.Live, 1u);
 
-  auto E = M.lookup(0x1020);
+  auto E = M.lookup(H + 0x20);
   ASSERT_TRUE(E);
   EXPECT_EQ(E->Name, "f1");
   EXPECT_STREQ(E->Target, "mips");
+  EXPECT_EQ(E->Addr, 0x1000u);
   EXPECT_EQ(E->Bytes, 64u);
   EXPECT_EQ(E->Generation, Gen);
 
   EXPECT_EQ(M.findByName("f1"), E);
 
-  M.remove(0x1000);
-  M.remove(0x1000); // absent: no-op, must not double-count
+  M.remove(H);
+  M.remove(H); // absent: no-op, must not double-count
   St = M.stats();
   EXPECT_EQ(St.Live, 0u);
   EXPECT_EQ(St.Removed, 1u);
-  EXPECT_FALSE(M.lookup(0x1020));
+  EXPECT_FALSE(M.lookup(H + 0x20));
   EXPECT_TRUE(M.entries().empty());
 }
 
 TEST_F(ProfileTest, CodeMapBoundaryLookups) {
   auto &M = profile::CodeMap::instance();
   // Two back-to-back regions: every PC must land in exactly one.
-  M.publish(0x2000, 0x40, 0x2000, 0, "lo", "mips", Tier::Tier0);
-  M.publish(0x2040, 0x20, 0x2040, 0, "hi", "mips", Tier::Tier0);
+  static uint8_t Buf[0x60];
+  const uintptr_t H = hostOf(Buf);
+  M.publish(0x2000, 0x40, 0x2000, H, "lo", "mips", Tier::Tier0);
+  M.publish(0x2040, 0x20, 0x2040, H + 0x40, "hi", "mips", Tier::Tier0);
 
-  EXPECT_FALSE(M.lookup(0x1FFF));
-  ASSERT_TRUE(M.lookup(0x2000));
-  EXPECT_EQ(M.lookup(0x2000)->Name, "lo");
-  EXPECT_EQ(M.lookup(0x203F)->Name, "lo");
-  EXPECT_EQ(M.lookup(0x2040)->Name, "hi"); // first byte of the next region
-  EXPECT_EQ(M.lookup(0x205F)->Name, "hi");
-  EXPECT_FALSE(M.lookup(0x2060));
-
-  // Host-address side (what a SIGPROF RIP consults).
-  static uint8_t HostBuf[64];
-  uintptr_t H = reinterpret_cast<uintptr_t>(HostBuf);
-  M.publish(0x3000, sizeof(HostBuf), 0x3000, H, "hosted", "x64",
-            Tier::Tier0);
-  EXPECT_FALSE(M.lookupHost(H - 1));
-  ASSERT_TRUE(M.lookupHost(H));
-  EXPECT_EQ(M.lookupHost(H)->Name, "hosted");
-  EXPECT_EQ(M.lookupHost(H + sizeof(HostBuf) - 1)->Name, "hosted");
-  EXPECT_FALSE(M.lookupHost(H + sizeof(HostBuf)));
+  EXPECT_FALSE(M.lookup(H - 1));
+  ASSERT_TRUE(M.lookup(H));
+  EXPECT_EQ(M.lookup(H)->Name, "lo");
+  EXPECT_EQ(M.lookup(H + 0x3F)->Name, "lo");
+  EXPECT_EQ(M.lookup(H + 0x40)->Name, "hi"); // first byte of the next region
+  EXPECT_EQ(M.lookup(H + 0x5F)->Name, "hi");
+  EXPECT_FALSE(M.lookup(H + 0x60));
 }
 
 TEST_F(ProfileTest, CodeMapOverlapEvictsAndFoldsHeat) {
   auto &M = profile::CodeMap::instance();
-  M.publish(0x4000, 0x100, 0x4000, 0, "old", "mips", Tier::Tier0);
-  auto Old = M.lookup(0x4000);
+  static uint8_t Buf[0x180];
+  const uintptr_t H = hostOf(Buf);
+  M.publish(0x4000, 0x100, 0x4000, H, "old", "mips", Tier::Tier0);
+  auto Old = M.lookup(H);
   ASSERT_TRUE(Old);
   Old->Samples.fetch_add(5, std::memory_order_relaxed);
 
   // The arena reuses freed code regions: a publish overlapping a live
   // entry evicts it, and its heat survives in the retired tally.
-  M.publish(0x4080, 0x100, 0x4080, 0, "new", "mips", Tier::Tier0);
+  M.publish(0x4080, 0x100, 0x4080, H + 0x80, "new", "mips", Tier::Tier0);
   EXPECT_FALSE(M.findByName("old"));
-  EXPECT_EQ(M.lookup(0x40FF)->Name, "new");
+  EXPECT_EQ(M.lookup(H + 0xFF)->Name, "new");
   auto St = M.stats();
   EXPECT_EQ(St.Published, 2u);
   EXPECT_EQ(St.Removed, 1u);
@@ -140,38 +168,43 @@ TEST_F(ProfileTest, CodeMapOverlapEvictsAndFoldsHeat) {
   EXPECT_TRUE(Found) << "retired heat lost the evicted entry's samples";
 }
 
-/// The TSan target: concurrent publish/lookup/remove across 8 threads with
-/// a dedicated reader thread walking the entries the whole time. Each writer
-/// owns a disjoint address range, so the final census is exact.
 // A retry driver or code cache republishes where it just released: the
-// new entry replaces the old one under both keys, and a reader still
-// holding the old entry sees it unchanged.
+// new entry replaces the old one, and a reader still holding the old
+// entry sees it unchanged.
 TEST_F(ProfileTest, CodeMapRepublishInPlace) {
   auto &M = profile::CodeMap::instance();
-  const uintptr_t Host = 0x70000000;
+  static uint8_t Buf[64], Other[64];
+  const uintptr_t Host = hostOf(Buf);
   M.publish(0x8000, 64, 0x8000, Host, "a", "x64", Tier::Tier0);
-  auto A = M.lookupHost(Host + 8);
+  auto A = M.lookup(Host + 8);
   ASSERT_TRUE(A);
   for (int I = 0; I < 3; ++I)
     M.publish(0x8000, 64, 0x8000, Host, "b" + std::to_string(I), "x64",
               Tier::Tier0);
   EXPECT_EQ(A->Name, "a");
-  EXPECT_EQ(M.lookup(0x8010)->Name, "b2");
-  EXPECT_EQ(M.lookupHost(Host + 8)->Name, "b2");
+  EXPECT_EQ(M.lookup(Host + 8)->Name, "b2");
   auto St = M.stats();
   EXPECT_EQ(St.Published, 4u);
   EXPECT_EQ(St.Removed, 3u);
   EXPECT_EQ(St.Live, 1u);
 
-  // Same guest address, new host storage: the old host key goes away.
-  M.publish(0x8000, 64, 0x8000, Host + 0x1000, "c", "x64", Tier::Tier0);
-  EXPECT_FALSE(M.lookupHost(Host + 8));
-  EXPECT_EQ(M.lookupHost(Host + 0x1008)->Name, "c");
-  M.remove(0x8000);
-  EXPECT_FALSE(M.lookup(0x8010));
-  EXPECT_FALSE(M.lookupHost(Host + 0x1008));
+  // Same guest address, other host storage (another arena): a second
+  // region, not a replacement.
+  M.publish(0x8000, 64, 0x8000, hostOf(Other), "c", "x64", Tier::Tier0);
+  EXPECT_EQ(M.lookup(Host + 8)->Name, "b2");
+  EXPECT_EQ(M.lookup(hostOf(Other) + 8)->Name, "c");
+  M.remove(Host);
+  EXPECT_FALSE(M.lookup(Host + 8));
+  EXPECT_EQ(M.lookup(hostOf(Other) + 8)->Name, "c");
+  M.remove(hostOf(Other));
   EXPECT_EQ(M.stats().Live, 0u);
 }
+
+/// The TSan target: concurrent publish/lookup/remove across 8 threads with
+/// a dedicated reader thread walking the entries the whole time. Every
+/// writer publishes at the same simulated addresses, as arenas at one
+/// default base do, but into its own host storage, so the final census is
+/// exact.
 
 TEST_F(ProfileTest, CodeMapChurnEightThreads) {
   auto &M = profile::CodeMap::instance();
@@ -197,18 +230,19 @@ TEST_F(ProfileTest, CodeMapChurnEightThreads) {
   std::vector<std::thread> Writers;
   for (unsigned T = 0; T < kThreads; ++T)
     Writers.emplace_back([&M, T] {
-      uint64_t Base = 0x100000u * (T + 1);
+      std::vector<uint8_t> Arena(kSlots * 0x100);
+      const uintptr_t Base = reinterpret_cast<uintptr_t>(Arena.data());
       for (unsigned I = 0; I < kIters; ++I) {
-        uint64_t Addr = Base + (I % kSlots) * 0x100;
-        M.publish(Addr, 0x80, Addr, 0,
+        uint64_t Off = (I % kSlots) * 0x100;
+        M.publish(0x10000000 + Off, 0x80, 0x10000000 + Off, Base + Off,
                   "churn:" + std::to_string(T) + ":" +
                       std::to_string(I % kSlots),
                   "mips", Tier::Tier0);
-        auto E = M.lookup(Addr + 0x40);
+        auto E = M.lookup(Base + Off + 0x40);
         ASSERT_TRUE(E);
         E->Samples.fetch_add(1, std::memory_order_relaxed);
         if (I % 3 != 0)
-          M.remove(Addr); // else: left live, overlap-evicted on slot reuse
+          M.remove(Base + Off); // else: left live, overlap-evicted on reuse
       }
       for (unsigned S = 0; S < kSlots; ++S)
         M.remove(Base + S * 0x100);
@@ -252,7 +286,7 @@ TEST_F(ProfileTest, VEndPublishesNamedEntry) {
   EXPECT_STREQ(E->Target, "mips");
   EXPECT_EQ(E->Entry, Fn.Entry);
   EXPECT_GT(E->Bytes, 0u);
-  EXPECT_EQ(M.lookup(Fn.Entry).get(), E.get());
+  EXPECT_EQ(M.lookup(hostOf(Mem, Fn.Entry)).get(), E.get());
   ASSERT_FALSE(E->Code.empty()); // capture was on
   EXPECT_EQ(E->Code.size(), E->Bytes);
 
@@ -289,6 +323,7 @@ TEST_F(ProfileTest, CachedInstallListedUnderKey) {
   EXPECT_EQ(E->GenTier, Tier::Tier0);
   EXPECT_STREQ(E->Target, "mips");
   uint64_t OldAddr = E->Addr;
+  uintptr_t OldHost = E->Host;
 
   ASSERT_TRUE(Eng.promoteShared());
   auto P = M.findByName(Key);
@@ -296,7 +331,7 @@ TEST_F(ProfileTest, CachedInstallListedUnderKey) {
   EXPECT_EQ(P->Entry, H.code().Entry);
   EXPECT_EQ(P->GenTier, Tier::Tier1);
   EXPECT_NE(P->Addr, OldAddr);
-  EXPECT_FALSE(M.lookup(OldAddr)) << "promoted-away region still listed";
+  EXPECT_FALSE(M.lookup(OldHost)) << "promoted-away region still listed";
 
   // Evict: a second set pushes the first out of the one-slot shard, and
   // dropping the last handles frees its region.
@@ -345,28 +380,79 @@ TEST_F(ProfileTest, TranslationListedWithGuestRange) {
   EXPECT_LT(Fn.Entry, E->GuestHi);
 }
 
+/// Every simulated arena maps at the same default base, so two arenas'
+/// first functions share a simulated address. Keyed by host address, both
+/// stay live and each lookup resolves to its own entry.
+TEST_F(ProfileTest, CodeMapArenasAtSameBaseKeepOwnEntries) {
+  auto &M = profile::CodeMap::instance();
+  mips::MipsTarget Target;
+  sim::Memory A, B;
+  CodePtr FA = emitSumLoop(Target, A, "arena:a");
+  CodePtr FB = emitSumLoop(Target, B, "arena:b");
+  ASSERT_TRUE(FA.isValid() && FB.isValid());
+  ASSERT_EQ(FA.Entry, FB.Entry) << "the arenas should share addresses";
+
+  auto St = M.stats();
+  EXPECT_EQ(St.Published, 2u);
+  EXPECT_EQ(St.Removed, 0u);
+  EXPECT_EQ(St.Live, 2u);
+  auto EA = M.findByName("arena:a"), EB = M.findByName("arena:b");
+  ASSERT_TRUE(EA);
+  ASSERT_TRUE(EB);
+  EXPECT_EQ(M.lookup(hostOf(A, FA.Entry)), EA);
+  EXPECT_EQ(M.lookup(hostOf(B, FB.Entry)), EB);
+}
+
+/// A CodeCache retiring its region unregisters only that region, not
+/// another arena's entry at the same simulated address.
+TEST_F(ProfileTest, CodeMapCacheRetireKeepsOtherArenasEntry) {
+  auto &M = profile::CodeMap::instance();
+  mips::MipsTarget Target;
+  auto Install = [&](CodeCache &Cache, const std::string &Key) {
+    return Cache.lookupOrGenerate(Key, [&](CodeCache::RegionAlloc &RA) {
+      VCode V(Target);
+      return generateWithRetry(
+          V, [&](size_t N) { return RA(N); },
+          [&](CodeMem CM) {
+            Reg Arg[1];
+            V.lambda("%i", Arg, LeafHint, CM);
+            V.addii(Arg[0], Arg[0], 1);
+            V.reti(Arg[0]);
+            return V.end();
+          });
+    });
+  };
+  sim::Memory MemB;
+  CodeCache CacheB(MemB);
+  CodeCache::Handle HB;
+  {
+    sim::Memory MemA;
+    CodeCache CacheA(MemA);
+    CodeCache::Handle HA = Install(CacheA, "cache:a");
+    HB = Install(CacheB, "cache:b");
+    ASSERT_TRUE(HA);
+    ASSERT_TRUE(HB);
+    ASSERT_EQ(HA.pin()->RegionAddr, HB.pin()->RegionAddr)
+        << "the arenas should share addresses";
+    EXPECT_TRUE(M.findByName("cache:a"));
+    EXPECT_EQ(M.stats().Live, 2u);
+  } // cache A retires its region
+  auto EB = M.findByName("cache:b");
+  ASSERT_TRUE(EB) << "retiring arena A's region dropped arena B's entry";
+  EXPECT_FALSE(M.findByName("cache:a"));
+  EXPECT_EQ(M.lookup(hostOf(MemB, HB.code().Entry)), EB);
+  EXPECT_EQ(M.stats().Live, 1u);
+}
+
 TEST_F(ProfileTest, VirtualSamplerAttributesHotLoop) {
   auto &M = profile::CodeMap::instance();
   sim::Memory Mem;
   mips::MipsTarget Target;
   sim::MipsSim Sim(Mem, sim::dec5000Config());
 
-  // sum(n): ~4 instructions per iteration, so 1.5M iterations is ~6M
-  // instructions — well past the 4096-instruction sampling period.
-  VCode V(Target);
-  Reg Arg[1];
-  V.lambda("%i", Arg, LeafHint, Mem.allocCode(4096));
-  V.setFunctionName("hot:sum");
-  Reg S = V.getreg(Type::I), I = V.getreg(Type::I);
-  V.setInt(Type::I, S, 0);
-  V.setInt(Type::I, I, 0);
-  Label L = V.genLabel();
-  V.label(L);
-  V.binop(BinOp::Add, Type::I, S, S, I);
-  V.binopImm(BinOp::Add, Type::I, I, I, 1);
-  V.branch(Cond::Lt, Type::I, I, Arg[0], L);
-  V.ret(Type::I, S);
-  CodePtr Fn = V.end();
+  // 1.5M iterations is ~6M instructions — well past the 4096-instruction
+  // sampling period.
+  CodePtr Fn = emitSumLoop(Target, Mem, "hot:sum");
   ASSERT_TRUE(Fn.isValid());
 
   profile::startSampler(); // native timer may not arm; virtual always does
@@ -396,6 +482,34 @@ TEST_F(ProfileTest, VirtualSamplerAttributesHotLoop) {
   EXPECT_EQ(PS2.VirtualSamples, PS.VirtualSamples);
 }
 
+/// Two mips substrates at the same base run functions at the same
+/// simulated address: each one's samples go to its own entry.
+TEST_F(ProfileTest, VirtualSamplerAttributesPerSubstrate) {
+  auto &M = profile::CodeMap::instance();
+  Substrate A = makeSubstrate("mips"), B = makeSubstrate("mips");
+  CodePtr FA = emitSumLoop(*A.Tgt, *A.Mem, "hot:a");
+  CodePtr FB = emitSumLoop(*B.Tgt, *B.Mem, "hot:b");
+  ASSERT_TRUE(FA.isValid() && FB.isValid());
+  ASSERT_EQ(FA.Entry, FB.Entry) << "the arenas should share addresses";
+  auto EA = M.findByName("hot:a"), EB = M.findByName("hot:b");
+  ASSERT_TRUE(EA);
+  ASSERT_TRUE(EB);
+
+  profile::startSampler();
+  A.Cpu->call(FA.Entry, {TypedValue::fromInt(500'000)});
+  const uint64_t HeatA = EA->Samples.load(std::memory_order_relaxed);
+  EXPECT_GT(HeatA, 0u);
+  EXPECT_EQ(EB->Samples.load(std::memory_order_relaxed), 0u)
+      << "samples of substrate A charged to B";
+  B.Cpu->call(FB.Entry, {TypedValue::fromInt(250'000)});
+  profile::stopSampler();
+  const uint64_t HeatB = EB->Samples.load(std::memory_order_relaxed);
+  EXPECT_EQ(EA->Samples.load(std::memory_order_relaxed), HeatA)
+      << "samples of substrate B charged to A";
+  EXPECT_GT(HeatB, 0u);
+  EXPECT_EQ(profile::samplerStats().VirtualAttributed, HeatA + HeatB);
+}
+
 /// Native samples wait in the SIGPROF ring until a drain attributes them.
 /// A region removed before the session ends must still be credited with
 /// the samples taken while it ran, under its own name.
@@ -408,20 +522,7 @@ TEST_F(ProfileTest, NativeSamplesAttributedBeforeRemoval) {
   x64::X64Target Target;
   x64::NativeCpu Cpu(Mem);
 
-  VCode V(Target);
-  Reg Arg[1];
-  V.lambda("%i", Arg, LeafHint, Mem.allocCode(4096));
-  V.setFunctionName("hot:native");
-  Reg S = V.getreg(Type::I), I = V.getreg(Type::I);
-  V.setInt(Type::I, S, 0);
-  V.setInt(Type::I, I, 0);
-  Label L = V.genLabel();
-  V.label(L);
-  V.binop(BinOp::Add, Type::I, S, S, I);
-  V.binopImm(BinOp::Add, Type::I, I, I, 1);
-  V.branch(Cond::Lt, Type::I, I, Arg[0], L);
-  V.ret(Type::I, S);
-  CodePtr Fn = V.end();
+  CodePtr Fn = emitSumLoop(Target, Mem, "hot:native");
   ASSERT_TRUE(Fn.isValid());
   auto E = M.findByName("hot:native");
   ASSERT_TRUE(E);
@@ -439,7 +540,7 @@ TEST_F(ProfileTest, NativeSamplesAttributedBeforeRemoval) {
   const double Start = CpuMs();
   while (CpuMs() - Start < 300)
     Cpu.call(Fn.Entry, {TypedValue::fromInt(1'000'000)});
-  M.remove(E->Addr);
+  M.remove(E->Host);
   profile::stopSampler();
 
   uint64_t Heat = 0;
@@ -457,15 +558,16 @@ TEST_F(ProfileTest, PerfMapStructure) {
   ASSERT_TRUE(profile::enablePerfMap(Path.c_str()));
   EXPECT_EQ(profile::perfMapPath(), Path);
 
-  static uint8_t HostBuf[32];
-  uintptr_t H = reinterpret_cast<uintptr_t>(HostBuf);
-  M.publish(0x7000, 0x40, 0x7000, 0, "sim only", "mips", Tier::Tier0);
+  static uint8_t SimBuf[0x40], HostBuf[32];
+  uintptr_t S = hostOf(SimBuf), H = hostOf(HostBuf);
+  M.publish(0x7000, sizeof(SimBuf), 0x7000, S, "sim fn", "mips",
+            Tier::Tier0);
   M.publish(0x8000, sizeof(HostBuf), 0x8000, H, "hosted_fn", "x64",
             Tier::Tier1);
   profile::closeJitExports();
 
-  // Test-side reader: every line is "<hex addr> <hex size> <name>", with
-  // the host address preferred when the region has one (perf samples host
+  // Test-side reader: every line is "<hex addr> <hex size> <name>" with
+  // the host address, simulated regions included (perf samples host
   // RIPs). Names may contain spaces — everything after the second field.
   std::ifstream In(Path);
   ASSERT_TRUE(In.good());
@@ -481,9 +583,9 @@ TEST_F(ProfileTest, PerfMapStructure) {
                         (unsigned long long *)&A0,
                         (unsigned long long *)&S0),
             2);
-  EXPECT_EQ(A0, 0x7000u);
-  EXPECT_EQ(S0, 0x40u);
-  EXPECT_NE(Lines[0].find("sim only"), std::string::npos);
+  EXPECT_EQ(A0, uint64_t(S));
+  EXPECT_EQ(S0, sizeof(SimBuf));
+  EXPECT_NE(Lines[0].find("sim fn"), std::string::npos);
   ASSERT_EQ(std::sscanf(Lines[1].c_str(), "%llx %llx %63s",
                         (unsigned long long *)&A1,
                         (unsigned long long *)&S1, Name1),
@@ -581,8 +683,10 @@ TEST_F(ProfileTest, X64DisasmKnownEncodings) {
 
 TEST_F(ProfileTest, ReportSectionsPresent) {
   auto &M = profile::CodeMap::instance();
-  M.publish(0xA000, 0x40, 0xA000, 0, "rpt:fn", "mips", Tier::Tier0);
-  auto E = M.lookup(0xA000);
+  static uint8_t Buf[0x40];
+  M.publish(0xA000, sizeof(Buf), 0xA000, hostOf(Buf), "rpt:fn", "mips",
+            Tier::Tier0);
+  auto E = M.lookup(hostOf(Buf));
   ASSERT_TRUE(E);
   E->Samples.fetch_add(3, std::memory_order_relaxed);
 

@@ -26,14 +26,11 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "alpha/AlphaTarget.h"
 #include "core/Extension.h"
 #include "core/VCode.h"
-#include "mips/MipsTarget.h"
 #include "profile/CodeMap.h"
 #include "profile/Disasm.h"
-#include "sim/Memory.h"
-#include "sparc/SparcTarget.h"
+#include "substrate/Substrate.h"
 #include "support/Error.h"
 #include "support/Telemetry.h"
 #include "support/ToolFlags.h"
@@ -45,9 +42,6 @@
 #include <memory>
 #include <sstream>
 #include <vector>
-#ifdef __x86_64__
-#include "x64/X64Target.h"
-#endif
 
 using namespace vcode;
 
@@ -184,10 +178,11 @@ void checkTargetEntries(const char *TargetName, const char *Pattern,
 
 /// Emits the corpus on every backend, then decodes every published region
 /// back through the registered disassemblers, and checks that every
-/// target's corpus is still in the CodeMap for the at-exit listing. Each
-/// simulated target gets its own arena at its own base, so no target's
-/// regions overlap (and evict) another's. Returns the process exit code:
-/// 0 when every word/byte decoded and every corpus is listed, 1 otherwise.
+/// target's corpus is still in the CodeMap for the at-exit listing. Every
+/// machine comes from makeSubstrate at its default base; all of them stay
+/// alive until the listing check, so no arena's mapping is reused (and its
+/// regions evicted) by a later one. Returns the process exit code: 0 when
+/// every word/byte decoded and every corpus is listed, 1 otherwise.
 int runDumpCodeCheck(const char *Pattern) {
   if (!telemetry::compiledIn()) {
     std::printf("vcodegen --dump-code: built with -DVCODE_TELEMETRY=OFF; "
@@ -196,46 +191,27 @@ int runDumpCodeCheck(const char *Pattern) {
   }
   profile::CodeMap::instance().setCaptureBytes(true);
 
-  constexpr size_t ArenaBytes = 4 << 20;
-  std::vector<std::string> Targets = {"mips", "sparc", "alpha"};
-  unsigned Checked = 0, Failed = 0;
-  {
-    sim::Memory Mem(ArenaBytes, 0x10000000);
-    mips::MipsTarget Tgt;
-    emitTargetCorpus(Tgt, Mem);
-    checkTargetEntries("mips", Pattern, Checked, Failed);
-  }
-  {
-    sim::Memory Mem(ArenaBytes, 0x20000000);
-    sparc::SparcTarget Tgt;
-    emitTargetCorpus(Tgt, Mem);
-    checkTargetEntries("sparc", Pattern, Checked, Failed);
-  }
-  {
-    sim::Memory Mem(ArenaBytes, 0x30000000);
-    alpha::AlphaTarget Tgt;
-    // The 21064 has no divide instruction; the corpus's div/mod emit
-    // calls into these VCODE-generated helpers (themselves published
-    // regions the check decodes).
-    Tgt.installDivHelpers(Mem.allocCode(8192));
-    emitTargetCorpus(Tgt, Mem);
-    checkTargetEntries("alpha", Pattern, Checked, Failed);
-  }
+  // The alpha substrate installs the div helpers the 21064 needs for the
+  // corpus's div/mod (themselves published regions the check decodes).
+  std::vector<const char *> Names = {"mips", "sparc", "alpha"};
 #ifdef __x86_64__
-  {
-    sim::Memory Mem(sim::Memory::Native);
-    x64::X64Target Tgt;
-    emitTargetCorpus(Tgt, Mem);
-    checkTargetEntries("x64", Pattern, Checked, Failed);
-  }
-  Targets.push_back("x64");
+  Names.push_back("host");
 #else
   std::printf("vcodegen --dump-code: not an x86-64 host; skipping the x64 "
               "backend\n");
 #endif
-  for (const std::string &T : Targets)
+  std::vector<Substrate> Machines;
+  unsigned Checked = 0, Failed = 0;
+  for (const char *N : Names) {
+    Machines.push_back(makeSubstrate(N));
+    Target &Tgt = *Machines.back().Tgt;
+    emitTargetCorpus(Tgt, *Machines.back().Mem);
+    checkTargetEntries(Tgt.info().Name, Pattern, Checked, Failed);
+  }
+  for (const Substrate &S : Machines)
     for (const char *Kind : {"int", "fp", "mem"}) {
-      std::string Name = "corpus:" + T + ":" + Kind;
+      std::string Name =
+          std::string("corpus:") + S.Tgt->info().Name + ":" + Kind;
       if (!profile::CodeMap::instance().findByName(Name)) {
         std::fprintf(stderr, "FAIL %s: missing from the final CodeMap\n",
                      Name.c_str());
@@ -256,7 +232,7 @@ int runDumpCodeCheck(const char *Pattern) {
 int main(int argc, char **argv) {
   tool::ToolOptions Opts;
   argc = tool::handleArgs(argc, argv, Opts);
-  if (Opts.DumpCodeGiven)
+  if (Opts.DumpCode)
     return runDumpCodeCheck(Opts.DumpCode);
   std::string Text;
   if (argc > 2) {
