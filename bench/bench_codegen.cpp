@@ -227,7 +227,7 @@ void BM_RawEncoderMacro(benchmark::State &State) {
     B.reset(T.Code);
     using namespace vcode::mips;
     for (int I = 0; I < Ops; ++I)
-      B.put(addiu(mips::T0, mips::T0, 1));
+      B.put(encode<Opc::Addiu>(mips::T0, mips::T0, 1));
     benchmark::DoNotOptimize(B.wordIndex());
   }
   int64_t Gen = int64_t(State.iterations()) * Ops;

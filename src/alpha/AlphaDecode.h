@@ -22,7 +22,6 @@
 #ifndef VCODE_ALPHA_ALPHADECODE_H
 #define VCODE_ALPHA_ALPHADECODE_H
 
-#include "alpha/AlphaEncoding.h"
 #include "core/CodeBuffer.h"
 #include "support/BitUtils.h"
 #include <array>
@@ -107,21 +106,21 @@ enum class Form : uint8_t {
   X(Umulh, "umulh", Operate, 0x13, 0x30)                                       \
   X(Sqrts, "sqrts", Fp2, 0x14, 0x08b)                                          \
   X(Sqrtt, "sqrtt", Fp2, 0x14, 0x0ab)                                          \
-  X(Adds, "adds", Fp3, 0x16, ADDS)                                             \
-  X(Addt, "addt", Fp3, 0x16, ADDT)                                             \
-  X(Subs, "subs", Fp3, 0x16, SUBS)                                             \
-  X(Subt, "subt", Fp3, 0x16, SUBT)                                             \
-  X(Muls, "muls", Fp3, 0x16, MULS)                                             \
-  X(Mult, "mult", Fp3, 0x16, MULT)                                             \
-  X(Divs, "divs", Fp3, 0x16, DIVS)                                             \
-  X(Divt, "divt", Fp3, 0x16, DIVT)                                             \
-  X(Cmpteq, "cmpteq", Fp3, 0x16, CMPTEQ)                                       \
-  X(Cmptlt, "cmptlt", Fp3, 0x16, CMPTLT)                                       \
-  X(Cmptle, "cmptle", Fp3, 0x16, CMPTLE)                                       \
-  X(Cvtqs, "cvtqs", Fp2, 0x16, CVTQS)                                          \
-  X(Cvtqt, "cvtqt", Fp2, 0x16, CVTQT)                                          \
-  X(Cvttqc, "cvttq/c", Fp2, 0x16, CVTTQC)                                      \
-  X(Cvtts, "cvtts", Fp2, 0x16, CVTTS)                                          \
+  X(Adds, "adds", Fp3, 0x16, 0x080)                                            \
+  X(Addt, "addt", Fp3, 0x16, 0x0a0)                                            \
+  X(Subs, "subs", Fp3, 0x16, 0x081)                                            \
+  X(Subt, "subt", Fp3, 0x16, 0x0a1)                                            \
+  X(Muls, "muls", Fp3, 0x16, 0x082)                                            \
+  X(Mult, "mult", Fp3, 0x16, 0x0a2)                                            \
+  X(Divs, "divs", Fp3, 0x16, 0x083)                                            \
+  X(Divt, "divt", Fp3, 0x16, 0x0a3)                                            \
+  X(Cmpteq, "cmpteq", Fp3, 0x16, 0x0a5)                                        \
+  X(Cmptlt, "cmptlt", Fp3, 0x16, 0x0a6)                                        \
+  X(Cmptle, "cmptle", Fp3, 0x16, 0x0a7)                                        \
+  X(Cvtqs, "cvtqs", Fp2, 0x16, 0x0bc)                                          \
+  X(Cvtqt, "cvtqt", Fp2, 0x16, 0x0be)                                          \
+  X(Cvttqc, "cvttq/c", Fp2, 0x16, 0x02f)                                       \
+  X(Cvtts, "cvtts", Fp2, 0x16, 0x2ac)                                          \
   X(Cpys, "cpys", Fp3, 0x17, 0x020)                                            \
   X(Cpysn, "cpysn", Fp3, 0x17, 0x021)
 
@@ -194,7 +193,7 @@ inline constexpr DecodeTables Tables = [] {
 } // namespace detail
 
 /// Decodes one instruction word.
-inline Insn decode(uint32_t W) {
+constexpr Insn decode(uint32_t W) {
   Insn D;
   D.Ra = uint8_t((W >> 21) & 31);
   D.Rb = uint8_t((W >> 16) & 31);

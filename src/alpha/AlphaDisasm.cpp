@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "alpha/AlphaDecode.h"
+#include "alpha/AlphaEncoding.h"
 #include "profile/Disasm.h"
 #include "support/Error.h"
 #include <cstdarg>
@@ -33,7 +33,7 @@ std::string fmt(const char *Format, ...) {
 } // namespace
 
 std::string vcode::alpha::disassemble(uint32_t I, SimAddr Pc) {
-  if (I == nop())
+  if (I == Nop)
     return "nop";
 
   const Insn D = decode(I);

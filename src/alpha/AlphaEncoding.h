@@ -1,21 +1,27 @@
-//===- alpha/AlphaEncoding.h - Alpha instruction encoders -------*- C++ -*-===//
+//===- alpha/AlphaEncoding.h - Alpha encoders from decode rows --*- C++ -*-===//
 //
 // Part of the vcode reproduction of Engler, PLDI 1996.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Alpha (21064-class, pre-BWX) instruction word encoders. The 21064 has no
-/// byte or halfword loads/stores — the backend synthesizes them from
-/// ldq_u/extbl/insbl/mskbl/stq_u, the expensive sequences §6.2 of the paper
-/// complains about — and no integer division, which goes through runtime
-/// helper routines (§5.2).
+/// Alpha (21064-class, pre-BWX) instruction words, built from the one
+/// instruction description in AlphaDecode.h: a row's opcode and function
+/// give the bits that name the instruction (fixedBits), and its Form says
+/// where the operands go, as in mips/MipsEncoding.h. Operands are raw
+/// register numbers, destination first; an operate operand B is a
+/// register or a Lit. The 21064 has no byte or halfword loads/stores -- the
+/// backend synthesizes them from ldq_u/extbl/insbl/mskbl/stq_u, the
+/// expensive sequences §6.2 of the paper complains about -- and no integer
+/// division, which goes through runtime helper routines (§5.2).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef VCODE_ALPHA_ALPHAENCODING_H
 #define VCODE_ALPHA_ALPHAENCODING_H
 
+#include "alpha/AlphaDecode.h"
+#include "core/EncTable.h"
 #include <cstdint>
 
 namespace vcode {
@@ -31,249 +37,103 @@ enum RegNum : unsigned {
   AT = 28, GP = 29, SP = 30, ZERO = 31,
 };
 
-// --- Format builders ---------------------------------------------------------
-
-/// Memory format: op ra, disp16(rb).
-constexpr uint32_t mem(unsigned Op, unsigned Ra, unsigned Rb, int32_t Disp) {
-  return (Op << 26) | (Ra << 21) | (Rb << 16) | (uint32_t(Disp) & 0xffff);
-}
-/// Branch format: op ra, disp21 (in words, from pc+4).
-constexpr uint32_t brf(unsigned Op, unsigned Ra, int32_t Disp21) {
-  return (Op << 26) | (Ra << 21) | (uint32_t(Disp21) & 0x1fffff);
-}
-/// Operate format, register-register.
-constexpr uint32_t oprr(unsigned Op, unsigned Fn, unsigned Ra, unsigned Rb,
-                        unsigned Rc) {
-  return (Op << 26) | (Ra << 21) | (Rb << 16) | (Fn << 5) | Rc;
-}
-/// Operate format, 8-bit literal.
-constexpr uint32_t opri(unsigned Op, unsigned Fn, unsigned Ra, unsigned Lit,
-                        unsigned Rc) {
-  return (Op << 26) | (Ra << 21) | ((Lit & 0xff) << 13) | (1u << 12) |
-         (Fn << 5) | Rc;
-}
-/// FP operate format (11-bit function).
-constexpr uint32_t fpop(unsigned Op, unsigned Fn, unsigned Fa, unsigned Fb,
-                        unsigned Fc) {
-  return (Op << 26) | (Fa << 21) | (Fb << 16) | (Fn << 5) | Fc;
-}
-/// Jump format (op 0x1a): jmp/jsr/ret by hint.
-constexpr uint32_t jump(unsigned Hint, unsigned Ra, unsigned Rb) {
-  return (0x1au << 26) | (Ra << 21) | (Rb << 16) | (Hint << 14);
+/// The bits that name \p O: its opcode and its function, which sits at
+/// bit 14 (the jump hint) or bit 5 (operate and FP operate). A one-source
+/// FP operation reads Fb, so Fa is F31.
+constexpr uint32_t fixedBits(Opc O) {
+  const OpcInfo &I = info(O);
+  uint32_t Op = uint32_t(I.Opcode) << 26, Fn = I.Function;
+  switch (I.Operands) {
+  case Form::Jump:
+    return Op | (Fn << 14);
+  case Form::Operate:
+  case Form::Fp3:
+    return Op | (Fn << 5);
+  case Form::Fp2:
+    return Op | (31u << 21) | (Fn << 5);
+  default:
+    return Op;
+  }
 }
 
-// --- Memory ------------------------------------------------------------------
-
-constexpr uint32_t lda(unsigned Ra, unsigned Rb, int32_t D) {
-  return mem(0x08, Ra, Rb, D);
-}
-constexpr uint32_t ldah(unsigned Ra, unsigned Rb, int32_t D) {
-  return mem(0x09, Ra, Rb, D);
-}
-constexpr uint32_t ldq_u(unsigned Ra, unsigned Rb, int32_t D) {
-  return mem(0x0b, Ra, Rb, D);
-}
-constexpr uint32_t stq_u(unsigned Ra, unsigned Rb, int32_t D) {
-  return mem(0x0f, Ra, Rb, D);
-}
-constexpr uint32_t ldl(unsigned Ra, unsigned Rb, int32_t D) {
-  return mem(0x28, Ra, Rb, D);
-}
-constexpr uint32_t ldq(unsigned Ra, unsigned Rb, int32_t D) {
-  return mem(0x29, Ra, Rb, D);
-}
-constexpr uint32_t stl(unsigned Ra, unsigned Rb, int32_t D) {
-  return mem(0x2c, Ra, Rb, D);
-}
-constexpr uint32_t stq(unsigned Ra, unsigned Rb, int32_t D) {
-  return mem(0x2d, Ra, Rb, D);
-}
-constexpr uint32_t lds(unsigned Fa, unsigned Rb, int32_t D) {
-  return mem(0x22, Fa, Rb, D);
-}
-constexpr uint32_t ldt(unsigned Fa, unsigned Rb, int32_t D) {
-  return mem(0x23, Fa, Rb, D);
-}
-constexpr uint32_t sts(unsigned Fa, unsigned Rb, int32_t D) {
-  return mem(0x26, Fa, Rb, D);
-}
-constexpr uint32_t stt(unsigned Fa, unsigned Rb, int32_t D) {
-  return mem(0x27, Fa, Rb, D);
-}
-
-// --- Branches -------------------------------------------------------------------
-
-constexpr uint32_t br(unsigned Ra, int32_t D = 0) { return brf(0x30, Ra, D); }
-constexpr uint32_t bsr(unsigned Ra, int32_t D = 0) { return brf(0x34, Ra, D); }
-constexpr uint32_t beq(unsigned Ra, int32_t D = 0) { return brf(0x39, Ra, D); }
-constexpr uint32_t bne(unsigned Ra, int32_t D = 0) { return brf(0x3d, Ra, D); }
-constexpr uint32_t blt(unsigned Ra, int32_t D = 0) { return brf(0x3a, Ra, D); }
-constexpr uint32_t ble(unsigned Ra, int32_t D = 0) { return brf(0x3b, Ra, D); }
-constexpr uint32_t bgt(unsigned Ra, int32_t D = 0) { return brf(0x3f, Ra, D); }
-constexpr uint32_t bge(unsigned Ra, int32_t D = 0) { return brf(0x3e, Ra, D); }
-constexpr uint32_t fbeq(unsigned Fa, int32_t D = 0) { return brf(0x31, Fa, D); }
-constexpr uint32_t fbne(unsigned Fa, int32_t D = 0) { return brf(0x35, Fa, D); }
-
-constexpr uint32_t jmp(unsigned Ra, unsigned Rb) { return jump(0, Ra, Rb); }
-constexpr uint32_t jsr(unsigned Ra, unsigned Rb) { return jump(1, Ra, Rb); }
-constexpr uint32_t ret(unsigned Ra, unsigned Rb) { return jump(2, Ra, Rb); }
-
-// --- Integer operate ---------------------------------------------------------------
-
-constexpr uint32_t addl(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x10, 0x00, Ra, Rb, Rc);
-}
-constexpr uint32_t addli(unsigned Rc, unsigned Ra, unsigned Lit) {
-  return opri(0x10, 0x00, Ra, Lit, Rc);
-}
-constexpr uint32_t subl(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x10, 0x09, Ra, Rb, Rc);
-}
-constexpr uint32_t subli(unsigned Rc, unsigned Ra, unsigned Lit) {
-  return opri(0x10, 0x09, Ra, Lit, Rc);
-}
-constexpr uint32_t addq(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x10, 0x20, Ra, Rb, Rc);
-}
-constexpr uint32_t addqi(unsigned Rc, unsigned Ra, unsigned Lit) {
-  return opri(0x10, 0x20, Ra, Lit, Rc);
-}
-constexpr uint32_t subq(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x10, 0x29, Ra, Rb, Rc);
-}
-constexpr uint32_t subqi(unsigned Rc, unsigned Ra, unsigned Lit) {
-  return opri(0x10, 0x29, Ra, Lit, Rc);
-}
-constexpr uint32_t cmpeq(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x10, 0x2d, Ra, Rb, Rc);
-}
-constexpr uint32_t cmpeqi(unsigned Rc, unsigned Ra, unsigned Lit) {
-  return opri(0x10, 0x2d, Ra, Lit, Rc);
-}
-constexpr uint32_t cmplt(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x10, 0x4d, Ra, Rb, Rc);
-}
-constexpr uint32_t cmplti(unsigned Rc, unsigned Ra, unsigned Lit) {
-  return opri(0x10, 0x4d, Ra, Lit, Rc);
-}
-constexpr uint32_t cmple(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x10, 0x6d, Ra, Rb, Rc);
-}
-constexpr uint32_t cmplei(unsigned Rc, unsigned Ra, unsigned Lit) {
-  return opri(0x10, 0x6d, Ra, Lit, Rc);
-}
-constexpr uint32_t cmpult(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x10, 0x1d, Ra, Rb, Rc);
-}
-constexpr uint32_t cmpulti(unsigned Rc, unsigned Ra, unsigned Lit) {
-  return opri(0x10, 0x1d, Ra, Lit, Rc);
-}
-constexpr uint32_t cmpule(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x10, 0x3d, Ra, Rb, Rc);
-}
-constexpr uint32_t cmpulei(unsigned Rc, unsigned Ra, unsigned Lit) {
-  return opri(0x10, 0x3d, Ra, Lit, Rc);
-}
-
-constexpr uint32_t and_(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x11, 0x00, Ra, Rb, Rc);
-}
-constexpr uint32_t andi(unsigned Rc, unsigned Ra, unsigned Lit) {
-  return opri(0x11, 0x00, Ra, Lit, Rc);
-}
-constexpr uint32_t bis(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x11, 0x20, Ra, Rb, Rc);
-}
-constexpr uint32_t bisi(unsigned Rc, unsigned Ra, unsigned Lit) {
-  return opri(0x11, 0x20, Ra, Lit, Rc);
-}
-constexpr uint32_t xor_(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x11, 0x40, Ra, Rb, Rc);
-}
-constexpr uint32_t xori(unsigned Rc, unsigned Ra, unsigned Lit) {
-  return opri(0x11, 0x40, Ra, Lit, Rc);
-}
-constexpr uint32_t ornot(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x11, 0x28, Ra, Rb, Rc);
-}
-
-constexpr uint32_t sll(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x12, 0x39, Ra, Rb, Rc);
-}
-constexpr uint32_t slli(unsigned Rc, unsigned Ra, unsigned Sh) {
-  return opri(0x12, 0x39, Ra, Sh, Rc);
-}
-constexpr uint32_t srl(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x12, 0x34, Ra, Rb, Rc);
-}
-constexpr uint32_t srli(unsigned Rc, unsigned Ra, unsigned Sh) {
-  return opri(0x12, 0x34, Ra, Sh, Rc);
-}
-constexpr uint32_t sra(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x12, 0x3c, Ra, Rb, Rc);
-}
-constexpr uint32_t srai(unsigned Rc, unsigned Ra, unsigned Sh) {
-  return opri(0x12, 0x3c, Ra, Sh, Rc);
-}
-constexpr uint32_t extbl(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x12, 0x06, Ra, Rb, Rc);
-}
-constexpr uint32_t extwl(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x12, 0x16, Ra, Rb, Rc);
-}
-constexpr uint32_t insbl(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x12, 0x0b, Ra, Rb, Rc);
-}
-constexpr uint32_t inswl(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x12, 0x1b, Ra, Rb, Rc);
-}
-constexpr uint32_t mskbl(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x12, 0x02, Ra, Rb, Rc);
-}
-constexpr uint32_t mskwl(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x12, 0x12, Ra, Rb, Rc);
-}
-constexpr uint32_t zapnoti(unsigned Rc, unsigned Ra, unsigned ByteMask) {
-  return opri(0x12, 0x31, Ra, ByteMask, Rc);
-}
-
-constexpr uint32_t mull(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x13, 0x00, Ra, Rb, Rc);
-}
-constexpr uint32_t mulq(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x13, 0x20, Ra, Rb, Rc);
-}
-constexpr uint32_t umulh(unsigned Rc, unsigned Ra, unsigned Rb) {
-  return oprr(0x13, 0x30, Ra, Rb, Rc);
-}
-
-/// Canonical nop.
-constexpr uint32_t nop() { return bis(ZERO, ZERO, ZERO); }
-
-// --- FP operate (IEEE, opcode 0x16; copies 0x17; sqrt 0x14) ------------------------
-
-enum FpFn : unsigned {
-  ADDS = 0x080, ADDT = 0x0a0, SUBS = 0x081, SUBT = 0x0a1,
-  MULS = 0x082, MULT = 0x0a2, DIVS = 0x083, DIVT = 0x0a3,
-  CMPTEQ = 0x0a5, CMPTLT = 0x0a6, CMPTLE = 0x0a7,
-  CVTQS = 0x0bc, CVTQT = 0x0be, CVTTQC = 0x02f, CVTTS = 0x2ac,
+/// An 8-bit operate literal in place of Rb (sets bit 12).
+struct Lit {
+  unsigned V;
 };
 
-constexpr uint32_t fop(unsigned Fn, unsigned Fc, unsigned Fa, unsigned Fb) {
-  return fpop(0x16, Fn, Fa, Fb, Fc);
+// Where each Form puts its operands; fields a Form does not name stay zero.
+
+/// Ra, Rb and a 16-bit displacement.
+template <Form F>
+  requires(F == Form::MemI || F == Form::MemF)
+constexpr uint32_t place(FormTag<F>, unsigned Ra, unsigned Rb, int32_t Disp) {
+  return (Ra << 21) | (Rb << 16) | (uint32_t(Disp) & 0xffff);
 }
-constexpr uint32_t cpys(unsigned Fc, unsigned Fa, unsigned Fb) {
-  return fpop(0x17, 0x020, Fa, Fb, Fc);
+/// Ra and a 21-bit displacement in words.
+template <Form F>
+  requires(F == Form::Br || F == Form::FBr)
+constexpr uint32_t place(FormTag<F>, unsigned Ra, int32_t Disp) {
+  return (Ra << 21) | (uint32_t(Disp) & 0x1fffff);
 }
-constexpr uint32_t cpysn(unsigned Fc, unsigned Fa, unsigned Fb) {
-  return fpop(0x17, 0x021, Fa, Fb, Fc);
+constexpr uint32_t place(FormTag<Form::Jump>, unsigned Ra, unsigned Rb) {
+  return (Ra << 21) | (Rb << 16);
 }
-constexpr uint32_t sqrts(unsigned Fc, unsigned Fb) {
-  return fpop(0x14, 0x08b, 31, Fb, Fc);
+constexpr uint32_t place(FormTag<Form::Operate>, unsigned Rc, unsigned Ra,
+                         unsigned Rb) {
+  return (Ra << 21) | (Rb << 16) | Rc;
 }
-constexpr uint32_t sqrtt(unsigned Fc, unsigned Fb) {
-  return fpop(0x14, 0x0ab, 31, Fb, Fc);
+constexpr uint32_t place(FormTag<Form::Operate>, unsigned Rc, unsigned Ra,
+                         Lit L) {
+  return (Ra << 21) | ((L.V & 0xff) << 13) | (1u << 12) | Rc;
 }
+constexpr uint32_t place(FormTag<Form::Fp2>, unsigned Fc, unsigned Fb) {
+  return (Fb << 16) | Fc;
+}
+constexpr uint32_t place(FormTag<Form::Fp3>, unsigned Fc, unsigned Fa,
+                         unsigned Fb) {
+  return (Fa << 21) | (Fb << 16) | Fc;
+}
+
+/// The canonical nop: bis zero, zero, zero.
+inline constexpr uint32_t Nop = encode<Opc::Bis>(ZERO, ZERO, ZERO);
+
+namespace detail {
+/// decode(encode<O>(probe)) names O and reads every probe operand back,
+/// in both operand-B kinds for the operate Form.
+template <Opc O> constexpr bool roundTrips() {
+  constexpr Form F = info(O).Operands;
+  constexpr unsigned A = 3, B = 5, C = 7, L = 0xa5;
+  constexpr int32_t Off = -12;
+  if constexpr (F == Form::MemI || F == Form::MemF) {
+    Insn D = decode(encode<O>(A, B, Off));
+    return D.Op == O && D.Ra == A && D.Rb == B && D.Disp16 == Off;
+  } else if constexpr (F == Form::Br || F == Form::FBr) {
+    Insn D = decode(encode<O>(A, Off));
+    return D.Op == O && D.Ra == A && D.Disp21 == Off;
+  } else if constexpr (F == Form::Jump) {
+    Insn D = decode(encode<O>(A, B));
+    return D.Op == O && D.Ra == A && D.Rb == B;
+  } else if constexpr (F == Form::Operate) {
+    Insn R = decode(encode<O>(C, A, B));
+    Insn I = decode(encode<O>(C, A, Lit{L}));
+    return R.Op == O && R.Rc == C && R.Ra == A && R.Rb == B && !R.UseLit &&
+           I.Op == O && I.Rc == C && I.Ra == A && I.UseLit && I.Lit == L;
+  } else if constexpr (F == Form::Fp2) {
+    Insn D = decode(encode<O>(C, B));
+    return D.Op == O && D.Rc == C && D.Rb == B;
+  } else {
+    static_assert(F == Form::Fp3);
+    Insn D = decode(encode<O>(C, A, B));
+    return D.Op == O && D.Rc == C && D.Ra == A && D.Rb == B;
+  }
+}
+} // namespace detail
+
+#define VCODE_ALPHA_ROUND_TRIP(Name, Mn, Fm, Op, Fn)                           \
+  static_assert(detail::roundTrips<Opc::Name>(),                               \
+                "Alpha row " #Name " does not decode back to itself");
+VCODE_ALPHA_OPCODES(VCODE_ALPHA_ROUND_TRIP)
+#undef VCODE_ALPHA_ROUND_TRIP
 
 } // namespace alpha
 } // namespace vcode

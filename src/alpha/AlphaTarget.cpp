@@ -67,18 +67,19 @@ void AlphaTarget::divCall(VCode &VC, Type Ty, Reg Rd, Reg Rs1, Reg Rs2,
   // must be zero-extended for the 64-bit helper; everything else is already
   // canonical.
   if (Ty == Type::U) {
-    B.put(zapnoti(AT3, gpr(Rs1), 0x0f));
-    B.put(zapnoti(AT2, gpr(Rs2), 0x0f));
+    B.put(encode<Opc::Zapnot>(AT3, gpr(Rs1), Lit{0x0f}));
+    B.put(encode<Opc::Zapnot>(AT2, gpr(Rs2), Lit{0x0f}));
   } else {
-    B.put(bis(AT3, gpr(Rs1), gpr(Rs1)));
-    B.put(bis(AT2, gpr(Rs2), gpr(Rs2)));
+    B.put(encode<Opc::Bis>(AT3, gpr(Rs1), gpr(Rs1)));
+    B.put(encode<Opc::Bis>(AT2, gpr(Rs2), gpr(Rs2)));
   }
   li(VC, T12, int64_t(DivHelper[(Signed ? 2 : 0) + (Rem ? 1 : 0)]));
-  B.put(jsr(AT, T12)); // link in AT: leaf callers keep their own ra intact
+  // Link in AT: leaf callers keep their own ra intact.
+  B.put(encode<Opc::Jsr>(AT, T12));
   if (is32(Ty))
-    B.put(addli(gpr(Rd), T12, 0)); // re-canonicalize the 32-bit result
+    B.put(encode<Opc::Addl>(gpr(Rd), T12, Lit{0})); // re-canonicalize
   else
-    B.put(bis(gpr(Rd), T12, T12));
+    B.put(encode<Opc::Bis>(gpr(Rd), T12, T12));
 }
 
 // --- Function framing ----------------------------------------------------------------
@@ -94,7 +95,7 @@ void AlphaTarget::beginFunction(VCode &VC) {
   // into the tail of this region and the entry point skips the rest.
   uint32_t ReservedWords = uint32_t(2 + 32 + 32 + VC.prologueArgCopies().size());
   VC.setReservedPrologueWords(ReservedWords);
-  VC.buf().fill(nop(), ReservedWords);
+  VC.buf().fill(Nop, ReservedWords);
 }
 
 CodePtr AlphaTarget::endFunction(VCode &VC) {
@@ -112,15 +113,15 @@ CodePtr AlphaTarget::endFunction(VCode &VC) {
 
   PrologueWords Pro;
   if (F) {
-    Pro.push_back(lda(SP, SP, -int32_t(F)));
+    Pro.push_back(encode<Opc::Lda>(SP, SP, -int32_t(F)));
     if (!VC.isLeaf())
-      Pro.push_back(stq(Link, SP, int32_t(TI.linkSaveSlot())));
+      Pro.push_back(encode<Opc::Stq>(Link, SP, int32_t(TI.linkSaveSlot())));
     for (unsigned N = 0; N < 32; ++N)
       if (IntMask & (1u << N))
-        Pro.push_back(stq(N, SP, int32_t(TI.intSaveSlot(N))));
+        Pro.push_back(encode<Opc::Stq>(N, SP, int32_t(TI.intSaveSlot(N))));
     for (unsigned N = 0; N < 32; ++N)
       if (FpMask & (1u << N))
-        Pro.push_back(stt(N, SP, int32_t(TI.fpSaveSlot(N))));
+        Pro.push_back(encode<Opc::Stt>(N, SP, int32_t(TI.fpSaveSlot(N))));
   }
   for (const PrologueArgCopy &Copy : VC.prologueArgCopies()) {
     int64_t Off = int64_t(F) + Copy.IncomingOff;
@@ -129,17 +130,17 @@ CodePtr AlphaTarget::endFunction(VCode &VC) {
           "alpha: incoming stack argument offset out of range");
     switch (Copy.Ty) {
     case Type::F:
-      Pro.push_back(lds(fpr(Copy.Dst), SP, int32_t(Off)));
+      Pro.push_back(encode<Opc::Lds>(fpr(Copy.Dst), SP, int32_t(Off)));
       break;
     case Type::D:
-      Pro.push_back(ldt(fpr(Copy.Dst), SP, int32_t(Off)));
+      Pro.push_back(encode<Opc::Ldt>(fpr(Copy.Dst), SP, int32_t(Off)));
       break;
     case Type::I:
     case Type::U:
-      Pro.push_back(ldl(gpr(Copy.Dst), SP, int32_t(Off)));
+      Pro.push_back(encode<Opc::Ldl>(gpr(Copy.Dst), SP, int32_t(Off)));
       break;
     default:
-      Pro.push_back(ldq(gpr(Copy.Dst), SP, int32_t(Off)));
+      Pro.push_back(encode<Opc::Ldq>(gpr(Copy.Dst), SP, int32_t(Off)));
       break;
     }
   }
@@ -156,15 +157,15 @@ CodePtr AlphaTarget::endFunction(VCode &VC) {
   if (F) {
     VC.label(VC.epilogueLabel());
     if (!VC.isLeaf())
-      B.put(ldq(Link, SP, int32_t(TI.linkSaveSlot())));
+      B.put(encode<Opc::Ldq>(Link, SP, int32_t(TI.linkSaveSlot())));
     for (unsigned N = 0; N < 32; ++N)
       if (IntMask & (1u << N))
-        B.put(ldq(N, SP, int32_t(TI.intSaveSlot(N))));
+        B.put(encode<Opc::Ldq>(N, SP, int32_t(TI.intSaveSlot(N))));
     for (unsigned N = 0; N < 32; ++N)
       if (FpMask & (1u << N))
-        B.put(ldt(N, SP, int32_t(TI.fpSaveSlot(N))));
-    B.put(lda(SP, SP, int32_t(F)));
-    B.put(ret(ZERO, Link));
+        B.put(encode<Opc::Ldt>(N, SP, int32_t(TI.fpSaveSlot(N))));
+    B.put(encode<Opc::Lda>(SP, SP, int32_t(F)));
+    B.put(encode<Opc::Ret>(ZERO, Link));
   }
 
   CodePtr P;
@@ -194,7 +195,7 @@ void AlphaTarget::applyFixup(VCode &VC, const Fixup &F, SimAddr Target) {
       if (!isInt<21>(D))
         fatalKind(CgErrKind::OutOfRange,
             "alpha: epilogue displacement out of range");
-      B.patch(F.WordIdx, br(ZERO, int32_t(D)));
+      B.patch(F.WordIdx, encode<Opc::Br>(ZERO, int32_t(D)));
     }
     return;
   case FixupKind::AddrHi: {
@@ -321,8 +322,8 @@ void AlphaTarget::registerMachineInstructions() {
           Ops[1].Kind != Operand::RegOp)
         fatalKind(CgErrKind::BadOperand,
             "alpha fp machine instruction expects (rd, rs)");
-      VC.buf().put(Dbl ? sqrtt(Ops[0].R.Num, Ops[1].R.Num)
-                       : sqrts(Ops[0].R.Num, Ops[1].R.Num));
+      VC.buf().put(Dbl ? encode<Opc::Sqrtt>(Ops[0].R.Num, Ops[1].R.Num)
+                       : encode<Opc::Sqrts>(Ops[0].R.Num, Ops[1].R.Num));
     };
   };
   defineInstruction("fsqrts", Fp2(false));
@@ -332,8 +333,8 @@ void AlphaTarget::registerMachineInstructions() {
                       if (N != 3)
                         fatalKind(CgErrKind::BadOperand,
                             "alpha.ornot expects (rd, rs1, rs2)");
-                      VC.buf().put(ornot(Ops[0].R.Num, Ops[1].R.Num,
-                                         Ops[2].R.Num));
+                      VC.buf().put(encode<Opc::Ornot>(
+                          Ops[0].R.Num, Ops[1].R.Num, Ops[2].R.Num));
                     });
 }
 

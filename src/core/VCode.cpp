@@ -81,6 +81,7 @@ void FnTables::clear() {
   ArgLocations.clear();
   ArgCopies.clear();
   CallLocs.clear();
+  FnName.clear();
   if (VReg)
     VReg->clear();
 }
@@ -89,7 +90,7 @@ size_t FnTables::capacityBytes() const {
   return reserved(LabelPos) + reserved(Fixups) + reserved(ConstPool) +
          reserved(ConstPoolLabels) + reserved(ConstPoolIndex) +
          reserved(ArgLocations) + reserved(ArgCopies) + reserved(CallLocs) +
-         (VReg ? VReg->capacityBytes() : 0);
+         FnName.capacity() + (VReg ? VReg->capacityBytes() : 0);
 }
 
 // --- VCode ------------------------------------------------------------------
@@ -184,9 +185,10 @@ void VCode::resetFunctionState() {
   FrameBytes = 0;
   Tb->clear();
   CallNextArg = 0;
-  // FnName is per-function; PubTier deliberately persists (the retry
-  // driver stamps it once, before Emit() runs lambda()).
-  FnName.clear();
+  // Tb->clear() also empties the function name, keeping its buffer, so a
+  // long name (a cache key) allocates only on a thread's first function
+  // that needs the room. PubTier deliberately persists (the retry driver
+  // stamps it once, before Emit() runs lambda()).
 }
 
 void VCode::lambda(const char *ArgTypeStr, Reg *ArgRegs, bool IsLeaf,
@@ -202,7 +204,7 @@ void VCode::lambda(const char *ArgTypeStr, Reg *ArgRegs, bool IsLeaf,
   MemGuest = Mem.Guest;
   MemSize = Mem.Size;
   if (Mem.Name)
-    FnName = *Mem.Name;
+    Tb->FnName = *Mem.Name;
   if (MemArena)
     MemArena->beginWrite(MemGuest, MemSize);
   RA.init(TI);
@@ -314,7 +316,7 @@ CodePtr VCode::endImpl() {
   // range: the entry is never changed after this.
   profile::CodeMap::instance().publish(
       Buf.baseAddr(), Entry.SizeBytes, Entry.Entry,
-      uintptr_t(Buf.hostBase()), std::move(FnName), TI.Name, PubTier,
+      uintptr_t(Buf.hostBase()), Tb->FnName, TI.Name, PubTier,
       PubGuestLo, PubGuestHi);
 
   VCODE_TM_SPAN("core.backpatch", TmFinishStart);

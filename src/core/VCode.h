@@ -112,6 +112,8 @@ struct FnTables {
   std::vector<ArgLoc> ArgLocations;
   std::vector<PrologueArgCopy> ArgCopies;
   std::vector<ArgLoc> CallLocs; ///< out-call in progress
+  /// Name end() publishes the function under (VCode::setFunctionName).
+  std::string FnName;
   /// The vreg layer's tables, made the first time a VRegLayer borrows
   /// this set.
   std::unique_ptr<VRegTables> VReg;
@@ -185,8 +187,8 @@ public:
   /// entry end() publishes, --dump-code, profiler reports). lambda()
   /// resets it to the region's CodeMem::Name (the cache key) or clears
   /// it; a call after lambda() and before end() overrides that.
-  void setFunctionName(std::string Name) { FnName = std::move(Name); }
-  const std::string &functionName() const { return FnName; }
+  void setFunctionName(std::string Name) { Tb->FnName = std::move(Name); }
+  const std::string &functionName() const { return Tb->FnName; }
 
   /// Tier recorded on the published CodeMap entry (generateWithRetry
   /// stamps its GenerateOptions tier here). Unlike the name, the tier
@@ -468,8 +470,8 @@ private:
   SimAddr MemGuest = 0;
   size_t MemSize = 0;
 
-  // Introspection metadata carried to the CodeMap entry end() publishes.
-  std::string FnName;
+  // Introspection metadata carried to the CodeMap entry end() publishes
+  // (the name lives in Tb).
   Tier PubTier = Tier::Tier0;
   uint64_t PubGuestLo = 0, PubGuestHi = 0;
 

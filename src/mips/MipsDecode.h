@@ -183,29 +183,26 @@ struct Insn {
   uint32_t JIndex = 0; ///< jump index (bits 25..0)
 };
 
-namespace detail {
-/// Opc by selector for the three table-decoded groups.
-struct DecodeTables {
-  std::array<Opc, 64> Primary{}, Special{}, Cop1Fn{};
-};
+/// Primary opcodes of the groups that select by another field, and the
+/// COP1 rs value of the bc1 group.
+inline constexpr uint32_t PrimaryRegimm = 0x01, PrimaryCop1 = 0x11,
+                          Cop1Bc = 8;
 
-inline constexpr DecodeTables Tables = [] {
-  DecodeTables T;
-  for (unsigned I = 1; I < NumOpcs; ++I) {
-    const OpcInfo &Info = OpcTable[I];
-    std::array<Opc, 64> *Tab = Info.Where == Group::Primary   ? &T.Primary
-                               : Info.Where == Group::Special ? &T.Special
-                               : Info.Where == Group::Cop1Fn  ? &T.Cop1Fn
-                                                              : nullptr;
-    if (Tab)
-      (*Tab)[Info.Selector] = Opc(I);
-  }
+namespace detail {
+/// Opc by group and selector.
+inline constexpr auto Tables = [] {
+  std::array<std::array<Opc, 64>, 6> T{};
+  for (unsigned I = 1; I < NumOpcs; ++I)
+    T[unsigned(OpcTable[I].Where)][OpcTable[I].Selector] = Opc(I);
   return T;
 }();
+constexpr Opc lookup(Group G, unsigned Selector) {
+  return Tables[unsigned(G)][Selector];
+}
 } // namespace detail
 
 /// Decodes one instruction word.
-inline Insn decode(uint32_t W) {
+constexpr Insn decode(uint32_t W) {
   Insn D;
   D.Rs = uint8_t((W >> 21) & 31);
   D.Rt = uint8_t((W >> 16) & 31);
@@ -216,26 +213,27 @@ inline Insn decode(uint32_t W) {
   D.JIndex = W & 0x03ffffff;
   switch (W >> 26) {
   case 0x00:
-    D.Op = detail::Tables.Special[W & 63];
+    D.Op = detail::lookup(Group::Special, W & 63);
     break;
-  case 0x01:
-    D.Op = D.Rt == 0 ? Opc::Bltz : Opc::Bgez;
+  case PrimaryRegimm:
+    D.Op = detail::lookup(Group::Regimm, D.Rt != 0);
     break;
-  case 0x11:
-    D.Op = D.Rs == 0   ? Opc::Mfc1
-           : D.Rs == 4 ? Opc::Mtc1
-           : D.Rs == 8 ? ((D.Rt & 1) ? Opc::Bc1t : Opc::Bc1f)
-                       : detail::Tables.Cop1Fn[W & 63];
+  case PrimaryCop1: {
+    Opc Sub = detail::lookup(Group::Cop1Sub, D.Rs);
+    D.Op = D.Rs == Cop1Bc        ? detail::lookup(Group::Bc1, D.Rt & 1)
+           : Sub != Opc::Invalid ? Sub
+                                 : detail::lookup(Group::Cop1Fn, W & 63);
     break;
+  }
   default:
-    D.Op = detail::Tables.Primary[W >> 26];
+    D.Op = detail::lookup(Group::Primary, W >> 26);
     break;
   }
   return D;
 }
 
 /// True for COP1 arithmetic on doubles (fmt 17); any other fmt is single.
-inline bool isDouble(const Insn &D) { return D.Rs == 17; }
+constexpr bool isDouble(const Insn &D) { return D.Rs == 17; }
 
 /// Taken target of a conditional branch at \p Pc.
 inline SimAddr branchTarget(SimAddr Pc, const Insn &D) {
@@ -257,7 +255,7 @@ inline InvalidField invalidField(uint32_t W) {
   switch (W >> 26) {
   case 0x00:
     return {"SPECIAL funct", W & 63};
-  case 0x11:
+  case PrimaryCop1:
     return {"COP1 funct", W & 63};
   default:
     return {"opcode", W >> 26};

@@ -1,27 +1,33 @@
-//===- mips/MipsEncoding.h - MIPS instruction encoders ----------*- C++ -*-===//
+//===- mips/MipsEncoding.h - MIPS encoders from the decode rows -*- C++ -*-===//
 //
 // Part of the vcode reproduction of Engler, PLDI 1996.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// MIPS I/II instruction word encoders, written as constexpr functions in
-/// the style of the paper's Fig. 2 emission macros:
+/// MIPS I/II instruction words, built from the one instruction description
+/// in MipsDecode.h: a row's group and selector give the bits that name the
+/// instruction (fixedBits), and its Form says where the operands go. So
+///
+///   encode<Opc::Addu>(Rd, Rs, Rt)
+///
+/// is the paper's Fig. 2 emission macro
 ///
 ///   #define addu(dst, src1, src2)
 ///     (*v_ip++ = (((src1)<<21)|((src2)<<16)|((dst)<<11)|0x21))
 ///
-/// Clients on the fast path (paper §5.3: hard-coded register names) can use
-/// these encoders directly through the Asm wrapper; the portable layer uses
-/// them from MipsTarget. Register operands are raw register numbers so the
-/// compiler can constant-fold fully when the names are hard-coded.
+/// and folds to a constant when the register names are hard-coded (paper
+/// §5.3). Operands are raw register numbers in assembler order. Backend
+/// tables hold an Opc's fixed bits (OpcEnc) and or in the operands with
+/// encodeAs. The static_asserts at the end decode every row's word back.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef VCODE_MIPS_MIPSENCODING_H
 #define VCODE_MIPS_MIPSENCODING_H
 
-#include "core/CodeBuffer.h"
+#include "mips/MipsDecode.h"
+#include "core/EncTable.h"
 #include <cstdint>
 
 namespace vcode {
@@ -37,245 +43,192 @@ enum GpRegNum : unsigned {
   GP = 28, SP = 29, S8 = 30, RA = 31,
 };
 
-/// FPU condition-branch and data-format constants.
+/// COP1 data formats (the fmt field of FP arithmetic).
 enum FpFormat : unsigned { FMT_S = 16, FMT_D = 17, FMT_W = 20 };
 
-// --- Word builders ---------------------------------------------------------
-
-constexpr uint32_t rType(unsigned Fn, unsigned Rs, unsigned Rt, unsigned Rd,
-                         unsigned Sh = 0) {
-  return (Rs << 21) | (Rt << 16) | (Rd << 11) | (Sh << 6) | Fn;
-}
-constexpr uint32_t iType(unsigned Op, unsigned Rs, unsigned Rt, uint32_t Imm) {
-  return (Op << 26) | (Rs << 21) | (Rt << 16) | (Imm & 0xffff);
-}
-constexpr uint32_t jType(unsigned Op, uint64_t Target) {
-  return (Op << 26) | (uint32_t(Target >> 2) & 0x03ffffff);
-}
-constexpr uint32_t fpRType(unsigned Fmt, unsigned Ft, unsigned Fs, unsigned Fd,
-                           unsigned Fn) {
-  return (0x11u << 26) | (Fmt << 21) | (Ft << 16) | (Fs << 11) | (Fd << 6) |
-         Fn;
-}
-
-// --- ALU -------------------------------------------------------------------
-
-constexpr uint32_t addu(unsigned Rd, unsigned Rs, unsigned Rt) {
-  return rType(0x21, Rs, Rt, Rd);
-}
-constexpr uint32_t subu(unsigned Rd, unsigned Rs, unsigned Rt) {
-  return rType(0x23, Rs, Rt, Rd);
-}
-constexpr uint32_t and_(unsigned Rd, unsigned Rs, unsigned Rt) {
-  return rType(0x24, Rs, Rt, Rd);
-}
-constexpr uint32_t or_(unsigned Rd, unsigned Rs, unsigned Rt) {
-  return rType(0x25, Rs, Rt, Rd);
-}
-constexpr uint32_t xor_(unsigned Rd, unsigned Rs, unsigned Rt) {
-  return rType(0x26, Rs, Rt, Rd);
-}
-constexpr uint32_t nor(unsigned Rd, unsigned Rs, unsigned Rt) {
-  return rType(0x27, Rs, Rt, Rd);
-}
-constexpr uint32_t slt(unsigned Rd, unsigned Rs, unsigned Rt) {
-  return rType(0x2a, Rs, Rt, Rd);
-}
-constexpr uint32_t sltu(unsigned Rd, unsigned Rs, unsigned Rt) {
-  return rType(0x2b, Rs, Rt, Rd);
-}
-constexpr uint32_t sll(unsigned Rd, unsigned Rt, unsigned Sh) {
-  return rType(0x00, 0, Rt, Rd, Sh);
-}
-constexpr uint32_t srl(unsigned Rd, unsigned Rt, unsigned Sh) {
-  return rType(0x02, 0, Rt, Rd, Sh);
-}
-constexpr uint32_t sra(unsigned Rd, unsigned Rt, unsigned Sh) {
-  return rType(0x03, 0, Rt, Rd, Sh);
-}
-constexpr uint32_t sllv(unsigned Rd, unsigned Rt, unsigned Rs) {
-  return rType(0x04, Rs, Rt, Rd);
-}
-constexpr uint32_t srlv(unsigned Rd, unsigned Rt, unsigned Rs) {
-  return rType(0x06, Rs, Rt, Rd);
-}
-constexpr uint32_t srav(unsigned Rd, unsigned Rt, unsigned Rs) {
-  return rType(0x07, Rs, Rt, Rd);
-}
-constexpr uint32_t mult(unsigned Rs, unsigned Rt) {
-  return rType(0x18, Rs, Rt, 0);
-}
-constexpr uint32_t multu(unsigned Rs, unsigned Rt) {
-  return rType(0x19, Rs, Rt, 0);
-}
-constexpr uint32_t div_(unsigned Rs, unsigned Rt) {
-  return rType(0x1a, Rs, Rt, 0);
-}
-constexpr uint32_t divu(unsigned Rs, unsigned Rt) {
-  return rType(0x1b, Rs, Rt, 0);
-}
-constexpr uint32_t mfhi(unsigned Rd) { return rType(0x10, 0, 0, Rd); }
-constexpr uint32_t mflo(unsigned Rd) { return rType(0x12, 0, 0, Rd); }
-
-constexpr uint32_t addiu(unsigned Rt, unsigned Rs, int32_t Imm) {
-  return iType(0x09, Rs, Rt, uint32_t(Imm));
-}
-constexpr uint32_t slti(unsigned Rt, unsigned Rs, int32_t Imm) {
-  return iType(0x0a, Rs, Rt, uint32_t(Imm));
-}
-constexpr uint32_t sltiu(unsigned Rt, unsigned Rs, int32_t Imm) {
-  return iType(0x0b, Rs, Rt, uint32_t(Imm));
-}
-constexpr uint32_t andi(unsigned Rt, unsigned Rs, uint32_t Imm) {
-  return iType(0x0c, Rs, Rt, Imm);
-}
-constexpr uint32_t ori(unsigned Rt, unsigned Rs, uint32_t Imm) {
-  return iType(0x0d, Rs, Rt, Imm);
-}
-constexpr uint32_t xori(unsigned Rt, unsigned Rs, uint32_t Imm) {
-  return iType(0x0e, Rs, Rt, Imm);
-}
-constexpr uint32_t lui(unsigned Rt, uint32_t Imm) {
-  return iType(0x0f, 0, Rt, Imm);
+/// The bits that name \p O: its group's fixed fields and its selector.
+constexpr uint32_t fixedBits(Opc O) {
+  const OpcInfo &I = info(O);
+  uint32_t Sel = I.Selector;
+  switch (I.Where) {
+  case Group::Primary:
+    return Sel << 26;
+  case Group::Special:
+    return Sel;
+  case Group::Regimm:
+    return (PrimaryRegimm << 26) | (Sel << 16);
+  case Group::Cop1Sub:
+    return (PrimaryCop1 << 26) | (Sel << 21);
+  case Group::Bc1:
+    return (PrimaryCop1 << 26) | (Cop1Bc << 21) | (Sel << 16);
+  case Group::Cop1Fn:
+    return (PrimaryCop1 << 26) | Sel;
+  }
+  return 0;
 }
 
-// --- Memory ----------------------------------------------------------------
+// Where each Form puts its operands; fields a Form does not name stay zero.
 
-constexpr uint32_t lb(unsigned Rt, unsigned Base, int32_t Off) {
-  return iType(0x20, Base, Rt, uint32_t(Off));
+constexpr uint32_t rType(unsigned Rs, unsigned Rt, unsigned Rd,
+                         unsigned Sa = 0) {
+  return (Rs << 21) | (Rt << 16) | (Rd << 11) | (Sa << 6);
 }
-constexpr uint32_t lh(unsigned Rt, unsigned Base, int32_t Off) {
-  return iType(0x21, Base, Rt, uint32_t(Off));
-}
-constexpr uint32_t lw(unsigned Rt, unsigned Base, int32_t Off) {
-  return iType(0x23, Base, Rt, uint32_t(Off));
-}
-constexpr uint32_t lbu(unsigned Rt, unsigned Base, int32_t Off) {
-  return iType(0x24, Base, Rt, uint32_t(Off));
-}
-constexpr uint32_t lhu(unsigned Rt, unsigned Base, int32_t Off) {
-  return iType(0x25, Base, Rt, uint32_t(Off));
-}
-constexpr uint32_t sb(unsigned Rt, unsigned Base, int32_t Off) {
-  return iType(0x28, Base, Rt, uint32_t(Off));
-}
-constexpr uint32_t sh(unsigned Rt, unsigned Base, int32_t Off) {
-  return iType(0x29, Base, Rt, uint32_t(Off));
-}
-constexpr uint32_t sw(unsigned Rt, unsigned Base, int32_t Off) {
-  return iType(0x2b, Base, Rt, uint32_t(Off));
-}
-constexpr uint32_t lwc1(unsigned Ft, unsigned Base, int32_t Off) {
-  return iType(0x31, Base, Ft, uint32_t(Off));
-}
-constexpr uint32_t ldc1(unsigned Ft, unsigned Base, int32_t Off) {
-  return iType(0x35, Base, Ft, uint32_t(Off));
-}
-constexpr uint32_t swc1(unsigned Ft, unsigned Base, int32_t Off) {
-  return iType(0x39, Base, Ft, uint32_t(Off));
-}
-constexpr uint32_t sdc1(unsigned Ft, unsigned Base, int32_t Off) {
-  return iType(0x3d, Base, Ft, uint32_t(Off));
+constexpr uint32_t iType(unsigned Rs, unsigned Rt, uint32_t Imm) {
+  return (Rs << 21) | (Rt << 16) | (Imm & 0xffff);
 }
 
-// --- Control flow ----------------------------------------------------------
-
-constexpr uint32_t beq(unsigned Rs, unsigned Rt, int32_t Disp = 0) {
-  return iType(0x04, Rs, Rt, uint32_t(Disp));
+constexpr uint32_t place(FormTag<Form::RdRsRt>, unsigned Rd, unsigned Rs,
+                         unsigned Rt) {
+  return rType(Rs, Rt, Rd);
 }
-constexpr uint32_t bne(unsigned Rs, unsigned Rt, int32_t Disp = 0) {
-  return iType(0x05, Rs, Rt, uint32_t(Disp));
+constexpr uint32_t place(FormTag<Form::RdRtSa>, unsigned Rd, unsigned Rt,
+                         unsigned Sa) {
+  return rType(0, Rt, Rd, Sa);
 }
-constexpr uint32_t blez(unsigned Rs, int32_t Disp = 0) {
-  return iType(0x06, Rs, 0, uint32_t(Disp));
+constexpr uint32_t place(FormTag<Form::RdRtRs>, unsigned Rd, unsigned Rt,
+                         unsigned Rs) {
+  return rType(Rs, Rt, Rd);
 }
-constexpr uint32_t bgtz(unsigned Rs, int32_t Disp = 0) {
-  return iType(0x07, Rs, 0, uint32_t(Disp));
+constexpr uint32_t place(FormTag<Form::Rs>, unsigned Rs) {
+  return rType(Rs, 0, 0);
 }
-constexpr uint32_t bltz(unsigned Rs, int32_t Disp = 0) {
-  return iType(0x01, Rs, 0, uint32_t(Disp));
+constexpr uint32_t place(FormTag<Form::RdRs>, unsigned Rd, unsigned Rs) {
+  return rType(Rs, 0, Rd);
 }
-constexpr uint32_t bgez(unsigned Rs, int32_t Disp = 0) {
-  return iType(0x01, Rs, 1, uint32_t(Disp));
+constexpr uint32_t place(FormTag<Form::Rd>, unsigned Rd) {
+  return rType(0, 0, Rd);
 }
-constexpr uint32_t j(uint64_t Target) { return jType(0x02, Target); }
-constexpr uint32_t jal(uint64_t Target) { return jType(0x03, Target); }
-constexpr uint32_t jr(unsigned Rs) { return rType(0x08, Rs, 0, 0); }
-constexpr uint32_t jalr(unsigned Rd, unsigned Rs) {
-  return rType(0x09, Rs, 0, Rd);
+constexpr uint32_t place(FormTag<Form::RsRt>, unsigned Rs, unsigned Rt) {
+  return rType(Rs, Rt, 0);
 }
-constexpr uint32_t nop() { return 0; }
-
-// --- FPU -------------------------------------------------------------------
-
-constexpr uint32_t fadd(unsigned Fmt, unsigned Fd, unsigned Fs, unsigned Ft) {
-  return fpRType(Fmt, Ft, Fs, Fd, 0x00);
+constexpr uint32_t place(FormTag<Form::RsOff>, unsigned Rs, int32_t Off) {
+  return iType(Rs, 0, uint32_t(Off));
 }
-constexpr uint32_t fsub(unsigned Fmt, unsigned Fd, unsigned Fs, unsigned Ft) {
-  return fpRType(Fmt, Ft, Fs, Fd, 0x01);
+constexpr uint32_t place(FormTag<Form::RsRtOff>, unsigned Rs, unsigned Rt,
+                         int32_t Off) {
+  return iType(Rs, Rt, uint32_t(Off));
 }
-constexpr uint32_t fmul(unsigned Fmt, unsigned Fd, unsigned Fs, unsigned Ft) {
-  return fpRType(Fmt, Ft, Fs, Fd, 0x02);
+constexpr uint32_t place(FormTag<Form::Off>, int32_t Off) {
+  return iType(0, 0, uint32_t(Off));
 }
-constexpr uint32_t fdiv(unsigned Fmt, unsigned Fd, unsigned Fs, unsigned Ft) {
-  return fpRType(Fmt, Ft, Fs, Fd, 0x03);
+/// j/jal take the byte address of the target.
+constexpr uint32_t place(FormTag<Form::Target>, uint64_t Target) {
+  return uint32_t(Target >> 2) & 0x03ffffff;
 }
-constexpr uint32_t fsqrt(unsigned Fmt, unsigned Fd, unsigned Fs) {
-  return fpRType(Fmt, 0, Fs, Fd, 0x04);
+constexpr uint32_t place(FormTag<Form::RtRsImm>, unsigned Rt, unsigned Rs,
+                         int32_t Imm) {
+  return iType(Rs, Rt, uint32_t(Imm));
 }
-constexpr uint32_t fabs_(unsigned Fmt, unsigned Fd, unsigned Fs) {
-  return fpRType(Fmt, 0, Fs, Fd, 0x05);
+constexpr uint32_t place(FormTag<Form::RtRsUImm>, unsigned Rt, unsigned Rs,
+                         uint32_t Imm) {
+  return iType(Rs, Rt, Imm);
 }
-constexpr uint32_t fmov(unsigned Fmt, unsigned Fd, unsigned Fs) {
-  return fpRType(Fmt, 0, Fs, Fd, 0x06);
+constexpr uint32_t place(FormTag<Form::RtUImm>, unsigned Rt, uint32_t Imm) {
+  return iType(0, Rt, Imm);
 }
-constexpr uint32_t fneg(unsigned Fmt, unsigned Fd, unsigned Fs) {
-  return fpRType(Fmt, 0, Fs, Fd, 0x07);
+constexpr uint32_t place(FormTag<Form::RtFs>, unsigned Rt, unsigned Fs) {
+  return rType(0, Rt, Fs);
 }
-/// trunc.w.fmt (MIPS II): FP -> int with truncation.
-constexpr uint32_t ftruncw(unsigned Fmt, unsigned Fd, unsigned Fs) {
-  return fpRType(Fmt, 0, Fs, Fd, 0x0d);
+constexpr uint32_t place(FormTag<Form::FdFsFt>, unsigned Fmt, unsigned Fd,
+                         unsigned Fs, unsigned Ft) {
+  return rType(Fmt, Ft, Fs, Fd);
 }
-constexpr uint32_t fcvts(unsigned FromFmt, unsigned Fd, unsigned Fs) {
-  return fpRType(FromFmt, 0, Fs, Fd, 0x20);
+constexpr uint32_t place(FormTag<Form::FdFs>, unsigned Fmt, unsigned Fd,
+                         unsigned Fs) {
+  return rType(Fmt, 0, Fs, Fd);
 }
-constexpr uint32_t fcvtd(unsigned FromFmt, unsigned Fd, unsigned Fs) {
-  return fpRType(FromFmt, 0, Fs, Fd, 0x21);
+constexpr uint32_t place(FormTag<Form::FsFt>, unsigned Fmt, unsigned Fs,
+                         unsigned Ft) {
+  return rType(Fmt, Ft, Fs);
 }
-constexpr uint32_t fceq(unsigned Fmt, unsigned Fs, unsigned Ft) {
-  return fpRType(Fmt, Ft, Fs, 0, 0x32);
+constexpr uint32_t place(FormTag<Form::RtMem>, unsigned Rt, unsigned Base,
+                         int32_t Off) {
+  return iType(Base, Rt, uint32_t(Off));
 }
-constexpr uint32_t fclt(unsigned Fmt, unsigned Fs, unsigned Ft) {
-  return fpRType(Fmt, Ft, Fs, 0, 0x3c);
-}
-constexpr uint32_t fcle(unsigned Fmt, unsigned Fs, unsigned Ft) {
-  return fpRType(Fmt, Ft, Fs, 0, 0x3e);
-}
-constexpr uint32_t bc1t(int32_t Disp = 0) {
-  return iType(0x11, 8, 1, uint32_t(Disp));
-}
-constexpr uint32_t bc1f(int32_t Disp = 0) {
-  return iType(0x11, 8, 0, uint32_t(Disp));
-}
-constexpr uint32_t mfc1(unsigned Rt, unsigned Fs) {
-  return (0x11u << 26) | (0u << 21) | (Rt << 16) | (Fs << 11);
-}
-constexpr uint32_t mtc1(unsigned Rt, unsigned Fs) {
-  return (0x11u << 26) | (4u << 21) | (Rt << 16) | (Fs << 11);
+constexpr uint32_t place(FormTag<Form::FtMem>, unsigned Ft, unsigned Base,
+                         int32_t Off) {
+  return iType(Base, Ft, uint32_t(Off));
 }
 
-/// Thin emission wrapper over a CodeBuffer: `A.put(mips::addu(T0,T1,T2))`
-/// is the hard-coded-register fast path of paper §5.3, compiling down to a
-/// constant-or and a store.
-class Asm {
-public:
-  explicit Asm(CodeBuffer &B) : B(B) {}
-  void put(uint32_t W) { B.put(W); }
-  CodeBuffer &buffer() { return B; }
+/// The canonical nop: sll zero, zero, 0.
+inline constexpr uint32_t Nop = encode<Opc::Sll>(ZERO, ZERO, 0);
 
-private:
-  CodeBuffer &B;
-};
+namespace detail {
+/// decode(encode<O>(probe)) names O and reads every probe operand back.
+/// The registers differ, the offset is negative and the unsigned
+/// immediate has its top bit set, so a swapped or truncated field shows.
+template <Opc O> constexpr bool roundTrips() {
+  constexpr Form F = info(O).Operands;
+  constexpr unsigned A = 3, B = 5, C = 7, Fmt = FMT_D;
+  constexpr int32_t Off = -12;
+  constexpr uint32_t U = 0x8421;
+  if constexpr (F == Form::RdRsRt) {
+    Insn D = decode(encode<O>(A, B, C));
+    return D.Op == O && D.Rd == A && D.Rs == B && D.Rt == C;
+  } else if constexpr (F == Form::RdRtSa) {
+    Insn D = decode(encode<O>(A, B, C));
+    return D.Op == O && D.Rd == A && D.Rt == B && D.Sh == C;
+  } else if constexpr (F == Form::RdRtRs) {
+    Insn D = decode(encode<O>(A, B, C));
+    return D.Op == O && D.Rd == A && D.Rt == B && D.Rs == C;
+  } else if constexpr (F == Form::Rs) {
+    Insn D = decode(encode<O>(A));
+    return D.Op == O && D.Rs == A;
+  } else if constexpr (F == Form::RdRs) {
+    Insn D = decode(encode<O>(A, B));
+    return D.Op == O && D.Rd == A && D.Rs == B;
+  } else if constexpr (F == Form::Rd) {
+    Insn D = decode(encode<O>(A));
+    return D.Op == O && D.Rd == A;
+  } else if constexpr (F == Form::RsRt) {
+    Insn D = decode(encode<O>(A, B));
+    return D.Op == O && D.Rs == A && D.Rt == B;
+  } else if constexpr (F == Form::RsOff) {
+    Insn D = decode(encode<O>(A, Off));
+    return D.Op == O && D.Rs == A && D.Imm == Off;
+  } else if constexpr (F == Form::RsRtOff) {
+    Insn D = decode(encode<O>(A, B, Off));
+    return D.Op == O && D.Rs == A && D.Rt == B && D.Imm == Off;
+  } else if constexpr (F == Form::Off) {
+    Insn D = decode(encode<O>(Off));
+    return D.Op == O && D.Imm == Off;
+  } else if constexpr (F == Form::Target) {
+    Insn D = decode(encode<O>(uint64_t(U) << 2));
+    return D.Op == O && D.JIndex == U;
+  } else if constexpr (F == Form::RtRsImm) {
+    Insn D = decode(encode<O>(A, B, Off));
+    return D.Op == O && D.Rt == A && D.Rs == B && D.Imm == Off;
+  } else if constexpr (F == Form::RtRsUImm) {
+    Insn D = decode(encode<O>(A, B, U));
+    return D.Op == O && D.Rt == A && D.Rs == B && D.UImm == U;
+  } else if constexpr (F == Form::RtUImm) {
+    Insn D = decode(encode<O>(A, U));
+    return D.Op == O && D.Rt == A && D.UImm == U;
+  } else if constexpr (F == Form::RtFs) {
+    Insn D = decode(encode<O>(A, B));
+    return D.Op == O && D.Rt == A && D.Rd == B;
+  } else if constexpr (F == Form::FdFsFt) {
+    Insn D = decode(encode<O>(Fmt, A, B, C));
+    return D.Op == O && isDouble(D) && D.Sh == A && D.Rd == B && D.Rt == C;
+  } else if constexpr (F == Form::FdFs) {
+    Insn D = decode(encode<O>(Fmt, A, B));
+    return D.Op == O && isDouble(D) && D.Sh == A && D.Rd == B;
+  } else if constexpr (F == Form::FsFt) {
+    Insn D = decode(encode<O>(Fmt, A, B));
+    return D.Op == O && isDouble(D) && D.Rd == A && D.Rt == B;
+  } else {
+    static_assert(F == Form::RtMem || F == Form::FtMem);
+    Insn D = decode(encode<O>(A, B, Off));
+    return D.Op == O && D.Rt == A && D.Rs == B && D.Imm == Off;
+  }
+}
+} // namespace detail
+
+#define VCODE_MIPS_ROUND_TRIP(Name, Mn, Fm, Cti, Grp, Sel)                     \
+  static_assert(detail::roundTrips<Opc::Name>(),                               \
+                "MIPS row " #Name " does not decode back to itself");
+VCODE_MIPS_OPCODES(VCODE_MIPS_ROUND_TRIP)
+#undef VCODE_MIPS_ROUND_TRIP
 
 } // namespace mips
 } // namespace vcode

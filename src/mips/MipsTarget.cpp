@@ -57,15 +57,15 @@ void MipsTarget::unsignedToFp(VCode &VC, bool ToDouble, Reg Rd, Reg Rs) {
   Label Pool = VC.constPoolLabel(std::bit_cast<uint64_t>(4294967296.0));
   unsigned Acc = ToDouble ? fpr(Rd) : FAT1;
   B.ensureWords(ToDouble ? 8 : 9);
-  B.put(mtc1(S, FAT0));
-  B.put(fcvtd(FMT_W, Acc, FAT0));
-  B.put(bgez(S, 5)); // skip the 5-word fix block
-  B.put(nop());
+  B.put(encode<Opc::Mtc1>(S, FAT0));
+  B.put(encode<Opc::CvtD>(FMT_W, Acc, FAT0));
+  B.put(encode<Opc::Bgez>(S, 5)); // skip the 5-word fix block
+  B.put(Nop);
   addrOfLabel(VC, AT, Pool); // 2 words
-  B.put(ldc1(FAT0, AT, 0));
-  B.put(fadd(FMT_D, Acc, Acc, FAT0));
+  B.put(encode<Opc::Ldc1>(FAT0, AT, 0));
+  B.put(encode<Opc::AddF>(FMT_D, Acc, Acc, FAT0));
   if (!ToDouble)
-    B.put(fcvts(FMT_D, fpr(Rd), Acc));
+    B.put(encode<Opc::CvtS>(FMT_D, fpr(Rd), Acc));
 }
 
 // --- Function framing -------------------------------------------------------
@@ -81,7 +81,7 @@ void MipsTarget::beginFunction(VCode &VC) {
   // into the tail of this region and the entry point skips the rest.
   uint32_t ReservedWords = uint32_t(2 + 32 + 32 + VC.prologueArgCopies().size());
   VC.setReservedPrologueWords(ReservedWords);
-  VC.buf().fill(nop(), ReservedWords);
+  VC.buf().fill(Nop, ReservedWords);
 }
 
 CodePtr MipsTarget::endFunction(VCode &VC) {
@@ -99,15 +99,16 @@ CodePtr MipsTarget::endFunction(VCode &VC) {
   // Build the prologue.
   PrologueWords Pro;
   if (F) {
-    Pro.push_back(addiu(SP, SP, -int32_t(F)));
+    Pro.push_back(encode<Opc::Addiu>(SP, SP, -int32_t(F)));
     if (!VC.isLeaf())
-      Pro.push_back(sw(gpr(VC.cc().LinkReg), SP, int32_t(TI.linkSaveSlot())));
+      Pro.push_back(encode<Opc::Sw>(gpr(VC.cc().LinkReg), SP,
+                                    int32_t(TI.linkSaveSlot())));
     for (unsigned N = 0; N < 32; ++N)
       if (IntMask & (1u << N))
-        Pro.push_back(sw(N, SP, int32_t(TI.intSaveSlot(N))));
+        Pro.push_back(encode<Opc::Sw>(N, SP, int32_t(TI.intSaveSlot(N))));
     for (unsigned N = 0; N < 32; ++N)
       if (FpMask & (1u << N))
-        Pro.push_back(sdc1(N, SP, int32_t(TI.fpSaveSlot(N))));
+        Pro.push_back(encode<Opc::Sdc1>(N, SP, int32_t(TI.fpSaveSlot(N))));
   }
   for (const PrologueArgCopy &Copy : VC.prologueArgCopies()) {
     int64_t Off = int64_t(F) + Copy.IncomingOff;
@@ -133,15 +134,16 @@ CodePtr MipsTarget::endFunction(VCode &VC) {
   if (F) {
     VC.label(VC.epilogueLabel());
     if (!VC.isLeaf())
-      B.put(lw(gpr(VC.cc().LinkReg), SP, int32_t(TI.linkSaveSlot())));
+      B.put(encode<Opc::Lw>(gpr(VC.cc().LinkReg), SP,
+                             int32_t(TI.linkSaveSlot())));
     for (unsigned N = 0; N < 32; ++N)
       if (IntMask & (1u << N))
-        B.put(lw(N, SP, int32_t(TI.intSaveSlot(N))));
+        B.put(encode<Opc::Lw>(N, SP, int32_t(TI.intSaveSlot(N))));
     for (unsigned N = 0; N < 32; ++N)
       if (FpMask & (1u << N))
-        B.put(ldc1(N, SP, int32_t(TI.fpSaveSlot(N))));
-    B.put(jr(gpr(VC.cc().LinkReg)));
-    B.put(addiu(SP, SP, int32_t(F)));
+        B.put(encode<Opc::Ldc1>(N, SP, int32_t(TI.fpSaveSlot(N))));
+    B.put(encode<Opc::Jr>(gpr(VC.cc().LinkReg)));
+    B.put(encode<Opc::Addiu>(SP, SP, int32_t(F)));
   }
 
   CodePtr P;
@@ -162,16 +164,16 @@ void MipsTarget::applyFixup(VCode &VC, const Fixup &F, SimAddr Target) {
     return;
   }
   case FixupKind::Jump:
-    B.patch(F.WordIdx, j(Target));
+    B.patch(F.WordIdx, encode<Opc::J>(Target));
     return;
   case FixupKind::Call:
-    B.patch(F.WordIdx, jal(Target));
+    B.patch(F.WordIdx, encode<Opc::Jal>(Target));
     return;
   case FixupKind::EpilogueJump:
     // Target==0: no epilogue; the optimistic `jr ra` already in place is
     // the final instruction (paper §5.2's eliminated epilogue jump).
     if (Target != 0)
-      B.patch(F.WordIdx, j(Target));
+      B.patch(F.WordIdx, encode<Opc::J>(Target));
     return;
   case FixupKind::AddrHi:
     B.patchOr(F.WordIdx, uint32_t(Target >> 16) & 0xffff);
@@ -186,26 +188,28 @@ void MipsTarget::applyFixup(VCode &VC, const Fixup &F, SimAddr Target) {
 // --- Extension machine instructions (paper §5.4) ----------------------------
 
 void MipsTarget::registerMachineInstructions() {
-  auto Fp2 = [](unsigned Fn, unsigned Fmt) {
-    return [Fn, Fmt](VCode &VC, const Operand *Ops, unsigned N) {
+  auto Fp2 = [](uint32_t Fixed, unsigned Fmt) {
+    return [Fixed, Fmt](VCode &VC, const Operand *Ops, unsigned N) {
       if (N != 2 || Ops[0].Kind != Operand::RegOp ||
           Ops[1].Kind != Operand::RegOp)
         fatalKind(CgErrKind::BadOperand,
             "mips fp machine instruction expects (rd, rs)");
-      VC.buf().put(fpRType(Fmt, 0, Ops[1].R.Num, Ops[0].R.Num, Fn));
+      VC.buf().put(
+          encodeAs<Form::FdFs>(Fixed, Fmt, Ops[0].R.Num, Ops[1].R.Num));
     };
   };
   // The paper's worked example: (sqrt (rd, rs) (f fsqrts) (d fsqrtd)).
-  defineInstruction("fsqrts", Fp2(0x04, FMT_S));
-  defineInstruction("fsqrtd", Fp2(0x04, FMT_D));
-  defineInstruction("fabss", Fp2(0x05, FMT_S));
-  defineInstruction("fabsd", Fp2(0x05, FMT_D));
+  defineInstruction("fsqrts", Fp2(fixedBits(Opc::SqrtF), FMT_S));
+  defineInstruction("fsqrtd", Fp2(fixedBits(Opc::SqrtF), FMT_D));
+  defineInstruction("fabss", Fp2(fixedBits(Opc::AbsF), FMT_S));
+  defineInstruction("fabsd", Fp2(fixedBits(Opc::AbsF), FMT_D));
   // An integer example for the spec tests: nor.
   defineInstruction("mips.nor", [](VCode &VC, const Operand *Ops, unsigned N) {
     if (N != 3)
       fatalKind(CgErrKind::BadOperand,
           "mips.nor expects (rd, rs1, rs2)");
-    VC.buf().put(nor(Ops[0].R.Num, Ops[1].R.Num, Ops[2].R.Num));
+    VC.buf().put(
+        encode<Opc::Nor>(Ops[0].R.Num, Ops[1].R.Num, Ops[2].R.Num));
   });
 }
 

@@ -38,72 +38,58 @@ const TargetInfo &mipsTargetInfo();
 
 // --- Encoding tables --------------------------------------------------------
 
-/// One-word SPECIAL-group integer ALU row: functs for the signed and
-/// unsigned forms plus whether rs/rt swap (shift-by-register encodes the
-/// amount in rs). Mul/Div/Mod stay invalid: they synthesize through hi/lo.
-struct MipsAluRow {
-  uint8_t FnS = 0;
-  uint8_t FnU = 0;
-  bool Swap = false;
-  bool Valid = false;
-
-  constexpr MipsAluRow() = default;
-  constexpr MipsAluRow(unsigned FnS, unsigned FnU, bool Swap = false)
-      : FnS(uint8_t(FnS)), FnU(uint8_t(FnU)), Swap(Swap), Valid(true) {}
-};
-
-inline constexpr BinOpEncTable<MipsAluRow> MipsAluTable = [] {
-  BinOpEncTable<MipsAluRow> T;
-  T.set(BinOp::Add, {0x21, 0x21})
-      .set(BinOp::Sub, {0x23, 0x23})
-      .set(BinOp::And, {0x24, 0x24})
-      .set(BinOp::Or, {0x25, 0x25})
-      .set(BinOp::Xor, {0x26, 0x26})
-      .set(BinOp::Lsh, {0x04, 0x04, /*Swap=*/true})
-      .set(BinOp::Rsh, {0x07, 0x06, /*Swap=*/true});
+/// One-word integer ALU ops, signed or unsigned alike; all RdRsRt.
+/// Shifts and Mul/Div/Mod take the switch.
+inline constexpr BinOpEncTable<OpcEnc<Opc>> MipsAluTable = [] {
+  BinOpEncTable<OpcEnc<Opc>> T;
+  T.set(BinOp::Add, {Opc::Addu})
+      .set(BinOp::Sub, {Opc::Subu})
+      .set(BinOp::And, {Opc::And})
+      .set(BinOp::Or, {Opc::Or})
+      .set(BinOp::Xor, {Opc::Xor});
   return T;
 }();
 
-/// COP1 functs for the single-word FP arithmetic ops.
-inline constexpr BinOpEncTable<OpEnc> MipsFpAluTable = [] {
-  BinOpEncTable<OpEnc> T;
-  T.set(BinOp::Add, {0x00})
-      .set(BinOp::Sub, {0x01})
-      .set(BinOp::Mul, {0x02})
-      .set(BinOp::Div, {0x03});
+/// COP1 arithmetic for the single-word FP ops.
+inline constexpr BinOpEncTable<OpcEnc<Opc>> MipsFpAluTable = [] {
+  BinOpEncTable<OpcEnc<Opc>> T;
+  T.set(BinOp::Add, {Opc::AddF})
+      .set(BinOp::Sub, {Opc::SubF})
+      .set(BinOp::Mul, {Opc::MulF})
+      .set(BinOp::Div, {Opc::DivF});
   return T;
 }();
 
-/// Major opcodes for typed loads and stores.
-inline constexpr TypeEncTable<OpEnc> MipsLoadTable = [] {
-  TypeEncTable<OpEnc> T;
-  T.set(Type::C, {0x20})
-      .set(Type::UC, {0x24})
-      .set(Type::S, {0x21})
-      .set(Type::US, {0x25})
-      .set(Type::I, {0x23})
-      .set(Type::U, {0x23})
-      .set(Type::L, {0x23})
-      .set(Type::UL, {0x23})
-      .set(Type::P, {0x23})
-      .set(Type::F, {0x31})
-      .set(Type::D, {0x35});
+/// Typed loads and stores (RtMem or FtMem).
+inline constexpr TypeEncTable<OpcEnc<Opc>> MipsLoadTable = [] {
+  TypeEncTable<OpcEnc<Opc>> T;
+  T.set(Type::C, {Opc::Lb})
+      .set(Type::UC, {Opc::Lbu})
+      .set(Type::S, {Opc::Lh})
+      .set(Type::US, {Opc::Lhu})
+      .set(Type::I, {Opc::Lw})
+      .set(Type::U, {Opc::Lw})
+      .set(Type::L, {Opc::Lw})
+      .set(Type::UL, {Opc::Lw})
+      .set(Type::P, {Opc::Lw})
+      .set(Type::F, {Opc::Lwc1})
+      .set(Type::D, {Opc::Ldc1});
   return T;
 }();
 
-inline constexpr TypeEncTable<OpEnc> MipsStoreTable = [] {
-  TypeEncTable<OpEnc> T;
-  T.set(Type::C, {0x28})
-      .set(Type::UC, {0x28})
-      .set(Type::S, {0x29})
-      .set(Type::US, {0x29})
-      .set(Type::I, {0x2b})
-      .set(Type::U, {0x2b})
-      .set(Type::L, {0x2b})
-      .set(Type::UL, {0x2b})
-      .set(Type::P, {0x2b})
-      .set(Type::F, {0x39})
-      .set(Type::D, {0x3d});
+inline constexpr TypeEncTable<OpcEnc<Opc>> MipsStoreTable = [] {
+  TypeEncTable<OpcEnc<Opc>> T;
+  T.set(Type::C, {Opc::Sb})
+      .set(Type::UC, {Opc::Sb})
+      .set(Type::S, {Opc::Sh})
+      .set(Type::US, {Opc::Sh})
+      .set(Type::I, {Opc::Sw})
+      .set(Type::U, {Opc::Sw})
+      .set(Type::L, {Opc::Sw})
+      .set(Type::UL, {Opc::Sw})
+      .set(Type::P, {Opc::Sw})
+      .set(Type::F, {Opc::Swc1})
+      .set(Type::D, {Opc::Sdc1});
   return T;
 }();
 
@@ -132,16 +118,16 @@ inline constexpr CondEncTable<MipsCmpRow> MipsIntCmpTable = [] {
   return T;
 }();
 
-/// FP compare-and-branch: c.cond.fmt funct in A, with Gt/Ge as swapped
-/// Lt/Le and Ne as an inverted Eq taken with bc1f.
-inline constexpr CondEncTable<CmpEnc> MipsFpCmpTable = [] {
-  CondEncTable<CmpEnc> T;
-  T.set(Cond::Lt, {0x3c, 0})
-      .set(Cond::Le, {0x3e, 0})
-      .set(Cond::Gt, {0x3c, 0, /*Swap=*/true})
-      .set(Cond::Ge, {0x3e, 0, /*Swap=*/true})
-      .set(Cond::Eq, {0x32, 0})
-      .set(Cond::Ne, {0x32, 0, false, /*Invert=*/true});
+/// FP compare-and-branch: c.cond.fmt, with Gt/Ge as swapped Lt/Le and Ne
+/// as an inverted Eq taken with bc1f.
+inline constexpr CondEncTable<OpcEnc<Opc>> MipsFpCmpTable = [] {
+  CondEncTable<OpcEnc<Opc>> T;
+  T.set(Cond::Lt, {Opc::CLt})
+      .set(Cond::Le, {Opc::CLe})
+      .set(Cond::Gt, {Opc::CLt, Opc::CLt, /*Swap=*/true})
+      .set(Cond::Ge, {Opc::CLe, Opc::CLe, /*Swap=*/true})
+      .set(Cond::Eq, {Opc::CEq})
+      .set(Cond::Ne, {Opc::CEq, Opc::CEq, false, /*Invert=*/true});
   return T;
 }();
 
@@ -157,36 +143,46 @@ public:
   void insBinop(VCode &VC, BinOp Op, Type Ty, Reg Rd, Reg Rs1, Reg Rs2) {
     CodeBuffer &B = VC.buf();
     if (isFpType(Ty)) {
-      const OpEnc &E = MipsFpAluTable[Op];
-      if (!E.Valid)
+      const OpcEnc<Opc> &E = MipsFpAluTable[Op];
+      if (!E.valid())
         fatalKind(CgErrKind::BadOperand,
             "mips: fp binop '%s' unsupported", binOpName(Op));
-      B.put(fpRType(Ty == Type::F ? FMT_S : FMT_D, fpr(Rs2), fpr(Rs1),
-                    fpr(Rd), E.Op));
+      B.put(encodeAs<Form::FdFsFt>(E.pick(), Ty == Type::F ? FMT_S : FMT_D,
+                                   fpr(Rd), fpr(Rs1), fpr(Rs2)));
       return;
     }
     bool Unsigned = !isSignedType(Ty);
     unsigned D = gpr(Rd), S = gpr(Rs1), T = gpr(Rs2);
-    const MipsAluRow &R = MipsAluTable[Op];
-    if (R.Valid) {
-      unsigned Fn = Unsigned ? R.FnU : R.FnS;
-      B.put(R.Swap ? rType(Fn, T, S, D) : rType(Fn, S, T, D));
+    const OpcEnc<Opc> &R = MipsAluTable[Op];
+    if (R.valid()) {
+      B.put(encodeAs<Form::RdRsRt>(R.pick(), D, S, T));
       return;
+    }
+    switch (Op) {
+    case BinOp::Lsh:
+      B.put(encode<Opc::Sllv>(D, S, T));
+      return;
+    case BinOp::Rsh:
+      B.put(Unsigned ? encode<Opc::Srlv>(D, S, T)
+                     : encode<Opc::Srav>(D, S, T));
+      return;
+    default:
+      break;
     }
     // Mul/Div/Mod synthesize through the hi/lo registers (two words).
     B.ensureWords(2);
     switch (Op) {
     case BinOp::Mul:
-      B.put(Unsigned ? multu(S, T) : mult(S, T));
-      B.put(mflo(D));
+      B.put(Unsigned ? encode<Opc::Multu>(S, T) : encode<Opc::Mult>(S, T));
+      B.put(encode<Opc::Mflo>(D));
       return;
     case BinOp::Div:
-      B.put(Unsigned ? divu(S, T) : div_(S, T));
-      B.put(mflo(D));
+      B.put(Unsigned ? encode<Opc::Divu>(S, T) : encode<Opc::Div>(S, T));
+      B.put(encode<Opc::Mflo>(D));
       return;
     case BinOp::Mod:
-      B.put(Unsigned ? divu(S, T) : div_(S, T));
-      B.put(mfhi(D));
+      B.put(Unsigned ? encode<Opc::Divu>(S, T) : encode<Opc::Div>(S, T));
+      B.put(encode<Opc::Mfhi>(D));
       return;
     default:
       break;
@@ -205,42 +201,42 @@ public:
     switch (Op) {
     case BinOp::Add:
       if (isInt<16>(Imm)) {
-        B.put(addiu(D, S, int32_t(Imm)));
+        B.put(encode<Opc::Addiu>(D, S, int32_t(Imm)));
         return;
       }
       break;
     case BinOp::Sub:
       if (isInt<16>(-Imm)) {
-        B.put(addiu(D, S, int32_t(-Imm)));
+        B.put(encode<Opc::Addiu>(D, S, int32_t(-Imm)));
         return;
       }
       break;
     case BinOp::And:
       if (isUInt<16>(uint64_t(Imm))) {
-        B.put(andi(D, S, uint32_t(Imm)));
+        B.put(encode<Opc::Andi>(D, S, uint32_t(Imm)));
         return;
       }
       break;
     case BinOp::Or:
       if (isUInt<16>(uint64_t(Imm))) {
-        B.put(ori(D, S, uint32_t(Imm)));
+        B.put(encode<Opc::Ori>(D, S, uint32_t(Imm)));
         return;
       }
       break;
     case BinOp::Xor:
       if (isUInt<16>(uint64_t(Imm))) {
-        B.put(xori(D, S, uint32_t(Imm)));
+        B.put(encode<Opc::Xori>(D, S, uint32_t(Imm)));
         return;
       }
       break;
     case BinOp::Lsh:
       assert(Imm >= 0 && Imm < 32 && "shift amount out of range");
-      B.put(sll(D, S, unsigned(Imm)));
+      B.put(encode<Opc::Sll>(D, S, unsigned(Imm)));
       return;
     case BinOp::Rsh:
       assert(Imm >= 0 && Imm < 32 && "shift amount out of range");
-      B.put(isSignedType(Ty) ? sra(D, S, unsigned(Imm))
-                             : srl(D, S, unsigned(Imm)));
+      B.put(isSignedType(Ty) ? encode<Opc::Sra>(D, S, unsigned(Imm))
+                             : encode<Opc::Srl>(D, S, unsigned(Imm)));
       return;
     default:
       break;
@@ -257,10 +253,10 @@ public:
       unsigned Fmt = Ty == Type::F ? FMT_S : FMT_D;
       switch (Op) {
       case UnOp::Mov:
-        B.put(fmov(Fmt, fpr(Rd), fpr(Rs)));
+        B.put(encode<Opc::MovF>(Fmt, fpr(Rd), fpr(Rs)));
         return;
       case UnOp::Neg:
-        B.put(fneg(Fmt, fpr(Rd), fpr(Rs)));
+        B.put(encode<Opc::NegF>(Fmt, fpr(Rd), fpr(Rs)));
         return;
       default:
         fatalKind(CgErrKind::BadOperand,
@@ -270,16 +266,16 @@ public:
     unsigned D = gpr(Rd), S = gpr(Rs);
     switch (Op) {
     case UnOp::Com:
-      B.put(nor(D, S, ZERO));
+      B.put(encode<Opc::Nor>(D, S, ZERO));
       return;
     case UnOp::Not:
-      B.put(sltiu(D, S, 1));
+      B.put(encode<Opc::Sltiu>(D, S, 1));
       return;
     case UnOp::Mov:
-      B.put(addu(D, S, ZERO));
+      B.put(encode<Opc::Addu>(D, S, ZERO));
       return;
     case UnOp::Neg:
-      B.put(subu(D, ZERO, S));
+      B.put(encode<Opc::Subu>(D, ZERO, S));
       return;
     }
     unreachable("bad UnOp");
@@ -296,11 +292,11 @@ public:
       // Singles fit a GPR: materialize the bit pattern and move it over.
       uint32_t Bits = std::bit_cast<uint32_t>(float(Val));
       if (Bits == 0) {
-        B.put(mtc1(ZERO, fpr(Rd)));
+        B.put(encode<Opc::Mtc1>(ZERO, fpr(Rd)));
         return;
       }
       li(VC, AT, int64_t(int32_t(Bits)));
-      B.put(mtc1(AT, fpr(Rd)));
+      B.put(encode<Opc::Mtc1>(AT, fpr(Rd)));
       return;
     }
     // Doubles come from the per-function constant pool at the end of the
@@ -308,7 +304,7 @@ public:
     Label Pool = VC.constPoolLabel(std::bit_cast<uint64_t>(Val));
     B.ensureWords(3);
     addrOfLabel(VC, AT, Pool);
-    B.put(ldc1(fpr(Rd), AT, 0));
+    B.put(encode<Opc::Ldc1>(fpr(Rd), AT, 0));
   }
 
   void insCvt(VCode &VC, Type From, Type To, Reg Rd, Reg Rs) {
@@ -318,7 +314,7 @@ public:
     bool ToIntReg = isIntRegType(To);
     if (FromIntReg && ToIntReg) {
       if (Rd != Rs)
-        B.put(addu(gpr(Rd), gpr(Rs), ZERO));
+        B.put(encode<Opc::Addu>(gpr(Rd), gpr(Rs), ZERO));
       return;
     }
     if (FromIntReg && isFpType(To)) {
@@ -328,24 +324,24 @@ public:
         return;
       }
       B.ensureWords(2);
-      B.put(mtc1(gpr(Rs), FAT0));
-      B.put(To == Type::F ? fcvts(FMT_W, fpr(Rd), FAT0)
-                          : fcvtd(FMT_W, fpr(Rd), FAT0));
+      B.put(encode<Opc::Mtc1>(gpr(Rs), FAT0));
+      B.put(To == Type::F ? encode<Opc::CvtS>(FMT_W, fpr(Rd), FAT0)
+                          : encode<Opc::CvtD>(FMT_W, fpr(Rd), FAT0));
       return;
     }
     if (isFpType(From) && ToIntReg) {
       unsigned Fmt = From == Type::F ? FMT_S : FMT_D;
       B.ensureWords(2);
-      B.put(ftruncw(Fmt, FAT0, fpr(Rs)));
-      B.put(mfc1(gpr(Rd), FAT0));
+      B.put(encode<Opc::TruncW>(Fmt, FAT0, fpr(Rs)));
+      B.put(encode<Opc::Mfc1>(gpr(Rd), FAT0));
       return;
     }
     if (From == Type::F && To == Type::D) {
-      B.put(fcvtd(FMT_S, fpr(Rd), fpr(Rs)));
+      B.put(encode<Opc::CvtD>(FMT_S, fpr(Rd), fpr(Rs)));
       return;
     }
     if (From == Type::D && To == Type::F) {
-      B.put(fcvts(FMT_D, fpr(Rd), fpr(Rs)));
+      B.put(encode<Opc::CvtS>(FMT_D, fpr(Rd), fpr(Rs)));
       return;
     }
     fatalKind(CgErrKind::BadOperand,
@@ -356,7 +352,7 @@ public:
   void insLoad(VCode &VC, Type Ty, Reg Rd, Reg Base, Reg Off) {
     CodeBuffer &B = VC.buf();
     B.ensureWords(2);
-    B.put(addu(AT, gpr(Base), gpr(Off)));
+    B.put(encode<Opc::Addu>(AT, gpr(Base), gpr(Off)));
     B.put(loadWord(Ty, isFpType(Ty) ? fpr(Rd) : gpr(Rd), AT, 0));
   }
 
@@ -368,14 +364,14 @@ public:
       return;
     }
     li(VC, AT, Off);
-    B.put(addu(AT, AT, gpr(Base)));
+    B.put(encode<Opc::Addu>(AT, AT, gpr(Base)));
     B.put(loadWord(Ty, Rt, AT, 0));
   }
 
   void insStore(VCode &VC, Type Ty, Reg Val, Reg Base, Reg Off) {
     CodeBuffer &B = VC.buf();
     B.ensureWords(2);
-    B.put(addu(AT, gpr(Base), gpr(Off)));
+    B.put(encode<Opc::Addu>(AT, gpr(Base), gpr(Off)));
     B.put(storeWord(Ty, isFpType(Ty) ? fpr(Val) : gpr(Val), AT, 0));
   }
 
@@ -387,7 +383,7 @@ public:
       return;
     }
     li(VC, AT, Off);
-    B.put(addu(AT, AT, gpr(Base)));
+    B.put(encode<Opc::Addu>(AT, AT, gpr(Base)));
     B.put(storeWord(Ty, Rt, AT, 0));
   }
 
@@ -410,21 +406,22 @@ public:
     unsigned A = gpr(Rs1);
     if (Imm == 0 && (C == Cond::Eq || C == Cond::Ne)) {
       VC.addFixup(FixupKind::Branch, L);
-      B.put(C == Cond::Eq ? beq(A, ZERO) : bne(A, ZERO));
+      B.put(C == Cond::Eq ? encode<Opc::Beq>(A, ZERO, 0)
+                          : encode<Opc::Bne>(A, ZERO, 0));
       delaySlot(VC);
       return;
     }
     if (C == Cond::Lt && !Unsigned && isInt<16>(Imm)) {
-      B.put(slti(AT, A, int32_t(Imm)));
+      B.put(encode<Opc::Slti>(AT, A, int32_t(Imm)));
       VC.addFixup(FixupKind::Branch, L);
-      B.put(bne(AT, ZERO));
+      B.put(encode<Opc::Bne>(AT, ZERO, 0));
       delaySlot(VC);
       return;
     }
     if (C == Cond::Ge && !Unsigned && isInt<16>(Imm)) {
-      B.put(slti(AT, A, int32_t(Imm)));
+      B.put(encode<Opc::Slti>(AT, A, int32_t(Imm)));
       VC.addFixup(FixupKind::Branch, L);
-      B.put(beq(AT, ZERO));
+      B.put(encode<Opc::Beq>(AT, ZERO, 0));
       delaySlot(VC);
       return;
     }
@@ -436,22 +433,22 @@ public:
 
   void insJump(VCode &VC, Label L) {
     VC.addFixup(FixupKind::Jump, L);
-    VC.buf().put(j(0));
+    VC.buf().put(encode<Opc::J>(0));
     delaySlot(VC);
   }
 
   void insJumpReg(VCode &VC, Reg R) {
-    VC.buf().put(jr(gpr(R)));
+    VC.buf().put(encode<Opc::Jr>(gpr(R)));
     delaySlot(VC);
   }
 
   void insJumpAddr(VCode &VC, SimAddr A) {
-    VC.buf().put(j(A));
+    VC.buf().put(encode<Opc::J>(A));
     delaySlot(VC);
   }
 
   void insCallAddr(VCode &VC, SimAddr A) {
-    VC.buf().put(jal(A));
+    VC.buf().put(encode<Opc::Jal>(A));
     delaySlot(VC);
   }
 
@@ -460,17 +457,17 @@ public:
       fatal("mips: jal-to-label links through ra; substitute conventions "
             "must use callReg");
     VC.addFixup(FixupKind::Call, L);
-    VC.buf().put(jal(0));
+    VC.buf().put(encode<Opc::Jal>(0));
     delaySlot(VC);
   }
 
   void insLinkReturn(VCode &VC) {
-    VC.buf().put(jr(gpr(VC.cc().LinkReg)));
+    VC.buf().put(encode<Opc::Jr>(gpr(VC.cc().LinkReg)));
     delaySlot(VC);
   }
 
   void insCallReg(VCode &VC, Reg R) {
-    VC.buf().put(jalr(gpr(VC.cc().LinkReg), gpr(R)));
+    VC.buf().put(encode<Opc::Jalr>(gpr(VC.cc().LinkReg), gpr(R)));
     delaySlot(VC);
   }
 
@@ -482,21 +479,21 @@ public:
     // delay slot still executes either way.
     B.ensureWords(2);
     VC.addFixup(FixupKind::EpilogueJump, VC.epilogueLabel());
-    B.put(jr(gpr(VC.cc().LinkReg)));
+    B.put(encode<Opc::Jr>(gpr(VC.cc().LinkReg)));
     if (Ty == Type::V) {
-      B.put(nop());
+      B.put(Nop);
     } else if (isFpType(Ty)) {
       unsigned Ret = fpr(VC.resultReg(Ty));
       if (fpr(Rs) != Ret)
-        B.put(fmov(Ty == Type::F ? FMT_S : FMT_D, Ret, fpr(Rs)));
+        B.put(encode<Opc::MovF>(Ty == Type::F ? FMT_S : FMT_D, Ret, fpr(Rs)));
       else
-        B.put(nop());
+        B.put(Nop);
     } else {
       unsigned Ret = gpr(VC.resultReg(Ty));
       if (gpr(Rs) != Ret)
-        B.put(addu(Ret, gpr(Rs), ZERO));
+        B.put(encode<Opc::Addu>(Ret, gpr(Rs), ZERO));
       else
-        B.put(nop());
+        B.put(Nop);
     }
   }
 
@@ -512,11 +509,11 @@ public:
     CodeBuffer &B = VC.buf();
     B.ensureWords(2);
     VC.addFixup(FixupKind::EpilogueJump, VC.epilogueLabel());
-    B.put(jr(gpr(VC.cc().LinkReg)));
-    B.put(addiu(Ret, ZERO, int32_t(Imm)));
+    B.put(encode<Opc::Jr>(gpr(VC.cc().LinkReg)));
+    B.put(encode<Opc::Addiu>(Ret, ZERO, int32_t(Imm)));
   }
 
-  void insNop(VCode &VC) { VC.buf().put(nop()); }
+  void insNop(VCode &VC) { VC.buf().put(Nop); }
 
   // --- Cold paths (defined in MipsTarget.cpp) ------------------------------
 
@@ -541,18 +538,18 @@ private:
     return R.Num;
   }
 
-  /// Returns the opcode-applied load/store word for \p Ty.
+  /// Returns the load/store word for \p Ty.
   static uint32_t loadWord(Type Ty, unsigned Rt, unsigned Base, int32_t Off) {
-    const OpEnc &E = MipsLoadTable[Ty];
-    if (!E.Valid)
+    const OpcEnc<Opc> &E = MipsLoadTable[Ty];
+    if (!E.valid())
       unreachable("bad load type");
-    return iType(E.Op, Base, Rt, uint32_t(Off));
+    return encodeAs<Form::RtMem>(E.pick(), Rt, Base, Off);
   }
   static uint32_t storeWord(Type Ty, unsigned Rt, unsigned Base, int32_t Off) {
-    const OpEnc &E = MipsStoreTable[Ty];
-    if (!E.Valid)
+    const OpcEnc<Opc> &E = MipsStoreTable[Ty];
+    if (!E.valid())
       unreachable("bad store type");
-    return iType(E.Op, Base, Rt, uint32_t(Off));
+    return encodeAs<Form::RtMem>(E.pick(), Rt, Base, Off);
   }
 
   /// Loads a 32-bit constant into \p Rd (1-2 words).
@@ -560,16 +557,16 @@ private:
     CodeBuffer &B = VC.buf();
     int32_t V = int32_t(Imm);
     if (isInt<16>(V)) {
-      B.put(addiu(Rd, ZERO, V));
+      B.put(encode<Opc::Addiu>(Rd, ZERO, V));
       return;
     }
     if (isUInt<16>(uint32_t(V))) {
-      B.put(ori(Rd, ZERO, uint32_t(V)));
+      B.put(encode<Opc::Ori>(Rd, ZERO, uint32_t(V)));
       return;
     }
-    B.put(lui(Rd, uint32_t(V) >> 16));
+    B.put(encode<Opc::Lui>(Rd, uint32_t(V) >> 16));
     if (uint32_t(V) & 0xffff)
-      B.put(ori(Rd, Rd, uint32_t(V) & 0xffff));
+      B.put(encode<Opc::Ori>(Rd, Rd, uint32_t(V) & 0xffff));
   }
 
   /// Materializes the (post-linking) absolute address of \p L into \p Rd via
@@ -577,16 +574,16 @@ private:
   void addrOfLabel(VCode &VC, unsigned Rd, Label L) {
     CodeBuffer &B = VC.buf();
     VC.addFixup(FixupKind::AddrHi, L);
-    B.put(lui(Rd, 0));
+    B.put(encode<Opc::Lui>(Rd, 0));
     VC.addFixup(FixupKind::AddrLo, L);
-    B.put(ori(Rd, Rd, 0));
+    B.put(encode<Opc::Ori>(Rd, Rd, 0));
   }
 
   /// Emits the delay-slot nop after a branch/jump unless the client is
   /// scheduling the slot (paper §5.3 v_schedule_delay).
   void delaySlot(VCode &VC) {
     if (!VC.suppressDelayNop())
-      VC.buf().put(nop());
+      VC.buf().put(Nop);
   }
 
   void intCompareBranch(VCode &VC, Cond C, bool Unsigned, unsigned A,
@@ -595,12 +592,14 @@ private:
     const MipsCmpRow &R = MipsIntCmpTable[C];
     if (R.UseSlt) {
       unsigned X = R.Swap ? B : A, Y = R.Swap ? A : B;
-      Buf.put(Unsigned ? sltu(AT, X, Y) : slt(AT, X, Y));
+      Buf.put(Unsigned ? encode<Opc::Sltu>(AT, X, Y)
+                       : encode<Opc::Slt>(AT, X, Y));
       VC.addFixup(FixupKind::Branch, L);
-      Buf.put(R.BrNe ? bne(AT, ZERO) : beq(AT, ZERO));
+      Buf.put(R.BrNe ? encode<Opc::Bne>(AT, ZERO, 0)
+                     : encode<Opc::Beq>(AT, ZERO, 0));
     } else {
       VC.addFixup(FixupKind::Branch, L);
-      Buf.put(R.BrNe ? bne(A, B) : beq(A, B));
+      Buf.put(R.BrNe ? encode<Opc::Bne>(A, B, 0) : encode<Opc::Beq>(A, B, 0));
     }
     delaySlot(VC);
   }
@@ -608,11 +607,11 @@ private:
   void fpCompareBranch(VCode &VC, Cond C, unsigned Fmt, unsigned A, unsigned B,
                        Label L) {
     CodeBuffer &Buf = VC.buf();
-    const CmpEnc &R = MipsFpCmpTable[C];
+    const OpcEnc<Opc> &R = MipsFpCmpTable[C];
     unsigned X = R.Swap ? B : A, Y = R.Swap ? A : B;
-    Buf.put(fpRType(Fmt, Y, X, 0, R.A));
+    Buf.put(encodeAs<Form::FsFt>(R.pick(), Fmt, X, Y));
     VC.addFixup(FixupKind::Branch, L);
-    Buf.put(R.Invert ? bc1f() : bc1t());
+    Buf.put(R.Invert ? encode<Opc::Bc1f>(0) : encode<Opc::Bc1t>(0));
     delaySlot(VC);
   }
 

@@ -124,7 +124,7 @@ CodeMap &CodeMap::instance() {
 }
 
 uint64_t CodeMap::publish(uint64_t Addr, uint64_t Bytes, uint64_t Entry,
-                          uintptr_t Host, std::string Name,
+                          uintptr_t Host, std::string_view Name,
                           const char *Target, Tier T, uint64_t GuestLo,
                           uint64_t GuestHi) {
   if (!Bytes)
@@ -142,7 +142,7 @@ uint64_t CodeMap::publish(uint64_t Addr, uint64_t Bytes, uint64_t Entry,
   if (Name.empty())
     E->Name = synthName(Addr);
   else
-    E->Name = std::move(Name);
+    E->Name = Name;
   if (Capture.load(std::memory_order_relaxed)) {
     const uint8_t *P = reinterpret_cast<const uint8_t *>(Host);
     E->Code.assign(P, P + Bytes);

@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -92,7 +93,7 @@ public:
   /// the code bytes when capture is enabled. Returns the publish
   /// generation number.
   uint64_t publish(uint64_t Addr, uint64_t Bytes, uint64_t Entry,
-                   uintptr_t Host, std::string Name, const char *Target,
+                   uintptr_t Host, std::string_view Name, const char *Target,
                    Tier T, uint64_t GuestLo = 0, uint64_t GuestHi = 0);
 
   /// Unregisters the region whose first byte is at host address \p Host
@@ -155,7 +156,7 @@ public:
   struct Stats {
     uint64_t Published = 0, Removed = 0, Live = 0;
   };
-  uint64_t publish(uint64_t, uint64_t, uint64_t, uintptr_t, std::string,
+  uint64_t publish(uint64_t, uint64_t, uint64_t, uintptr_t, std::string_view,
                    const char *, Tier, uint64_t = 0, uint64_t = 0) {
     return 0;
   }

@@ -23,7 +23,6 @@
 #define VCODE_SPARC_SPARCDECODE_H
 
 #include "core/CodeBuffer.h"
-#include "sparc/SparcEncoding.h"
 #include "support/BitUtils.h"
 #include <array>
 #include <cstdint>
@@ -87,39 +86,39 @@ enum class Group : uint8_t {
   X(RdY, "rd", RdY, Alu, 0x28)                                                 \
   X(WrY, "wr", WrY, Alu, 0x30)                                                 \
   X(Jmpl, "jmpl", Jmpl, Alu, 0x38)                                             \
-  X(Fmovs, "fmovs", Fp2, FpOp, FMOVS)                                          \
-  X(Fnegs, "fnegs", Fp2, FpOp, FNEGS)                                          \
-  X(Fabss, "fabss", Fp2, FpOp, FABSS)                                          \
-  X(Fsqrts, "fsqrts", Fp2, FpOp, FSQRTS)                                       \
-  X(Fsqrtd, "fsqrtd", Fp2, FpOp, FSQRTD)                                       \
-  X(Fadds, "fadds", Fp3, FpOp, FADDS)                                          \
-  X(Faddd, "faddd", Fp3, FpOp, FADDD)                                          \
-  X(Fsubs, "fsubs", Fp3, FpOp, FSUBS)                                          \
-  X(Fsubd, "fsubd", Fp3, FpOp, FSUBD)                                          \
-  X(Fmuls, "fmuls", Fp3, FpOp, FMULS)                                          \
-  X(Fmuld, "fmuld", Fp3, FpOp, FMULD)                                          \
-  X(Fdivs, "fdivs", Fp3, FpOp, FDIVS)                                          \
-  X(Fdivd, "fdivd", Fp3, FpOp, FDIVD)                                          \
-  X(Fitos, "fitos", Fp2, FpOp, FITOS)                                          \
-  X(Fitod, "fitod", Fp2, FpOp, FITOD)                                          \
-  X(Fstod, "fstod", Fp2, FpOp, FSTOD)                                          \
-  X(Fdtos, "fdtos", Fp2, FpOp, FDTOS)                                          \
-  X(Fstoi, "fstoi", Fp2, FpOp, FSTOI)                                          \
-  X(Fdtoi, "fdtoi", Fp2, FpOp, FDTOI)                                          \
-  X(Fcmps, "fcmps", FCmp, FpOp, FCMPS)                                         \
-  X(Fcmpd, "fcmpd", FCmp, FpOp, FCMPD)                                         \
-  X(Ld, "ld", Load, Mem, LD)                                                   \
-  X(Ldub, "ldub", Load, Mem, LDUB)                                             \
-  X(Lduh, "lduh", Load, Mem, LDUH)                                             \
-  X(Ldsb, "ldsb", Load, Mem, LDSB)                                             \
-  X(Ldsh, "ldsh", Load, Mem, LDSH)                                             \
-  X(St, "st", Store, Mem, ST)                                                  \
-  X(Stb, "stb", Store, Mem, STB)                                               \
-  X(Sth, "sth", Store, Mem, STH)                                               \
-  X(Ldf, "ldf", LoadF, Mem, LDF)                                               \
-  X(Lddf, "lddf", LoadF, Mem, LDDF)                                            \
-  X(Stf, "stf", StoreF, Mem, STF)                                              \
-  X(Stdf, "stdf", StoreF, Mem, STDF)
+  X(Fmovs, "fmovs", Fp2, FpOp, 0x01)                                           \
+  X(Fnegs, "fnegs", Fp2, FpOp, 0x05)                                           \
+  X(Fabss, "fabss", Fp2, FpOp, 0x09)                                           \
+  X(Fsqrts, "fsqrts", Fp2, FpOp, 0x29)                                         \
+  X(Fsqrtd, "fsqrtd", Fp2, FpOp, 0x2a)                                         \
+  X(Fadds, "fadds", Fp3, FpOp, 0x41)                                           \
+  X(Faddd, "faddd", Fp3, FpOp, 0x42)                                           \
+  X(Fsubs, "fsubs", Fp3, FpOp, 0x45)                                           \
+  X(Fsubd, "fsubd", Fp3, FpOp, 0x46)                                           \
+  X(Fmuls, "fmuls", Fp3, FpOp, 0x49)                                           \
+  X(Fmuld, "fmuld", Fp3, FpOp, 0x4a)                                           \
+  X(Fdivs, "fdivs", Fp3, FpOp, 0x4d)                                           \
+  X(Fdivd, "fdivd", Fp3, FpOp, 0x4e)                                           \
+  X(Fitos, "fitos", Fp2, FpOp, 0xc4)                                           \
+  X(Fitod, "fitod", Fp2, FpOp, 0xc8)                                           \
+  X(Fstod, "fstod", Fp2, FpOp, 0xc9)                                           \
+  X(Fdtos, "fdtos", Fp2, FpOp, 0xc6)                                           \
+  X(Fstoi, "fstoi", Fp2, FpOp, 0xd1)                                           \
+  X(Fdtoi, "fdtoi", Fp2, FpOp, 0xd2)                                           \
+  X(Fcmps, "fcmps", FCmp, FpOp, 0x51)                                          \
+  X(Fcmpd, "fcmpd", FCmp, FpOp, 0x52)                                          \
+  X(Ld, "ld", Load, Mem, 0x00)                                                 \
+  X(Ldub, "ldub", Load, Mem, 0x01)                                             \
+  X(Lduh, "lduh", Load, Mem, 0x02)                                             \
+  X(Ldsb, "ldsb", Load, Mem, 0x09)                                             \
+  X(Ldsh, "ldsh", Load, Mem, 0x0a)                                             \
+  X(St, "st", Store, Mem, 0x04)                                                \
+  X(Stb, "stb", Store, Mem, 0x05)                                              \
+  X(Sth, "sth", Store, Mem, 0x06)                                              \
+  X(Ldf, "ldf", LoadF, Mem, 0x20)                                              \
+  X(Lddf, "lddf", LoadF, Mem, 0x23)                                            \
+  X(Stf, "stf", StoreF, Mem, 0x24)                                             \
+  X(Stdf, "stdf", StoreF, Mem, 0x27)
 
 /// Every instruction the interpreter executes, plus Invalid for the words
 /// it rejects with its unknown-instruction fault.
@@ -157,18 +156,18 @@ struct Insn {
   Opc Op = Opc::Invalid;
   uint32_t W = 0;
 
-  unsigned rd() const { return (W >> 25) & 31; }
-  unsigned rs1() const { return (W >> 14) & 31; }
-  unsigned rs2() const { return W & 31; }
+  constexpr unsigned rd() const { return (W >> 25) & 31; }
+  constexpr unsigned rs1() const { return (W >> 14) & 31; }
+  constexpr unsigned rs2() const { return W & 31; }
   /// Bicc/FBfcc condition (bits 28..25).
-  unsigned cond() const { return (W >> 25) & 15; }
+  constexpr unsigned cond() const { return (W >> 25) & 15; }
   /// Format 3: operand 2 is simm13() rather than register rs2().
-  bool useImm() const { return (W >> 13) & 1; }
-  int32_t simm13() const { return signExtend32<13>(W & 0x1fff); }
+  constexpr bool useImm() const { return (W >> 13) & 1; }
+  constexpr int32_t simm13() const { return signExtend32<13>(W & 0x1fff); }
   /// Sethi immediate (bits 21..0).
-  uint32_t imm22() const { return W & 0x3fffff; }
+  constexpr uint32_t imm22() const { return W & 0x3fffff; }
   /// Call disp30 or branch disp22, in words.
-  int32_t disp() const {
+  constexpr int32_t disp() const {
     return W >> 30 == 1 ? signExtend32<30>(W & 0x3fffffff)
                         : signExtend32<22>(W & 0x3fffff);
   }
@@ -222,7 +221,7 @@ inline constexpr DecodeTables Tables = [] {
 } // namespace detail
 
 /// Decodes one instruction word.
-inline Insn decode(uint32_t W) {
+constexpr Insn decode(uint32_t W) {
   Opc Op = detail::Tables.Main[((W >> 23) & 0x1c0) | ((W >> 19) & 63)];
   if ((W & 0xc1f00000u) == 0x81a00000u) // op 2, op3 0x34 or 0x35
     Op = detail::Tables.FpOp[(W >> 5) & 0x1ff];

@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "sparc/SparcDecode.h"
+#include "sparc/SparcEncoding.h"
 #include "profile/Disasm.h"
 #include "support/Error.h"
 #include <cstdarg>
@@ -41,7 +41,7 @@ const char *FccName[16] = {"n",  "ne", "lg", "ul", "l",   "ug", "g",  "u",
 } // namespace
 
 std::string vcode::sparc::disassemble(uint32_t I, SimAddr Pc) {
-  if (I == nop())
+  if (I == Nop)
     return "nop";
 
   const Insn D = decode(I);

@@ -1,20 +1,24 @@
-//===- sparc/SparcEncoding.h - SPARC V8 instruction encoders ----*- C++ -*-===//
+//===- sparc/SparcEncoding.h - SPARC encoders from decode rows --*- C++ -*-===//
 //
 // Part of the vcode reproduction of Engler, PLDI 1996.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// SPARC V8 instruction word encoders (format 1 call, format 2
-/// sethi/branches, format 3 arithmetic and memory). As with the MIPS
-/// encoders, these are constexpr so hard-coded register names constant-fold
-/// to a single or+store (paper §5.3).
+/// SPARC V8 instruction words, built from the one instruction description
+/// in SparcDecode.h: a row's group and selector give the bits that name the
+/// instruction (fixedBits), and its Form says where the operands go, as in
+/// mips/MipsEncoding.h. Operands are raw register numbers, destination
+/// first; a format-3 operand 2 is a register or a Simm13. Constant
+/// operands fold to a single or+store (paper §5.3).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef VCODE_SPARC_SPARCENCODING_H
 #define VCODE_SPARC_SPARCENCODING_H
 
+#include "sparc/SparcDecode.h"
+#include "core/EncTable.h"
 #include <cstdint>
 
 namespace vcode {
@@ -44,176 +48,128 @@ enum FCond : unsigned {
   FCondO = 15,
 };
 
-// --- Format builders ---------------------------------------------------------
-
-/// Format 3, register-register.
-constexpr uint32_t fmt3r(unsigned Op, unsigned Rd, unsigned Op3, unsigned Rs1,
-                         unsigned Rs2) {
-  return (Op << 30) | (Rd << 25) | (Op3 << 19) | (Rs1 << 14) | Rs2;
-}
-/// Format 3, register-immediate (simm13).
-constexpr uint32_t fmt3i(unsigned Op, unsigned Rd, unsigned Op3, unsigned Rs1,
-                         int32_t Simm13) {
-  return (Op << 30) | (Rd << 25) | (Op3 << 19) | (Rs1 << 14) | (1u << 13) |
-         (uint32_t(Simm13) & 0x1fff);
-}
-/// Format 3 FP operate (op3 0x34/0x35): opf in bits 5-13.
-constexpr uint32_t fmt3f(unsigned Rd, unsigned Op3, unsigned Rs1, unsigned Opf,
-                         unsigned Rs2) {
-  return (2u << 30) | (Rd << 25) | (Op3 << 19) | (Rs1 << 14) | (Opf << 5) |
-         Rs2;
-}
-
-// --- Arithmetic (op=2) ---------------------------------------------------------
-
-constexpr uint32_t add(unsigned Rd, unsigned Rs1, unsigned Rs2) {
-  return fmt3r(2, Rd, 0x00, Rs1, Rs2);
-}
-constexpr uint32_t addi(unsigned Rd, unsigned Rs1, int32_t Imm) {
-  return fmt3i(2, Rd, 0x00, Rs1, Imm);
-}
-constexpr uint32_t sub(unsigned Rd, unsigned Rs1, unsigned Rs2) {
-  return fmt3r(2, Rd, 0x04, Rs1, Rs2);
-}
-constexpr uint32_t subi(unsigned Rd, unsigned Rs1, int32_t Imm) {
-  return fmt3i(2, Rd, 0x04, Rs1, Imm);
-}
-constexpr uint32_t subcc(unsigned Rd, unsigned Rs1, unsigned Rs2) {
-  return fmt3r(2, Rd, 0x14, Rs1, Rs2);
-}
-constexpr uint32_t subcci(unsigned Rd, unsigned Rs1, int32_t Imm) {
-  return fmt3i(2, Rd, 0x14, Rs1, Imm);
-}
-constexpr uint32_t and_(unsigned Rd, unsigned Rs1, unsigned Rs2) {
-  return fmt3r(2, Rd, 0x01, Rs1, Rs2);
-}
-constexpr uint32_t andi(unsigned Rd, unsigned Rs1, int32_t Imm) {
-  return fmt3i(2, Rd, 0x01, Rs1, Imm);
-}
-constexpr uint32_t or_(unsigned Rd, unsigned Rs1, unsigned Rs2) {
-  return fmt3r(2, Rd, 0x02, Rs1, Rs2);
-}
-constexpr uint32_t ori(unsigned Rd, unsigned Rs1, int32_t Imm) {
-  return fmt3i(2, Rd, 0x02, Rs1, Imm);
-}
-constexpr uint32_t xor_(unsigned Rd, unsigned Rs1, unsigned Rs2) {
-  return fmt3r(2, Rd, 0x03, Rs1, Rs2);
-}
-constexpr uint32_t xori(unsigned Rd, unsigned Rs1, int32_t Imm) {
-  return fmt3i(2, Rd, 0x03, Rs1, Imm);
-}
-constexpr uint32_t xnor(unsigned Rd, unsigned Rs1, unsigned Rs2) {
-  return fmt3r(2, Rd, 0x07, Rs1, Rs2);
-}
-constexpr uint32_t umul(unsigned Rd, unsigned Rs1, unsigned Rs2) {
-  return fmt3r(2, Rd, 0x0a, Rs1, Rs2);
-}
-constexpr uint32_t smul(unsigned Rd, unsigned Rs1, unsigned Rs2) {
-  return fmt3r(2, Rd, 0x0b, Rs1, Rs2);
-}
-constexpr uint32_t udiv(unsigned Rd, unsigned Rs1, unsigned Rs2) {
-  return fmt3r(2, Rd, 0x0e, Rs1, Rs2);
-}
-constexpr uint32_t sdiv(unsigned Rd, unsigned Rs1, unsigned Rs2) {
-  return fmt3r(2, Rd, 0x0f, Rs1, Rs2);
-}
-constexpr uint32_t sll(unsigned Rd, unsigned Rs1, unsigned Rs2) {
-  return fmt3r(2, Rd, 0x25, Rs1, Rs2);
-}
-constexpr uint32_t slli(unsigned Rd, unsigned Rs1, unsigned Sh) {
-  return fmt3i(2, Rd, 0x25, Rs1, int32_t(Sh));
-}
-constexpr uint32_t srl(unsigned Rd, unsigned Rs1, unsigned Rs2) {
-  return fmt3r(2, Rd, 0x26, Rs1, Rs2);
-}
-constexpr uint32_t srli(unsigned Rd, unsigned Rs1, unsigned Sh) {
-  return fmt3i(2, Rd, 0x26, Rs1, int32_t(Sh));
-}
-constexpr uint32_t sra(unsigned Rd, unsigned Rs1, unsigned Rs2) {
-  return fmt3r(2, Rd, 0x27, Rs1, Rs2);
-}
-constexpr uint32_t srai(unsigned Rd, unsigned Rs1, unsigned Sh) {
-  return fmt3i(2, Rd, 0x27, Rs1, int32_t(Sh));
-}
-constexpr uint32_t addx(unsigned Rd, unsigned Rs1, unsigned Rs2) {
-  return fmt3r(2, Rd, 0x08, Rs1, Rs2);
-}
-constexpr uint32_t addxi(unsigned Rd, unsigned Rs1, int32_t Imm) {
-  return fmt3i(2, Rd, 0x08, Rs1, Imm);
-}
-constexpr uint32_t rdy(unsigned Rd) { return fmt3r(2, Rd, 0x28, 0, 0); }
-constexpr uint32_t wry(unsigned Rs1) { return fmt3r(2, 0, 0x30, Rs1, 0); }
-constexpr uint32_t wryi(unsigned Rs1, int32_t Imm) {
-  return fmt3i(2, 0, 0x30, Rs1, Imm);
-}
-constexpr uint32_t jmpl(unsigned Rd, unsigned Rs1, int32_t Imm) {
-  return fmt3i(2, Rd, 0x38, Rs1, Imm);
-}
-constexpr uint32_t jmplr(unsigned Rd, unsigned Rs1, unsigned Rs2) {
-  return fmt3r(2, Rd, 0x38, Rs1, Rs2);
+/// The bits that name \p O: op, its selector in op2/op3/opf, and the op3
+/// of its FP group (the compares are FPop2, every other FP op FPop1).
+constexpr uint32_t fixedBits(Opc O) {
+  const OpcInfo &I = info(O);
+  uint32_t Sel = I.Selector;
+  switch (I.Where) {
+  case Group::Call:
+    return 1u << 30;
+  case Group::Fmt2:
+    return Sel << 22;
+  case Group::Alu:
+    return (2u << 30) | (Sel << 19);
+  case Group::FpOp:
+    return (2u << 30) | ((I.Operands == Form::FCmp ? 0x35u : 0x34u) << 19) |
+           (Sel << 5);
+  case Group::Mem:
+    return (3u << 30) | (Sel << 19);
+  }
+  return 0;
 }
 
-// --- Format 2: sethi and branches ----------------------------------------------
-
-constexpr uint32_t sethi(unsigned Rd, uint32_t Imm22) {
-  return (0u << 30) | (Rd << 25) | (4u << 22) | (Imm22 & 0x3fffff);
-}
-constexpr uint32_t nop() { return sethi(0, 0); }
-/// Bicc: integer condition-code branch, disp22 in words.
-constexpr uint32_t bicc(unsigned Cond, int32_t Disp22 = 0, bool Annul = false) {
-  return (0u << 30) | ((Annul ? 1u : 0u) << 29) | (Cond << 25) | (2u << 22) |
-         (uint32_t(Disp22) & 0x3fffff);
-}
-/// FBfcc: FP condition-code branch.
-constexpr uint32_t fbfcc(unsigned Cond, int32_t Disp22 = 0) {
-  return (0u << 30) | (Cond << 25) | (6u << 22) | (uint32_t(Disp22) & 0x3fffff);
-}
-constexpr uint32_t ba(int32_t Disp22 = 0) { return bicc(CondA, Disp22); }
-
-// --- Format 1: call --------------------------------------------------------------
-
-constexpr uint32_t call(int32_t Disp30) {
-  return (1u << 30) | (uint32_t(Disp30) & 0x3fffffff);
-}
-
-// --- Memory (op=3) ----------------------------------------------------------------
-
-constexpr uint32_t memri(unsigned Op3, unsigned Rd, unsigned Rs1,
-                         int32_t Imm) {
-  return fmt3i(3, Rd, Op3, Rs1, Imm);
-}
-constexpr uint32_t memrr(unsigned Op3, unsigned Rd, unsigned Rs1,
-                         unsigned Rs2) {
-  return fmt3r(3, Rd, Op3, Rs1, Rs2);
-}
-
-enum MemOp3 : unsigned {
-  LD = 0x00, LDUB = 0x01, LDUH = 0x02, LDD = 0x03,
-  ST = 0x04, STB = 0x05, STH = 0x06, STD = 0x07,
-  LDSB = 0x09, LDSH = 0x0a,
-  LDF = 0x20, LDDF = 0x23, STF = 0x24, STDF = 0x27,
+/// A format-3 immediate operand 2 (sets the i bit).
+struct Simm13 {
+  int32_t V;
 };
 
-// --- FP operate (op=2, op3=0x34 FPop1 / 0x35 FPop2) --------------------------------
+// Where each Form puts its operands; fields a Form does not name stay zero.
 
-enum FpOpf : unsigned {
-  FMOVS = 0x01, FNEGS = 0x05, FABSS = 0x09,
-  FSQRTS = 0x29, FSQRTD = 0x2a,
-  FADDS = 0x41, FADDD = 0x42, FSUBS = 0x45, FSUBD = 0x46,
-  FMULS = 0x49, FMULD = 0x4a, FDIVS = 0x4d, FDIVD = 0x4e,
-  FITOS = 0xc4, FDTOS = 0xc6, FITOD = 0xc8, FSTOD = 0xc9,
-  FSTOI = 0xd1, FDTOI = 0xd2,
-  FCMPS = 0x51, FCMPD = 0x52,
-};
+constexpr uint32_t fmt3(unsigned Rd, unsigned Rs1, unsigned Rs2) {
+  return (Rd << 25) | (Rs1 << 14) | Rs2;
+}
+constexpr uint32_t fmt3(unsigned Rd, unsigned Rs1, Simm13 I) {
+  return (Rd << 25) | (Rs1 << 14) | (1u << 13) | (uint32_t(I.V) & 0x1fff);
+}
 
-constexpr uint32_t fpop1(unsigned Rd, unsigned Rs1, unsigned Opf,
-                         unsigned Rs2) {
-  return fmt3f(Rd, 0x34, Rs1, Opf, Rs2);
+constexpr uint32_t place(FormTag<Form::Call>, int32_t Disp30) {
+  return uint32_t(Disp30) & 0x3fffffff;
 }
-constexpr uint32_t fpop2(unsigned Rd, unsigned Rs1, unsigned Opf,
-                         unsigned Rs2) {
-  return fmt3f(Rd, 0x35, Rs1, Opf, Rs2);
+constexpr uint32_t place(FormTag<Form::Sethi>, unsigned Rd, uint32_t Imm22) {
+  return (Rd << 25) | (Imm22 & 0x3fffff);
 }
+constexpr uint32_t place(FormTag<Form::Bicc>, unsigned Cond, int32_t Disp22) {
+  return (Cond << 25) | (uint32_t(Disp22) & 0x3fffff);
+}
+constexpr uint32_t place(FormTag<Form::FBfcc>, unsigned Cond, int32_t Disp22) {
+  return place(FormTag<Form::Bicc>{}, Cond, Disp22);
+}
+/// rd %y, rd: rs1 and rs2 zero.
+constexpr uint32_t place(FormTag<Form::RdY>, unsigned Rd) {
+  return fmt3(Rd, 0, 0);
+}
+/// wr rs1, op2, %y: rd zero.
+template <typename Op2T>
+constexpr uint32_t place(FormTag<Form::WrY>, unsigned Rs1, Op2T Op2) {
+  return fmt3(0, Rs1, Op2);
+}
+/// fd <- op fs2: rs1 zero.
+constexpr uint32_t place(FormTag<Form::Fp2>, unsigned Fd, unsigned Fs2) {
+  return fmt3(Fd, 0, Fs2);
+}
+/// fcmp fs1, fs2: rd zero.
+constexpr uint32_t place(FormTag<Form::FCmp>, unsigned Fs1, unsigned Fs2) {
+  return fmt3(0, Fs1, Fs2);
+}
+/// Every other Form is format 3 with rd, rs1 and operand 2 (fd, fs1, fs2
+/// for Fp3; the stored register for stores).
+template <Form F, typename Op2T>
+constexpr uint32_t place(FormTag<F>, unsigned Rd, unsigned Rs1, Op2T Op2) {
+  return fmt3(Rd, Rs1, Op2);
+}
+
+/// The canonical nop: sethi 0, %g0.
+inline constexpr uint32_t Nop = encode<Opc::Sethi>(G0, 0);
+
+namespace detail {
+/// decode(encode<O>(probe)) names O and reads every probe operand back,
+/// in both operand-2 kinds where the Form has them.
+template <Opc O> constexpr bool roundTrips() {
+  constexpr Form F = info(O).Operands;
+  constexpr unsigned A = 3, B = 5, C = 7, Cc = 9;
+  constexpr int32_t Off = -12;
+  constexpr uint32_t U = 0x2a5a5;
+  if constexpr (F == Form::Call) {
+    Insn D = decode(encode<O>(Off));
+    return D.Op == O && D.disp() == Off;
+  } else if constexpr (F == Form::Sethi) {
+    Insn D = decode(encode<O>(A, U));
+    return D.Op == O && D.rd() == A && D.imm22() == U;
+  } else if constexpr (F == Form::Bicc || F == Form::FBfcc) {
+    Insn D = decode(encode<O>(Cc, Off));
+    return D.Op == O && D.cond() == Cc && D.disp() == Off;
+  } else if constexpr (F == Form::RdY) {
+    Insn D = decode(encode<O>(A));
+    return D.Op == O && D.rd() == A;
+  } else if constexpr (F == Form::WrY) {
+    Insn R = decode(encode<O>(B, C)), I = decode(encode<O>(B, Simm13{Off}));
+    return R.Op == O && R.rs1() == B && R.rs2() == C && !R.useImm() &&
+           I.Op == O && I.rs1() == B && I.simm13() == Off;
+  } else if constexpr (F == Form::Fp2) {
+    Insn D = decode(encode<O>(A, C));
+    return D.Op == O && D.rd() == A && D.rs2() == C;
+  } else if constexpr (F == Form::FCmp) {
+    Insn D = decode(encode<O>(B, C));
+    return D.Op == O && D.rs1() == B && D.rs2() == C;
+  } else if constexpr (F == Form::Fp3) {
+    Insn D = decode(encode<O>(A, B, C));
+    return D.Op == O && D.rd() == A && D.rs1() == B && D.rs2() == C;
+  } else {
+    Insn R = decode(encode<O>(A, B, C));
+    Insn I = decode(encode<O>(A, B, Simm13{Off}));
+    return R.Op == O && R.rd() == A && R.rs1() == B && R.rs2() == C &&
+           !R.useImm() && I.Op == O && I.rd() == A && I.rs1() == B &&
+           I.useImm() && I.simm13() == Off;
+  }
+}
+} // namespace detail
+
+#define VCODE_SPARC_ROUND_TRIP(Name, Mn, Fm, Grp, Sel)                         \
+  static_assert(detail::roundTrips<Opc::Name>(),                               \
+                "SPARC row " #Name " does not decode back to itself");
+VCODE_SPARC_OPCODES(VCODE_SPARC_ROUND_TRIP)
+#undef VCODE_SPARC_ROUND_TRIP
 
 } // namespace sparc
 } // namespace vcode

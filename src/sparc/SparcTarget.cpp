@@ -62,7 +62,7 @@ void SparcTarget::beginFunction(VCode &VC) {
   // into the tail of this region and the entry point skips the rest.
   uint32_t ReservedWords = uint32_t(2 + 32 + 32 + VC.prologueArgCopies().size());
   VC.setReservedPrologueWords(ReservedWords);
-  VC.buf().fill(nop(), ReservedWords);
+  VC.buf().fill(Nop, ReservedWords);
 }
 
 CodePtr SparcTarget::endFunction(VCode &VC) {
@@ -80,15 +80,18 @@ CodePtr SparcTarget::endFunction(VCode &VC) {
 
   PrologueWords Pro;
   if (F) {
-    Pro.push_back(addi(SP, SP, -int32_t(F)));
+    Pro.push_back(encode<Opc::Add>(SP, SP, Simm13{-int32_t(F)}));
     if (!VC.isLeaf())
-      Pro.push_back(memri(ST, Link, SP, int32_t(TI.linkSaveSlot())));
+      Pro.push_back(
+          encode<Opc::St>(Link, SP, Simm13{int32_t(TI.linkSaveSlot())}));
     for (unsigned N = 0; N < 32; ++N)
       if (IntMask & (1u << N))
-        Pro.push_back(memri(ST, N, SP, int32_t(TI.intSaveSlot(N))));
+        Pro.push_back(
+            encode<Opc::St>(N, SP, Simm13{int32_t(TI.intSaveSlot(N))}));
     for (unsigned N = 0; N < 32; ++N)
       if (FpMask & (1u << N))
-        Pro.push_back(memri(STDF, N, SP, int32_t(TI.fpSaveSlot(N))));
+        Pro.push_back(
+            encode<Opc::Stdf>(N, SP, Simm13{int32_t(TI.fpSaveSlot(N))}));
   }
   for (const PrologueArgCopy &Copy : VC.prologueArgCopies()) {
     int64_t Off = int64_t(F) + Copy.IncomingOff;
@@ -97,7 +100,8 @@ CodePtr SparcTarget::endFunction(VCode &VC) {
           "sparc: incoming stack argument offset %lld out of range",
             (long long)Off);
     unsigned Rt = isFpType(Copy.Ty) ? fpr(Copy.Dst) : gpr(Copy.Dst);
-    Pro.push_back(memri(loadOp3(Copy.Ty), Rt, SP, int32_t(Off)));
+    Pro.push_back(encodeAs<Form::Load>(loadWord(Copy.Ty), Rt, SP,
+                                      Simm13{int32_t(Off)}));
   }
 
   uint32_t ReservedWords = VC.reservedPrologueWords();
@@ -112,15 +116,15 @@ CodePtr SparcTarget::endFunction(VCode &VC) {
   if (F) {
     VC.label(VC.epilogueLabel());
     if (!VC.isLeaf())
-      B.put(memri(LD, Link, SP, int32_t(TI.linkSaveSlot())));
+      B.put(encode<Opc::Ld>(Link, SP, Simm13{int32_t(TI.linkSaveSlot())}));
     for (unsigned N = 0; N < 32; ++N)
       if (IntMask & (1u << N))
-        B.put(memri(LD, N, SP, int32_t(TI.intSaveSlot(N))));
+        B.put(encode<Opc::Ld>(N, SP, Simm13{int32_t(TI.intSaveSlot(N))}));
     for (unsigned N = 0; N < 32; ++N)
       if (FpMask & (1u << N))
-        B.put(memri(LDDF, N, SP, int32_t(TI.fpSaveSlot(N))));
-    B.put(jmpl(G0, Link, 8));
-    B.put(addi(SP, SP, int32_t(F)));
+        B.put(encode<Opc::Lddf>(N, SP, Simm13{int32_t(TI.fpSaveSlot(N))}));
+    B.put(encode<Opc::Jmpl>(G0, Link, Simm13{8}));
+    B.put(encode<Opc::Add>(SP, SP, Simm13{int32_t(F)}));
   }
 
   CodePtr P;
@@ -137,7 +141,7 @@ void SparcTarget::applyFixup(VCode &VC, const Fixup &F, SimAddr Target) {
   switch (F.Kind) {
   case FixupKind::Call: {
     int64_t D = Disp();
-    B.patch(F.WordIdx, call(int32_t(D)));
+    B.patch(F.WordIdx, encode<Opc::Call>(int32_t(D)));
     return;
   }
   case FixupKind::Branch:
@@ -155,7 +159,7 @@ void SparcTarget::applyFixup(VCode &VC, const Fixup &F, SimAddr Target) {
       if (!isInt<22>(D))
         fatalKind(CgErrKind::OutOfRange,
             "sparc: epilogue displacement out of range");
-      B.patch(F.WordIdx, ba(int32_t(D)));
+      B.patch(F.WordIdx, encode<Opc::Bicc>(CondA, int32_t(D)));
     }
     return;
   case FixupKind::AddrHi:
@@ -171,24 +175,24 @@ void SparcTarget::applyFixup(VCode &VC, const Fixup &F, SimAddr Target) {
 // --- Extension machine instructions ------------------------------------------------
 
 void SparcTarget::registerMachineInstructions() {
-  auto Fp2 = [](unsigned Opf) {
-    return [Opf](VCode &VC, const Operand *Ops, unsigned N) {
+  auto Fp2 = [](uint32_t Fixed) {
+    return [Fixed](VCode &VC, const Operand *Ops, unsigned N) {
       if (N != 2 || Ops[0].Kind != Operand::RegOp ||
           Ops[1].Kind != Operand::RegOp)
         fatalKind(CgErrKind::BadOperand,
             "sparc fp machine instruction expects (rd, rs)");
-      VC.buf().put(fpop1(Ops[0].R.Num, 0, Opf, Ops[1].R.Num));
+      VC.buf().put(encodeAs<Form::Fp2>(Fixed, Ops[0].R.Num, Ops[1].R.Num));
     };
   };
-  defineInstruction("fsqrts", Fp2(FSQRTS));
-  defineInstruction("fsqrtd", Fp2(FSQRTD));
+  defineInstruction("fsqrts", Fp2(fixedBits(Opc::Fsqrts)));
+  defineInstruction("fsqrtd", Fp2(fixedBits(Opc::Fsqrtd)));
   defineInstruction("sparc.xnor",
                     [](VCode &VC, const Operand *Ops, unsigned N) {
                       if (N != 3)
                         fatalKind(CgErrKind::BadOperand,
                             "sparc.xnor expects (rd, rs1, rs2)");
-                      VC.buf().put(
-                          xnor(Ops[0].R.Num, Ops[1].R.Num, Ops[2].R.Num));
+                      VC.buf().put(encode<Opc::Xnor>(
+                          Ops[0].R.Num, Ops[1].R.Num, Ops[2].R.Num));
                     });
 }
 

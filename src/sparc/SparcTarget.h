@@ -37,30 +37,29 @@ const TargetInfo &sparcTargetInfo();
 
 // --- Encoding tables --------------------------------------------------------
 
-/// Format-3 op3 codes for the single-word integer ALU ops; the signed /
-/// unsigned variant is picked with pick(Unsigned). The same op3 serves the
-/// register and simm13 forms. Div/Mod stay invalid: they need the
-/// Y-register setup sequence.
-inline constexpr BinOpEncTable<OpPairEnc> SparcAluTable = [] {
-  BinOpEncTable<OpPairEnc> T;
-  T.set(BinOp::Add, {0x00, 0x00})
-      .set(BinOp::Sub, {0x04, 0x04})
-      .set(BinOp::Mul, {0x0b, 0x0a}) // smul / umul
-      .set(BinOp::And, {0x01, 0x01})
-      .set(BinOp::Or, {0x02, 0x02})
-      .set(BinOp::Xor, {0x03, 0x03})
-      .set(BinOp::Lsh, {0x25, 0x25})
-      .set(BinOp::Rsh, {0x27, 0x26}); // sra / srl
+/// Single-word integer ALU ops (Form::Alu, register or simm13 operand 2);
+/// the signed / unsigned variant is picked with pick(Unsigned). Div/Mod
+/// stay invalid: they need the Y-register setup sequence.
+inline constexpr BinOpEncTable<OpcEnc<Opc>> SparcAluTable = [] {
+  BinOpEncTable<OpcEnc<Opc>> T;
+  T.set(BinOp::Add, {Opc::Add})
+      .set(BinOp::Sub, {Opc::Sub})
+      .set(BinOp::Mul, {Opc::Smul, Opc::Umul})
+      .set(BinOp::And, {Opc::And})
+      .set(BinOp::Or, {Opc::Or})
+      .set(BinOp::Xor, {Opc::Xor})
+      .set(BinOp::Lsh, {Opc::Sll})
+      .set(BinOp::Rsh, {Opc::Sra, Opc::Srl});
   return T;
 }();
 
-/// FPop1 opf codes, single/double picked with pick(Dbl).
-inline constexpr BinOpEncTable<OpPairEnc> SparcFpAluTable = [] {
-  BinOpEncTable<OpPairEnc> T;
-  T.set(BinOp::Add, {FADDS, FADDD})
-      .set(BinOp::Sub, {FSUBS, FSUBD})
-      .set(BinOp::Mul, {FMULS, FMULD})
-      .set(BinOp::Div, {FDIVS, FDIVD});
+/// FP arithmetic (Form::Fp3), single/double picked with pick(Dbl).
+inline constexpr BinOpEncTable<OpcEnc<Opc>> SparcFpAluTable = [] {
+  BinOpEncTable<OpcEnc<Opc>> T;
+  T.set(BinOp::Add, {Opc::Fadds, Opc::Faddd})
+      .set(BinOp::Sub, {Opc::Fsubs, Opc::Fsubd})
+      .set(BinOp::Mul, {Opc::Fmuls, Opc::Fmuld})
+      .set(BinOp::Div, {Opc::Fdivs, Opc::Fdivd});
   return T;
 }();
 
@@ -89,36 +88,37 @@ inline constexpr CondEncTable<OpEnc> SparcFCondTable = [] {
   return T;
 }();
 
-/// Memory op3 codes for typed loads and stores.
-inline constexpr TypeEncTable<OpEnc> SparcLoadTable = [] {
-  TypeEncTable<OpEnc> T;
-  T.set(Type::C, {LDSB})
-      .set(Type::UC, {LDUB})
-      .set(Type::S, {LDSH})
-      .set(Type::US, {LDUH})
-      .set(Type::I, {LD})
-      .set(Type::U, {LD})
-      .set(Type::L, {LD})
-      .set(Type::UL, {LD})
-      .set(Type::P, {LD})
-      .set(Type::F, {LDF})
-      .set(Type::D, {LDDF});
+/// Typed loads and stores. Every memory Form places rd, rs1 and operand 2
+/// alike (Form::Load).
+inline constexpr TypeEncTable<OpcEnc<Opc>> SparcLoadTable = [] {
+  TypeEncTable<OpcEnc<Opc>> T;
+  T.set(Type::C, {Opc::Ldsb})
+      .set(Type::UC, {Opc::Ldub})
+      .set(Type::S, {Opc::Ldsh})
+      .set(Type::US, {Opc::Lduh})
+      .set(Type::I, {Opc::Ld})
+      .set(Type::U, {Opc::Ld})
+      .set(Type::L, {Opc::Ld})
+      .set(Type::UL, {Opc::Ld})
+      .set(Type::P, {Opc::Ld})
+      .set(Type::F, {Opc::Ldf})
+      .set(Type::D, {Opc::Lddf});
   return T;
 }();
 
-inline constexpr TypeEncTable<OpEnc> SparcStoreTable = [] {
-  TypeEncTable<OpEnc> T;
-  T.set(Type::C, {STB})
-      .set(Type::UC, {STB})
-      .set(Type::S, {STH})
-      .set(Type::US, {STH})
-      .set(Type::I, {ST})
-      .set(Type::U, {ST})
-      .set(Type::L, {ST})
-      .set(Type::UL, {ST})
-      .set(Type::P, {ST})
-      .set(Type::F, {STF})
-      .set(Type::D, {STDF});
+inline constexpr TypeEncTable<OpcEnc<Opc>> SparcStoreTable = [] {
+  TypeEncTable<OpcEnc<Opc>> T;
+  T.set(Type::C, {Opc::Stb})
+      .set(Type::UC, {Opc::Stb})
+      .set(Type::S, {Opc::Sth})
+      .set(Type::US, {Opc::Sth})
+      .set(Type::I, {Opc::St})
+      .set(Type::U, {Opc::St})
+      .set(Type::L, {Opc::St})
+      .set(Type::UL, {Opc::St})
+      .set(Type::P, {Opc::St})
+      .set(Type::F, {Opc::Stf})
+      .set(Type::D, {Opc::Stdf});
   return T;
 }();
 
@@ -134,18 +134,19 @@ public:
   void insBinop(VCode &VC, BinOp Op, Type Ty, Reg Rd, Reg Rs1, Reg Rs2) {
     CodeBuffer &B = VC.buf();
     if (isFpType(Ty)) {
-      const OpPairEnc &E = SparcFpAluTable[Op];
-      if (!E.Valid)
+      const OpcEnc<Opc> &E = SparcFpAluTable[Op];
+      if (!E.valid())
         fatalKind(CgErrKind::BadOperand,
             "sparc: fp binop '%s' unsupported", binOpName(Op));
-      B.put(fpop1(fpr(Rd), fpr(Rs1), E.pick(Ty == Type::D), fpr(Rs2)));
+      B.put(encodeAs<Form::Fp3>(E.pick(Ty == Type::D), fpr(Rd), fpr(Rs1),
+                                fpr(Rs2)));
       return;
     }
     bool Unsigned = !isSignedType(Ty);
     unsigned D = gpr(Rd), S = gpr(Rs1), T = gpr(Rs2);
-    const OpPairEnc &E = SparcAluTable[Op];
-    if (E.Valid) {
-      B.put(fmt3r(2, D, E.pick(Unsigned), S, T));
+    const OpcEnc<Opc> &E = SparcAluTable[Op];
+    if (E.valid()) {
+      B.put(encodeAs<Form::Alu>(E.pick(Unsigned), D, S, T));
       return;
     }
     switch (Op) {
@@ -154,29 +155,29 @@ public:
       // (or zero) first.
       if (Unsigned) {
         B.ensureWords(2);
-        B.put(wryi(G0, 0));
-        B.put(udiv(D, S, T));
+        B.put(encode<Opc::WrY>(G0, Simm13{0}));
+        B.put(encode<Opc::Udiv>(D, S, T));
       } else {
         B.ensureWords(3);
-        B.put(srai(G1, S, 31));
-        B.put(wry(G1));
-        B.put(sdiv(D, S, T));
+        B.put(encode<Opc::Sra>(G1, S, Simm13{31}));
+        B.put(encode<Opc::WrY>(G1, G0));
+        B.put(encode<Opc::Sdiv>(D, S, T));
       }
       return;
     case BinOp::Mod:
       // rem = a - (a/b)*b, computed through the assembler temporary.
       if (Unsigned) {
         B.ensureWords(4);
-        B.put(wryi(G0, 0));
-        B.put(udiv(G1, S, T));
+        B.put(encode<Opc::WrY>(G0, Simm13{0}));
+        B.put(encode<Opc::Udiv>(G1, S, T));
       } else {
         B.ensureWords(5);
-        B.put(srai(G1, S, 31));
-        B.put(wry(G1));
-        B.put(sdiv(G1, S, T));
+        B.put(encode<Opc::Sra>(G1, S, Simm13{31}));
+        B.put(encode<Opc::WrY>(G1, G0));
+        B.put(encode<Opc::Sdiv>(G1, S, T));
       }
-      B.put(smul(G1, G1, T));
-      B.put(sub(D, S, G1));
+      B.put(encode<Opc::Smul>(G1, G1, T));
+      B.put(encode<Opc::Sub>(D, S, G1));
       return;
     default:
       break;
@@ -198,15 +199,16 @@ public:
     case BinOp::Or:
     case BinOp::Xor:
       if (isInt<13>(Imm)) {
-        B.put(fmt3i(2, D, SparcAluTable[Op].pick(false), S, int32_t(Imm)));
+        B.put(encodeAs<Form::Alu>(SparcAluTable[Op].pick(), D, S,
+                                  Simm13{int32_t(Imm)}));
         return;
       }
       break;
     case BinOp::Lsh:
     case BinOp::Rsh:
       assert(Imm >= 0 && Imm < 32 && "shift amount out of range");
-      B.put(fmt3i(2, D, SparcAluTable[Op].pick(!isSignedType(Ty)), S,
-                  int32_t(Imm)));
+      B.put(encodeAs<Form::Alu>(SparcAluTable[Op].pick(!isSignedType(Ty)), D,
+                                S, Simm13{int32_t(Imm)}));
       return;
     case BinOp::Div:
     case BinOp::Mod: {
@@ -214,18 +216,20 @@ public:
       // scratch register G5 (reserved, like G1, from allocation).
       bool Signed = isSignedType(Ty);
       if (Signed) {
-        B.put(srai(G1, S, 31));
-        B.put(wry(G1));
+        B.put(encode<Opc::Sra>(G1, S, Simm13{31}));
+        B.put(encode<Opc::WrY>(G1, G0));
       } else {
-        B.put(wryi(G0, 0));
+        B.put(encode<Opc::WrY>(G0, Simm13{0}));
       }
       li(VC, G5, Imm);
       if (Op == BinOp::Div) {
-        B.put(Signed ? sdiv(D, S, G5) : udiv(D, S, G5));
+        B.put(Signed ? encode<Opc::Sdiv>(D, S, G5)
+                     : encode<Opc::Udiv>(D, S, G5));
       } else {
-        B.put(Signed ? sdiv(G1, S, G5) : udiv(G1, S, G5));
-        B.put(smul(G1, G1, G5));
-        B.put(sub(D, S, G1));
+        B.put(Signed ? encode<Opc::Sdiv>(G1, S, G5)
+                     : encode<Opc::Udiv>(G1, S, G5));
+        B.put(encode<Opc::Smul>(G1, G1, G5));
+        B.put(encode<Opc::Sub>(D, S, G1));
       }
       return;
     }
@@ -245,19 +249,19 @@ public:
       case UnOp::Mov:
         if (Dbl)
           B.ensureWords(2);
-        B.put(fpop1(D, 0, FMOVS, S));
+        B.put(encode<Opc::Fmovs>(D, S));
         if (Dbl)
-          B.put(fpop1(D + 1, 0, FMOVS, S + 1));
+          B.put(encode<Opc::Fmovs>(D + 1, S + 1));
         return;
       case UnOp::Neg:
         // fnegs negates the sign of the most significant half; with our
         // little-endian pair layout that is the odd register.
         if (Dbl) {
           B.ensureWords(2);
-          B.put(fpop1(D, 0, FMOVS, S));
-          B.put(fpop1(D + 1, 0, FNEGS, S + 1));
+          B.put(encode<Opc::Fmovs>(D, S));
+          B.put(encode<Opc::Fnegs>(D + 1, S + 1));
         } else {
-          B.put(fpop1(D, 0, FNEGS, S));
+          B.put(encode<Opc::Fnegs>(D, S));
         }
         return;
       default:
@@ -268,20 +272,20 @@ public:
     unsigned D = gpr(Rd), S = gpr(Rs);
     switch (Op) {
     case UnOp::Com:
-      B.put(xnor(D, S, G0));
+      B.put(encode<Opc::Xnor>(D, S, G0));
       return;
     case UnOp::Not:
       // rd = (rs == 0): carry of (0 - rs) is set iff rs != 0.
       B.ensureWords(3);
-      B.put(subcc(G0, G0, S));
-      B.put(addxi(D, G0, 0));
-      B.put(xori(D, D, 1));
+      B.put(encode<Opc::Subcc>(G0, G0, S));
+      B.put(encode<Opc::Addx>(D, G0, Simm13{0}));
+      B.put(encode<Opc::Xor>(D, D, Simm13{1}));
       return;
     case UnOp::Mov:
-      B.put(or_(D, S, G0));
+      B.put(encode<Opc::Or>(D, S, G0));
       return;
     case UnOp::Neg:
-      B.put(sub(D, G0, S));
+      B.put(encode<Opc::Sub>(D, G0, S));
       return;
     }
     unreachable("bad UnOp");
@@ -297,14 +301,14 @@ public:
     if (Ty == Type::F) {
       uint32_t Bits = std::bit_cast<uint32_t>(float(Val));
       li(VC, G1, int64_t(int32_t(Bits)));
-      B.put(memri(ST, G1, SP, RedZone));
-      B.put(memri(LDF, fpr(Rd), SP, RedZone));
+      B.put(encode<Opc::St>(G1, SP, Simm13{RedZone}));
+      B.put(encode<Opc::Ldf>(fpr(Rd), SP, Simm13{RedZone}));
       return;
     }
     Label Pool = VC.constPoolLabel(std::bit_cast<uint64_t>(Val));
     B.ensureWords(3);
     addrOfLabel(VC, G1, Pool);
-    B.put(memri(LDDF, fpr(Rd), G1, 0));
+    B.put(encode<Opc::Lddf>(fpr(Rd), G1, Simm13{0}));
   }
 
   void insCvt(VCode &VC, Type From, Type To, Reg Rd, Reg Rs) {
@@ -313,7 +317,7 @@ public:
     bool ToIntReg = isIntRegType(To);
     if (FromIntReg && ToIntReg) {
       if (Rd != Rs)
-        B.put(or_(gpr(Rd), gpr(Rs), G0));
+        B.put(encode<Opc::Or>(gpr(Rd), gpr(Rs), G0));
       return;
     }
     if (FromIntReg && isFpType(To)) {
@@ -321,9 +325,10 @@ public:
       unsigned S = gpr(Rs);
       if (!Uns) {
         B.ensureWords(3);
-        B.put(memri(ST, S, SP, RedZone));
-        B.put(memri(LDF, FAT0, SP, RedZone));
-        B.put(fpop1(fpr(Rd), 0, To == Type::F ? FITOS : FITOD, FAT0));
+        B.put(encode<Opc::St>(S, SP, Simm13{RedZone}));
+        B.put(encode<Opc::Ldf>(FAT0, SP, Simm13{RedZone}));
+        B.put(To == Type::F ? encode<Opc::Fitos>(fpr(Rd), FAT0)
+                            : encode<Opc::Fitod>(fpr(Rd), FAT0));
         return;
       }
       // Unsigned: convert as signed to double, then add 2^32 when the sign
@@ -331,32 +336,33 @@ public:
       Label Pool = VC.constPoolLabel(std::bit_cast<uint64_t>(4294967296.0));
       unsigned Acc = To == Type::D ? fpr(Rd) : FAT1;
       B.ensureWords(To == Type::D ? 10 : 11);
-      B.put(memri(ST, S, SP, RedZone));
-      B.put(memri(LDF, FAT0, SP, RedZone));
-      B.put(fpop1(Acc, 0, FITOD, FAT0));
-      B.put(subcci(G0, S, 0)); // sets N from rs
-      B.put(bicc(CondGE, 6));  // skip the 5-word fix block
-      B.put(nop());
+      B.put(encode<Opc::St>(S, SP, Simm13{RedZone}));
+      B.put(encode<Opc::Ldf>(FAT0, SP, Simm13{RedZone}));
+      B.put(encode<Opc::Fitod>(Acc, FAT0));
+      B.put(encode<Opc::Subcc>(G0, S, Simm13{0})); // sets N from rs
+      B.put(encode<Opc::Bicc>(CondGE, 6)); // skip the 5-word fix block
+      B.put(Nop);
       addrOfLabel(VC, G1, Pool); // 2 words
-      B.put(memri(LDDF, FAT0, G1, 0));
-      B.put(fpop1(Acc, Acc, FADDD, FAT0));
+      B.put(encode<Opc::Lddf>(FAT0, G1, Simm13{0}));
+      B.put(encode<Opc::Faddd>(Acc, Acc, FAT0));
       if (To == Type::F)
-        B.put(fpop1(fpr(Rd), 0, FDTOS, Acc));
+        B.put(encode<Opc::Fdtos>(fpr(Rd), Acc));
       return;
     }
     if (isFpType(From) && ToIntReg) {
       B.ensureWords(3);
-      B.put(fpop1(FAT0, 0, From == Type::F ? FSTOI : FDTOI, fpr(Rs)));
-      B.put(memri(STF, FAT0, SP, RedZone));
-      B.put(memri(LD, gpr(Rd), SP, RedZone));
+      B.put(From == Type::F ? encode<Opc::Fstoi>(FAT0, fpr(Rs))
+                            : encode<Opc::Fdtoi>(FAT0, fpr(Rs)));
+      B.put(encode<Opc::Stf>(FAT0, SP, Simm13{RedZone}));
+      B.put(encode<Opc::Ld>(gpr(Rd), SP, Simm13{RedZone}));
       return;
     }
     if (From == Type::F && To == Type::D) {
-      B.put(fpop1(fpr(Rd), 0, FSTOD, fpr(Rs)));
+      B.put(encode<Opc::Fstod>(fpr(Rd), fpr(Rs)));
       return;
     }
     if (From == Type::D && To == Type::F) {
-      B.put(fpop1(fpr(Rd), 0, FDTOS, fpr(Rs)));
+      B.put(encode<Opc::Fdtos>(fpr(Rd), fpr(Rs)));
       return;
     }
     fatalKind(CgErrKind::BadOperand,
@@ -365,35 +371,39 @@ public:
   }
 
   void insLoad(VCode &VC, Type Ty, Reg Rd, Reg Base, Reg Off) {
-    VC.buf().put(memrr(loadOp3(Ty), isFpType(Ty) ? fpr(Rd) : gpr(Rd),
-                       gpr(Base), gpr(Off)));
+    VC.buf().put(encodeAs<Form::Load>(loadWord(Ty),
+                                      isFpType(Ty) ? fpr(Rd) : gpr(Rd),
+                                      gpr(Base), gpr(Off)));
   }
 
   void insLoadImm(VCode &VC, Type Ty, Reg Rd, Reg Base, int64_t Off) {
     CodeBuffer &B = VC.buf();
     unsigned Rt = isFpType(Ty) ? fpr(Rd) : gpr(Rd);
     if (isInt<13>(Off)) {
-      B.put(memri(loadOp3(Ty), Rt, gpr(Base), int32_t(Off)));
+      B.put(encodeAs<Form::Load>(loadWord(Ty), Rt, gpr(Base),
+                                 Simm13{int32_t(Off)}));
       return;
     }
     li(VC, G1, Off);
-    B.put(memrr(loadOp3(Ty), Rt, gpr(Base), G1));
+    B.put(encodeAs<Form::Load>(loadWord(Ty), Rt, gpr(Base), G1));
   }
 
   void insStore(VCode &VC, Type Ty, Reg Val, Reg Base, Reg Off) {
-    VC.buf().put(memrr(storeOp3(Ty), isFpType(Ty) ? fpr(Val) : gpr(Val),
-                       gpr(Base), gpr(Off)));
+    VC.buf().put(encodeAs<Form::Load>(storeWord(Ty),
+                                      isFpType(Ty) ? fpr(Val) : gpr(Val),
+                                      gpr(Base), gpr(Off)));
   }
 
   void insStoreImm(VCode &VC, Type Ty, Reg Val, Reg Base, int64_t Off) {
     CodeBuffer &B = VC.buf();
     unsigned Rt = isFpType(Ty) ? fpr(Val) : gpr(Val);
     if (isInt<13>(Off)) {
-      B.put(memri(storeOp3(Ty), Rt, gpr(Base), int32_t(Off)));
+      B.put(encodeAs<Form::Load>(storeWord(Ty), Rt, gpr(Base),
+                                 Simm13{int32_t(Off)}));
       return;
     }
     li(VC, G1, Off);
-    B.put(memrr(storeOp3(Ty), Rt, gpr(Base), G1));
+    B.put(encodeAs<Form::Load>(storeWord(Ty), Rt, gpr(Base), G1));
   }
 
   void insBranch(VCode &VC, Cond C, Type Ty, Reg Rs1, Reg Rs2, Label L) {
@@ -403,14 +413,15 @@ public:
       if (!E.Valid)
         unreachable("bad Cond");
       B.ensureWords(3);
-      B.put(fpop2(0, fpr(Rs1), Ty == Type::D ? FCMPD : FCMPS, fpr(Rs2)));
-      B.put(nop()); // V8 requires one instruction between fcmp and fbfcc
+      B.put(Ty == Type::D ? encode<Opc::Fcmpd>(fpr(Rs1), fpr(Rs2))
+                          : encode<Opc::Fcmps>(fpr(Rs1), fpr(Rs2)));
+      B.put(Nop); // V8 requires one instruction between fcmp and fbfcc
       VC.addFixup(FixupKind::Branch, L);
-      B.put(fbfcc(E.Op));
+      B.put(encode<Opc::FBfcc>(E.Op, 0));
       delaySlot(VC);
       return;
     }
-    B.put(subcc(G0, gpr(Rs1), gpr(Rs2)));
+    B.put(encode<Opc::Subcc>(G0, gpr(Rs1), gpr(Rs2)));
     compareAndBranch(VC, C, !isSignedType(Ty), L);
   }
 
@@ -421,28 +432,28 @@ public:
           "sparc: fp branches take register operands");
     CodeBuffer &B = VC.buf();
     if (isInt<13>(Imm)) {
-      B.put(subcci(G0, gpr(Rs1), int32_t(Imm)));
+      B.put(encode<Opc::Subcc>(G0, gpr(Rs1), Simm13{int32_t(Imm)}));
     } else {
       li(VC, G1, Imm);
-      B.put(subcc(G0, gpr(Rs1), G1));
+      B.put(encode<Opc::Subcc>(G0, gpr(Rs1), G1));
     }
     compareAndBranch(VC, C, !isSignedType(Ty), L);
   }
 
   void insJump(VCode &VC, Label L) {
     VC.addFixup(FixupKind::Jump, L);
-    VC.buf().put(ba(0));
+    VC.buf().put(encode<Opc::Bicc>(CondA, 0));
     delaySlot(VC);
   }
 
   void insJumpReg(VCode &VC, Reg R) {
-    VC.buf().put(jmpl(G0, gpr(R), 0));
+    VC.buf().put(encode<Opc::Jmpl>(G0, gpr(R), Simm13{0}));
     delaySlot(VC);
   }
 
   void insJumpAddr(VCode &VC, SimAddr A) {
     li(VC, G1, int64_t(A));
-    VC.buf().put(jmpl(G0, G1, 0));
+    VC.buf().put(encode<Opc::Jmpl>(G0, G1, Simm13{0}));
     delaySlot(VC);
   }
 
@@ -451,10 +462,10 @@ public:
     unsigned Link = gpr(VC.cc().LinkReg);
     if (Link == O7) {
       int64_t Disp = (int64_t(A) - int64_t(B.cursorAddr())) / 4;
-      B.put(call(int32_t(Disp)));
+      B.put(encode<Opc::Call>(int32_t(Disp)));
     } else {
       li(VC, G1, int64_t(A));
-      B.put(jmpl(Link, G1, 0));
+      B.put(encode<Opc::Jmpl>(Link, G1, Simm13{0}));
     }
     delaySlot(VC);
   }
@@ -464,19 +475,19 @@ public:
       fatal("sparc: call-to-label links through %%o7; substitute conventions "
             "must use callReg");
     VC.addFixup(FixupKind::Call, L);
-    VC.buf().put(call(0));
+    VC.buf().put(encode<Opc::Call>(0));
     delaySlot(VC);
   }
 
   void insLinkReturn(VCode &VC) {
     // The call wrote its own address into the link register; resume past
     // the call and its delay slot.
-    VC.buf().put(jmpl(G0, gpr(VC.cc().LinkReg), 8));
+    VC.buf().put(encode<Opc::Jmpl>(G0, gpr(VC.cc().LinkReg), Simm13{8}));
     delaySlot(VC);
   }
 
   void insCallReg(VCode &VC, Reg R) {
-    VC.buf().put(jmpl(gpr(VC.cc().LinkReg), gpr(R), 0));
+    VC.buf().put(encode<Opc::Jmpl>(gpr(VC.cc().LinkReg), gpr(R), Simm13{0}));
     delaySlot(VC);
   }
 
@@ -488,25 +499,25 @@ public:
       unsigned Ret = fpr(VC.resultReg(Ty));
       B.ensureWords(fpr(Rs) != Ret ? 4 : 2);
       if (fpr(Rs) != Ret) {
-        B.put(fpop1(Ret, 0, FMOVS, fpr(Rs)));
-        B.put(fpop1(Ret + 1, 0, FMOVS, fpr(Rs) + 1));
+        B.put(encode<Opc::Fmovs>(Ret, fpr(Rs)));
+        B.put(encode<Opc::Fmovs>(Ret + 1, fpr(Rs) + 1));
       }
       VC.addFixup(FixupKind::EpilogueJump, VC.epilogueLabel());
-      B.put(jmpl(G0, Link, 8));
-      B.put(nop());
+      B.put(encode<Opc::Jmpl>(G0, Link, Simm13{8}));
+      B.put(Nop);
       return;
     }
     B.ensureWords(2);
     VC.addFixup(FixupKind::EpilogueJump, VC.epilogueLabel());
-    B.put(jmpl(G0, Link, 8));
+    B.put(encode<Opc::Jmpl>(G0, Link, Simm13{8}));
     if (Ty == Type::V) {
-      B.put(nop());
+      B.put(Nop);
     } else if (Ty == Type::F) {
       unsigned Ret = fpr(VC.resultReg(Ty));
-      B.put(fpr(Rs) != Ret ? fpop1(Ret, 0, FMOVS, fpr(Rs)) : nop());
+      B.put(fpr(Rs) != Ret ? encode<Opc::Fmovs>(Ret, fpr(Rs)) : Nop);
     } else {
       unsigned Ret = gpr(VC.resultReg(Ty));
-      B.put(gpr(Rs) != Ret ? or_(Ret, gpr(Rs), G0) : nop());
+      B.put(gpr(Rs) != Ret ? encode<Opc::Or>(Ret, gpr(Rs), G0) : Nop);
     }
   }
 
@@ -522,11 +533,11 @@ public:
     CodeBuffer &B = VC.buf();
     B.ensureWords(2);
     VC.addFixup(FixupKind::EpilogueJump, VC.epilogueLabel());
-    B.put(jmpl(G0, gpr(VC.cc().LinkReg), 8));
-    B.put(ori(Ret, G0, V));
+    B.put(encode<Opc::Jmpl>(G0, gpr(VC.cc().LinkReg), Simm13{8}));
+    B.put(encode<Opc::Or>(Ret, G0, Simm13{V}));
   }
 
-  void insNop(VCode &VC) { VC.buf().put(nop()); }
+  void insNop(VCode &VC) { VC.buf().put(Nop); }
 
   // --- Cold paths (defined in SparcTarget.cpp) ------------------------------
 
@@ -556,42 +567,43 @@ private:
     return R.Num;
   }
 
-  static unsigned loadOp3(Type Ty) {
-    const OpEnc &E = SparcLoadTable[Ty];
-    if (!E.Valid)
+  /// The fixed bits of the load or store of \p Ty.
+  static uint32_t loadWord(Type Ty) {
+    const OpcEnc<Opc> &E = SparcLoadTable[Ty];
+    if (!E.valid())
       unreachable("bad load type");
-    return E.Op;
+    return E.pick();
   }
-  static unsigned storeOp3(Type Ty) {
-    const OpEnc &E = SparcStoreTable[Ty];
-    if (!E.Valid)
+  static uint32_t storeWord(Type Ty) {
+    const OpcEnc<Opc> &E = SparcStoreTable[Ty];
+    if (!E.valid())
       unreachable("bad store type");
-    return E.Op;
+    return E.pick();
   }
 
   void li(VCode &VC, unsigned Rd, int64_t Imm) {
     CodeBuffer &B = VC.buf();
     int32_t V = int32_t(Imm);
     if (isInt<13>(V)) {
-      B.put(ori(Rd, G0, V));
+      B.put(encode<Opc::Or>(Rd, G0, Simm13{V}));
       return;
     }
-    B.put(sethi(Rd, uint32_t(V) >> 10));
+    B.put(encode<Opc::Sethi>(Rd, uint32_t(V) >> 10));
     if (uint32_t(V) & 0x3ff)
-      B.put(ori(Rd, Rd, int32_t(uint32_t(V) & 0x3ff)));
+      B.put(encode<Opc::Or>(Rd, Rd, Simm13{int32_t(uint32_t(V) & 0x3ff)}));
   }
 
   void addrOfLabel(VCode &VC, unsigned Rd, Label L) {
     CodeBuffer &B = VC.buf();
     VC.addFixup(FixupKind::AddrHi, L);
-    B.put(sethi(Rd, 0));
+    B.put(encode<Opc::Sethi>(Rd, 0));
     VC.addFixup(FixupKind::AddrLo, L);
-    B.put(ori(Rd, Rd, 0));
+    B.put(encode<Opc::Or>(Rd, Rd, Simm13{0}));
   }
 
   void delaySlot(VCode &VC) {
     if (!VC.suppressDelayNop())
-      VC.buf().put(nop());
+      VC.buf().put(Nop);
   }
 
   /// Emits the Bicc for \p C (after a subcc) with a Branch fixup to \p L.
@@ -600,7 +612,7 @@ private:
     if (!E.Valid)
       unreachable("bad Cond");
     VC.addFixup(FixupKind::Branch, L);
-    VC.buf().put(bicc(E.pick(Unsigned)));
+    VC.buf().put(encode<Opc::Bicc>(E.pick(Unsigned), 0));
     delaySlot(VC);
   }
 

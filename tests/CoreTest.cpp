@@ -49,9 +49,10 @@ TEST_F(MipsEndToEnd, Plus1IsThreeInstructions) {
 
   const uint32_t *Words =
       reinterpret_cast<const uint32_t *>(Mem.hostPtr(Fn.Entry, 12));
-  EXPECT_EQ(Words[0], mips::addiu(mips::A0, mips::A0, 1));
-  EXPECT_EQ(Words[1], mips::jr(mips::RA));
-  EXPECT_EQ(Words[2], mips::addu(mips::V0, mips::A0, mips::ZERO));
+  using namespace mips;
+  EXPECT_EQ(Words[0], encode<Opc::Addiu>(A0, A0, 1));
+  EXPECT_EQ(Words[1], encode<Opc::Jr>(RA));
+  EXPECT_EQ(Words[2], encode<Opc::Addu>(V0, A0, ZERO));
   // Generated code runs and the call takes only a handful of cycles.
   EXPECT_EQ(Sim.call(Fn.Entry, {TypedValue::fromInt(7)}).asInt32(), 8);
   EXPECT_EQ(Sim.lastStats().Instrs, 3u);
@@ -60,7 +61,7 @@ TEST_F(MipsEndToEnd, Plus1IsThreeInstructions) {
 /// Paper Fig. 2: the exact MIPS word for addu.
 TEST_F(MipsEndToEnd, AdduEncodingMatchesFig2) {
   // #define addu(dst,src1,src2) (((src1)<<21)|((src2)<<16)|((dst)<<11)|0x21)
-  EXPECT_EQ(mips::addu(/*Rd=*/10, /*Rs=*/11, /*Rt=*/12),
+  EXPECT_EQ(encode<mips::Opc::Addu>(/*Rd=*/10, /*Rs=*/11, /*Rt=*/12),
             (11u << 21) | (12u << 16) | (10u << 11) | 0x21u);
 }
 

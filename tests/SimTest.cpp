@@ -13,7 +13,9 @@
 
 #include "StreamGen.h"
 #include "TestUtil.h"
+#include "alpha/AlphaEncoding.h"
 #include "mips/MipsEncoding.h"
+#include "sparc/SparcEncoding.h"
 #include "sim/Cache.h"
 #include "sim/AlphaSim.h"
 #include "sim/MipsSim.h"
@@ -80,9 +82,9 @@ TEST(SparcDecodeTest, EveryOpcExecutesAndInvalidFaults) {
   sim::SparcSim Sim(Mem);
   SimAddr Code = Mem.alloc(32, 8), Data = Mem.alloc(64, 8);
   auto Run = [&](uint32_t W) {
-    const uint32_t Fn[] = {sparc::or_(sparc::O5, sparc::G0, sparc::O7), W,
-                           sparc::nop(), sparc::jmpl(sparc::G0, sparc::O5, 8),
-                           sparc::nop()};
+    using namespace sparc;
+    const uint32_t Fn[] = {encode<Opc::Or>(O5, G0, O7), W, Nop,
+                           encode<Opc::Jmpl>(G0, O5, Simm13{8}), Nop};
     for (unsigned I = 0; I < 5; ++I)
       Mem.write<uint32_t>(Code + 4 * I, Fn[I]);
     return runKind(Sim, Code,
@@ -110,10 +112,11 @@ TEST(SparcDecodeTest, JmplReadsTargetBeforeLinking) {
   sim::Memory Mem(1 << 20, 0x10000000, 4096);
   sim::SparcSim Sim(Mem);
   SimAddr Code = Mem.alloc(16, 8);
-  const uint32_t Fn[] = {sparc::jmpl(sparc::O7, sparc::O7, 8),
-                         sparc::ori(sparc::O0, sparc::G0, 7),
-                         sparc::ori(sparc::O0, sparc::G0, 9),
-                         sparc::jmpl(sparc::G0, sparc::O7, 8)};
+  using namespace sparc;
+  const uint32_t Fn[] = {encode<Opc::Jmpl>(O7, O7, Simm13{8}),
+                         encode<Opc::Or>(O0, G0, Simm13{7}),
+                         encode<Opc::Or>(O0, G0, Simm13{9}),
+                         encode<Opc::Jmpl>(G0, O7, Simm13{8})};
   for (unsigned I = 0; I < 4; ++I)
     Mem.write<uint32_t>(Code + 4 * I, Fn[I]);
   Sim.setInstrLimit(100);
@@ -128,7 +131,7 @@ TEST(AlphaDecodeTest, EveryOpcExecutesAndInvalidFaults) {
   sim::AlphaSim Sim(Mem);
   SimAddr Code = Mem.alloc(16, 8), Data = Mem.alloc(64, 8);
   auto Run = [&](uint32_t W) {
-    const uint32_t Ret = alpha::ret(alpha::ZERO, alpha::RA);
+    const uint32_t Ret = encode<alpha::Opc::Ret>(alpha::ZERO, alpha::RA);
     Mem.write<uint32_t>(Code, W);
     Mem.write<uint32_t>(Code + 4, Ret);
     Mem.write<uint32_t>(Code + 8, Ret);
@@ -143,8 +146,8 @@ TEST(AlphaDecodeTest, EveryOpcExecutesAndInvalidFaults) {
   // Opcode 0x01, addq's group with function 0x7f, and sqrtt with a
   // rounding qualifier the table does not list.
   for (uint32_t W : {alphaRepresentativeWord(alpha::Opc::Invalid),
-                     alpha::oprr(0x10, 0x7f, 1, 2, 3),
-                     alpha::fpop(0x14, 0x0ab | 0x400, 31, 2, 3)}) {
+                     encode<alpha::Opc::Addq>(3, 1, 2) | (0x7fu << 5),
+                     encode<alpha::Opc::Sqrtt>(3, 2) | (0x400u << 5)}) {
     ASSERT_EQ(alpha::decode(W).Op, alpha::Opc::Invalid);
     EXPECT_EQ(Run(W), CgErrKind::SimFault) << "0x" << std::hex << W;
   }
@@ -567,27 +570,28 @@ TEST_P(SimAlignTest, MisalignedLoadsAndStoresFault) {
   std::vector<Access> Accesses;
   std::vector<uint32_t> Ret;
   if (GetParam() == "mips") {
-    Accesses = {{"lh", mips::lh(2, mips::A0, 0), 2},
-                {"lhu", mips::lhu(2, mips::A0, 0), 2},
-                {"sh", mips::sh(2, mips::A0, 0), 2},
-                {"lw", mips::lw(2, mips::A0, 0), 4},
-                {"sw", mips::sw(2, mips::A0, 0), 4}};
-    Ret = {mips::jr(mips::RA), mips::nop()};
+    using namespace mips;
+    Accesses = {{"lh", encode<Opc::Lh>(2, A0, 0), 2},
+                {"lhu", encode<Opc::Lhu>(2, A0, 0), 2},
+                {"sh", encode<Opc::Sh>(2, A0, 0), 2},
+                {"lw", encode<Opc::Lw>(2, A0, 0), 4},
+                {"sw", encode<Opc::Sw>(2, A0, 0), 4}};
+    Ret = {encode<Opc::Jr>(RA), Nop};
   } else if (GetParam() == "sparc") {
     using namespace sparc;
-    Accesses = {{"lduh", memri(LDUH, O1, O0, 0), 2},
-                {"ldsh", memri(LDSH, O1, O0, 0), 2},
-                {"sth", memri(STH, O1, O0, 0), 2},
-                {"ld", memri(LD, O1, O0, 0), 4},
-                {"st", memri(ST, O1, O0, 0), 4}};
-    Ret = {jmpl(G0, O7, 8), nop()};
+    Accesses = {{"lduh", encode<Opc::Lduh>(O1, O0, Simm13{0}), 2},
+                {"ldsh", encode<Opc::Ldsh>(O1, O0, Simm13{0}), 2},
+                {"sth", encode<Opc::Sth>(O1, O0, Simm13{0}), 2},
+                {"ld", encode<Opc::Ld>(O1, O0, Simm13{0}), 4},
+                {"st", encode<Opc::St>(O1, O0, Simm13{0}), 4}};
+    Ret = {encode<Opc::Jmpl>(G0, O7, Simm13{8}), Nop};
   } else {
     using namespace alpha;
-    Accesses = {{"ldl", ldl(1, A0, 0), 4},
-                {"stl", stl(1, A0, 0), 4},
-                {"ldq", ldq(1, A0, 0), 8},
-                {"stq", stq(1, A0, 0), 8}};
-    Ret = {ret(ZERO, RA)};
+    Accesses = {{"ldl", encode<Opc::Ldl>(1, A0, 0), 4},
+                {"stl", encode<Opc::Stl>(1, A0, 0), 4},
+                {"ldq", encode<Opc::Ldq>(1, A0, 0), 8},
+                {"stq", encode<Opc::Stq>(1, A0, 0), 8}};
+    Ret = {encode<Opc::Ret>(ZERO, RA)};
   }
   SimAddr Code = B.Mem->alloc(16, 8), Buf = B.Mem->alloc(16, 8);
   for (size_t I = 0; I < Ret.size(); ++I)

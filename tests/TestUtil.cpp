@@ -6,6 +6,7 @@
 
 #include "TestUtil.h"
 #include "alpha/AlphaEncoding.h"
+#include "mips/MipsEncoding.h"
 #include "sparc/SparcEncoding.h"
 #include "support/Error.h"
 #include "support/Rng.h"
@@ -393,101 +394,113 @@ std::vector<uint64_t> vcode::test::operandValues(Type Ty, unsigned WordBytes,
 }
 
 uint32_t vcode::test::mipsRepresentativeWord(mips::Opc Op) {
-  using mips::Group;
-  const mips::OpcInfo &I = mips::info(Op);
-  const uint32_t Cop1 = 0x11u << 26, Rs = 4u << 21, Rt = 2u << 16,
-                 Imm = 8;
-  if (Op == mips::Opc::Invalid)
+  using namespace mips;
+  const uint32_t W = fixedBits(Op);
+  const unsigned Rs = A0, Rt = V0, Rd = A1, Sa = 3, Imm = 8;
+  const unsigned Fmt = Op == Opc::CvtS ? FMT_D : FMT_S;
+  switch (info(Op).Operands) {
+  case Form::None:
     return 0x3fu << 26;
-  switch (I.Where) {
-  case Group::Primary:
-    return (uint32_t(I.Selector) << 26) |
-           (I.Operands == mips::Form::RtUImm ? 0 : Rs) |
-           (I.Operands == mips::Form::RsOff ? 0 : Rt) | Imm;
-  case Group::Special: { // rd = a1, shift amount 3; unused fields zero
-    using mips::Form;
-    Form F = I.Operands;
-    bool UsesRt = F == Form::RdRsRt || F == Form::RdRtSa ||
-                  F == Form::RdRtRs || F == Form::RsRt;
-    bool UsesRs = F != Form::RdRtSa && F != Form::Rd;
-    bool UsesRd = F != Form::Rs && F != Form::RsRt;
-    return (UsesRs ? Rs : 0) | (UsesRt ? Rt : 0) | (UsesRd ? 5u << 11 : 0) |
-           (F == Form::RdRtSa ? 3u << 6 : 0) | I.Selector;
-  }
-  case Group::Regimm:
-    return (1u << 26) | Rs | (uint32_t(I.Selector) << 16) | Imm;
-  case Group::Cop1Sub: // mfc1/mtc1 v0, f4
-    return Cop1 | (uint32_t(I.Selector) << 21) | Rt | (4u << 11);
-  case Group::Bc1:
-    return Cop1 | (8u << 21) | (uint32_t(I.Selector) << 16) | Imm;
-  case Group::Cop1Fn: { // fmt, ft = f4 (0 for one-source ops), fs = f2
-    uint32_t Fmt = Op == mips::Opc::CvtS ? 17 : 16;
-    uint32_t Ft = I.Operands == mips::Form::FdFs ? 0 : 4u << 16;
-    return Cop1 | (Fmt << 21) | Ft | (2u << 11) | I.Selector;
-  }
+  case Form::RdRsRt:
+    return encodeAs<Form::RdRsRt>(W, Rd, Rs, Rt);
+  case Form::RdRtSa:
+    return encodeAs<Form::RdRtSa>(W, Rd, Rt, Sa);
+  case Form::RdRtRs:
+    return encodeAs<Form::RdRtRs>(W, Rd, Rt, Rs);
+  case Form::Rs:
+    return encodeAs<Form::Rs>(W, Rs);
+  case Form::RdRs:
+    return encodeAs<Form::RdRs>(W, Rd, Rs);
+  case Form::Rd:
+    return encodeAs<Form::Rd>(W, Rd);
+  case Form::RsRt:
+    return encodeAs<Form::RsRt>(W, Rs, Rt);
+  case Form::RsOff:
+    return encodeAs<Form::RsOff>(W, Rs, Imm);
+  case Form::RsRtOff:
+    return encodeAs<Form::RsRtOff>(W, Rs, Rt, Imm);
+  case Form::Off:
+    return encodeAs<Form::Off>(W, Imm);
+  case Form::Target: // the index holds rs, rt and the immediate
+    return encodeAs<Form::Target>(W, uint64_t(iType(Rs, Rt, Imm)) << 2);
+  case Form::RtRsImm:
+    return encodeAs<Form::RtRsImm>(W, Rt, Rs, Imm);
+  case Form::RtRsUImm:
+    return encodeAs<Form::RtRsUImm>(W, Rt, Rs, Imm);
+  case Form::RtUImm:
+    return encodeAs<Form::RtUImm>(W, Rt, Imm);
+  case Form::RtFs:
+    return encodeAs<Form::RtFs>(W, Rt, 4);
+  case Form::FdFsFt:
+    return encodeAs<Form::FdFsFt>(W, Fmt, 0, 2, 4);
+  case Form::FdFs:
+    return encodeAs<Form::FdFs>(W, Fmt, 0, 2);
+  case Form::FsFt:
+    return encodeAs<Form::FsFt>(W, Fmt, 2, 4);
+  case Form::RtMem:
+    return encodeAs<Form::RtMem>(W, Rt, Rs, Imm);
+  case Form::FtMem:
+    return encodeAs<Form::FtMem>(W, Rt, Rs, Imm);
   }
   return 0;
 }
 
 uint32_t vcode::test::sparcRepresentativeWord(sparc::Opc Op) {
-  using sparc::Form;
-  const sparc::OpcInfo &I = sparc::info(Op);
-  const uint32_t Rd = 10u << 25, Rs1 = 8u << 14, Rs2 = 12;
-  const uint32_t Op3 = uint32_t(I.Selector) << 19;
-  switch (I.Operands) {
+  using namespace sparc;
+  const uint32_t W = fixedBits(Op);
+  const unsigned Rd = O2, Rs1 = O0, Rs2 = O4;
+  switch (info(Op).Operands) {
   case Form::None:
-    return sparc::bicc(sparc::CondNE, 2, /*Annul=*/true);
+    return encode<Opc::Bicc>(CondNE, 2) | (1u << 29); // annulled
   case Form::Call:
-    return sparc::call(2);
+    return encode<Opc::Call>(2);
   case Form::Sethi:
-    return sparc::sethi(10, 0x1234);
+    return encode<Opc::Sethi>(Rd, 0x1234);
   case Form::Bicc:
   case Form::FBfcc:
-    return (9u << 25) | (uint32_t(I.Selector) << 22) | 2;
-  case Form::Alu:
-    return (2u << 30) | Rd | Op3 | Rs1 | Rs2;
+    return encodeAs<Form::Bicc>(W, 9, 2);
   case Form::RdY:
-    return (2u << 30) | Rd | Op3;
+    return encodeAs<Form::RdY>(W, Rd);
   case Form::WrY:
-    return (2u << 30) | Op3 | Rs1 | Rs2;
+    return encodeAs<Form::WrY>(W, Rs1, Rs2);
   case Form::Jmpl:
-    return sparc::jmpl(10, sparc::O7, 8);
+    return encode<Opc::Jmpl>(Rd, O7, Simm13{8});
   case Form::Fp2:
-    return sparc::fpop1(10, 0, I.Selector, 12);
-  case Form::Fp3:
-    return sparc::fpop1(10, 8, I.Selector, 12);
+    return encodeAs<Form::Fp2>(W, 10, 12);
   case Form::FCmp:
-    return sparc::fpop2(0, 8, I.Selector, 12);
+    return encodeAs<Form::FCmp>(W, 8, 12);
+  case Form::Alu:
+  case Form::Fp3:
   case Form::Load:
   case Form::Store:
   case Form::LoadF:
   case Form::StoreF:
-    return (3u << 30) | Rd | Op3 | Rs1 | Rs2;
+    return encodeAs<Form::Alu>(W, Rd, Rs1, Rs2);
   }
   return 0;
 }
 
 uint32_t vcode::test::alphaRepresentativeWord(alpha::Opc Op) {
-  using alpha::Form;
-  const alpha::OpcInfo &I = alpha::info(Op);
-  const uint32_t Ra = 16, Rb = 17, Rc = 18;
-  switch (I.Operands) {
+  using namespace alpha;
+  const uint32_t W = fixedBits(Op);
+  const unsigned Ra = A0, Rb = A1, Rc = A2;
+  switch (info(Op).Operands) {
   case Form::None:
     return 0x01u << 26;
   case Form::MemI:
   case Form::MemF:
-    return alpha::mem(I.Opcode, Ra, Rb, 8);
+    return encodeAs<Form::MemI>(W, Ra, Rb, 8);
   case Form::Br:
   case Form::FBr:
-    return alpha::brf(I.Opcode, Ra, 1);
+    return encodeAs<Form::Br>(W, Ra, 1);
   case Form::Jump:
-    return alpha::jump(I.Function, Ra, alpha::RA);
+    return encodeAs<Form::Jump>(W, Ra, RA);
   case Form::Operate:
-    return alpha::oprr(I.Opcode, I.Function, Ra, Rb, Rc);
-  case Form::Fp2: // fa is unused: f31
-    return alpha::fpop(I.Opcode, I.Function, 31, Rb, Rc);
+    return encodeAs<Form::Operate>(W, Rc, Ra, Rb);
+  case Form::Fp2:
+    return encodeAs<Form::Fp2>(W, Rc, Rb);
   case Form::Fp3:
-    return alpha::fpop(I.Opcode, I.Function, Ra, Rb, Rc);
+    return encodeAs<Form::Fp3>(W, Rc, Ra, Rb);
   }
   return 0;
 }

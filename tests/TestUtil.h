@@ -110,16 +110,17 @@ uint64_t refCvt(Type From, Type To, uint64_t A, unsigned WordBytes);
 std::vector<uint64_t> operandValues(Type Ty, unsigned WordBytes,
                                     unsigned Total, uint64_t Seed);
 
-/// One MIPS word per mips::Opc, built from its decode-table group and
-/// selector with fixed fields: rs = a0, rt = v0, rd = a1, shift 3,
-/// immediate 8, and zero in the fields the instruction does not use; COP1 arithmetic has ft/fs/fd = f4/f2/f0 (ft = f0 for
+/// One MIPS word per mips::Opc, built by its row-derived encoder with
+/// fixed fields: rs = a0, rt = v0, rd = a1, shift 3, immediate 8 (j/jal:
+/// the same bits as index), and zero in the fields the instruction does
+/// not use; COP1 arithmetic has ft/fs/fd = f4/f2/f0 (ft = f0 for
 /// one-source operations) in single precision (double for cvt.s, which
-/// rejects single). Opc::Invalid
-/// yields the unassigned primary opcode 0x3f.
+/// rejects single). Opc::Invalid yields the unassigned primary opcode
+/// 0x3f.
 uint32_t mipsRepresentativeWord(mips::Opc Op);
 
-/// One SPARC word per sparc::Opc, built from its operand form and
-/// selector with fixed fields: rd = %o2 (or %f10), rs1 = %o0 (%f8),
+/// One SPARC word per sparc::Opc, built by its row-derived encoder with
+/// fixed fields: rd = %o2 (or %f10), rs1 = %o0 (%f8),
 /// rs2 = %o4 (%f12), register operand 2, and zero in the fields the
 /// instruction does not use (rd of wr and fcmp, rs1 of one-source FP
 /// operations). Calls and branches (condition 9) jump +2 words, sethi
@@ -128,8 +129,8 @@ uint32_t mipsRepresentativeWord(mips::Opc Op);
 /// cmp, retl, ...). Opc::Invalid yields an annulled bne.
 uint32_t sparcRepresentativeWord(sparc::Opc Op);
 
-/// One Alpha word per alpha::Opc, built from its operand form, opcode and
-/// function with fixed fields: ra = a0 (f16), rb = a1 (f17), rc = a2
+/// One Alpha word per alpha::Opc, built by its row-derived encoder with
+/// fixed fields: ra = a0 (f16), rb = a1 (f17), rc = a2
 /// (f18), register operand B, fa = f31 for one-source FP operations,
 /// memory displacement 8 and branch displacement +1 word. Jumps go
 /// through ra ("jmp a0, (ra)"), so they return to the caller.
