@@ -98,7 +98,8 @@ struct CodeMem {
   /// around emission (native mode); null for plain simulated memory.
   CodeArena *Arena = nullptr;
   /// Name the finished function is published under in the CodeMap (the
-  /// code cache stamps its key); null leaves it to setFunctionName.
+  /// code cache stamps its key, --dump-code and tests their own labels);
+  /// null publishes it unnamed. end() reads it, so it must outlive end().
   const std::string *Name = nullptr;
   /// In-place growth. Null keeps the paper's contract for a region handed
   /// straight to v_lambda: it is fixed, and overflow is an error ("pass a

@@ -17,9 +17,8 @@
 /// Clients write `template <typename S> void emitBody(S &St)` using
 /// `typename S::RegT` for registers and the shared surface below; the
 /// tier choice reduces to which adapter is constructed. TierNamedOps
-/// mirrors the paper-named instruction families (Instructions.inc) the
-/// clients use, defined once over the generic surface so the two
-/// adapters cannot drift.
+/// expands the paper-named instruction families (Instructions.inc) over
+/// the generic surface, so both adapters and VCode share one list.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,69 +31,14 @@
 
 namespace vcode {
 
-/// Paper-named instruction helpers over a stream's generic surface
-/// (CRTP: \p Derived provides binop/binopImm/unop/setInt/loadImm/
-/// storeImm/branch/branchImm/ret).
+/// The paper-named instruction families (core/Instructions.inc) over a
+/// stream's generic surface (CRTP: \p Derived provides binop/binopImm/
+/// unop/setInt/loadImm/storeImm/branch/branchImm/ret; a call to a family
+/// over a primitive the streams lack, such as cvt, does not compile).
 template <typename Derived, typename R> struct TierNamedOps {
-  // Register-register ALU.
-  void addu(R Rd, R A, R B) { D().binop(BinOp::Add, Type::U, Rd, A, B); }
-  void addp(R Rd, R A, R B) { D().binop(BinOp::Add, Type::P, Rd, A, B); }
-  void oru(R Rd, R A, R B) { D().binop(BinOp::Or, Type::U, Rd, A, B); }
-  // Immediate ALU.
-  void addpi(R Rd, R A, int64_t I) {
-    D().binopImm(BinOp::Add, Type::P, Rd, A, I);
-  }
-  void subui(R Rd, R A, int64_t I) {
-    D().binopImm(BinOp::Sub, Type::U, Rd, A, I);
-  }
-  void andui(R Rd, R A, int64_t I) {
-    D().binopImm(BinOp::And, Type::U, Rd, A, I);
-  }
-  void xorui(R Rd, R A, int64_t I) {
-    D().binopImm(BinOp::Xor, Type::U, Rd, A, I);
-  }
-  void lshii(R Rd, R A, int64_t I) {
-    D().binopImm(BinOp::Lsh, Type::I, Rd, A, I);
-  }
-  void lshui(R Rd, R A, int64_t I) {
-    D().binopImm(BinOp::Lsh, Type::U, Rd, A, I);
-  }
-  void rshui(R Rd, R A, int64_t I) {
-    D().binopImm(BinOp::Rsh, Type::U, Rd, A, I);
-  }
-  void mului(R Rd, R A, int64_t I) {
-    D().binopImm(BinOp::Mul, Type::U, Rd, A, I);
-  }
-  void movp(R Rd, R A) { D().unop(UnOp::Mov, Type::P, Rd, A); }
-  // Constants.
-  void seti(R Rd, int32_t V) {
-    D().setInt(Type::I, Rd, uint64_t(int64_t(V)));
-  }
-  void setu(R Rd, uint32_t V) { D().setInt(Type::U, Rd, V); }
-  void setp(R Rd, SimAddr V) { D().setInt(Type::P, Rd, V); }
-  // Memory.
-  void lduci(R Rd, R Base, int64_t O) { D().loadImm(Type::UC, Rd, Base, O); }
-  void ldusi(R Rd, R Base, int64_t O) { D().loadImm(Type::US, Rd, Base, O); }
-  void ldui(R Rd, R Base, int64_t O) { D().loadImm(Type::U, Rd, Base, O); }
-  void ldpi(R Rd, R Base, int64_t O) { D().loadImm(Type::P, Rd, Base, O); }
-  void stui(R Val, R Base, int64_t O) { D().storeImm(Type::U, Val, Base, O); }
-  // Branches.
-  void bequi(R A, int64_t I, Label L) {
-    D().branchImm(Cond::Eq, Type::U, A, I, L);
-  }
-  void bneui(R A, int64_t I, Label L) {
-    D().branchImm(Cond::Ne, Type::U, A, I, L);
-  }
-  void bltui(R A, int64_t I, Label L) {
-    D().branchImm(Cond::Lt, Type::U, A, I, L);
-  }
-  void bgtui(R A, int64_t I, Label L) {
-    D().branchImm(Cond::Gt, Type::U, A, I, L);
-  }
-  void bgep(R A, R B, Label L) { D().branch(Cond::Ge, Type::P, A, B, L); }
-  // Returns.
-  void reti(R Rs) { D().ret(Type::I, Rs); }
-  void retu(R Rs) { D().ret(Type::U, Rs); }
+#define VC_REG R
+#define VC_CALL D().
+#include "core/Instructions.inc"
 
 private:
   Derived &D() { return *static_cast<Derived *>(this); }

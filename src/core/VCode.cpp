@@ -81,7 +81,6 @@ void FnTables::clear() {
   ArgLocations.clear();
   ArgCopies.clear();
   CallLocs.clear();
-  FnName.clear();
   if (VReg)
     VReg->clear();
 }
@@ -90,7 +89,7 @@ size_t FnTables::capacityBytes() const {
   return reserved(LabelPos) + reserved(Fixups) + reserved(ConstPool) +
          reserved(ConstPoolLabels) + reserved(ConstPoolIndex) +
          reserved(ArgLocations) + reserved(ArgCopies) + reserved(CallLocs) +
-         FnName.capacity() + (VReg ? VReg->capacityBytes() : 0);
+         (VReg ? VReg->capacityBytes() : 0);
 }
 
 // --- VCode ------------------------------------------------------------------
@@ -185,10 +184,8 @@ void VCode::resetFunctionState() {
   FrameBytes = 0;
   Tb->clear();
   CallNextArg = 0;
-  // Tb->clear() also empties the function name, keeping its buffer, so a
-  // long name (a cache key) allocates only on a thread's first function
-  // that needs the room. PubTier deliberately persists (the retry driver
-  // stamps it once, before Emit() runs lambda()).
+  // PubTier deliberately persists (the retry driver stamps it once, before
+  // Emit() runs lambda()).
 }
 
 void VCode::lambda(const char *ArgTypeStr, Reg *ArgRegs, bool IsLeaf,
@@ -203,8 +200,7 @@ void VCode::lambda(const char *ArgTypeStr, Reg *ArgRegs, bool IsLeaf,
   MemArena = Mem.Arena;
   MemGuest = Mem.Guest;
   MemSize = Mem.Size;
-  if (Mem.Name)
-    Tb->FnName = *Mem.Name;
+  FnName = Mem.Name;
   if (MemArena)
     MemArena->beginWrite(MemGuest, MemSize);
   RA.init(TI);
@@ -315,9 +311,9 @@ CodePtr VCode::endImpl() {
   // when telemetry is compiled out) under its final name, tier and guest
   // range: the entry is never changed after this.
   profile::CodeMap::instance().publish(
-      Buf.baseAddr(), Entry.SizeBytes, Entry.Entry,
-      uintptr_t(Buf.hostBase()), Tb->FnName, TI.Name, PubTier,
-      PubGuestLo, PubGuestHi);
+      Buf.baseAddr(), Entry.SizeBytes, Entry.Entry, uintptr_t(Buf.hostBase()),
+      FnName ? std::string_view(*FnName) : std::string_view(), TI.Name,
+      PubTier, PubGuestLo, PubGuestHi);
 
   VCODE_TM_SPAN("core.backpatch", TmFinishStart);
   VCODE_TM_COUNT("core.functions", 1);

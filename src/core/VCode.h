@@ -112,8 +112,6 @@ struct FnTables {
   std::vector<ArgLoc> ArgLocations;
   std::vector<PrologueArgCopy> ArgCopies;
   std::vector<ArgLoc> CallLocs; ///< out-call in progress
-  /// Name end() publishes the function under (VCode::setFunctionName).
-  std::string FnName;
   /// The vreg layer's tables, made the first time a VRegLayer borrows
   /// this set.
   std::unique_ptr<VRegTables> VReg;
@@ -183,17 +181,10 @@ public:
   /// floating-point constant pool, and returns the entry point.
   CodePtr end();
 
-  /// Names the function being generated for introspection (the CodeMap
-  /// entry end() publishes, --dump-code, profiler reports). lambda()
-  /// resets it to the region's CodeMem::Name (the cache key) or clears
-  /// it; a call after lambda() and before end() overrides that.
-  void setFunctionName(std::string Name) { Tb->FnName = std::move(Name); }
-  const std::string &functionName() const { return Tb->FnName; }
-
   /// Tier recorded on the published CodeMap entry (generateWithRetry
-  /// stamps its GenerateOptions tier here). Unlike the name, the tier
-  /// persists across lambda() so a stamp placed before the emitter runs
-  /// survives to end().
+  /// stamps its GenerateOptions tier here). Unlike the name (CodeMem::Name,
+  /// bound by lambda()), the tier persists across lambda() so a stamp
+  /// placed before the emitter runs survives to end().
   void setPublishTier(Tier T) { PubTier = T; }
   /// Guest-PC range [Lo, Hi) recorded on the published CodeMap entry (a
   /// DBT translation's source). Persists across lambda() like the tier.
@@ -470,8 +461,8 @@ private:
   SimAddr MemGuest = 0;
   size_t MemSize = 0;
 
-  // Introspection metadata carried to the CodeMap entry end() publishes
-  // (the name lives in Tb).
+  // Introspection metadata carried to the CodeMap entry end() publishes.
+  const std::string *FnName = nullptr; ///< the region's CodeMem::Name
   Tier PubTier = Tier::Tier0;
   uint64_t PubGuestLo = 0, PubGuestHi = 0;
 

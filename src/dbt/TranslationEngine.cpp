@@ -15,13 +15,11 @@
 using namespace vcode;
 using namespace vcode::dbt;
 
-TranslationEngine::TranslationEngine(sim::Memory &Guest,
-                                     size_t NativeArenaBytes)
-    : Guest(Guest) {
+TranslationEngine::TranslationEngine(sim::Memory &Guest) : Guest(Guest) {
   if (!hostSupported())
     return;
 #ifdef VCODE_HAVE_MMAP
-  NativeMem.reset(new sim::Memory(sim::Memory::Native, NativeArenaBytes));
+  NativeMem.reset(new sim::Memory(sim::Memory::Native));
   CodeCache::Options O;
   O.Shards = 8;
   // Regions are block-sized (a few KiB); keep enough per shard that a

@@ -32,9 +32,8 @@ class TranslationEngine {
 public:
   /// \p Guest is the simulated memory holding MIPS code and data; it must
   /// outlive the engine. The engine allocates its own native code arena
-  /// of \p NativeArenaBytes.
-  explicit TranslationEngine(sim::Memory &Guest,
-                             size_t NativeArenaBytes = 64 * 1024 * 1024);
+  /// (sim::Memory's default 64 MiB).
+  explicit TranslationEngine(sim::Memory &Guest);
   ~TranslationEngine();
 
   /// True when this build/host can run translated code at all (x86-64

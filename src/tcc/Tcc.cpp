@@ -376,9 +376,11 @@ private:
 
 class CodeGen {
 public:
-  CodeGen(Target &Tgt, sim::Memory &Mem, bool Optimize,
+  /// Tier-1 runs the peephole layer; Tier-0 emits tcc's naive code.
+  CodeGen(Target &Tgt, sim::Memory &Mem, Tier T,
           std::function<SimAddr(const std::string &)> Resolve)
-      : V(Tgt), PH(V, Optimize), Mem(Mem), Resolve(std::move(Resolve)) {}
+      : V(Tgt), PH(V, T == Tier::Tier1), Mem(Mem),
+        Resolve(std::move(Resolve)) {}
 
   VCode &vcode() { return V; }
 
@@ -691,7 +693,7 @@ CodePtr Tcc::compile(const std::string &Source) {
   Parser P(Source);
   FunctionAst F = P.parseFunction();
 
-  CodeGen CG(Tgt, Mem, effectiveOptimize(),
+  CodeGen CG(Tgt, Mem, GenTier,
              [this](const std::string &Name) { return slotFor(Name); });
   // The function-table slots slotFor() lazily creates during emission must
   // survive across attempts, so failed regions are NOT released back to
@@ -715,12 +717,11 @@ CodePtr Tcc::compile(const std::string &Source) {
 }
 
 std::string Tcc::sharedCacheKey(const std::string &Source) const {
-  // Deliberately tier-independent (the |opt|/|raw| marker tracks only the
-  // caller's explicit setOptimize choice): promotion swaps code versions
-  // under this same key rather than caching tiers side by side.
+  // Deliberately tier-independent: promotion swaps code versions under
+  // this same key rather than caching tiers side by side.
   std::string Key = "tcc|";
   Key += Tgt.info().Name;
-  Key += Optimize ? "|opt|" : "|raw|";
+  Key += '|';
   Key += Source;
   return Key;
 }
@@ -738,7 +739,7 @@ CodePtr Tcc::compileShared(CodeCache &Cache, const std::string &Source) {
   CodeCache::Handle H = Cache.lookupOrGenerate(
       Key, [&](CodeCache::RegionAlloc &Alloc) {
         Generated = true;
-        CodeGen CG(Tgt, Mem, effectiveOptimize(),
+        CodeGen CG(Tgt, Mem, GenTier,
                    [this](const std::string &Name) { return slotFor(Name); });
         GenerateOptions Opts;
         Opts.InitialBytes = InitialCodeBytes;
@@ -767,8 +768,7 @@ bool Tcc::promoteShared(const std::string &Name, SharedInfo &SI) {
       SI.Cache->promote(SI.Key, [&](CodeCache::RegionAlloc &Alloc) {
         Parser P(SI.Source);
         FunctionAst F = P.parseFunction();
-        // Tier-1 for tcc-lite: the optimizing pipeline, unconditionally.
-        CodeGen CG(Tgt, Mem, /*Optimize=*/true,
+        CodeGen CG(Tgt, Mem, Tier::Tier1,
                    [this](const std::string &N) { return slotFor(N); });
         GenerateOptions Opts;
         Opts.InitialBytes = InitialCodeBytes;
@@ -790,7 +790,7 @@ CodePtr Tcc::compileInto(const std::string &Source, CodeMem CM, CgError *Err) {
   Parser P(Source);
   FunctionAst F = P.parseFunction();
 
-  CodeGen CG(Tgt, Mem, effectiveOptimize(),
+  CodeGen CG(Tgt, Mem, GenTier,
              [this](const std::string &Name) { return slotFor(Name); });
   CodePtr Code;
   if (Err) {

@@ -44,15 +44,11 @@ class Tcc {
 public:
   Tcc(Target &T, sim::Memory &M) : Tgt(T), Mem(M) {}
 
-  /// Enables the §6.2 peephole layer for subsequently compiled functions
-  /// ("trade runtime compilation overhead for better generated code").
-  void setOptimize(bool On) { Optimize = On; }
-
   /// Generation tier for subsequent compiles (core/Tier.h). tcc-lite's
-  /// Tier-1 pipeline is the optimizing one: the peephole layer runs
-  /// unconditionally (equivalent to setOptimize(true)) and results are
-  /// stamped Tier-1 so cache promotion can tell the versions apart.
-  /// Defaults to defaultTier() (VCODE_TIER env).
+  /// Tier-1 pipeline is the optimizing one: the §6.2 peephole layer runs
+  /// ("trade runtime compilation overhead for better generated code") and
+  /// results are stamped Tier-1 so cache promotion can tell the versions
+  /// apart. Defaults to defaultTier() (VCODE_TIER env).
   void setTier(Tier T) { GenTier = T; }
   Tier tier() const { return GenTier; }
 
@@ -92,7 +88,7 @@ public:
   CodePtr compileInto(const std::string &Source, CodeMem CM,
                       CgError *Err = nullptr);
 
-  /// Cache-backed compile: identical (target, optimize, source) requests
+  /// Cache-backed compile: identical (target, source) requests
   /// from any Tcc instance over the same arena share one generation; the
   /// first caller compiles, concurrent same-source callers block and
   /// reuse, distinct sources compile in parallel. The function is
@@ -106,7 +102,7 @@ public:
   CodePtr compileShared(CodeCache &Cache, const std::string &Source);
 
   /// The CodeCache key compileShared() files \p Source under with this
-  /// instance's target and optimize setting (observers: tests, reports).
+  /// instance's target (observers: tests, reports).
   std::string sharedCacheKey(const std::string &Source) const;
 
   /// Entry address of a compiled function; fatal if unknown.
@@ -133,17 +129,12 @@ private:
   SimAddr slotFor(const std::string &Name);
   /// Registers a successfully generated function under \p Name.
   void registerFn(const std::string &Name, unsigned Arity, CodePtr Code);
-  /// Whether the peephole layer runs for the configured tier.
-  bool effectiveOptimize() const {
-    return Optimize || GenTier == Tier::Tier1;
-  }
   /// Recompiles \p Name at Tier-1 and swaps the cached version; true
   /// when this call performed the swap (then the table is re-patched).
   bool promoteShared(const std::string &Name, SharedInfo &SI);
 
   Target &Tgt;
   sim::Memory &Mem;
-  bool Optimize = false;
   Tier GenTier = defaultTier();
   uint64_t HotThreshold = 0;
   size_t InitialCodeBytes = 32768;

@@ -28,7 +28,6 @@
 #include "dbt/MipsTranslatingCpu.h"
 #include "dpf/Engines.h"
 #include "mips/MipsDecode.h"
-#include "mips/MipsTarget.h"
 #include "support/Rng.h"
 #include <atomic>
 #include <cstdio>
@@ -60,6 +59,19 @@ void expectStateMatches(const sim::MipsSim &Ref,
   EXPECT_EQ(G.FpCond != 0, S.FpCond) << What << ": FpCond";
 }
 
+/// The dbt substrate and a reference interpreter over its arena.
+struct DbtMachine {
+  Substrate S = makeSubstrate("dbt");
+  sim::Memory &Mem = *S.Mem;
+  Target &Tgt = *S.Tgt;
+  sim::MipsSim Ref{Mem};
+  /// The substrate's CPU, whose guest state expectStateMatches reads.
+  dbt::MipsTranslatingCpu &Dbt =
+      static_cast<dbt::MipsTranslatingCpu &>(*S.Cpu);
+};
+
+class DbtTest : public ::testing::Test, protected DbtMachine {};
+
 class DbtStreamTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(DbtStreamTest, MatchesInterpreterOnRandomStreams) {
@@ -73,10 +85,8 @@ TEST_P(DbtStreamTest, MatchesInterpreterOnRandomStreams) {
     Rng R(TestSeed);
     std::vector<StreamInsn> Prog = makeStream(R, Ty, typeBits(Ty, 4));
 
-    sim::Memory Mem;
-    mips::MipsTarget Tgt;
-    sim::MipsSim Ref(Mem);
-    dbt::MipsTranslatingCpu Dbt(Mem);
+    DbtMachine M;
+    sim::Memory &Mem = M.Mem;
 
     std::vector<uint64_t> Init(StreamSlots);
     for (unsigned I = 0; I < StreamSlots; ++I)
@@ -85,7 +95,7 @@ TEST_P(DbtStreamTest, MatchesInterpreterOnRandomStreams) {
     SimAddr Scratch = Mem.alloc(StreamScratchSlots * 8, 8);
     SimAddr Out = Mem.alloc(StreamSlots * 8, 8);
 
-    VCode V(Tgt);
+    VCode V(M.Tgt);
     CodePtr Fn =
         emitStream(V, Prog, Ty, Mem.allocCode(1 << 16), Scratch, Out);
     ASSERT_TRUE(Fn.isValid());
@@ -97,7 +107,7 @@ TEST_P(DbtStreamTest, MatchesInterpreterOnRandomStreams) {
     // Reference run.
     for (unsigned I = 0; I < StreamScratchSlots; ++I)
       Mem.write<uint64_t>(Scratch + 8 * I, 0);
-    Ref.call(Fn.Entry, Args, Type::V);
+    M.Ref.call(Fn.Entry, Args, Type::V);
     std::vector<uint64_t> OutRef(StreamSlots), ScrRef(StreamScratchSlots);
     for (unsigned I = 0; I < StreamSlots; ++I)
       OutRef[I] = Mem.read<uint64_t>(Out + 8 * I);
@@ -107,7 +117,7 @@ TEST_P(DbtStreamTest, MatchesInterpreterOnRandomStreams) {
     // Translated run over the same code and fresh scratch.
     for (unsigned I = 0; I < StreamScratchSlots; ++I)
       Mem.write<uint64_t>(Scratch + 8 * I, 0);
-    Dbt.call(Fn.Entry, Args, Type::V);
+    M.Dbt.call(Fn.Entry, Args, Type::V);
 
     std::string What = "program " + std::to_string(Index);
     for (unsigned I = 0; I < StreamSlots; ++I)
@@ -116,8 +126,8 @@ TEST_P(DbtStreamTest, MatchesInterpreterOnRandomStreams) {
     for (unsigned I = 0; I < StreamScratchSlots; ++I)
       EXPECT_EQ(Mem.read<uint64_t>(Scratch + 8 * I), ScrRef[I])
           << What << " scratch cell " << I;
-    expectStateMatches(Ref, Dbt, What);
-    EXPECT_EQ(Dbt.lastStats().Instrs, Ref.lastStats().Instrs) << What;
+    expectStateMatches(M.Ref, M.Dbt, What);
+    EXPECT_EQ(M.Dbt.lastStats().Instrs, M.Ref.lastStats().Instrs) << What;
   }
 }
 
@@ -127,12 +137,7 @@ INSTANTIATE_TEST_SUITE_P(Corpus, DbtStreamTest,
                            return "chunk" + std::to_string(Info.param);
                          });
 
-TEST(DbtTest, DpfClientsClassifyIdentically) {
-  sim::Memory Mem;
-  mips::MipsTarget Tgt;
-  sim::MipsSim Ref(Mem);
-  dbt::MipsTranslatingCpu Dbt(Mem);
-
+TEST_F(DbtTest, DpfClientsClassifyIdentically) {
   std::vector<dpf::Filter> Filters = dpf::makeTcpIpFilters(10, 1024);
   dpf::DpfEngine Dpf(Tgt, Mem);
   dpf::MpfEngine Mpf(Tgt, Mem);
@@ -155,12 +160,7 @@ TEST(DbtTest, DpfClientsClassifyIdentically) {
   }
 }
 
-TEST(DbtTest, AshPipelineMatches) {
-  sim::Memory Mem;
-  mips::MipsTarget Tgt;
-  sim::MipsSim Ref(Mem);
-  dbt::MipsTranslatingCpu Dbt(Mem);
-
+TEST_F(DbtTest, AshPipelineMatches) {
   const std::vector<ash::Step> Steps = {ash::Step::ByteSwap, ash::Step::Copy,
                                         ash::Step::Checksum};
   ash::Pipeline P(Tgt, Mem);
@@ -196,12 +196,7 @@ TEST(DbtTest, AshPipelineMatches) {
   }
 }
 
-TEST(DbtTest, FloatingPointMatches) {
-  sim::Memory Mem;
-  mips::MipsTarget Tgt;
-  sim::MipsSim Ref(Mem);
-  dbt::MipsTranslatingCpu Dbt(Mem);
-
+TEST_F(DbtTest, FloatingPointMatches) {
   // d0*d1 + d0/d1 - sqrt-free mix ending in a compare-driven select, so
   // COP1 arithmetic, conversions, and bc1 all execute.
   VCode V(Tgt);
@@ -238,12 +233,7 @@ TEST(DbtTest, FloatingPointMatches) {
   }
 }
 
-TEST(DbtTest, StackPassedArgumentsMatch) {
-  sim::Memory Mem;
-  mips::MipsTarget Tgt;
-  sim::MipsSim Ref(Mem);
-  dbt::MipsTranslatingCpu Dbt(Mem);
-
+TEST_F(DbtTest, StackPassedArgumentsMatch) {
   // Six integer arguments: MIPS passes four in $a0-$a3, two on the stack,
   // so the dispatcher's stack-slot marshalling is on the result path.
   VCode V(Tgt);
@@ -277,11 +267,7 @@ CodePtr emitConstFn(Target &Tgt, CodeMem CM, int K) {
   return V.end();
 }
 
-TEST(DbtTest, GuestRegenerationInvalidatesTranslations) {
-  sim::Memory Mem;
-  mips::MipsTarget Tgt;
-  dbt::MipsTranslatingCpu Dbt(Mem);
-
+TEST_F(DbtTest, GuestRegenerationInvalidatesTranslations) {
   CodeMem CM = Mem.allocCode(4096);
   CodePtr F1 = emitConstFn(Tgt, CM, 111);
   ASSERT_TRUE(F1.isValid());
@@ -429,11 +415,7 @@ TEST(MipsDecodeTest, RepresentativeWordsRoundTrip) {
   }
 }
 
-TEST(DbtTest, ConcurrentTranslationSharedEngine) {
-  sim::Memory Mem;
-  mips::MipsTarget Tgt;
-  auto Engine = std::make_shared<dbt::TranslationEngine>(Mem);
-
+TEST_F(DbtTest, ConcurrentTranslationSharedEngine) {
   // A pool of small functions: f_k(x) = 3*x + k, each its own region.
   constexpr int NumFns = 8;
   CodePtr Fns[NumFns];
@@ -454,14 +436,15 @@ TEST(DbtTest, ConcurrentTranslationSharedEngine) {
   constexpr int NumThreads = 4;
   for (int T = 0; T < NumThreads; ++T) {
     Threads.emplace_back([&, T] {
-      dbt::MipsTranslatingCpu Cpu(Mem, Engine);
-      Cpu.setStackTop(Mem.allocStack());
+      // Each further CPU of the substrate shares its TranslationEngine.
+      std::unique_ptr<sim::Cpu> Cpu = S.makeCpu();
+      Cpu->setStackTop(Mem.allocStack());
       Rng R(uint64_t(T) * 977 + 11);
       for (int It = 0; It < 400 && !Failures.load(); ++It) {
         int K = int(R.below(NumFns));
         int X = int(uint32_t(R.next()) & 0xffff);
         int Got =
-            Cpu.call(Fns[K].Entry, {TypedValue::fromInt(X)}, Type::I)
+            Cpu->call(Fns[K].Entry, {TypedValue::fromInt(X)}, Type::I)
                 .asInt32();
         if (Got != 3 * X + K)
           ++Failures;

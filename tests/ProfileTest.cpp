@@ -18,18 +18,14 @@
 #include "core/VCode.h"
 #include "dbt/TranslationEngine.h"
 #include "dpf/Engines.h"
-#include "mips/MipsTarget.h"
 #include "profile/CodeMap.h"
 #include "profile/Disasm.h"
 #include "profile/JitDump.h"
 #include "profile/Profiler.h"
 #include "sim/Memory.h"
-#include "sim/MipsSim.h"
 #include "substrate/Substrate.h"
 #include "support/Telemetry.h"
-#include "x64/NativeCpu.h"
 #include "x64/X64Disasm.h"
-#include "x64/X64Target.h"
 #include <ctime>
 #include <cstdio>
 #include <cstring>
@@ -77,11 +73,12 @@ uintptr_t hostOf(sim::Memory &Mem, SimAddr A) {
 
 /// Publishes sum(n) = 0 + 1 + ... + (n-1) from \p Mem under \p Name: about
 /// 4 instructions per iteration, nearly all of them inside one loop.
-CodePtr emitSumLoop(Target &Tgt, sim::Memory &Mem, const char *Name) {
+CodePtr emitSumLoop(Target &Tgt, sim::Memory &Mem, const std::string &Name) {
   VCode V(Tgt);
   Reg Arg[1];
-  V.lambda("%i", Arg, LeafHint, Mem.allocCode(4096));
-  V.setFunctionName(Name);
+  CodeMem CM = Mem.allocCode(4096);
+  CM.Name = &Name;
+  V.lambda("%i", Arg, LeafHint, CM);
   Reg S = V.getreg(Type::I), I = V.getreg(Type::I);
   V.setInt(Type::I, S, 0);
   V.setInt(Type::I, I, 0);
@@ -269,13 +266,14 @@ TEST_F(ProfileTest, CodeMapChurnEightThreads) {
 TEST_F(ProfileTest, VEndPublishesNamedEntry) {
   auto &M = profile::CodeMap::instance();
   M.setCaptureBytes(true);
-  sim::Memory Mem;
-  mips::MipsTarget Target;
+  Substrate B = makeSubstrate("mips");
 
-  VCode V(Target);
+  VCode V(*B.Tgt);
   Reg Arg[1];
-  V.lambda("%i", Arg, LeafHint, Mem.allocCode(4096));
-  V.setFunctionName("test:plus1"); // after lambda: lambda resets the name
+  const std::string Name = "test:plus1";
+  CodeMem CM = B.Mem->allocCode(4096);
+  CM.Name = &Name;
+  V.lambda("%i", Arg, LeafHint, CM);
   V.addii(Arg[0], Arg[0], 1);
   V.reti(Arg[0]);
   CodePtr Fn = V.end();
@@ -286,7 +284,7 @@ TEST_F(ProfileTest, VEndPublishesNamedEntry) {
   EXPECT_STREQ(E->Target, "mips");
   EXPECT_EQ(E->Entry, Fn.Entry);
   EXPECT_GT(E->Bytes, 0u);
-  EXPECT_EQ(M.lookup(hostOf(Mem, Fn.Entry)).get(), E.get());
+  EXPECT_EQ(M.lookup(hostOf(*B.Mem, Fn.Entry)).get(), E.get());
   ASSERT_FALSE(E->Code.empty()); // capture was on
   EXPECT_EQ(E->Code.size(), E->Bytes);
 
@@ -305,11 +303,10 @@ TEST_F(ProfileTest, VEndPublishesNamedEntry) {
 /// unregistered), and its heat retires under the key on eviction.
 TEST_F(ProfileTest, CachedInstallListedUnderKey) {
   auto &M = profile::CodeMap::instance();
-  sim::Memory Mem;
-  mips::MipsTarget Target;
-  CodeCache Cache(Mem, CodeCache::Options(/*Shards=*/1,
-                                          /*MaxEntriesPerShard=*/1));
-  dpf::DpfEngine Eng(Target, Mem);
+  Substrate S = makeSubstrate("mips");
+  CodeCache Cache(*S.Mem, CodeCache::Options(/*Shards=*/1,
+                                             /*MaxEntriesPerShard=*/1));
+  dpf::DpfEngine Eng(*S.Tgt, *S.Mem);
   Eng.setTier(Tier::Tier0); // independent of VCODE_TIER
   auto Filters = dpf::makeTcpIpFilters(3);
   std::string Key = Eng.sharedCacheKey(Filters);
@@ -352,15 +349,14 @@ TEST_F(ProfileTest, TranslationListedWithGuestRange) {
   if (!dbt::TranslationEngine::hostSupported())
     GTEST_SKIP() << "binary translation needs an x86-64 host with mmap";
   auto &M = profile::CodeMap::instance();
-  sim::Memory Mem;
-  mips::MipsTarget Target;
-  dbt::TranslationEngine Eng(Mem);
+  Substrate S = makeSubstrate("dbt");
+  dbt::TranslationEngine &Eng = *S.Engine;
   if (!Eng.available())
     GTEST_SKIP() << "guest arena above 4 GiB";
 
-  VCode V(Target);
+  VCode V(*S.Tgt);
   Reg Arg[1];
-  V.lambda("%i", Arg, LeafHint, Mem.allocCode(4096));
+  V.lambda("%i", Arg, LeafHint, S.Mem->allocCode(4096));
   V.binopImm(BinOp::Mul, Type::I, Arg[0], Arg[0], 3);
   V.ret(Type::I, Arg[0]);
   CodePtr Fn = V.end();
@@ -385,10 +381,9 @@ TEST_F(ProfileTest, TranslationListedWithGuestRange) {
 /// stay live and each lookup resolves to its own entry.
 TEST_F(ProfileTest, CodeMapArenasAtSameBaseKeepOwnEntries) {
   auto &M = profile::CodeMap::instance();
-  mips::MipsTarget Target;
-  sim::Memory A, B;
-  CodePtr FA = emitSumLoop(Target, A, "arena:a");
-  CodePtr FB = emitSumLoop(Target, B, "arena:b");
+  Substrate A = makeSubstrate("mips"), B = makeSubstrate("mips");
+  CodePtr FA = emitSumLoop(*A.Tgt, *A.Mem, "arena:a");
+  CodePtr FB = emitSumLoop(*B.Tgt, *B.Mem, "arena:b");
   ASSERT_TRUE(FA.isValid() && FB.isValid());
   ASSERT_EQ(FA.Entry, FB.Entry) << "the arenas should share addresses";
 
@@ -399,18 +394,17 @@ TEST_F(ProfileTest, CodeMapArenasAtSameBaseKeepOwnEntries) {
   auto EA = M.findByName("arena:a"), EB = M.findByName("arena:b");
   ASSERT_TRUE(EA);
   ASSERT_TRUE(EB);
-  EXPECT_EQ(M.lookup(hostOf(A, FA.Entry)), EA);
-  EXPECT_EQ(M.lookup(hostOf(B, FB.Entry)), EB);
+  EXPECT_EQ(M.lookup(hostOf(*A.Mem, FA.Entry)), EA);
+  EXPECT_EQ(M.lookup(hostOf(*B.Mem, FB.Entry)), EB);
 }
 
 /// A CodeCache retiring its region unregisters only that region, not
 /// another arena's entry at the same simulated address.
 TEST_F(ProfileTest, CodeMapCacheRetireKeepsOtherArenasEntry) {
   auto &M = profile::CodeMap::instance();
-  mips::MipsTarget Target;
-  auto Install = [&](CodeCache &Cache, const std::string &Key) {
+  auto Install = [&](Substrate &S, CodeCache &Cache, const std::string &Key) {
     return Cache.lookupOrGenerate(Key, [&](CodeCache::RegionAlloc &RA) {
-      VCode V(Target);
+      VCode V(*S.Tgt);
       return generateWithRetry(
           V, [&](size_t N) { return RA(N); },
           [&](CodeMem CM) {
@@ -422,14 +416,14 @@ TEST_F(ProfileTest, CodeMapCacheRetireKeepsOtherArenasEntry) {
           });
     });
   };
-  sim::Memory MemB;
-  CodeCache CacheB(MemB);
+  Substrate SB = makeSubstrate("mips");
+  CodeCache CacheB(*SB.Mem);
   CodeCache::Handle HB;
   {
-    sim::Memory MemA;
-    CodeCache CacheA(MemA);
-    CodeCache::Handle HA = Install(CacheA, "cache:a");
-    HB = Install(CacheB, "cache:b");
+    Substrate SA = makeSubstrate("mips");
+    CodeCache CacheA(*SA.Mem);
+    CodeCache::Handle HA = Install(SA, CacheA, "cache:a");
+    HB = Install(SB, CacheB, "cache:b");
     ASSERT_TRUE(HA);
     ASSERT_TRUE(HB);
     ASSERT_EQ(HA.pin()->RegionAddr, HB.pin()->RegionAddr)
@@ -440,25 +434,23 @@ TEST_F(ProfileTest, CodeMapCacheRetireKeepsOtherArenasEntry) {
   auto EB = M.findByName("cache:b");
   ASSERT_TRUE(EB) << "retiring arena A's region dropped arena B's entry";
   EXPECT_FALSE(M.findByName("cache:a"));
-  EXPECT_EQ(M.lookup(hostOf(MemB, HB.code().Entry)), EB);
+  EXPECT_EQ(M.lookup(hostOf(*SB.Mem, HB.code().Entry)), EB);
   EXPECT_EQ(M.stats().Live, 1u);
 }
 
 TEST_F(ProfileTest, VirtualSamplerAttributesHotLoop) {
   auto &M = profile::CodeMap::instance();
-  sim::Memory Mem;
-  mips::MipsTarget Target;
-  sim::MipsSim Sim(Mem, sim::dec5000Config());
+  Substrate S = makeSubstrate("mips");
 
   // 1.5M iterations is ~6M instructions — well past the 4096-instruction
   // sampling period.
-  CodePtr Fn = emitSumLoop(Target, Mem, "hot:sum");
+  CodePtr Fn = emitSumLoop(*S.Tgt, *S.Mem, "hot:sum");
   ASSERT_TRUE(Fn.isValid());
 
   profile::startSampler(); // native timer may not arm; virtual always does
   ASSERT_TRUE(profile::samplerActive());
   const int64_t N = 1'500'000;
-  TypedValue R = Sim.call(Fn.Entry, {TypedValue::fromInt(N)});
+  TypedValue R = S.Cpu->call(Fn.Entry, {TypedValue::fromInt(N)});
   profile::stopSampler();
   EXPECT_FALSE(profile::samplerActive());
   EXPECT_EQ(uint32_t(R.asInt32()), uint32_t(N * (N - 1) / 2));
@@ -477,7 +469,7 @@ TEST_F(ProfileTest, VirtualSamplerAttributesHotLoop) {
 
   // Sampling is a session: with the sampler stopped, the clock keeps
   // crossing the period boundary but no samples accrue.
-  Sim.call(Fn.Entry, {TypedValue::fromInt(100'000)});
+  S.Cpu->call(Fn.Entry, {TypedValue::fromInt(100'000)});
   profile::SamplerStats PS2 = profile::samplerStats();
   EXPECT_EQ(PS2.VirtualSamples, PS.VirtualSamples);
 }
@@ -518,11 +510,9 @@ TEST_F(ProfileTest, NativeSamplesAttributedBeforeRemoval) {
   GTEST_SKIP() << "native sampling is Linux/x86-64 only";
 #else
   auto &M = profile::CodeMap::instance();
-  sim::Memory Mem(sim::Memory::Native);
-  x64::X64Target Target;
-  x64::NativeCpu Cpu(Mem);
+  Substrate S = makeSubstrate("host");
 
-  CodePtr Fn = emitSumLoop(Target, Mem, "hot:native");
+  CodePtr Fn = emitSumLoop(*S.Tgt, *S.Mem, "hot:native");
   ASSERT_TRUE(Fn.isValid());
   auto E = M.findByName("hot:native");
   ASSERT_TRUE(E);
@@ -539,7 +529,7 @@ TEST_F(ProfileTest, NativeSamplesAttributedBeforeRemoval) {
   };
   const double Start = CpuMs();
   while (CpuMs() - Start < 300)
-    Cpu.call(Fn.Entry, {TypedValue::fromInt(1'000'000)});
+    S.Cpu->call(Fn.Entry, {TypedValue::fromInt(1'000'000)});
   M.remove(E->Host);
   profile::stopSampler();
 

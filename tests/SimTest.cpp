@@ -17,9 +17,6 @@
 #include "mips/MipsEncoding.h"
 #include "sparc/SparcEncoding.h"
 #include "sim/Cache.h"
-#include "sim/AlphaSim.h"
-#include "sim/MipsSim.h"
-#include "sim/SparcSim.h"
 #include "support/Error.h"
 #include "support/Rng.h"
 #include <fstream>
@@ -51,6 +48,12 @@ CgErrKind runKind(sim::Cpu &Cpu, SimAddr Fn,
   return CgErrKind::None;
 }
 
+/// \p Name's machine over a 1 MiB arena at 0x10000000 with a 4 KiB stack.
+Substrate smallSubstrate(const char *Name) {
+  return makeSubstrate(
+      Name, std::make_unique<sim::Memory>(1 << 20, 0x10000000, 4096));
+}
+
 /// Every Opc is reachable: the word built from its table row decodes back
 /// to it (no two rows claim one encoding).
 TEST(SparcDecodeTest, RepresentativeWordsRoundTrip) {
@@ -78,8 +81,8 @@ TEST(AlphaDecodeTest, RepresentativeWordsRoundTrip) {
 /// so a call or a branch (+2 words) lands on the return, and it runs with
 /// %o0 = an 8-byte-aligned buffer and %o4 = 8.
 TEST(SparcDecodeTest, EveryOpcExecutesAndInvalidFaults) {
-  sim::Memory Mem(1 << 20, 0x10000000, 4096);
-  sim::SparcSim Sim(Mem);
+  Substrate S = smallSubstrate("sparc");
+  sim::Memory &Mem = *S.Mem;
   SimAddr Code = Mem.alloc(32, 8), Data = Mem.alloc(64, 8);
   auto Run = [&](uint32_t W) {
     using namespace sparc;
@@ -87,7 +90,7 @@ TEST(SparcDecodeTest, EveryOpcExecutesAndInvalidFaults) {
                            encode<Opc::Jmpl>(G0, O5, Simm13{8}), Nop};
     for (unsigned I = 0; I < 5; ++I)
       Mem.write<uint32_t>(Code + 4 * I, Fn[I]);
-    return runKind(Sim, Code,
+    return runKind(*S.Cpu, Code,
                    {TypedValue::fromPtr(Data), TypedValue::fromInt(0),
                     TypedValue::fromInt(0), TypedValue::fromInt(0),
                     TypedValue::fromInt(8)});
@@ -109,8 +112,8 @@ TEST(SparcDecodeTest, EveryOpcExecutesAndInvalidFaults) {
 /// "jmpl %o7 + 8, %o7" returns to the caller: %o7 still holds the caller's
 /// link when the target is formed.
 TEST(SparcDecodeTest, JmplReadsTargetBeforeLinking) {
-  sim::Memory Mem(1 << 20, 0x10000000, 4096);
-  sim::SparcSim Sim(Mem);
+  Substrate S = smallSubstrate("sparc");
+  sim::Memory &Mem = *S.Mem;
   SimAddr Code = Mem.alloc(16, 8);
   using namespace sparc;
   const uint32_t Fn[] = {encode<Opc::Jmpl>(O7, O7, Simm13{8}),
@@ -119,23 +122,23 @@ TEST(SparcDecodeTest, JmplReadsTargetBeforeLinking) {
                          encode<Opc::Jmpl>(G0, O7, Simm13{8})};
   for (unsigned I = 0; I < 4; ++I)
     Mem.write<uint32_t>(Code + 4 * I, Fn[I]);
-  Sim.setInstrLimit(100);
-  EXPECT_EQ(Sim.call(Code, {}, Type::I).asInt32(), 7);
+  S.Cpu->setInstrLimit(100);
+  EXPECT_EQ(S.Cpu->call(Code, {}, Type::I).asInt32(), 7);
 }
 
 /// The same for Alpha. The word sits in "W; ret; ret", so a branch (+1
 /// word) lands on a return, and it runs with a0 = 5 and a1 = an
 /// 8-byte-aligned buffer.
 TEST(AlphaDecodeTest, EveryOpcExecutesAndInvalidFaults) {
-  sim::Memory Mem(1 << 20, 0x10000000, 4096);
-  sim::AlphaSim Sim(Mem);
+  Substrate S = smallSubstrate("alpha");
+  sim::Memory &Mem = *S.Mem;
   SimAddr Code = Mem.alloc(16, 8), Data = Mem.alloc(64, 8);
   auto Run = [&](uint32_t W) {
     const uint32_t Ret = encode<alpha::Opc::Ret>(alpha::ZERO, alpha::RA);
     Mem.write<uint32_t>(Code, W);
     Mem.write<uint32_t>(Code + 4, Ret);
     Mem.write<uint32_t>(Code + 8, Ret);
-    return runKind(Sim, Code,
+    return runKind(*S.Cpu, Code,
                    {TypedValue::fromInt(5), TypedValue::fromPtr(Data)});
   };
   for (unsigned I = 1; I < alpha::NumOpcs; ++I) {

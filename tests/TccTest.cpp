@@ -164,7 +164,7 @@ TEST_P(TccTest, OptimizedCodeAgreesAndIsFaster) {
   Plain.setTier(Tier::Tier0); // keep the baseline naive under VCODE_TIER=1
   Plain.compile(Src);
   tcc::Tcc Opt(*B.Tgt, *B.Mem);
-  Opt.setOptimize(true);
+  Opt.setTier(Tier::Tier1);
   Opt.compile(Src);
 
   uint64_t PlainCycles = 0, OptCycles = 0;
@@ -179,7 +179,7 @@ TEST_P(TccTest, OptimizedCodeAgreesAndIsFaster) {
 }
 
 TEST_P(TccTest, OptimizedRecursionStillWorks) {
-  T->setOptimize(true);
+  T->setTier(Tier::Tier1);
   T->compile(
       "fact(n) { if (n <= 1) { return 1; } return n * fact(n - 1); }");
   EXPECT_EQ(run("fact", {10}), 3628800);

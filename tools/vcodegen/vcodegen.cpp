@@ -59,8 +59,10 @@ namespace {
 
 void emitIntCorpus(VCode &V, sim::Memory &Mem, const std::string &Tag) {
   Reg Arg[2];
-  V.lambda("%i%i", Arg, LeafHint, Mem.allocCode(32768));
-  V.setFunctionName("corpus:" + Tag + ":int");
+  const std::string Name = "corpus:" + Tag + ":int";
+  CodeMem CM = Mem.allocCode(32768);
+  CM.Name = &Name;
+  V.lambda("%i%i", Arg, LeafHint, CM);
   Reg T0 = V.getreg(Type::I);
   for (BinOp Op : {BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Mod,
                    BinOp::And, BinOp::Or, BinOp::Xor, BinOp::Lsh, BinOp::Rsh}) {
@@ -84,8 +86,10 @@ void emitIntCorpus(VCode &V, sim::Memory &Mem, const std::string &Tag) {
 
 void emitFpCorpus(VCode &V, sim::Memory &Mem, const std::string &Tag) {
   Reg Arg[2];
-  V.lambda("%i%i", Arg, LeafHint, Mem.allocCode(32768));
-  V.setFunctionName("corpus:" + Tag + ":fp");
+  const std::string Name = "corpus:" + Tag + ":fp";
+  CodeMem CM = Mem.allocCode(32768);
+  CM.Name = &Name;
+  V.lambda("%i%i", Arg, LeafHint, CM);
   Reg F0 = V.getreg(Type::D);
   Reg F1 = V.getreg(Type::D);
   V.cvt(Type::I, Type::D, F0, Arg[0]);
@@ -108,8 +112,10 @@ void emitFpCorpus(VCode &V, sim::Memory &Mem, const std::string &Tag) {
 
 void emitMemCorpus(VCode &V, sim::Memory &Mem, const std::string &Tag) {
   Reg Arg[1];
-  V.lambda("%p", Arg, LeafHint, Mem.allocCode(32768));
-  V.setFunctionName("corpus:" + Tag + ":mem");
+  const std::string Name = "corpus:" + Tag + ":mem";
+  CodeMem CM = Mem.allocCode(32768);
+  CM.Name = &Name;
+  V.lambda("%p", Arg, LeafHint, CM);
   Reg T0 = V.getreg(Type::I);
   for (Type Ty : {Type::C, Type::UC, Type::S, Type::US, Type::I, Type::U,
                   Type::L, Type::UL, Type::P}) {
