@@ -7,6 +7,7 @@
 #include "dbt/MipsTranslatingCpu.h"
 #include "profile/Profiler.h"
 #include "support/Telemetry.h"
+#include <bit>
 #include <cstring>
 
 using namespace vcode;
@@ -42,6 +43,47 @@ SimAddr MipsTranslatingCpu::interpUnit(SimAddr At) {
   GS.FpCond = S.FpCond ? 1 : 0;
   GS.Instrs = Interp.retiredInstrs();
   return Next;
+}
+
+void MipsTranslatingCpu::insertSlot(SimAddr PC, TranslatedFn Fn) {
+  size_t I = slotOf(PC);
+  while (Index[I].PC != EmptyPC)
+    I = (I + 1) & (Index.size() - 1);
+  Index[I] = Slot{PC, Fn};
+}
+
+void MipsTranslatingCpu::rebuildIndex(size_t Slots) {
+  Index.assign(Slots, Slot());
+  IndexShift = 64 - unsigned(std::countr_zero(Slots));
+  for (const Held &H : Pins)
+    insertSlot(H.PC, H.Fn);
+}
+
+TranslatedFn MipsTranslatingCpu::translateAndIndex(SimAddr PC, uint64_t Gen) {
+  TranslationEngine::Translation T = Engine->translateStamped(PC, Gen);
+  std::shared_ptr<const CodeCache::Version> Pin = T.Code.pin();
+  if (!Pin || !Pin->Code.isValid()) {
+    VCODE_TM_COUNT("dbt.translate_failures", 1);
+    return nullptr;
+  }
+  auto Fn = reinterpret_cast<TranslatedFn>(uintptr_t(Pin->Code.Entry));
+  Pins.push_back(Held{PC, T.Lo, T.Hi, T.Stamp, Fn, std::move(Pin)});
+  // At most half full: past that, double and rehash.
+  if (2 * Pins.size() > Index.size())
+    rebuildIndex(2 * Index.size());
+  else
+    insertSlot(PC, Fn);
+  return Fn;
+}
+
+void MipsTranslatingCpu::dropStale() {
+  size_t Dropped = std::erase_if(Pins, [&](const Held &H) {
+    return Mem.codeStamp(H.Lo, H.Hi) != H.Stamp;
+  });
+  if (!Dropped)
+    return;
+  VCODE_TM_COUNT("dbt.invalidations", Dropped);
+  rebuildIndex(Index.size());
 }
 
 TypedValue MipsTranslatingCpu::callWithConvSpan(const CallConv &CC,
@@ -87,12 +129,7 @@ TypedValue MipsTranslatingCpu::callWithConvSpan(const CallConv &CC,
   // racing with execution can ask for.
   uint64_t Gen = Mem.codeGeneration();
   if (Gen != LocalGen) {
-    if (!Local.empty()) {
-      VCODE_TM_COUNT("dbt.invalidations", 1);
-      Local.clear();
-    }
-    for (TableEnt &T : Dispatch)
-      T = TableEnt();
+    dropStale();
     LocalGen = Gen;
   }
 
@@ -103,32 +140,17 @@ TypedValue MipsTranslatingCpu::callWithConvSpan(const CallConv &CC,
       PC = interpUnit(SimAddr(PC & DbtPcMask));
       continue;
     }
-    TableEnt &T = Dispatch[(PC >> 2) & (DispatchSlots - 1)];
-    CachedFn *CF;
-    if (T.PC == PC) {
-      CF = T.CF;
-    } else {
-      auto It = Local.find(PC);
-      if (It == Local.end()) {
-        std::shared_ptr<const CodeCache::Version> Pin =
-            Engine->translate(PC, Gen).pin();
-        if (!Pin || !Pin->Code.isValid()) {
-          VCODE_TM_COUNT("dbt.translate_failures", 1);
-          PC = interpUnit(PC);
-          continue;
-        }
-        CachedFn NF;
-        NF.Fn = reinterpret_cast<TranslatedFn>(uintptr_t(Pin->Code.Entry));
-        NF.Pin = std::move(Pin);
-        It = Local.emplace(PC, std::move(NF)).first;
-      }
-      CF = &It->second;
-      T.PC = PC;
-      T.CF = CF;
+    size_t I = slotOf(PC), Mask = Index.size() - 1;
+    while (Index[I].PC != PC && Index[I].PC != EmptyPC)
+      I = (I + 1) & Mask;
+    TranslatedFn Fn = Index[I].Fn;
+    if (Index[I].PC != PC && !(Fn = translateAndIndex(PC, Gen))) {
+      PC = interpUnit(PC);
+      continue;
     }
     ++Dispatches;
     VCODE_PF_SAMPLE_VPC(++PfClock, uintptr_t(Mem.hostPtr(SimAddr(PC), 4)));
-    PC = CF->Fn(&GS, HostBase);
+    PC = Fn(&GS, HostBase);
   }
 
   TypedValue Res{RetTy, sim::Regs32::resultBits(GS.R, GS.FPR, CC, RetTy)};

@@ -7,13 +7,21 @@
 /// \file
 /// A sim::Cpu that executes simulated MIPS code by dynamic binary
 /// translation: guest basic blocks are translated to host x86-64 through
-/// VCODE's own backend, cached per (guest PC, guest code generation), and
-/// chained; anything the translator does not handle — faults, delay-slot
-/// edge cases, unsupported opcodes, the instruction budget — is executed
-/// one unit at a time by an embedded reference MipsSim from precise
-/// spilled state. Architectural results are bit-identical to MipsSim by
-/// construction; timing statistics are not modeled (Instrs is exact,
-/// Cycles and cache counters read zero).
+/// VCODE's own backend, cached per guest PC and state of the guest pages
+/// they were lifted from, and chained; anything the translator does not
+/// handle — faults, delay-slot edge cases, unsupported opcodes, the
+/// instruction budget — is executed one unit at a time by an embedded
+/// reference MipsSim from precise spilled state. Architectural results
+/// are bit-identical to MipsSim by construction; timing statistics are not
+/// modeled (Instrs is exact, Cycles and cache counters read zero).
+///
+/// Each CPU indexes its translations in one flat open-addressing table from
+/// guest PC to host function, which grows by rehashing and is never
+/// evicted; the pins that keep those functions alive sit beside it. A call
+/// reads the arena's codeGeneration() once. When it has moved, the CPU
+/// drops exactly the translations whose guest pages were rewritten (their
+/// codeStamp moved), with their pins; a publish into other pages costs the
+/// check and nothing else.
 ///
 /// Drop-in: DPF engines, tcc, ash pipelines, and benches that take a
 /// sim::Cpu run unchanged. On hosts where translation is unavailable the
@@ -28,7 +36,7 @@
 #include "dbt/TranslationEngine.h"
 #include "sim/MipsSim.h"
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 namespace vcode {
 namespace dbt {
@@ -84,27 +92,45 @@ private:
   sim::RunStats Stats;
   uint64_t InstrLimit = sim::MipsSim::DefaultInstrLimit;
 
-  /// Per-CPU dispatch index: guest PC -> pinned translation. Pins keep
-  /// regions alive across cache eviction; the map is rebuilt whenever the
-  /// guest publishes new code (generation bump).
-  struct CachedFn {
+  /// Translates \p PC, records it in the index and returns its function;
+  /// null when translation failed.
+  TranslatedFn translateAndIndex(SimAddr PC, uint64_t Gen);
+  /// Drops the translations whose guest pages moved since they were
+  /// stamped, with their pins, and rebuilds the index over the rest.
+  void dropStale();
+  /// Inserts (PC, Fn) into Index, which has a free slot.
+  void insertSlot(SimAddr PC, TranslatedFn Fn);
+  /// Refills an index of \p Slots slots (a power of two) from Pins.
+  void rebuildIndex(size_t Slots);
+  /// Index slot where \p PC's probe sequence starts (Fibonacci hashing:
+  /// guest entries at a common stride still spread).
+  size_t slotOf(SimAddr PC) const {
+    return size_t((PC * 0x9E3779B97F4A7C15ull) >> IndexShift);
+  }
+
+  /// The dispatch index: guest PC -> translated function, open addressing
+  /// with linear probing, at most half full. Never evicted; dropStale
+  /// removes exactly the stale entries.
+  struct Slot {
+    SimAddr PC = EmptyPC;
+    TranslatedFn Fn = nullptr;
+  };
+  static constexpr SimAddr EmptyPC = ~SimAddr(0);
+  static constexpr unsigned MinIndexBits = 6;
+  std::vector<Slot> Index = std::vector<Slot>(size_t(1) << MinIndexBits);
+  unsigned IndexShift = 64 - MinIndexBits;
+  /// One per index entry: the guest range and code stamp it was translated
+  /// under, and the pin that keeps its host code alive across cache
+  /// eviction.
+  struct Held {
+    SimAddr PC, Lo, Hi;
+    uint64_t Stamp;
     TranslatedFn Fn;
     std::shared_ptr<const CodeCache::Version> Pin;
   };
-  std::unordered_map<SimAddr, CachedFn> Local;
+  std::vector<Held> Pins;
+  /// The codeGeneration() at which Pins was last checked for stale entries.
   uint64_t LocalGen = ~uint64_t(0);
-  /// Direct-mapped front of Local (valid while LocalGen holds): a
-  /// steady-state call re-dispatches the same few guest blocks every
-  /// time, and a one-entry MRU thrashes as soon as a call chains through
-  /// two of them, so hot dispatch indexes this little table instead of
-  /// hashing. CachedFn pointers are stable (node-based map); the table is
-  /// cleared whenever Local is.
-  struct TableEnt {
-    SimAddr PC = ~SimAddr(0);
-    CachedFn *CF = nullptr;
-  };
-  static constexpr size_t DispatchSlots = 64; ///< power of two
-  TableEnt Dispatch[DispatchSlots];
   uint8_t *HostBase = nullptr; ///< cached hostPtr(base, size); arena is fixed
   bool Avail = false;          ///< Engine->available(), fixed at construction
 

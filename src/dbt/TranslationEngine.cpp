@@ -11,6 +11,7 @@
 #include "support/Telemetry.h"
 #include <algorithm>
 #include <cstdio>
+#include <tuple>
 
 using namespace vcode;
 using namespace vcode::dbt;
@@ -50,28 +51,51 @@ bool TranslationEngine::available() const {
   return Guest.base() + Guest.size() <= (uint64_t(1) << 32);
 }
 
-CodeCache::Handle TranslationEngine::translate(SimAddr PC, uint64_t Gen) {
-  char Key[64];
-  std::snprintf(Key, sizeof(Key), "dbt:%llx:g%llu",
+/// The guest bytes \p R translates: the span from its lowest block entry
+/// to the end of its highest unit, or the entry word alone when no unit
+/// translates (an interpreter exit still depends on the word at PC).
+static std::pair<SimAddr, SimAddr> guestRange(const MipsRegion &R) {
+  SimAddr Lo = R.Entry, Hi = R.Entry + 4;
+  for (const MipsBlock &B : R.Blocks) {
+    if (B.Units.empty())
+      continue;
+    Lo = std::min(Lo, B.Entry);
+    const MipsUnit &Last = B.Units.back();
+    Hi = std::max(Hi, Last.PC + 4 * SimAddr(Last.instrs()));
+  }
+  return {Lo, Hi};
+}
+
+TranslationEngine::Translation
+TranslationEngine::translateStamped(SimAddr PC, uint64_t Gen) {
+  // Read the region, then its stamp, then the generation. Unchanged since
+  // Gen means no page moved while the region was read; a page the reader
+  // saw mid-rewrite (after beginWrite) moves again at publish, which drops
+  // the translation at its dispatcher's next check.
+  MipsRegion R;
+  Translation T;
+  for (;;) {
+    R = discoverRegion(Guest, PC);
+    std::tie(T.Lo, T.Hi) = guestRange(R);
+    T.Stamp = Guest.codeStamp(T.Lo, T.Hi);
+    uint64_t Now = Guest.codeGeneration();
+    if (Now == Gen)
+      break;
+    Gen = Now;
+  }
+  char Key[96];
+  std::snprintf(Key, sizeof(Key), "dbt:%llx:%llx-%llx:s%llu",
                 static_cast<unsigned long long>(PC),
-                static_cast<unsigned long long>(Gen));
-  return Cache->lookupOrGenerate(Key, [&](CodeCache::RegionAlloc &RA) {
+                static_cast<unsigned long long>(T.Lo),
+                static_cast<unsigned long long>(T.Hi),
+                static_cast<unsigned long long>(T.Stamp));
+  T.Code = Cache->lookupOrGenerate(Key, [&](CodeCache::RegionAlloc &RA) {
     VCODE_TM_TICK(T0);
     VCODE_TM_COUNT("dbt.translations", 1);
-    MipsRegion R = discoverRegion(Guest, PC);
     VCodeT<x64::X64Target> V(Tgt);
     // Record the guest-PC span the region translates so profiler samples
     // of the dispatch loop (which carry guest PCs) attribute back here.
-    SimAddr Lo = ~SimAddr(0), Hi = 0;
-    for (const MipsBlock &B : R.Blocks) {
-      if (B.Units.empty())
-        continue;
-      Lo = std::min(Lo, B.Entry);
-      const MipsUnit &Last = B.Units.back();
-      Hi = std::max(Hi, Last.PC + 4 * SimAddr(Last.instrs()));
-    }
-    if (Hi > Lo)
-      V.setPublishGuestRange(Lo, Hi);
+    V.setPublishGuestRange(T.Lo, T.Hi);
     GenerateOptions GO;
     // ~tens of host bytes per guest word plus per-block stub overhead;
     // generateWithRetry grows the region on a miss.
@@ -83,4 +107,5 @@ CodeCache::Handle TranslationEngine::translate(SimAddr PC, uint64_t Gen) {
     VCODE_TM_SPAN("dbt.translate", T0);
     return GR;
   });
+  return T;
 }

@@ -9,11 +9,12 @@
 // corpus (integer ALU + control flow + memory traffic), the DPF and ASH
 // clients (real generated classifiers/pipelines, including jal/jr call
 // trees), and targeted cases for floating point, stack-passed arguments,
-// and code invalidation when the guest regenerates a function mid-run. A
-// final hammer shares one TranslationEngine across threads while the guest
-// keeps publishing new code, exercising concurrent translation-cache
-// lookup/insert/invalidate (the CI TSan step runs it under
-// ThreadSanitizer).
+// code invalidation when the guest regenerates a function mid-run (per
+// page: a publish elsewhere keeps every translation), and the growth of
+// a CPU's dispatch index. Two hammers share one TranslationEngine across
+// threads while the guest keeps publishing new code, exercising
+// concurrent translation-cache lookup/insert/invalidate (the CI TSan step
+// runs them under ThreadSanitizer).
 //
 // On hosts without x86-64 + mmap the translator delegates whole calls to
 // its embedded interpreter; the differential tests still run (they then
@@ -470,4 +471,159 @@ TEST_F(DbtTest, ConcurrentTranslationSharedEngine) {
   EXPECT_EQ(Failures.load(), 0);
 }
 
+/// Emits `int f(int x) { return 3 * x + K; }` into \p CM: one region that
+/// returns straight to the caller, so a call is one dispatch.
+CodePtr emitAffineFn(Target &Tgt, CodeMem CM, int K) {
+  VCode V(Tgt);
+  Reg Arg[1];
+  V.lambda("%i", Arg, LeafHint, CM);
+  V.binopImm(BinOp::Mul, Type::I, Arg[0], Arg[0], 3);
+  V.binopImm(BinOp::Add, Type::I, Arg[0], Arg[0], K);
+  V.ret(Type::I, Arg[0]);
+  return V.end();
+}
+
+/// A code region that shares no 4 KiB page with anything allocated before
+/// or after it: a page of data on either side.
+CodeMem allocIsolatedCode(sim::Memory &Mem) {
+  Mem.alloc(4096, 8);
+  CodeMem CM = Mem.allocCode(4096);
+  Mem.alloc(4096, 8);
+  return CM;
+}
+
+/// Translations the engine has generated so far.
+uint64_t engineGenerations(dbt::MipsTranslatingCpu &Cpu) {
+  return Cpu.engine().cache()->stats().Generations;
+}
+
+/// A region translated ahead of time through the engine, as a set-up phase
+/// does, is the one the CPU's first call runs: nothing is translated again.
+TEST_F(DbtTest, SetupTranslationReusedByCall) {
+  if (!Dbt.translating())
+    GTEST_SKIP() << "binary translation unavailable on this host";
+  CodePtr F = emitAffineFn(Tgt, Mem.allocCode(4096), 5);
+  ASSERT_TRUE(F.isValid());
+  ASSERT_TRUE(Dbt.engine().translate(F.Entry, Mem.codeGeneration()));
+  ASSERT_EQ(engineGenerations(Dbt), 1u);
+  EXPECT_EQ(Dbt.call(F.Entry, {TypedValue::fromInt(7)}, Type::I).asInt32(),
+            26);
+  EXPECT_EQ(engineGenerations(Dbt), 1u);
+}
+
+/// The dispatch index grows past any fixed size. 4096 entries one page
+/// apart, so every entry PC has the same low 12 bits, are each translated
+/// exactly once, and each result matches the interpreter's, both on first
+/// call and once they are all indexed.
+TEST_F(DbtTest, DispatchIndexGrowsWithCollidingEntries) {
+  if (!Dbt.translating())
+    GTEST_SKIP() << "binary translation unavailable on this host";
+  constexpr int NumFns = 4096;
+  std::vector<SimAddr> Entries;
+  for (int K = 0; K < NumFns; ++K) {
+    CodePtr F = emitAffineFn(Tgt, Mem.allocCode(4096), K);
+    ASSERT_TRUE(F.isValid());
+    if (!Entries.empty()) {
+      ASSERT_EQ(F.Entry - Entries.back(), 4096u);
+    }
+    Entries.push_back(F.Entry);
+  }
+  for (int Round = 0; Round < 2; ++Round) {
+    for (int K = 0; K < NumFns; ++K) {
+      TypedValue X = TypedValue::fromInt(K * 7 - 100);
+      int32_t Want = Ref.call(Entries[K], {X}, Type::I).asInt32();
+      ASSERT_EQ(Want, 3 * (K * 7 - 100) + K);
+      ASSERT_EQ(Dbt.call(Entries[K], {X}, Type::I).asInt32(), Want)
+          << "round " << Round << ", function " << K;
+    }
+    EXPECT_EQ(engineGenerations(Dbt), uint64_t(NumFns)) << "round " << Round;
+  }
+}
+
+/// Two CPUs share one engine. Regenerating a function in place reaches
+/// both CPUs' next calls; publishing into pages no translation covers
+/// leaves every translation in place (the engine generates nothing).
+TEST_F(DbtTest, InvalidationFollowsRewrittenPages) {
+  if (!Dbt.translating())
+    GTEST_SKIP() << "binary translation unavailable on this host";
+  std::unique_ptr<sim::Cpu> B = S.makeCpu();
+  CodeMem CMF = allocIsolatedCode(Mem), CMG = allocIsolatedCode(Mem),
+          CMP = allocIsolatedCode(Mem);
+  CodePtr F = emitConstFn(Tgt, CMF, 111);
+  CodePtr G = emitAffineFn(Tgt, CMG, 7);
+  ASSERT_TRUE(F.isValid() && G.isValid());
+  TypedValue Five = TypedValue::fromInt(5);
+
+  EXPECT_EQ(Dbt.call(F.Entry, {}, Type::I).asInt32(), 111);
+  EXPECT_EQ(Dbt.call(G.Entry, {Five}, Type::I).asInt32(), 22);
+  EXPECT_EQ(B->call(F.Entry, {}, Type::I).asInt32(), 111);
+  ASSERT_EQ(engineGenerations(Dbt), 2u) << "B must reuse A's translation";
+
+  // A publish into a disjoint page: A's translations all survive it.
+  for (int I = 0; I < 3; ++I)
+    ASSERT_TRUE(emitConstFn(Tgt, CMP, I).isValid());
+  EXPECT_EQ(Dbt.call(G.Entry, {Five}, Type::I).asInt32(), 22);
+  EXPECT_EQ(Dbt.call(F.Entry, {}, Type::I).asInt32(), 111);
+  EXPECT_EQ(engineGenerations(Dbt), 2u);
+
+  // F is regenerated in place. B translates the new body first; A drops
+  // its stale entry and runs B's translation, and G stays put.
+  ASSERT_EQ(emitConstFn(Tgt, CMF, 222).Entry, F.Entry);
+  EXPECT_EQ(B->call(F.Entry, {}, Type::I).asInt32(), 222);
+  EXPECT_EQ(engineGenerations(Dbt), 3u);
+  EXPECT_EQ(Dbt.call(F.Entry, {}, Type::I).asInt32(), 222);
+  EXPECT_EQ(Dbt.call(G.Entry, {Five}, Type::I).asInt32(), 22);
+  EXPECT_EQ(engineGenerations(Dbt), 3u);
+}
+
+/// Dispatch threads on their own CPUs share one engine while another
+/// thread keeps publishing into pages none of their functions touch, each
+/// publish followed by more calls. Each function is translated exactly
+/// once over the whole run.
+TEST_F(DbtTest, ConcurrentDisjointPublishesKeepTranslations) {
+  constexpr int NumFns = 8;
+  CodePtr Fns[NumFns];
+  for (int K = 0; K < NumFns; ++K) {
+    Fns[K] = emitAffineFn(Tgt, Mem.allocCode(4096), K);
+    ASSERT_TRUE(Fns[K].isValid());
+  }
+  CodeMem CMP = allocIsolatedCode(Mem);
+
+  std::atomic<bool> Done{false};
+  std::atomic<int> Failures{0};
+  std::atomic<uint64_t> Calls{0};
+  std::vector<std::thread> Threads;
+  constexpr int NumThreads = 4;
+  for (int T = 0; T < NumThreads; ++T) {
+    Threads.emplace_back([&, T] {
+      std::unique_ptr<sim::Cpu> Cpu = S.makeCpu();
+      Cpu->setStackTop(Mem.allocStack());
+      Rng R(uint64_t(T) * 131 + 5);
+      while (!Done.load() && !Failures.load()) {
+        int K = int(R.below(NumFns));
+        int X = int(uint32_t(R.next()) & 0xffff);
+        if (Cpu->call(Fns[K].Entry, {TypedValue::fromInt(X)}, Type::I)
+                .asInt32() != 3 * X + K)
+          ++Failures;
+        Calls.fetch_add(1);
+      }
+    });
+  }
+  // Every publish is followed by at least a few calls on each thread's
+  // CPU, each of which sees the arena's generation move.
+  for (int I = 0; I < 50 && !Failures.load(); ++I) {
+    if (!emitConstFn(Tgt, CMP, I).isValid())
+      ++Failures;
+    uint64_t Until = Calls.load() + 4 * NumThreads;
+    while (Calls.load() < Until && !Failures.load())
+      std::this_thread::yield();
+  }
+  Done = true;
+  for (std::thread &Th : Threads)
+    Th.join();
+  EXPECT_EQ(Failures.load(), 0);
+  if (Dbt.translating()) {
+    EXPECT_EQ(engineGenerations(Dbt), uint64_t(NumFns));
+  }
+}
 } // namespace

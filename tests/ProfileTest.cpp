@@ -366,9 +366,13 @@ TEST_F(ProfileTest, TranslationListedWithGuestRange) {
   ASSERT_TRUE(H);
   auto E = M.lookup(H.code().Entry);
   ASSERT_TRUE(E) << "translation not listed";
-  char Key[64];
-  std::snprintf(Key, sizeof(Key), "dbt:%llx:g0",
-                (unsigned long long)Fn.Entry);
+  // Keyed by entry PC, the guest range it was lifted from and that range's
+  // code stamp.
+  char Key[96];
+  std::snprintf(Key, sizeof(Key), "dbt:%llx:%llx-%llx:s%llu",
+                (unsigned long long)Fn.Entry, (unsigned long long)E->GuestLo,
+                (unsigned long long)E->GuestHi,
+                (unsigned long long)S.Mem->codeStamp(E->GuestLo, E->GuestHi));
   EXPECT_EQ(E->Name, Key);
   EXPECT_STREQ(E->Target, "x64");
   EXPECT_LT(E->GuestLo, E->GuestHi);

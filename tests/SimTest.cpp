@@ -196,6 +196,48 @@ TEST(MemoryArena, ContainsIsOverflowSafe) {
   EXPECT_TRUE(M.contains(0x10000000 + (1 << 20) - 4, 4));
 }
 
+// The code stamp of a range moves exactly when beginWrite, publish or
+// release touches one of its pages; a native arena keeps no page table and
+// stamps with the arena-wide generation.
+TEST(MemoryArena, CodeStampFollowsTouchedPages) {
+  sim::Memory M(1 << 20, 0x10000000, 4096);
+  const SimAddr P0 = M.base(), P1 = P0 + 4096, P2 = P1 + 4096;
+  uint64_t S0 = M.codeStamp(P0, P0 + 8), S1 = M.codeStamp(P1, P1 + 8);
+  uint64_t Gen = M.codeGeneration();
+
+  M.beginWrite(P1 + 16, 32);
+  M.publish(P1 + 16, 32);
+  EXPECT_EQ(M.codeGeneration(), Gen + 2);
+  EXPECT_EQ(M.codeStamp(P0, P0 + 8), S0) << "untouched page moved";
+  EXPECT_EQ(M.codeStamp(P1, P1 + 8), S1 + 2);
+  // A range's stamp sums its pages; ranges outside the arena count zero.
+  EXPECT_EQ(M.codeStamp(P0, P1 + 1), S0 + S1 + 2);
+  EXPECT_EQ(M.codeStamp(P0 - 64, P0), 0u);
+
+  // A write straddling a page boundary moves both pages.
+  M.beginWrite(P2 - 8, 16);
+  EXPECT_EQ(M.codeStamp(P1, P1 + 8), S1 + 3);
+  EXPECT_EQ(M.codeStamp(P2, P2 + 8), 1u);
+
+  // release() moves every page from the mark to the old break, and only
+  // those.
+  M.alloc(3 * 4096);
+  SimAddr Mark = M.mark();
+  M.alloc(3 * 4096);
+  uint64_t Before = M.codeStamp(Mark, Mark + 3 * 4096);
+  M.release(Mark);
+  EXPECT_GT(M.codeStamp(Mark, Mark + 3 * 4096), Before);
+  EXPECT_EQ(M.codeStamp(P0, P0 + 8), S0);
+
+#ifdef VCODE_HAVE_MMAP
+  sim::Memory N(sim::Memory::Native, 1 << 20, 4096);
+  CodeMem CM = N.allocCode(64);
+  N.beginWrite(CM.Guest, CM.Size);
+  N.publish(CM.Guest, CM.Size);
+  EXPECT_EQ(N.codeStamp(CM.Guest, CM.Guest + 8), N.codeGeneration());
+#endif
+}
+
 /// This process's resident set in KiB (VmRSS), or -1 where
 /// /proc/self/status does not report it.
 long residentKiB() {
